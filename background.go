@@ -266,37 +266,87 @@ func (p *fitPipeline) setInFlight(v bool) {
 	p.mu.Unlock()
 }
 
-// runOneFit executes one full background fit:
+// cyclePhases mints one lifecycle's spans. The names stay string literals at
+// their trace call so the metricname vocabulary check sees every one.
+type cyclePhases struct {
+	what                              string // names the cycle in abort errors
+	root                              func(*trace.Tracer, context.Context) (context.Context, *trace.Span)
+	capture, rebuild, em, merge, swap startSpan
+}
+
+type startSpan func(context.Context) (context.Context, *trace.Span)
+
+var fitPhases = cyclePhases{
+	what: "fit",
+	root: func(tr *trace.Tracer, ctx context.Context) (context.Context, *trace.Span) {
+		return tr.StartRoot(ctx, "fit.cycle", 0)
+	},
+	capture: func(ctx context.Context) (context.Context, *trace.Span) { return trace.Start(ctx, "fit.capture") },
+	rebuild: func(ctx context.Context) (context.Context, *trace.Span) { return trace.Start(ctx, "fit.rebuild") },
+	em:      func(ctx context.Context) (context.Context, *trace.Span) { return trace.Start(ctx, "fit.em") },
+	merge:   func(ctx context.Context) (context.Context, *trace.Span) { return trace.Start(ctx, "fit.merge") },
+	swap:    func(ctx context.Context) (context.Context, *trace.Span) { return trace.Start(ctx, "fit.swap") },
+}
+
+// runOneFit executes one full background fit; see runCycle.
+func (p *fitPipeline) runOneFit() { p.runCycle(fitPhases, nil) }
+
+// runCycle is the one body of a background fit (mig nil) and of a live
+// migration (mig set), which is a fit with a re-layout step between the
+// rebuild and EM:
 //
 //  1. Under the write lock (milliseconds): deep-copy the service into a
 //     snapshot via the checkpoint capture path and start recording a delta
-//     of answers accepted from here on.
+//     of answers accepted from here on. A migration first validates its
+//     decision against the live layout.
 //  2. Off-lock (the expensive part): rebuild a scratch service from the
 //     snapshot — bit-identical to the live one, warm-started from the live
-//     parameters — and run full EM on its engine.
-//  3. Under the write lock (milliseconds): replay registrations and the
-//     recorded delta onto the fitted scratch engine via its incremental
-//     update, swap it in as the live engine, and publish the new
-//     generation.
+//     parameters — let a migration re-partition its engine (replaying every
+//     answer into a fresh fitter at the new layout in exact global arrival
+//     order), and run full EM on the scratch engine.
+//  3. Under the write lock (milliseconds): abort if a Restore bumped the
+//     epoch; replay registrations and the recorded delta onto the fitted
+//     scratch engine via its incremental update, swap it in as the live
+//     engine, and publish the new generation.
 //
-// On error (shutdown cancellation, corrupt state) the fit is abandoned and
-// the previous generation keeps serving.
-func (p *fitPipeline) runOneFit() {
+// On error (shutdown cancellation, corrupt state, a stale migration
+// decision) the cycle is abandoned and the live engine, which learned every
+// answer as it arrived, keeps serving the previous generation. Pending pairs
+// and the budget are keyed by global IDs and never touched, so no handed-out
+// assignment is dropped or double-spent; in-flight answers land either in
+// the capture (before phase 1) or in the delta (after), never both and never
+// neither. The returned error is the migration waiter's outcome.
+func (p *fitPipeline) runCycle(ph cyclePhases, mig *migrationRequest) error {
 	s := p.s
 
 	// The trace root for this cycle. Its End — registered before the final
 	// locked section's deferred Unlock, so it runs after the lock drops —
 	// pushes the finished trace into the rings; no span operation below ever
 	// runs ring work while s.mu is held.
-	tctx, root := s.tracer.StartRoot(p.fitCtx, "fit.cycle", 0)
+	tctx, root := ph.root(s.tracer, p.fitCtx)
 	defer root.End()
+	if mig != nil {
+		mig.describe(root)
+	}
 
-	_, capSp := trace.Start(tctx, "fit.capture")
+	_, capSp := ph.capture(tctx)
 	s.mu.Lock()
-	if s.eng == nil {
+	if mig == nil && s.eng == nil {
 		s.mu.Unlock()
 		capSp.End()
-		return
+		return nil
+	}
+	if mig != nil {
+		liveK, err := mig.admit(s)
+		if err != nil {
+			s.mu.Unlock()
+			capSp.Fail(err)
+			capSp.End()
+			root.Fail(err)
+			s.elastic.recordOutcome(mig, "", err)
+			return err
+		}
+		capSp.AttrInt("k", int64(liveK))
 	}
 	epoch := s.restoreEpoch
 	startSeq := s.answerSeq.Load()
@@ -321,15 +371,19 @@ func (p *fitPipeline) runOneFit() {
 		dirty:     true,
 	}
 	scratch.cfg.observer = nil
-	_, rbSp := trace.Start(tctx, "fit.rebuild")
+	_, rbSp := ph.rebuild(tctx)
 	err := scratch.applySnapshot(&snap.Service)
+	var action string
+	if err == nil && mig != nil {
+		action, err = mig.relayout(scratch, rbSp)
+	}
 	if err != nil {
 		rbSp.Fail(err)
 	}
 	rbSp.End()
 	var converged bool
 	if err == nil {
-		emCtx, emSp := trace.Start(tctx, "fit.em")
+		emCtx, emSp := ph.em(tctx)
 		converged, err = scratch.eng.Fit(emCtx)
 		if err != nil {
 			emSp.Fail(err)
@@ -338,18 +392,20 @@ func (p *fitPipeline) runOneFit() {
 	}
 	elapsed := time.Since(start)
 
-	_, mergeSp := trace.Start(tctx, "fit.merge")
+	_, mergeSp := ph.merge(tctx)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	p.fits.Add(1)
-	if s.cfg.observer != nil {
-		s.cfg.observer.FitObserved(elapsed, converged, err)
+	if mig == nil {
+		p.fits.Add(1)
+		if s.cfg.observer != nil {
+			s.cfg.observer.FitObserved(elapsed, converged, err)
+		}
 	}
 	if err == nil && s.restoreEpoch != epoch {
-		err = fmt.Errorf("poilabel: fit raced a restore; abandoned")
+		err = fmt.Errorf("poilabel: %s raced a restore; abandoned", ph.what)
 	}
 	if err == nil {
-		// Replay registrations that arrived mid-fit, then merge the delta:
+		// Replay registrations that arrived mid-cycle, then merge the delta:
 		// every answer accepted while the fit ran is folded into the fitted
 		// parameters through the engine's incremental update — the
 		// mini-batch E-step that makes the new generation cover them.
@@ -371,19 +427,30 @@ func (p *fitPipeline) runOneFit() {
 	mergeSp.End()
 	s.delta = nil
 	s.deltaActive = false
-	if err != nil {
-		// Keep serving the previous generation; the live engine still holds
-		// every answer (it learned them as they arrived).
-		root.Fail(err)
-		return
+	if mig != nil {
+		s.elastic.recordOutcome(mig, action, err)
 	}
-	_, swapSp := trace.Start(tctx, "fit.swap")
+	if err != nil {
+		root.Fail(err)
+		return err
+	}
+	_, swapSp := ph.swap(tctx)
 	s.eng = scratch.eng
+	if mig != nil {
+		// The rebuilt layout spans every task registered at capture time, so
+		// the construction boundary (what the next checkpoint's Layout
+		// covers) moves up to the capture point.
+		s.builtTasks = deltaTasks
+		s.builtWorkers = deltaWorkers
+	}
 	s.sinceFull = nDelta
 	s.dirty = nDelta > 0
 	s.publishLocked(s.answerSeq.Load(), startSeq, converged)
 	swapSp.End()
-	root.Attr("converged", fmt.Sprintf("%t", converged))
+	if mig == nil {
+		root.Attr("converged", fmt.Sprintf("%t", converged))
+	}
+	return nil
 }
 
 // republishRegistrations refreshes the published generation when tasks or

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"poilabel/internal/core"
+	"poilabel/internal/trace"
 )
 
 // bgOpts returns background-fit options that never fire on their own: the
@@ -650,6 +651,14 @@ func TestBackgroundConcurrencyStress(t *testing.T) {
 			if want := uint64(svc.AnswerCount()); st.FullFitAnswers != want {
 				t.Fatalf("quiesced publication covers %d answers via full fit, want %d", st.FullFitAnswers, want)
 			}
+			// WaitFresh promises coverage, not an idle pipeline: a full fit
+			// requested while the barrier was still waiting may run after it
+			// returns and nudge the warm-started parameters. Close drains the
+			// scheduler, so the checkpoint and the comparison below see one
+			// publication.
+			if err := svc.Close(ctx); err != nil {
+				t.Fatal(err)
+			}
 			var buf bytes.Buffer
 			if err := svc.Checkpoint(&buf); err != nil {
 				t.Fatal(err)
@@ -662,12 +671,72 @@ func TestBackgroundConcurrencyStress(t *testing.T) {
 				t.Fatal(err)
 			}
 			requireIdenticalResults(t, restored, svc)
-			if err := svc.Close(ctx); err != nil {
-				t.Fatal(err)
-			}
 			if err := restored.Close(ctx); err != nil {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestFitTraceTellsNestedShardsApart walks a real fit tree: a traced 2x2
+// federated service's fit.cycle must hold four fit.shard spans under fit.em,
+// one per (city, shard) pair — before the city stamp the two cities' shards
+// were both "shard=0" and "shard=1". A plain sharded fit carries no city.
+func TestFitTraceTellsNestedShardsApart(t *testing.T) {
+	shardSpans := func(opts ...ServiceOption) []map[string]string {
+		tracer := trace.New(trace.Config{})
+		svc, err := NewService(append(append(opts, bgOpts()...), WithTracer(tracer))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer svc.Close(context.Background())
+		truth := registerGridWorld(t, svc, 48, 8)
+		feedPairs(t, svc, truth, 7, 0, 8, 0, 24)
+		if err := svc.WaitFresh(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		var out []map[string]string
+		for _, tr := range tracer.Snapshot(trace.Query{Name: "fit.cycle"}) {
+			for _, sp := range tr.Spans {
+				if sp.Name != "fit.shard" {
+					continue
+				}
+				if parent := tr.Spans[sp.Parent].Name; parent != "fit.em" {
+					t.Fatalf("fit.shard hangs off %q, want fit.em", parent)
+				}
+				attrs := make(map[string]string)
+				for _, a := range sp.Attrs {
+					attrs[a.K] = a.V
+				}
+				out = append(out, attrs)
+			}
+		}
+		return out
+	}
+
+	fed := shardSpans(WithEngine(EngineFederated), WithCities(2), WithShards(2))
+	if len(fed) != 4 {
+		t.Fatalf("federated fit minted %d fit.shard spans, want 4: %v", len(fed), fed)
+	}
+	seen := make(map[[2]string]bool)
+	for _, attrs := range fed {
+		pair := [2]string{attrs["city"], attrs["shard"]}
+		if (pair[0] != "0" && pair[0] != "1") || (pair[1] != "0" && pair[1] != "1") || seen[pair] {
+			t.Fatalf("fit.shard spans are not the four distinct (city, shard) pairs: %v", fed)
+		}
+		seen[pair] = true
+		if attrs["iterations"] == "" {
+			t.Fatalf("fit.shard span lost its iteration count: %v", attrs)
+		}
+	}
+
+	plain := shardSpans(WithEngine(EngineSharded), WithShards(2))
+	if len(plain) != 2 {
+		t.Fatalf("sharded fit minted %d fit.shard spans, want 2: %v", len(plain), plain)
+	}
+	for _, attrs := range plain {
+		if _, nested := attrs["city"]; nested {
+			t.Fatalf("top-level fit.shard span carries a city: %v", attrs)
+		}
 	}
 }

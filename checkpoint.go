@@ -143,16 +143,19 @@ func (s *Service) captureLocked() *snapshot.Snapshot {
 	switch e := s.eng.(type) {
 	case *singleEngine:
 		sv.Single = e.m.CheckpointState()
-	case *shardedEngine:
-		sv.Sharded = e.sh.CheckpointState()
-		// The layout travels with the snapshot (an elastic migration makes
-		// it state, not a function of the built prefix), and the normalizer
-		// diameter with it: post-migration the built prefix spans every
-		// task at migration time, so recomputing the diameter from it would
-		// change the distance scale the parameters were learned under.
-		sv.NormDiameter = e.sh.Normalizer().Max()
-	case *federatedEngine:
-		sv.Federated = e.fed.CheckpointState()
+	case *partitionEngine:
+		if e.fed != nil {
+			sv.Federated = e.fed.CheckpointState()
+		} else {
+			sv.Sharded = e.sh.CheckpointState()
+			// The layout travels with the snapshot (an elastic migration
+			// makes it state, not a function of the built prefix), and the
+			// normalizer diameter with it: post-migration the built prefix
+			// spans every task at migration time, so recomputing the diameter
+			// from it would change the distance scale the parameters were
+			// learned under.
+			sv.NormDiameter = e.sh.Normalizer().Max()
+		}
 	}
 	return snapshot.New(sv)
 }
@@ -242,16 +245,15 @@ func (s *Service) applySnapshot(sv *snapshot.ServiceState) error {
 				return fmt.Errorf("poilabel: corrupt snapshot: missing single-engine state")
 			}
 			err = e.m.RestoreState(sv.Single)
-		case *shardedEngine:
-			if sv.Sharded == nil {
-				return fmt.Errorf("poilabel: corrupt snapshot: missing sharded-engine state")
+		case *partitionEngine:
+			switch {
+			case e.fed != nil && sv.Federated != nil:
+				err = e.fed.RestoreState(sv.Federated)
+			case e.fed == nil && sv.Sharded != nil:
+				err = e.sh.RestoreState(sv.Sharded)
+			default:
+				return fmt.Errorf("poilabel: corrupt snapshot: missing %s-engine state", e.Name())
 			}
-			err = e.sh.RestoreState(sv.Sharded)
-		case *federatedEngine:
-			if sv.Federated == nil {
-				return fmt.Errorf("poilabel: corrupt snapshot: missing federated-engine state")
-			}
-			err = e.fed.RestoreState(sv.Federated)
 		}
 		if err != nil {
 			return err

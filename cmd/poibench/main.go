@@ -2,7 +2,7 @@
 //
 // Usage:
 //
-//	poibench [-seed N] [-shards K] [-list] [-json dir] [-checkperf dir [-perftol F]] <experiment-id>... | all
+//	poibench [-seed N] [-shards K] [-list] [-json dir] <experiment-id>... | all
 //
 // Each experiment id corresponds to one table or figure of the paper's
 // evaluation section (fig6..fig14, table1, table2), an ablation study
@@ -14,9 +14,9 @@
 // With -json dir, poibench instead (or additionally) runs the tracked
 // hot-path sweeps and writes dir/BENCH_inference.json and
 // dir/BENCH_assign.json — the perf-trajectory baselines described in
-// PERFORMANCE.md. With -checkperf dir, it reruns the smallest sweep points
-// and fails if a hot path regressed more than -perftol (default 25%) versus
-// the baselines in dir — the CI bench-regression gate.
+// PERFORMANCE.md. They are historical records: regressions are gated by the
+// repository benchmark (benchmark/README.md), which compares same-run pairs
+// instead of absolute baselines.
 package main
 
 import (
@@ -35,8 +35,6 @@ func main() {
 	outDir := flag.String("out", "", "also write each experiment's output to <dir>/<id>.txt")
 	jsonDir := flag.String("json", "", "run the tracked perf sweeps and write BENCH_*.json to <dir>")
 	shards := flag.Int("shards", 0, "shard count for the 'sharded' experiment (0 = default)")
-	checkDir := flag.String("checkperf", "", "rerun the S-size perf sweeps and fail if a hot path regressed vs the BENCH_*.json baselines in <dir>")
-	perfTol := flag.Float64("perftol", 0.25, "allowed fractional regression for -checkperf (0.25 = 25%)")
 	snapBench := flag.Bool("snapbench", false, "measure snapshot encode/decode throughput on the L-size Fig13 workload")
 	flag.Usage = usage
 	flag.Parse()
@@ -51,16 +49,6 @@ func main() {
 			fmt.Println(id)
 		}
 		return
-	}
-
-	if *checkDir != "" {
-		if err := checkPerf(*checkDir, *seed, *perfTol); err != nil {
-			fmt.Fprintf(os.Stderr, "poibench: %v\n", err)
-			os.Exit(1)
-		}
-		if flag.NArg() == 0 && *jsonDir == "" && !*snapBench {
-			return
-		}
 	}
 
 	if *jsonDir != "" {
@@ -126,7 +114,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintf(os.Stderr, `usage: poibench [-seed N] [-shards K] [-json dir] [-checkperf dir] <experiment-id>... | all
+	fmt.Fprintf(os.Stderr, `usage: poibench [-seed N] [-shards K] [-json dir] <experiment-id>... | all
 
 Regenerates the evaluation tables and figures of "Crowdsourced POI
 Labelling: Location-Aware Result Inference and Task Assignment" (ICDE'16).

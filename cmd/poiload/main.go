@@ -11,10 +11,7 @@
 //	        [-serve-bin PATH [-engine E] [-shards K] [-cities N]
 //	         [-budget N] [-fullem N] [-bg-fit D] [-bg-min-answers N]
 //	         [-elastic [-elastic-check D] [-elastic-max K]] [-snap PATH]]
-//	        [-max-error-rate F]
-//	        [-slo-baseline FILE [-slo-run LABEL] [-slo-tol F]]
-//	        [-drift-baseline FILE [-drift-run LABEL] [-drift-min-ratio F]]
-//	        [-trace]
+//	        [-max-error-rate F] [-trace]
 //
 // With -trace every request carries a client-minted X-Poilabel-Trace ID and
 // the report's slowest measured requests are joined, by ID, with the server's
@@ -46,24 +43,12 @@
 // inserts it into FILE's runs map instead (creating the file if needed),
 // which is how BENCH_serve.json is assembled.
 //
-// With -slo-baseline the finished run is additionally gated against a
-// committed baseline file (the BENCH_serve.json shape): per-endpoint p99
-// latency may not regress by more than -slo-tol (fractional, default 0.25)
-// relative to the baseline run named by -slo-run. Like poibench -checkperf,
-// the comparison only means something in a matching environment — a baseline
-// whose OS, arch, CPU count, or seed differs from this run is reported and
-// skipped rather than compared, so the gate bites on the reference machine
-// and degrades to a smoke run everywhere else.
-//
 // -scenario drift shifts all traffic onto one quadrant's worker identities
 // halfway through the measure phase — the workload that forces an elastic
 // sharded server (-elastic, forwarded to the spawned poiserve along with its
 // thresholds) to split its hot shard. The report carries pre/post-drift
-// throughput separately, and -drift-baseline gates this run's post-drift
-// req/s against the frozen-layout run recorded in BENCH_serve.json
-// (-drift-run, default drift-closed-sharded-frozen): the elastic run must
-// clear -drift-min-ratio (default 1.2) times the frozen run's post-drift
-// throughput, with the same environment-match skip rule as -slo-baseline.
+// throughput separately. Wall-clock regressions are not gated here: the
+// repository benchmark (benchmark/README.md) compares same-run pairs.
 package main
 
 import (
@@ -107,9 +92,6 @@ func run() error {
 	appendFile := flag.String("append", "", "insert the report into this JSON baseline file")
 	label := flag.String("label", "", "run label for -append (default scenario-model-engine)")
 	maxErrRate := flag.Float64("max-error-rate", 0.01, "fail when the error rate exceeds this")
-	sloBaseline := flag.String("slo-baseline", "", "gate p99 latency against this committed baseline file (BENCH_serve.json shape)")
-	sloRun := flag.String("slo-run", "", "baseline run label to compare against (default scenario-model-engine)")
-	sloTol := flag.Float64("slo-tol", 0.25, "allowed fractional p99 regression vs the baseline run")
 
 	serveBin := flag.String("serve-bin", "", "poiserve binary: spawn and own the server (required for rolling-restart)")
 	engine := flag.String("engine", "single", "spawned server engine: single, sharded, or federated")
@@ -123,9 +105,6 @@ func run() error {
 	elasticCheck := flag.Duration("elastic-check", time.Second, "spawned server drift-detector tick (needs -elastic)")
 	elasticMax := flag.Int("elastic-max", 0, "spawned server shard-count ceiling (0 = poiserve default)")
 	snap := flag.String("snap", "", "spawned server checkpoint path (default: temp file)")
-	driftBaseline := flag.String("drift-baseline", "", "gate post-drift throughput against the frozen-layout run in this baseline file (drift scenario only)")
-	driftRun := flag.String("drift-run", "drift-closed-sharded-frozen", "frozen-layout baseline run label for -drift-baseline")
-	driftMinRatio := flag.Float64("drift-min-ratio", 1.2, "required post-drift throughput multiple over the frozen baseline run")
 	traceOn := flag.Bool("trace", false, "stamp requests with X-Poilabel-Trace IDs and join the slowest with server span trees (server needs -trace; forwarded to a spawned server)")
 	flag.Parse()
 
@@ -250,124 +229,7 @@ func run() error {
 		fmt.Fprintf(os.Stderr, "poiload: appended run %q to %s\n", l, *appendFile)
 	}
 
-	if err := assess(rep, scenario, *maxErrRate, proc != nil); err != nil {
-		return err
-	}
-	if *sloBaseline != "" {
-		if err := checkSLO(*sloBaseline, *sloRun, *sloTol, *seed, rep); err != nil {
-			return err
-		}
-	}
-	if *driftBaseline != "" {
-		if scenario != loadgen.ScenarioDrift {
-			return errors.New("-drift-baseline only applies to -scenario drift")
-		}
-		if err := checkDrift(*driftBaseline, *driftRun, *driftMinRatio, *seed, rep); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// checkDrift is the elastic-vs-frozen throughput gate: it compares the
-// finished drift run's post-drift req/s against the frozen-layout drift run
-// recorded in the committed baseline file and fails when the ratio falls
-// under minRatio — the "a split must actually buy throughput" assertion
-// behind the elastic sharding work. Same environment-match skip rule as
-// checkSLO: wall-clock ratios only mean something on the reference machine.
-func checkDrift(path, frozenRun string, minRatio float64, seed int64, rep *loadgen.Report) error {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("drift baseline: %w", err)
-	}
-	var b baseline
-	if err := json.Unmarshal(raw, &b); err != nil {
-		return fmt.Errorf("drift baseline %s unreadable: %w", path, err)
-	}
-	if b.GOOS != runtime.GOOS || b.GOARCH != runtime.GOARCH || b.NumCPU != runtime.NumCPU() || b.Seed != seed {
-		fmt.Fprintf(os.Stderr, "poiload: drift baseline env %s/%s %dcpu seed %d != this run %s/%s %dcpu seed %d — load ran, comparison skipped\n",
-			b.GOOS, b.GOARCH, b.NumCPU, b.Seed,
-			runtime.GOOS, runtime.GOARCH, runtime.NumCPU(), seed)
-		return nil
-	}
-	base, ok := b.Runs[frozenRun]
-	if !ok {
-		return fmt.Errorf("drift baseline %s has no run %q", path, frozenRun)
-	}
-	if base.PostDriftRPS <= 0 {
-		return fmt.Errorf("drift baseline run %q recorded no post-drift throughput", frozenRun)
-	}
-	ratio := rep.PostDriftRPS / base.PostDriftRPS
-	verdict := "ok"
-	if ratio < minRatio {
-		verdict = "FAIL"
-	}
-	fmt.Fprintf(os.Stderr, "poiload: drift %-4s post-drift %.0f req/s vs frozen baseline %.0f req/s (%.2fx, need ≥%.2fx)\n",
-		verdict, rep.PostDriftRPS, base.PostDriftRPS, ratio, minRatio)
-	if verdict == "FAIL" {
-		return fmt.Errorf("post-drift throughput %.0f req/s is %.2fx the frozen run %q's %.0f req/s; need ≥%.2fx",
-			rep.PostDriftRPS, ratio, frozenRun, base.PostDriftRPS, minRatio)
-	}
-	return nil
-}
-
-// checkSLO is the latency-regression gate: it compares the finished run's
-// per-endpoint p99 against the run labelled sloRun (default
-// scenario-model-engine) in the committed baseline file and fails when any
-// endpoint regressed by more than tol. Mirroring poibench -checkperf,
-// wall-clock numbers only mean something within a matching environment, so a
-// baseline recorded under a different OS, arch, CPU count, or seed is
-// reported and skipped — the load still ran, the comparison just cannot
-// gate.
-func checkSLO(path, sloRun string, tol float64, seed int64, rep *loadgen.Report) error {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("slo baseline: %w", err)
-	}
-	var b baseline
-	if err := json.Unmarshal(raw, &b); err != nil {
-		return fmt.Errorf("slo baseline %s unreadable: %w", path, err)
-	}
-	if b.GOOS != runtime.GOOS || b.GOARCH != runtime.GOARCH || b.NumCPU != runtime.NumCPU() || b.Seed != seed {
-		fmt.Fprintf(os.Stderr, "poiload: slo baseline env %s/%s %dcpu seed %d != this run %s/%s %dcpu seed %d — load ran, comparison skipped\n",
-			b.GOOS, b.GOARCH, b.NumCPU, b.Seed,
-			runtime.GOOS, runtime.GOARCH, runtime.NumCPU(), seed)
-		return nil
-	}
-	if sloRun == "" {
-		sloRun = fmt.Sprintf("%s-%s-%s", rep.Scenario, rep.Model, rep.Engine)
-	}
-	base, ok := b.Runs[sloRun]
-	if !ok {
-		return fmt.Errorf("slo baseline %s has no run %q", path, sloRun)
-	}
-	var failures []string
-	names := make([]string, 0, len(base.Endpoints))
-	for name := range base.Endpoints {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		bs := base.Endpoints[name]
-		st, ok := rep.Endpoints[name]
-		if !ok || bs.Count == 0 || bs.P99Ms <= 0 {
-			continue
-		}
-		ratio := st.P99Ms / bs.P99Ms
-		verdict := "ok"
-		if ratio > 1+tol {
-			verdict = "FAIL"
-			failures = append(failures, fmt.Sprintf(
-				"%s p99 %.2fms vs baseline %.2fms (%+.0f%%, tolerance %+.0f%%)",
-				name, st.P99Ms, bs.P99Ms, 100*(ratio-1), 100*tol))
-		}
-		fmt.Fprintf(os.Stderr, "poiload: slo %-4s %s p99 %.2fms vs baseline %.2fms (%+.0f%%)\n",
-			verdict, name, st.P99Ms, bs.P99Ms, 100*(ratio-1))
-	}
-	if len(failures) > 0 {
-		return fmt.Errorf("latency slo regression vs %s run %q:\n  %s", path, sloRun, strings.Join(failures, "\n  "))
-	}
-	return nil
+	return assess(rep, scenario, *maxErrRate, proc != nil)
 }
 
 // assess turns report violations into a non-zero exit. Lost answers and

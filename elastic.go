@@ -100,16 +100,25 @@ type ShardStat struct {
 	LastFitDuration time.Duration `json:"last_fit_duration"`
 }
 
+// sharded returns the sharded engine's fitter, nil when the engine is
+// another kind or not built yet; callers hold s.mu.
+func (s *Service) sharded() *shard.Sharded {
+	if e, ok := s.eng.(*partitionEngine); ok && e.fed == nil {
+		return e.sh
+	}
+	return nil
+}
+
 // ShardStats returns the per-shard imbalance signals of the sharded engine,
 // or nil when the engine is not sharded or not built yet.
 func (s *Service) ShardStats() []ShardStat {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	eng, ok := s.eng.(*shardedEngine)
-	if !ok {
+	sh := s.sharded()
+	if sh == nil {
 		return nil
 	}
-	raw := eng.sh.Stats()
+	raw := sh.Stats()
 	out := make([]ShardStat, len(raw))
 	for i, st := range raw {
 		out[i] = ShardStat{
@@ -154,8 +163,8 @@ type ElasticStats struct {
 func (s *Service) ElasticStats() ElasticStats {
 	st := ElasticStats{}
 	s.mu.RLock()
-	if eng, ok := s.eng.(*shardedEngine); ok {
-		st.Shards = eng.sh.NumShards()
+	if sh := s.sharded(); sh != nil {
+		st.Shards = sh.NumShards()
 	}
 	s.mu.RUnlock()
 	c := s.elastic
@@ -278,10 +287,9 @@ func (c *elasticController) close() {
 func (c *elasticController) checkOnce() {
 	s := c.s
 	s.mu.RLock()
-	eng, ok := s.eng.(*shardedEngine)
 	var stats []shard.ShardStat
-	if ok {
-		stats = eng.sh.Stats()
+	if sh := s.sharded(); sh != nil {
+		stats = sh.Stats()
 	}
 	s.mu.RUnlock()
 	if stats == nil {
@@ -363,6 +371,9 @@ func (c *elasticController) propose(req *migrationRequest) {
 
 // recordOutcome updates the controller's counters after a migration attempt.
 func (c *elasticController) recordOutcome(req *migrationRequest, action string, err error) {
+	if c == nil {
+		return
+	}
 	if err != nil {
 		c.aborted.Add(1)
 		return
@@ -382,188 +393,81 @@ func (c *elasticController) recordOutcome(req *migrationRequest, action string, 
 	c.mu.Unlock()
 }
 
+var migratePhases = cyclePhases{
+	what: "migration",
+	root: func(tr *trace.Tracer, ctx context.Context) (context.Context, *trace.Span) {
+		return tr.StartRoot(ctx, "migrate.cycle", 0)
+	},
+	capture: func(ctx context.Context) (context.Context, *trace.Span) { return trace.Start(ctx, "migrate.capture") },
+	rebuild: func(ctx context.Context) (context.Context, *trace.Span) { return trace.Start(ctx, "migrate.rebuild") },
+	em:      func(ctx context.Context) (context.Context, *trace.Span) { return trace.Start(ctx, "migrate.em") },
+	merge:   func(ctx context.Context) (context.Context, *trace.Span) { return trace.Start(ctx, "migrate.merge") },
+	swap:    func(ctx context.Context) (context.Context, *trace.Span) { return trace.Start(ctx, "migrate.swap") },
+}
+
 // runOneMigration executes one live re-partition on the fit pipeline
-// goroutine, mirroring runOneFit's three phases:
-//
-//  1. Under the write lock (µs): validate the decision against the live
-//     layout, capture the service through the checkpoint path, and start
-//     recording the answer delta.
-//  2. Off-lock (the expensive part): rebuild a scratch service from the
-//     snapshot, derive the new layout (kd-split of the hot shard or sorted
-//     union of the cold pair), replay every answer into a fresh fitter at
-//     that layout in exact global arrival order, and run full EM on it.
-//  3. Under the write lock (µs): abort if a Restore bumped the epoch,
-//     replay mid-migration registrations and the delta onto the rebuilt
-//     engine, swap it in, and publish the new generation.
-//
-// Pending pairs and the budget are keyed by global IDs and never touched, so
-// no handed-out assignment is dropped or double-spent; in-flight answers land
-// either in the capture (before phase 1) or in the delta (after), never both
-// and never neither.
+// goroutine: runCycle with this request's re-layout step between the scratch
+// rebuild and EM. The waiter is notified after the cycle's last locked
+// section has dropped the write lock.
 func (p *fitPipeline) runOneMigration(req *migrationRequest) {
-	s := p.s
-	c := s.elastic
-	if c != nil {
+	if c := p.s.elastic; c != nil {
 		c.migrating.Store(true)
 		defer c.migrating.Store(false)
 	}
+	req.finish(p.runCycle(migratePhases, req))
+}
 
-	// The migration's trace root; its deferred End runs after every locked
-	// section below has released s.mu.
-	tctx, root := s.tracer.StartRoot(p.fitCtx, "migrate.cycle", 0)
-	defer root.End()
-	if req.kind == migrateSplit {
+// describe stamps the decision on the cycle's root span.
+func (r *migrationRequest) describe(root *trace.Span) {
+	if r.kind == migrateSplit {
 		root.Attr("kind", "split")
 	} else {
 		root.Attr("kind", "merge")
-		root.AttrInt("with", int64(req.sj))
+		root.AttrInt("with", int64(r.sj))
 	}
-	root.AttrInt("shard", int64(req.si))
+	root.AttrInt("shard", int64(r.si))
+}
 
-	_, capSp := trace.Start(tctx, "migrate.capture")
-	s.mu.Lock()
-	eng, ok := s.eng.(*shardedEngine)
-	if !ok {
-		s.mu.Unlock()
-		err := fmt.Errorf("poilabel: migration needs a built sharded engine")
-		capSp.Fail(err)
-		capSp.End()
-		root.Fail(err)
-		if c != nil {
-			c.recordOutcome(req, "", err)
-		}
-		req.finish(err)
-		return
+// admit validates the decision against the live layout and returns its shard
+// count; callers hold the write lock.
+func (r *migrationRequest) admit(s *Service) (liveK int, err error) {
+	sh := s.sharded()
+	if sh == nil {
+		return 0, fmt.Errorf("poilabel: migration needs a built sharded engine")
 	}
-	liveK := eng.sh.NumShards()
-	if req.expectK != 0 && liveK != req.expectK {
-		s.mu.Unlock()
-		err := fmt.Errorf("poilabel: migration decided at K=%d, layout is now K=%d; abandoned", req.expectK, liveK)
-		capSp.Fail(err)
-		capSp.End()
-		root.Fail(err)
-		if c != nil {
-			c.recordOutcome(req, "", err)
-		}
-		req.finish(err)
-		return
+	liveK = sh.NumShards()
+	if r.expectK != 0 && liveK != r.expectK {
+		return 0, fmt.Errorf("poilabel: migration decided at K=%d, layout is now K=%d; abandoned", r.expectK, liveK)
 	}
-	epoch := s.restoreEpoch
-	startSeq := s.answerSeq.Load()
-	snap := s.captureLocked()
-	cfg := s.cfg
-	s.delta = s.delta[:0]
-	s.deltaActive = true
-	deltaTasks, deltaWorkers := len(s.tasks), len(s.workers)
-	s.mu.Unlock()
-	capSp.AttrInt("answers", int64(startSeq))
-	capSp.AttrInt("k", int64(liveK))
-	capSp.End()
+	return liveK, nil
+}
 
-	p.setInFlight(true)
-	defer p.setInFlight(false)
-
-	// Phase 2, off-lock: scratch rebuild at the new layout.
-	scratch := &Service{
-		cfg:       cfg,
-		taskIdx:   make(map[string]TaskID),
-		workerIdx: make(map[string]WorkerID),
-		pending:   make(map[pairKey]bool),
-		dirty:     true,
-	}
-	scratch.cfg.observer = nil
-	_, rbSp := trace.Start(tctx, "migrate.rebuild")
-	err := scratch.applySnapshot(&snap.Service)
-	var action string
-	var converged bool
-	var rebuilt *shard.Sharded
-	if err == nil {
-		se := scratch.eng.(*shardedEngine)
+// relayout is the migration's step inside the cycle's rebuild phase: derive
+// the new layout (kd-split of the hot shard or sorted union of the cold pair)
+// and replace the scratch engine with a fitter rebuilt at it.
+func (r *migrationRequest) relayout(scratch *Service, rbSp *trace.Span) (action string, err error) {
+	sh := scratch.sharded()
+	var layout [][]int
+	switch r.kind {
+	case migrateSplit:
 		pts := make([]geo.Point, len(scratch.tasks))
 		for i := range scratch.tasks {
 			pts[i] = scratch.tasks[i].Location
 		}
-		var layout [][]int
-		switch req.kind {
-		case migrateSplit:
-			layout, err = shard.SplitLayout(pts, se.sh.Partition(), req.si)
-		case migrateMerge:
-			layout, err = shard.MergeLayout(se.sh.Partition(), req.si, req.sj)
-		}
-		if err == nil {
-			rebuilt, err = se.sh.Rebuild(layout)
-			if err == nil {
-				action = fmt.Sprintf("%s (K %d -> %d)", req, se.sh.NumShards(), rebuilt.NumShards())
-				scratch.eng = newShardedEngineFrom(rebuilt)
-			}
-		}
+		layout, err = shard.SplitLayout(pts, sh.Partition(), r.si)
+	case migrateMerge:
+		layout, err = shard.MergeLayout(sh.Partition(), r.si, r.sj)
 	}
 	if err != nil {
-		rbSp.Fail(err)
-	} else {
-		rbSp.AttrInt("k_after", int64(rebuilt.NumShards()))
+		return "", err
 	}
-	rbSp.End()
-	if err == nil {
-		emCtx, emSp := trace.Start(tctx, "migrate.em")
-		converged, err = scratch.eng.Fit(emCtx)
-		if err != nil {
-			emSp.Fail(err)
-		}
-		emSp.End()
+	rebuilt, err := sh.Rebuild(layout)
+	if err != nil {
+		return "", err
 	}
-
-	// Phase 3, under the write lock; the waiter is notified after it drops.
-	err = func() error {
-		_, mergeSp := trace.Start(tctx, "migrate.merge")
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if err == nil && s.restoreEpoch != epoch {
-			err = fmt.Errorf("poilabel: migration raced a restore; abandoned")
-		}
-		if err == nil {
-			// Replay registrations and answers that arrived mid-migration
-			// onto the rebuilt engine, exactly as runOneFit folds its delta.
-			for i := deltaTasks; i < len(s.tasks) && err == nil; i++ {
-				err = scratch.eng.AddTask(s.tasks[i])
-			}
-			for i := deltaWorkers; i < len(s.workers) && err == nil; i++ {
-				err = scratch.eng.AddWorker(s.workers[i])
-			}
-			for _, a := range s.delta {
-				if err != nil {
-					break
-				}
-				err = scratch.eng.Learn(a)
-			}
-		}
-		nDelta := len(s.delta)
-		mergeSp.AttrInt("delta", int64(nDelta))
-		mergeSp.End()
-		s.delta = nil
-		s.deltaActive = false
-		if c != nil {
-			c.recordOutcome(req, action, err)
-		}
-		if err != nil {
-			// The live engine still holds every answer; keep serving it.
-			root.Fail(err)
-			return err
-		}
-		_, swapSp := trace.Start(tctx, "migrate.swap")
-		defer swapSp.End()
-		s.eng = scratch.eng
-		// The rebuilt layout spans every task registered at capture time, so
-		// the construction boundary (what the next checkpoint's Layout
-		// covers) moves up to the capture point.
-		s.builtTasks = deltaTasks
-		s.builtWorkers = deltaWorkers
-		s.sinceFull = nDelta
-		s.dirty = nDelta > 0
-		s.publishLocked(s.answerSeq.Load(), startSeq, converged)
-		return nil
-	}()
-	req.finish(err)
+	scratch.eng = newShardedEngine(rebuilt)
+	rbSp.AttrInt("k_after", int64(rebuilt.NumShards()))
+	return fmt.Sprintf("%s (K %d -> %d)", r, sh.NumShards(), rebuilt.NumShards()), nil
 }
 
 // forceMigration queues a migration and blocks until it completes — the

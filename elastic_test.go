@@ -216,8 +216,8 @@ func TestElasticMergeToSingleShardMatchesPlainModel(t *testing.T) {
 	// The plain model over the identical inputs: same tasks, workers,
 	// distance normalizer, and EM config, answers in arrival order, one
 	// full fit from priors — exactly what the migration's rebuild did.
-	eng := sharded.eng.(*shardedEngine)
-	plain, err := core.NewModel(sharded.tasks, sharded.workers, eng.sh.Normalizer(), sharded.cfg.model)
+	sh := sharded.sharded()
+	plain, err := core.NewModel(sharded.tasks, sharded.workers, sh.Normalizer(), sharded.cfg.model)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,7 +49,8 @@ func (k EngineKind) String() string {
 // Engine is the backend behind a Service: an inference model plus a task
 // assigner over dense task/worker indices. The Service owns ID interning,
 // budget accounting, pending-pair dedup, and locking; engines only infer
-// and plan. The three implementations are selected with WithEngine.
+// and plan. WithEngine selects one of two implementations: a single model,
+// or a partition node in the sharded or the federated shape.
 //
 // Engines are not safe for concurrent use on their own — the Service
 // serializes access.
@@ -199,119 +200,65 @@ func (e *singleEngine) PlanSnapshot() *assign.Snapshot { return assign.SnapshotM
 
 func (e *singleEngine) HasAnswer(w WorkerID, t TaskID) bool { return e.m.HasAnswer(w, t) }
 
-// Model exposes the underlying inference model (Framework compatibility and
-// advanced inspection).
-func (e *singleEngine) Model() *core.Model { return e.m }
-
-// shardedEngine backs a Service with one city's geo-sharded fitter and its
-// budget-balancing coordinator.
-type shardedEngine struct {
-	sh        *shard.Sharded
-	co        *shard.Coordinator
-	lastStats ShardFitStats
+// partitionEngine backs a Service with a partition node (internal/shard):
+// one city's K shards for EngineSharded, or C cities of K shards each for
+// EngineFederated. Both are the same shard.Sharded mechanism — only the
+// tree's shape and the checkpoint wire type differ — so one adapter serves
+// both.
+type partitionEngine struct {
+	sh *shard.Sharded
+	co *shard.Coordinator
+	// fed is the federation whose root sh is, nil for the sharded engine; it
+	// owns the federated checkpoint wire type.
+	fed *federation.Federation
 }
 
-func newShardedEngine(tasks []Task, workers []Worker, norm geo.Normalizer, cfg shard.Config) (*shardedEngine, error) {
-	sh, err := shard.New(tasks, workers, norm, cfg)
-	if err != nil {
-		return nil, err
+// newShardedEngine wraps one city's fitter. A freshly built one comes from
+// shard.New / NewWithLayout; the migration swap path passes the fitter
+// shard.Rebuild produced off-lock.
+func newShardedEngine(sh *shard.Sharded) *partitionEngine {
+	return &partitionEngine{sh: sh, co: shard.NewCoordinator(sh)}
+}
+
+func newFederatedEngine(fed *federation.Federation) *partitionEngine {
+	return &partitionEngine{sh: fed.Sharded, co: shard.NewCoordinator(fed.Sharded), fed: fed}
+}
+
+func (e *partitionEngine) Name() string {
+	if e.fed != nil {
+		return "federated"
 	}
-	return newShardedEngineFrom(sh), nil
+	return "sharded"
 }
 
-// newShardedEngineWithLayout builds a sharded engine over an explicit task
-// partition instead of the kd default — the restore path for snapshots whose
-// layout has diverged from the kd construction through elastic migrations.
-func newShardedEngineWithLayout(tasks []Task, workers []Worker, norm geo.Normalizer, cfg shard.Config, layout [][]int) (*shardedEngine, error) {
-	sh, err := shard.NewWithLayout(tasks, workers, norm, cfg, layout)
-	if err != nil {
-		return nil, err
-	}
-	return newShardedEngineFrom(sh), nil
-}
+func (e *partitionEngine) Observe(a Answer) error { return e.sh.Observe(a) }
+func (e *partitionEngine) Learn(a Answer) error   { return e.sh.Observe(a) }
 
-// newShardedEngineFrom wraps an already-built fitter — the migration swap
-// path, where the fitter was rebuilt off-lock by shard.Rebuild.
-func newShardedEngineFrom(sh *shard.Sharded) *shardedEngine {
-	return &shardedEngine{sh: sh, co: shard.NewCoordinator(sh)}
-}
-
-func (e *shardedEngine) Name() string           { return "sharded" }
-func (e *shardedEngine) Observe(a Answer) error { return e.sh.Observe(a) }
-func (e *shardedEngine) Learn(a Answer) error   { return e.sh.Observe(a) }
-
-func (e *shardedEngine) Fit(ctx context.Context) (bool, error) {
+func (e *partitionEngine) Fit(ctx context.Context) (bool, error) {
 	st, err := e.sh.FitContext(ctx)
-	e.lastStats = st
 	return st.Converged, err
 }
 
-func (e *shardedEngine) Result() *Result { return e.sh.Result() }
+func (e *partitionEngine) Result() *Result { return e.sh.Result() }
 
-func (e *shardedEngine) Assign(workers []WorkerID, h, budget int, skip func(WorkerID, TaskID) bool) map[WorkerID][]TaskID {
+func (e *partitionEngine) Assign(workers []WorkerID, h, budget int, skip func(WorkerID, TaskID) bool) map[WorkerID][]TaskID {
 	return e.co.AssignExcluding(workers, h, budget, skip)
 }
 
-func (e *shardedEngine) AddTask(t Task) error             { return e.sh.AddTask(t) }
-func (e *shardedEngine) AddWorker(w Worker) error         { return e.sh.AddWorker(w) }
-func (e *shardedEngine) TotalAnswers() int                { return e.sh.TotalAnswers() }
-func (e *shardedEngine) WorkerQuality(w WorkerID) float64 { return e.sh.WorkerQuality(w) }
-func (e *shardedEngine) DistanceSensitivity(w WorkerID) []float64 {
+func (e *partitionEngine) AddTask(t Task) error             { return e.sh.AddTask(t) }
+func (e *partitionEngine) AddWorker(w Worker) error         { return e.sh.AddWorker(w) }
+func (e *partitionEngine) TotalAnswers() int                { return e.sh.TotalAnswers() }
+func (e *partitionEngine) WorkerQuality(w WorkerID) float64 { return e.sh.WorkerQuality(w) }
+func (e *partitionEngine) DistanceSensitivity(w WorkerID) []float64 {
 	return e.sh.DistanceSensitivity(w)
 }
 
-func (e *shardedEngine) Publish() *PublishedParams {
+func (e *partitionEngine) Publish() *PublishedParams {
 	res, pi, pdw := e.sh.Publish()
 	return &PublishedParams{Result: res, PI: pi, PDW: pdw}
 }
 
-// PlanSnapshot returns nil: sharded planning spans per-shard models behind
-// the coordinator's budget balancing, which has no immutable-view capture
-// yet; RequestTasks keeps the locked path.
-func (e *shardedEngine) PlanSnapshot() *assign.Snapshot { return nil }
-
-// federatedEngine backs a Service with per-city sharded instances behind the
-// federation router.
-type federatedEngine struct {
-	fed *federation.Federation
-}
-
-func newFederatedEngine(tasks []Task, workers []Worker, norm geo.Normalizer, cfg federation.Config) (*federatedEngine, error) {
-	fed, err := federation.New(tasks, workers, norm, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &federatedEngine{fed: fed}, nil
-}
-
-func (e *federatedEngine) Name() string           { return "federated" }
-func (e *federatedEngine) Observe(a Answer) error { return e.fed.Observe(a) }
-func (e *federatedEngine) Learn(a Answer) error   { return e.fed.Observe(a) }
-
-func (e *federatedEngine) Fit(ctx context.Context) (bool, error) {
-	st, err := e.fed.FitContext(ctx)
-	return st.Converged, err
-}
-
-func (e *federatedEngine) Result() *Result { return e.fed.Result() }
-
-func (e *federatedEngine) Assign(workers []WorkerID, h, budget int, skip func(WorkerID, TaskID) bool) map[WorkerID][]TaskID {
-	return e.fed.Assign(workers, h, budget, skip)
-}
-
-func (e *federatedEngine) AddTask(t Task) error             { return e.fed.AddTask(t) }
-func (e *federatedEngine) AddWorker(w Worker) error         { return e.fed.AddWorker(w) }
-func (e *federatedEngine) TotalAnswers() int                { return e.fed.TotalAnswers() }
-func (e *federatedEngine) WorkerQuality(w WorkerID) float64 { return e.fed.WorkerQuality(w) }
-func (e *federatedEngine) DistanceSensitivity(w WorkerID) []float64 {
-	return e.fed.DistanceSensitivity(w)
-}
-
-func (e *federatedEngine) Publish() *PublishedParams {
-	res, pi, pdw := e.fed.Publish()
-	return &PublishedParams{Result: res, PI: pi, PDW: pdw}
-}
-
-// PlanSnapshot returns nil: federated planning routes through per-city
-// sharded instances; RequestTasks keeps the locked path.
-func (e *federatedEngine) PlanSnapshot() *assign.Snapshot { return nil }
+// PlanSnapshot returns nil: partitioned planning spans per-shard models
+// behind the coordinator's budget balancing, which has no immutable-view
+// capture yet; RequestTasks keeps the locked path.
+func (e *partitionEngine) PlanSnapshot() *assign.Snapshot { return nil }

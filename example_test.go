@@ -1,6 +1,7 @@
 package poilabel_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -9,39 +10,54 @@ import (
 
 // Example demonstrates the full assign/answer loop on a toy city: two
 // reliable workers and one spammer label three POIs under a budget, and the
-// framework identifies the correct labels and the spammer.
+// service identifies the correct labels and the spammer.
 func Example() {
-	tasks := []poilabel.Task{
-		{ID: 0, Name: "park", Location: poilabel.Pt(1, 1), Labels: []string{"green", "mall"}},
-		{ID: 1, Name: "tower", Location: poilabel.Pt(4, 4), Labels: []string{"view", "beach"}},
-		{ID: 2, Name: "museum", Location: poilabel.Pt(2, 3), Labels: []string{"art", "ski"}},
+	pois := []struct {
+		id    string
+		spec  poilabel.TaskSpec
+		truth []bool
+	}{
+		{"park", poilabel.TaskSpec{Location: poilabel.Pt(1, 1), Labels: []string{"green", "mall"}}, []bool{true, false}},
+		{"tower", poilabel.TaskSpec{Location: poilabel.Pt(4, 4), Labels: []string{"view", "beach"}}, []bool{true, false}},
+		{"museum", poilabel.TaskSpec{Location: poilabel.Pt(2, 3), Labels: []string{"art", "ski"}}, []bool{true, false}},
 	}
-	truth := [][]bool{{true, false}, {true, false}, {true, false}}
-	workers := []poilabel.Worker{
-		{ID: 0, Name: "ada", Locations: []poilabel.Point{poilabel.Pt(1, 2)}},
-		{ID: 1, Name: "bob", Locations: []poilabel.Point{poilabel.Pt(3, 3)}},
-		{ID: 2, Name: "spam", Locations: []poilabel.Point{poilabel.Pt(0, 5)}},
-	}
+	crowd := []string{"ada", "bob", "spam"}
+	homes := []poilabel.Point{poilabel.Pt(1, 2), poilabel.Pt(3, 3), poilabel.Pt(0, 5)}
 
-	fw, err := poilabel.New(tasks, workers, poilabel.Options{Budget: 9, TasksPerRequest: 3})
+	svc, err := poilabel.NewService(poilabel.WithBudget(9), poilabel.WithTasksPerRequest(3))
 	if err != nil {
 		panic(err)
 	}
+	truth := make(map[string][]bool)
+	gt := &poilabel.GroundTruth{}
+	for _, p := range pois {
+		if err := svc.AddTask(p.id, p.spec); err != nil {
+			panic(err)
+		}
+		truth[p.id] = p.truth
+		gt.Truth = append(gt.Truth, p.truth)
+	}
+	for i, w := range crowd {
+		if err := svc.AddWorker(w, poilabel.WorkerSpec{Locations: homes[i : i+1]}); err != nil {
+			panic(err)
+		}
+	}
 
+	ctx := context.Background()
 	rng := rand.New(rand.NewSource(42))
-	for fw.RemainingBudget() > 0 {
-		assigned, err := fw.RequestTasks([]poilabel.WorkerID{0, 1, 2})
-		if err != nil {
+	for {
+		assigned, err := svc.RequestTasks(ctx, crowd)
+		if err != nil { // ErrBudgetExhausted once all 9 assignments are paid
 			break
 		}
 		n := 0
-		for w, ts := range assigned {
-			for _, t := range ts {
+		for _, w := range crowd {
+			for _, t := range assigned[w] {
 				p := 0.95
-				if workers[w].Name == "spam" {
+				if w == "spam" {
 					p = 0.5
 				}
-				sel := make([]bool, len(tasks[t].Labels))
+				sel := make([]bool, len(truth[t]))
 				for k := range sel {
 					if rng.Float64() < p {
 						sel[k] = truth[t][k]
@@ -49,7 +65,7 @@ func Example() {
 						sel[k] = !truth[t][k]
 					}
 				}
-				if err := fw.SubmitAnswer(poilabel.Answer{Worker: w, Task: t, Selected: sel}); err != nil {
+				if err := svc.SubmitAnswer(w, t, sel); err != nil {
 					panic(err)
 				}
 				n++
@@ -60,15 +76,17 @@ func Example() {
 		}
 	}
 
-	res := fw.Results()
-	for t := range tasks {
-		for k, label := range tasks[t].Labels {
+	res, err := svc.ResultSet(ctx)
+	if err != nil {
+		panic(err)
+	}
+	for t, p := range pois {
+		for k, label := range p.spec.Labels {
 			if res.Inferred[t][k] {
-				fmt.Printf("%s: %s\n", tasks[t].Name, label)
+				fmt.Printf("%s: %s\n", p.id, label)
 			}
 		}
 	}
-	gt := &poilabel.GroundTruth{Truth: truth}
 	fmt.Printf("accuracy: %.0f%%\n", 100*poilabel.Accuracy(res, gt))
 
 	// Output:

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -15,47 +16,53 @@ import (
 )
 
 func main() {
-	// Three POIs in a small city grid, each with three candidate labels.
-	tasks := []poilabel.Task{
-		{ID: 0, Name: "Olympic Forest Park", Location: poilabel.Pt(2, 8),
-			Labels: []string{"park", "olympics", "business"}},
-		{ID: 1, Name: "Night Market", Location: poilabel.Pt(7, 3),
-			Labels: []string{"food", "shopping", "museum"}},
-		{ID: 2, Name: "Old Observatory", Location: poilabel.Pt(5, 5),
-			Labels: []string{"history", "science", "nightlife"}},
+	// Three POIs in a small city grid, each with three candidate labels, and
+	// the (hidden) true labels, used here only to script the toy crowd.
+	pois := []struct {
+		id    string
+		spec  poilabel.TaskSpec
+		truth []bool
+	}{
+		{"Olympic Forest Park", poilabel.TaskSpec{Location: poilabel.Pt(2, 8),
+			Labels: []string{"park", "olympics", "business"}}, []bool{true, true, false}},
+		{"Night Market", poilabel.TaskSpec{Location: poilabel.Pt(7, 3),
+			Labels: []string{"food", "shopping", "museum"}}, []bool{true, true, false}},
+		{"Old Observatory", poilabel.TaskSpec{Location: poilabel.Pt(5, 5),
+			Labels: []string{"history", "science", "nightlife"}}, []bool{true, true, false}},
 	}
-	// The (hidden) true labels, used here only to script the toy crowd.
-	truth := [][]bool{
-		{true, true, false},
-		{true, true, false},
-		{true, true, false},
-	}
-
 	// Four workers: three reliable locals and one spammer.
-	workers := []poilabel.Worker{
-		{ID: 0, Name: "ana", Locations: []poilabel.Point{poilabel.Pt(2, 7)}},
-		{ID: 1, Name: "bo", Locations: []poilabel.Point{poilabel.Pt(6, 4)}},
-		{ID: 2, Name: "cy", Locations: []poilabel.Point{poilabel.Pt(5, 6)}},
-		{ID: 3, Name: "spam-bot", Locations: []poilabel.Point{poilabel.Pt(0, 0)}},
-	}
+	crowd := []string{"ana", "bo", "cy", "spam-bot"}
+	homes := []poilabel.Point{poilabel.Pt(2, 7), poilabel.Pt(6, 4), poilabel.Pt(5, 6), poilabel.Pt(0, 0)}
 
-	fw, err := poilabel.New(tasks, workers, poilabel.Options{
-		Budget:          12, // total paid assignments
-		TasksPerRequest: 2,  // h: tasks handed to each arriving worker
-	})
+	svc, err := poilabel.NewService(
+		poilabel.WithBudget(12),         // total paid assignments
+		poilabel.WithTasksPerRequest(2), // h: tasks handed to each arriving worker
+	)
 	if err != nil {
 		panic(err)
+	}
+	truth := make(map[string][]bool)
+	for _, p := range pois {
+		if err := svc.AddTask(p.id, p.spec); err != nil {
+			panic(err)
+		}
+		truth[p.id] = p.truth
+	}
+	for i, w := range crowd {
+		if err := svc.AddWorker(w, poilabel.WorkerSpec{Locations: homes[i : i+1]}); err != nil {
+			panic(err)
+		}
 	}
 
 	// The crowd: reliable workers answer 90% of labels correctly, the
 	// spammer flips coins.
 	rng := rand.New(rand.NewSource(1))
-	askWorker := func(w poilabel.WorkerID, t poilabel.TaskID) poilabel.Answer {
+	askWorker := func(w, t string) []bool {
 		p := 0.9
-		if workers[w].Name == "spam-bot" {
+		if w == "spam-bot" {
 			p = 0.5
 		}
-		sel := make([]bool, len(tasks[t].Labels))
+		sel := make([]bool, len(truth[t]))
 		for k := range sel {
 			if rng.Float64() < p {
 				sel[k] = truth[t][k]
@@ -63,21 +70,22 @@ func main() {
 				sel[k] = !truth[t][k]
 			}
 		}
-		return poilabel.Answer{Worker: w, Task: t, Selected: sel}
+		return sel
 	}
 
 	// The alternating protocol: workers arrive, the assigner picks their
-	// tasks, answers flow back into the inference model.
-	for fw.RemainingBudget() > 0 {
-		arrived := []poilabel.WorkerID{0, 1, 2, 3}
-		assigned, err := fw.RequestTasks(arrived)
+	// tasks, answers flow back into the inference model. RequestTasks
+	// returns ErrBudgetExhausted once every paid assignment is spent.
+	ctx := context.Background()
+	for {
+		assigned, err := svc.RequestTasks(ctx, crowd)
 		if err != nil {
 			break
 		}
 		handed := 0
-		for w, ts := range assigned {
-			for _, t := range ts {
-				if err := fw.SubmitAnswer(askWorker(w, t)); err != nil {
+		for _, w := range crowd {
+			for _, t := range assigned[w] {
+				if err := svc.SubmitAnswer(w, t, askWorker(w, t)); err != nil {
 					panic(err)
 				}
 				handed++
@@ -89,19 +97,26 @@ func main() {
 	}
 
 	// Read the inference.
-	res := fw.Results()
-	for t := range tasks {
-		fmt.Printf("%s:\n", tasks[t].Name)
-		for k, label := range tasks[t].Labels {
+	results, err := svc.Results(ctx)
+	if err != nil {
+		panic(err)
+	}
+	for _, r := range results {
+		fmt.Printf("%s:\n", r.Task)
+		for k, label := range r.Labels {
 			mark := " "
-			if res.Inferred[t][k] {
+			if r.Inferred[k] {
 				mark = "x"
 			}
-			fmt.Printf("  [%s] %-10s P(correct) = %.2f\n", mark, label, res.Prob[t][k])
+			fmt.Printf("  [%s] %-10s P(correct) = %.2f\n", mark, label, r.Prob[k])
 		}
 	}
 	fmt.Println("\nestimated worker quality:")
-	for _, w := range workers {
-		fmt.Printf("  %-9s %.2f\n", w.Name, fw.WorkerQuality(w.ID))
+	for _, w := range crowd {
+		info, err := svc.WorkerInfo(w)
+		if err != nil {
+			panic(err)
+		}
+		fmt.Printf("  %-9s %.2f\n", w, info.Quality)
 	}
 }

@@ -147,82 +147,6 @@ func RunPerfAssign(seed int64) (*PerfReport, error) {
 	return r, nil
 }
 
-// RunPerfSmoke reruns the smallest (S) point of each tracked sweep — under
-// the same synthetic environments as the full reports, so the numbers are
-// directly comparable — and returns one reduced report per tracked path.
-// The CI bench-regression gate compares these against the committed
-// BENCH_*.json baselines (see cmd/poibench -checkperf).
-func RunPerfSmoke(seed int64) ([]*PerfReport, error) {
-	fig13, err := runFig13Env(seed, PerfInferenceSizes[:1],
-		PerfInferenceSizes[len(PerfInferenceSizes)-1]/5, 100)
-	if err != nil {
-		return nil, err
-	}
-	rInf := newPerfReport("inference", seed)
-	rInf.Series = []PerfSeries{
-		{Label: "full_em_seconds", X: fig13.Assignments, Y: fig13.Seconds},
-		traceOverheadSeries(),
-	}
-
-	msTasks, err := timeAssignment(PerfAssignTaskCounts[0], 100, seed)
-	if err != nil {
-		return nil, err
-	}
-	msWorkers, err := timeAssignment(10000, PerfAssignWorkerCount[0], seed)
-	if err != nil {
-		return nil, err
-	}
-	coldMs, warmMs, err := timeSnapshotPlan(PerfAssignTaskCounts[0], 100, seed)
-	if err != nil {
-		return nil, err
-	}
-	rAsg := newPerfReport("assign", seed)
-	// The warm-plan point is microseconds-scale, so its wall-clock is far
-	// noisier than the other series; the gate compensates with a wide
-	// per-series tolerance (see cmd/poibench checkPerf) rather than by
-	// leaving the lock-free warm path unwatched.
-	rAsg.Series = []PerfSeries{
-		{Label: "accopt_ms_by_tasks", X: PerfAssignTaskCounts[:1], Y: []float64{msTasks}},
-		{Label: "accopt_ms_by_workers", X: PerfAssignWorkerCount[:1], Y: []float64{msWorkers}},
-		{Label: "plan_cold_ms_by_tasks", X: PerfAssignTaskCounts[:1], Y: []float64{coldMs}},
-		{Label: "plan_warm_ms_by_tasks", X: PerfAssignTaskCounts[:1], Y: []float64{warmMs}},
-	}
-	return []*PerfReport{rInf, rAsg}, nil
-}
-
-// FindSeries returns the report's series with the given label, or nil.
-func (r *PerfReport) FindSeries(label string) *PerfSeries {
-	for i := range r.Series {
-		if r.Series[i].Label == label {
-			return &r.Series[i]
-		}
-	}
-	return nil
-}
-
-// At returns the series' measurement at sweep point x.
-func (s *PerfSeries) At(x int) (float64, bool) {
-	for i, xi := range s.X {
-		if xi == x {
-			return s.Y[i], true
-		}
-	}
-	return 0, false
-}
-
-// ReadPerfReport loads a BENCH_*.json report written by WriteFile.
-func ReadPerfReport(path string) (*PerfReport, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("experiment: read perf report: %w", err)
-	}
-	var r PerfReport
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, fmt.Errorf("experiment: parse perf report %s: %w", path, err)
-	}
-	return &r, nil
-}
-
 // WriteFile stores the report as indented JSON at path.
 func (r *PerfReport) WriteFile(path string) error {
 	data, err := json.MarshalIndent(r, "", "  ")

@@ -224,7 +224,7 @@ func timeSnapshotPlan(numTasks, numWorkers int, seed int64) (coldMs, warmMs floa
 
 	// Microbenchmark hygiene: plans are microseconds, so take the fastest of
 	// a few repetitions — a scheduler hiccup on a busy host must not
-	// masquerade as a regression in the -checkperf gate. Each cold
+	// masquerade as a regression in the recorded series. Each cold
 	// repetition bumps the generation, which drops every cached list and
 	// forces fresh builds; the picks are identical across generations, so
 	// the handed set only needs filling once.

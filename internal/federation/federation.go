@@ -1,36 +1,31 @@
 // Package federation runs the POI-labelling framework over several cities at
 // once: the task universe is carved into geographic cities, each city is
-// fitted by its own geo-sharded fitter (internal/shard), and one federation
-// object routes answers and assignment requests to the right city and merges
-// what crosses city lines.
+// fitted by its own geo-sharded fitter, and one federation object routes
+// answers and assignment requests to the right city and merges what crosses
+// city lines.
 //
-// The layering mirrors the parameter structure one level above the shard
-// package. Per-task quantities never leave their city and concatenate
-// directly into the federation-wide result. Per-worker quantities can cross
-// cities — a traveller may answer tasks in Beijing and Shanghai — and are
-// merged exactly the way shards merge them: the answer-count-weighted
-// average of each city's (already shard-merged) estimate, with a
-// single-city worker's estimate copied verbatim so a federation of one city
-// is bit-identical to that city's sharded fit.
-//
-// Task assignment reuses the shard coordinator per city and balances the
-// round's budget across cities proportionally to each city's realizable
-// demand — the same largest-remainder Shares/Trim machinery the coordinator
-// applies across shards, applied once more across cities.
+// It is internal/shard's partition node one level up, literally: New calls
+// shard.NewNested, which builds a shard.Sharded whose children are per-city
+// shard.Sharded instead of models. Routing, the count-weighted worker merge
+// (a single-city worker's estimate copied verbatim, so a federation of one
+// city is bit-identical to that city's sharded fit), the result gather and
+// the home-city → concurrent plan → dry fallback → Shares/Trim budget
+// balance are that package's one implementation running at both levels. What
+// lives here is the vocabulary — cities instead of shards — and the adapters
+// for the two types whose shape differs one level up: FitStats and the
+// snapshot.FederationState wire format.
 package federation
 
 import (
 	"context"
 	"fmt"
-	"sort"
-	"sync"
 	"time"
 
 	"poilabel/internal/assign"
-	"poilabel/internal/core"
 	"poilabel/internal/geo"
 	"poilabel/internal/model"
 	"poilabel/internal/shard"
+	"poilabel/internal/snapshot"
 )
 
 // DefaultCities is the city count used when Config.Cities is zero.
@@ -47,175 +42,33 @@ type Config struct {
 }
 
 // Federation fits the inference model over C geographic cities, each backed
-// by a per-city sharded fitter over the full worker pool. Answers are routed
-// to the city owning their task; Fit runs the cities concurrently and merges
-// cross-city worker estimates.
+// by a per-city sharded fitter over the full worker pool. The embedded node
+// provides Observe, AddTask, AddWorker, Result, Publish, WorkerQuality,
+// DistanceSensitivity, Tasks, Workers and TotalAnswers; its shards are the
+// cities.
 //
 // Federation is not safe for concurrent use by multiple goroutines; Fit and
 // Assign fan out over the cities internally.
 type Federation struct {
-	cfg     Config
-	tasks   []model.Task
-	workers []model.Worker
-
-	parts   [][]int    // city -> global task indices, ascending
-	cityOf  []int32    // global task -> city
-	localOf []int32    // global task -> dense city-local index
-	regions []geo.Rect // bounding box of each city's task locations
-
-	cities []*shard.Sharded
-	coords []*shard.Coordinator
-	counts [][]int // counts[c][w]: answers by worker w routed to city c
-
-	// Merged per-worker estimates, refreshed by Fit.
-	pi  []float64
-	pdw [][]float64
+	*shard.Sharded
+	co *shard.Coordinator
 }
 
 // New creates a federation. Task and worker IDs must be dense indices
 // (0..len-1); the normalizer should span the whole federation so distances in
 // every city stay on one scale.
 func New(tasks []model.Task, workers []model.Worker, norm geo.Normalizer, cfg Config) (*Federation, error) {
-	if len(tasks) == 0 {
-		return nil, fmt.Errorf("federation: no tasks")
-	}
-	if len(workers) == 0 {
-		return nil, fmt.Errorf("federation: no workers")
-	}
-	for i := range tasks {
-		if int(tasks[i].ID) != i {
-			return nil, fmt.Errorf("federation: task at index %d has ID %d; IDs must be dense indices", i, tasks[i].ID)
-		}
-	}
-	for i := range workers {
-		if int(workers[i].ID) != i {
-			return nil, fmt.Errorf("federation: worker at index %d has ID %d; IDs must be dense indices", i, workers[i].ID)
-		}
-	}
 	if cfg.Cities < 0 {
 		return nil, fmt.Errorf("federation: negative city count %d", cfg.Cities)
 	}
 	if cfg.Cities == 0 {
 		cfg.Cities = DefaultCities
 	}
-	if cfg.Cities > len(tasks) {
-		cfg.Cities = len(tasks)
+	root, err := shard.NewNested(tasks, workers, norm, cfg.Cities, cfg.Shard)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.Shard.Model.FuncSet == nil {
-		cfg.Shard.Model = core.DefaultConfig()
-	}
-
-	pts := make([]geo.Point, len(tasks))
-	for i := range tasks {
-		pts[i] = tasks[i].Location
-	}
-	f := &Federation{
-		cfg:     cfg,
-		tasks:   tasks,
-		workers: workers,
-		parts:   geo.KDPartition(pts, cfg.Cities),
-		cityOf:  make([]int32, len(tasks)),
-		localOf: make([]int32, len(tasks)),
-	}
-	for ci, part := range f.parts {
-		local := make([]model.Task, len(part))
-		locs := make([]geo.Point, len(part))
-		for j, g := range part {
-			local[j] = tasks[g].WithID(model.TaskID(j))
-			locs[j] = tasks[g].Location
-			f.cityOf[g] = int32(ci)
-			f.localOf[g] = int32(j)
-		}
-		sh, err := shard.New(local, workers, norm, cfg.Shard)
-		if err != nil {
-			return nil, err
-		}
-		f.cities = append(f.cities, sh)
-		f.coords = append(f.coords, shard.NewCoordinator(sh))
-		f.counts = append(f.counts, make([]int, len(workers)))
-		f.regions = append(f.regions, geo.Bound(locs))
-	}
-	f.pi = make([]float64, len(workers))
-	f.pdw = make([][]float64, len(workers))
-	for w := range workers {
-		f.pi[w] = cfg.Shard.Model.InitPI
-		f.pdw[w] = cfg.Shard.Model.FuncSet.Uniform()
-	}
-	return f, nil
-}
-
-// AddTask appends a task after construction. The task's ID must be the next
-// dense federation-wide index; it is routed to the city whose task region is
-// nearest to its location and appended to that city's fitter (which in turn
-// routes it to its nearest shard).
-func (f *Federation) AddTask(t model.Task) error {
-	if int(t.ID) != len(f.tasks) {
-		return fmt.Errorf("federation: new task has ID %d, want next dense index %d", t.ID, len(f.tasks))
-	}
-	ci := f.nearestRegion(t.Location)
-	local := t.WithID(model.TaskID(len(f.parts[ci])))
-	if err := f.cities[ci].AddTask(local); err != nil {
-		return err
-	}
-	f.tasks = append(f.tasks, t)
-	f.parts[ci] = append(f.parts[ci], int(t.ID))
-	f.cityOf = append(f.cityOf, int32(ci))
-	f.localOf = append(f.localOf, int32(local.ID))
-	f.regions[ci] = f.regions[ci].Union(geo.Rect{Min: t.Location, Max: t.Location})
-	return nil
-}
-
-// AddWorker appends a worker after construction. The worker's ID must be the
-// next dense index; the worker is registered with every city, like
-// construction-time workers.
-func (f *Federation) AddWorker(w model.Worker) error {
-	if int(w.ID) != len(f.workers) {
-		return fmt.Errorf("federation: new worker has ID %d, want next dense index %d", w.ID, len(f.workers))
-	}
-	for _, c := range f.cities {
-		if err := c.AddWorker(w); err != nil {
-			return err
-		}
-	}
-	f.workers = append(f.workers, w)
-	for ci := range f.counts {
-		f.counts[ci] = append(f.counts[ci], 0)
-	}
-	f.pi = append(f.pi, f.cfg.Shard.Model.InitPI)
-	f.pdw = append(f.pdw, f.cfg.Shard.Model.FuncSet.Uniform())
-	return nil
-}
-
-// nearestRegion returns the city whose task region is nearest to p (ties to
-// the lowest city index).
-func (f *Federation) nearestRegion(p geo.Point) int {
-	best, bestD := 0, p.Dist(f.regions[0].Clamp(p))
-	for ci := 1; ci < len(f.regions); ci++ {
-		if d := p.Dist(f.regions[ci].Clamp(p)); d < bestD {
-			best, bestD = ci, d
-		}
-	}
-	return best
-}
-
-// Observe routes an answer to the city owning its task, remapping the task ID
-// to the city's local index. Like the underlying fitters it only appends to
-// the log; call Fit to update estimates.
-func (f *Federation) Observe(a model.Answer) error {
-	if int(a.Task) < 0 || int(a.Task) >= len(f.tasks) {
-		return fmt.Errorf("federation: answer references unknown task %d", a.Task)
-	}
-	if int(a.Worker) < 0 || int(a.Worker) >= len(f.workers) {
-		return fmt.Errorf("federation: answer references unknown worker %d", a.Worker)
-	}
-	ci := f.cityOf[a.Task]
-	local := a
-	local.Task = model.TaskID(f.localOf[a.Task])
-	if err := f.cities[ci].Observe(local); err != nil {
-		return err
-	}
-	f.counts[ci][a.Worker]++
-	return nil
+	return &Federation{Sharded: root, co: shard.NewCoordinator(root)}, nil
 }
 
 // FitStats reports the outcome of a federated fit.
@@ -242,312 +95,83 @@ func (f *Federation) Fit() FitStats {
 // city's per-shard EM loops. On cancellation the merged estimates are still
 // refreshed from whatever iteration each city reached.
 func (f *Federation) FitContext(ctx context.Context) (FitStats, error) {
-	start := time.Now()
-	st := FitStats{Cities: make([]shard.FitStats, len(f.cities))}
-	errs := make([]error, len(f.cities))
-	var wg sync.WaitGroup
-	for ci := range f.cities {
-		wg.Add(1)
-		go func(ci int) {
-			defer wg.Done()
-			st.Cities[ci], errs[ci] = f.cities[ci].FitContext(ctx)
-		}(ci)
+	top, err := f.Sharded.FitContext(ctx)
+	st := FitStats{
+		Cities:    make([]shard.FitStats, f.NumCities()),
+		Converged: top.Converged,
+		Roaming:   top.Roaming,
+		Elapsed:   top.Elapsed,
 	}
-	wg.Wait()
-	f.mergeWorkers()
-	st.Elapsed = time.Since(start)
-	for _, err := range errs {
-		if err != nil {
-			return st, err
-		}
+	for ci := range st.Cities {
+		st.Cities[ci] = f.City(ci).LastFit()
 	}
-	st.Converged = true
-	for _, cs := range st.Cities {
-		if !cs.Converged {
-			st.Converged = false
-			break
-		}
-	}
-	for w := range f.workers {
-		if f.citiesOf(model.WorkerID(w)) > 1 {
-			st.Roaming++
-		}
-	}
-	return st, nil
-}
-
-// citiesOf returns the number of cities holding answers by worker w.
-func (f *Federation) citiesOf(w model.WorkerID) int {
-	n := 0
-	for ci := range f.cities {
-		if f.counts[ci][w] > 0 {
-			n++
-		}
-	}
-	return n
-}
-
-// mergeWorkers refreshes the merged per-worker estimates from the cities'
-// (already shard-merged) estimates, weighted by each city's answer count —
-// the same pooling the shard package applies across shards. Workers with
-// answers in a single city get that city's estimate copied verbatim, so a
-// one-city federation reproduces the underlying sharded fit exactly.
-func (f *Federation) mergeWorkers() {
-	for w := range f.workers {
-		wid := model.WorkerID(w)
-		total, contributors, last := 0, 0, -1
-		for ci := range f.cities {
-			if c := f.counts[ci][w]; c > 0 {
-				total += c
-				contributors++
-				last = ci
-			}
-		}
-		if total == 0 {
-			continue
-		}
-		if contributors == 1 {
-			f.pi[w] = f.cities[last].WorkerQuality(wid)
-			copy(f.pdw[w], f.cities[last].DistanceSensitivity(wid))
-			continue
-		}
-		pi := 0.0
-		pdw := f.pdw[w]
-		for j := range pdw {
-			pdw[j] = 0
-		}
-		for ci, c := range f.cities {
-			n := float64(f.counts[ci][w])
-			if n == 0 {
-				continue
-			}
-			pi += n * c.WorkerQuality(wid)
-			for j, v := range c.DistanceSensitivity(wid) {
-				pdw[j] += n * v
-			}
-		}
-		inv := 1 / float64(total)
-		f.pi[w] = pi * inv
-		for j := range pdw {
-			pdw[j] *= inv
-		}
-	}
+	return st, err
 }
 
 // Assign chooses up to h tasks per requesting worker, spending at most budget
 // (worker, task) pairs in total (negative budget means unlimited). Each
-// worker is planned inside their home city (the city whose task region is
-// nearest to any of their locations); a worker whose whole home city has no
-// assignable tasks left — every pair answered, pending, or excluded across
-// all of its shards — is routed to the next-nearest cities instead of
-// walking away empty, mirroring the within-city home-shard fallback. The
-// budget is balanced across cities proportionally to realizable demand,
-// then each city's coordinator balances its share across its shards. Pairs
-// for which skip returns true are excluded during planning; a nil skip
-// excludes nothing. Returned task IDs are federation-global.
+// worker is planned inside their home city; a worker whose whole home city
+// has no assignable tasks left is routed to the next-nearest cities instead
+// of walking away empty. The budget is balanced across cities proportionally
+// to realizable demand. Pairs for which skip returns true are excluded
+// during planning; a nil skip excludes nothing. Returned task IDs are
+// federation-global.
 func (f *Federation) Assign(workers []model.WorkerID, h, budget int, skip assign.SkipFunc) assign.Assignment {
-	out := make(assign.Assignment)
-	if h <= 0 || len(workers) == 0 || budget == 0 {
-		return out
-	}
-
-	byCity := make([][]model.WorkerID, len(f.cities))
-	for _, w := range workers {
-		ci := f.homeCity(w)
-		byCity[ci] = append(byCity[ci], w)
-	}
-
-	// Plan every populated city concurrently with an unlimited budget to
-	// learn realizable demand; each goroutine touches only its own city's
-	// coordinator and models, so the fan-out is race-free.
-	local := make([]assign.Assignment, len(f.cities))
-	var wg sync.WaitGroup
-	for ci := range byCity {
-		if len(byCity[ci]) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(ci int) {
-			defer wg.Done()
-			local[ci] = f.coords[ci].AssignExcluding(byCity[ci], h, -1, f.localSkip(ci, skip))
-		}(ci)
-	}
-	wg.Wait()
-
-	// Cross-city dry fallback: a worker whose home city produced nothing —
-	// its entire supply exhausted by answered, pending, or excluded pairs,
-	// since the per-city coordinator already searched every shard — is
-	// planned in the next-nearest cities. The pass runs sequentially after
-	// the fan-out, so it touches other cities' coordinators without racing
-	// them, and its picks join the demand pool before budget balancing.
-	// Cost: one extra planner pass per dry worker per city probed (the
-	// shard coordinator's fallback has the same shape). In a fully drained
-	// world every polling worker pays the full sweep; that is the
-	// end-state of a load run, not the steady state a budget targets.
-	fellBack := make(map[model.WorkerID]bool)
-	for ci := range byCity {
-		for _, w := range byCity[ci] {
-			if len(local[ci][w]) > 0 || fellBack[w] {
-				continue
-			}
-			fellBack[w] = true
-			for _, alt := range f.citiesByDistance(w) {
-				if alt == ci {
-					continue
-				}
-				plan := f.coords[alt].AssignExcluding([]model.WorkerID{w}, h, -1, f.localSkip(alt, skip))
-				if len(plan[w]) == 0 {
-					continue
-				}
-				if local[alt] == nil {
-					local[alt] = make(assign.Assignment)
-				}
-				local[alt][w] = plan[w]
-				break
-			}
-		}
-	}
-
-	want := make([]int, len(local))
-	for ci := range local {
-		want[ci] = local[ci].TotalTasks()
-	}
-	shares := assign.Shares(budget, want)
-	for ci := range local {
-		for w, ts := range assign.Trim(local[ci], shares[ci]) {
-			for _, lt := range ts {
-				out[w] = append(out[w], model.TaskID(f.parts[ci][lt]))
-			}
-		}
-	}
-	return out
-}
-
-// localSkip remaps a federation-global exclusion predicate into city ci's
-// local task index space; a nil skip stays nil.
-func (f *Federation) localSkip(ci int, skip assign.SkipFunc) assign.SkipFunc {
-	if skip == nil {
-		return nil
-	}
-	part := f.parts[ci]
-	return func(w model.WorkerID, lt model.TaskID) bool {
-		return skip(w, model.TaskID(part[lt]))
-	}
-}
-
-// cityDist returns the minimum distance from any of worker w's locations to
-// city ci's task region (zero when a location falls inside it).
-func (f *Federation) cityDist(w model.WorkerID, ci int) float64 {
-	d := -1.0
-	for _, loc := range f.workers[w].Locations {
-		if dd := loc.Dist(f.regions[ci].Clamp(loc)); d < 0 || dd < d {
-			d = dd
-		}
-	}
-	return d
-}
-
-// citiesByDistance returns every city index ordered by the minimum distance
-// from any of worker w's locations to the city's task region (ties to the
-// lowest index) — the fallback search order when the home city is dry.
-func (f *Federation) citiesByDistance(w model.WorkerID) []int {
-	type entry struct {
-		ci int
-		d  float64
-	}
-	entries := make([]entry, len(f.cities))
-	for ci := range f.cities {
-		entries[ci] = entry{ci: ci, d: f.cityDist(w, ci)}
-	}
-	sort.Slice(entries, func(a, b int) bool {
-		if entries[a].d != entries[b].d {
-			return entries[a].d < entries[b].d
-		}
-		return entries[a].ci < entries[b].ci
-	})
-	order := make([]int, len(entries))
-	for i, e := range entries {
-		order[i] = e.ci
-	}
-	return order
-}
-
-// homeCity returns the city whose task region is nearest to any of worker w's
-// locations (ties to the lowest city index). It shares cityDist with the
-// fallback order, so routing and fallback can never disagree on the metric.
-func (f *Federation) homeCity(w model.WorkerID) int {
-	best, bestD := 0, f.cityDist(w, 0)
-	for ci := 1; ci < len(f.regions); ci++ {
-		if d := f.cityDist(w, ci); d < bestD {
-			best, bestD = ci, d
-		}
-	}
-	return best
-}
-
-// Result materializes the federation-wide inference: every city's label
-// posteriors copied back to the global task order.
-func (f *Federation) Result() *model.Result {
-	res := model.NewResult(f.tasks)
-	for ci, c := range f.cities {
-		cres := c.Result()
-		for j, g := range f.parts[ci] {
-			copy(res.Prob[g], cres.Prob[j])
-			copy(res.Inferred[g], cres.Inferred[j])
-		}
-	}
-	return res
-}
-
-// Publish returns a self-contained copy of the federation's read state: the
-// federation-wide result plus the merged per-worker quality and sensitivity
-// estimates. Nothing in the returned values aliases the federation, so a
-// serving layer can hand them to lock-free readers while the federation
-// keeps working.
-func (f *Federation) Publish() (*model.Result, []float64, [][]float64) {
-	pi := append([]float64(nil), f.pi...)
-	pdw := make([][]float64, len(f.pdw))
-	for w := range f.pdw {
-		pdw[w] = append([]float64(nil), f.pdw[w]...)
-	}
-	return f.Result(), pi, pdw
-}
-
-// WorkerQuality returns the merged estimate of P(i_w = 1): for a cross-city
-// worker, the answer-count-weighted average over the cities they answered in.
-// Valid after Fit.
-func (f *Federation) WorkerQuality(w model.WorkerID) float64 { return f.pi[w] }
-
-// DistanceSensitivity returns a copy of the merged sensitivity multinomial of
-// worker w over the distance-function set.
-func (f *Federation) DistanceSensitivity(w model.WorkerID) []float64 {
-	return append([]float64(nil), f.pdw[w]...)
+	return f.co.AssignExcluding(workers, h, budget, skip)
 }
 
 // NumCities returns the number of city partitions in use.
-func (f *Federation) NumCities() int { return len(f.cities) }
+func (f *Federation) NumCities() int { return f.NumShards() }
 
 // TaskCity returns the city owning task t.
-func (f *Federation) TaskCity(t model.TaskID) int { return int(f.cityOf[t]) }
+func (f *Federation) TaskCity(t model.TaskID) int { return f.TaskShard(t) }
 
 // HomeCity returns the city worker w's assignment requests are routed to.
-func (f *Federation) HomeCity(w model.WorkerID) int { return f.homeCity(w) }
+func (f *Federation) HomeCity(w model.WorkerID) int { return f.co.HomeShard(w) }
 
 // City exposes city ci's sharded fitter for inspection; mutating it bypasses
 // the federation's routing and merge bookkeeping.
-func (f *Federation) City(ci int) *shard.Sharded { return f.cities[ci] }
+func (f *Federation) City(ci int) *shard.Sharded { return f.Nested(ci) }
 
-// Workers returns the worker set the federation was built over.
-func (f *Federation) Workers() []model.Worker { return f.workers }
-
-// Tasks returns the task set the federation was built over.
-func (f *Federation) Tasks() []model.Task { return f.tasks }
-
-// TotalAnswers returns the number of answers observed across all cities.
-func (f *Federation) TotalAnswers() int {
-	n := 0
-	for _, c := range f.cities {
-		n += c.TotalAnswers()
+// CheckpointState captures the federation's learned state in the durable
+// snapshot wire format: every city's sharded state (answer logs carry
+// city-shard-local task IDs) plus the merged cross-city per-worker
+// estimates. The city partition itself is not serialized — the restoring
+// side reconstructs it deterministically from the same task sequence before
+// calling RestoreState.
+func (f *Federation) CheckpointState() *snapshot.FederationState {
+	nw := len(f.Workers())
+	st := &snapshot.FederationState{
+		Cities: make([]snapshot.ShardedState, f.NumCities()),
+		PI:     make([]float64, nw),
+		PDW:    make([][]float64, nw),
 	}
-	return n
+	for ci := range st.Cities {
+		st.Cities[ci] = *f.City(ci).CheckpointState()
+	}
+	for w := range st.PI {
+		st.PI[w] = f.WorkerQuality(model.WorkerID(w))
+		st.PDW[w] = f.DistanceSensitivity(model.WorkerID(w))
+	}
+	return st
+}
+
+// RestoreState replaces the federation's learned state with one captured by
+// CheckpointState. The federation must have been constructed over the same
+// task and worker sets; per-city answer counts are recomputed from the
+// restored logs. On error the federation may hold a partially restored
+// state and should be discarded.
+func (f *Federation) RestoreState(st *snapshot.FederationState) error {
+	if st == nil {
+		return fmt.Errorf("federation: nil state")
+	}
+	if len(st.Cities) != f.NumCities() {
+		return fmt.Errorf("federation: snapshot has %d cities, federation has %d", len(st.Cities), f.NumCities())
+	}
+	for ci := range st.Cities {
+		if err := f.City(ci).RestoreState(&st.Cities[ci]); err != nil {
+			return fmt.Errorf("city %d: %w", ci, err)
+		}
+	}
+	return f.RestoreMerged(st.PI, st.PDW)
 }

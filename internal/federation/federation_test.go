@@ -72,50 +72,6 @@ func cityAnswers(tasks []model.Task, workers []model.Worker, nPerCity, wPerCity 
 	return out
 }
 
-func TestOneCityFederationMatchesSharded(t *testing.T) {
-	tasks, workers, norm := twoCityWorld(8, 3)
-	scfg := shard.Config{Shards: 4, RefineSweeps: 1}
-
-	fed, err := federation.New(tasks, workers, norm, federation.Config{Cities: 1, Shard: scfg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := shard.New(tasks, workers, norm, scfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, a := range cityAnswers(tasks, workers, 8, 3) {
-		if err := fed.Observe(a); err != nil {
-			t.Fatal(err)
-		}
-		if err := ref.Observe(a); err != nil {
-			t.Fatal(err)
-		}
-	}
-	fed.Fit()
-	ref.Fit()
-
-	fres, rres := fed.Result(), ref.Result()
-	for ti := range tasks {
-		for k := range tasks[ti].Labels {
-			if fres.Prob[ti][k] != rres.Prob[ti][k] {
-				t.Fatalf("task %d label %d: federated %v != sharded %v",
-					ti, k, fres.Prob[ti][k], rres.Prob[ti][k])
-			}
-			if fres.Inferred[ti][k] != rres.Inferred[ti][k] {
-				t.Fatalf("task %d label %d: decisions differ", ti, k)
-			}
-		}
-	}
-	for wi := range workers {
-		w := model.WorkerID(wi)
-		if fed.WorkerQuality(w) != ref.WorkerQuality(w) {
-			t.Fatalf("worker %d quality: federated %v != sharded %v",
-				wi, fed.WorkerQuality(w), ref.WorkerQuality(w))
-		}
-	}
-}
-
 func TestFederationRoutingAndRoaming(t *testing.T) {
 	tasks, workers, norm := twoCityWorld(8, 3)
 	fed, err := federation.New(tasks, workers, norm, federation.Config{Cities: 2, Shard: shard.Config{Shards: 2}})

@@ -11,6 +11,16 @@ import (
 	"poilabel/internal/trace"
 )
 
+// Connection limits of the gateway's http.Server: a client gets
+// readHeaderTimeout to finish its request line and headers (slowloris), and a
+// keep-alive connection is dropped after idleTimeout without a request. Body
+// reads and handler time are not bounded here — fits and checkpoints may
+// legitimately be slow, and bodies are capped by size instead.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 // Serve runs handler on ln until ctx is cancelled, then shuts down
 // gracefully: the listener closes, in-flight requests drain for up to
 // shutdownTimeout (zero or negative waits indefinitely), any preCheckpoint
@@ -25,7 +35,7 @@ import (
 // Serve returns nil after a clean shutdown, the listener error if serving
 // failed, and the drain or checkpoint error otherwise. It always closes ln.
 func Serve(ctx context.Context, ln net.Listener, handler http.Handler, shutdownTimeout time.Duration, ck *Checkpointer, preCheckpoint ...func(context.Context) error) error {
-	srv := &http.Server{Handler: handler}
+	srv := &http.Server{Handler: handler, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 

@@ -16,7 +16,8 @@
 //
 // Typed service errors map onto statuses: unknown IDs are 404, duplicate
 // registrations and duplicate answers 409, an exhausted budget 402, a
-// missing task/worker pool 409, and malformed bodies 400.
+// missing task/worker pool 409, malformed bodies 400, and bodies over 1 MiB
+// 413.
 //
 // Durability is provided by a Checkpointer (WithCheckpointer): POST
 // /checkpoint persists the service's full learned state to the configured
@@ -299,13 +300,27 @@ func writeServiceError(w http.ResponseWriter, err error) {
 	}
 }
 
-func decode(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
+// maxBodyBytes caps every request body. Each body the gateway accepts is one
+// task, worker, answer or worker-ID list, so 1 MiB is generous; the cap keeps
+// a hostile or buggy client from making the decoder buffer without bound.
+const maxBodyBytes = 1 << 20
+
+// decode reads the JSON request body into v. On failure it has already
+// written the response — 413 for a body over maxBodyBytes, 400 otherwise —
+// and returns false, before the handler touched the service.
+func decode(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("bad request body: %w", err)
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, status, fmt.Errorf("bad request body: %w", err))
+		return false
 	}
-	return nil
+	return true
 }
 
 type taskRequest struct {
@@ -315,8 +330,7 @@ type taskRequest struct {
 
 func (h *Handler) postTask(w http.ResponseWriter, r *http.Request) {
 	var req taskRequest
-	if err := decode(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if !decode(w, r, &req) {
 		return
 	}
 	if err := h.svc.AddTask(req.ID, req.Task); err != nil {
@@ -333,8 +347,7 @@ type workerRequest struct {
 
 func (h *Handler) postWorker(w http.ResponseWriter, r *http.Request) {
 	var req workerRequest
-	if err := decode(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if !decode(w, r, &req) {
 		return
 	}
 	if err := h.svc.AddWorker(req.ID, req.Worker); err != nil {
@@ -352,8 +365,7 @@ type answerRequest struct {
 
 func (h *Handler) postAnswer(w http.ResponseWriter, r *http.Request) {
 	var req answerRequest
-	if err := decode(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if !decode(w, r, &req) {
 		return
 	}
 	if err := h.svc.SubmitAnswerContext(r.Context(), req.Worker, req.Task, req.Selected); err != nil {
@@ -376,8 +388,7 @@ type assignmentsResponse struct {
 
 func (h *Handler) postAssignments(w http.ResponseWriter, r *http.Request) {
 	var req assignmentsRequest
-	if err := decode(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if !decode(w, r, &req) {
 		return
 	}
 	if len(req.Workers) == 0 {

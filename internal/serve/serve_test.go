@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strings"
 	"testing"
 
 	"poilabel"
@@ -295,5 +297,49 @@ func TestGatewayCheckpointUnconfigured(t *testing.T) {
 	}
 	if code := do(t, http.MethodGet, srv.URL+"/checkpoint", nil, nil); code != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /checkpoint: status %d, want 405", code)
+	}
+}
+
+// TestOversizedBodyRejected pins the body cap: a request over 1 MiB is
+// refused with a 4xx on every POST endpoint that reads a body, and nothing
+// of it reaches the service — not even a well-formed prefix.
+func TestOversizedBodyRejected(t *testing.T) {
+	srv := newServer(t, poilabel.WithBudget(100))
+	postTask(t, srv, "t0", 0, 0, []string{"a", "b"})
+	postWorker(t, srv, "alice", 0, 1)
+
+	var before map[string]any
+	if code := do(t, http.MethodGet, srv.URL+"/healthz", nil, &before); code != http.StatusOK {
+		t.Fatalf("GET /healthz: status %d", code)
+	}
+
+	pad := strings.Repeat("x", 1<<20)
+	bodies := map[string]string{
+		// Valid JSON whose first field would register a task if the decoder
+		// acted on a prefix; the padding pushes it over the cap.
+		"/tasks":       `{"id":"big","task":{"location":{"x":1,"y":1},"labels":["a"],"name":"` + pad + `"}}`,
+		"/workers":     `{"id":"big","worker":{"locations":[{"x":1,"y":1}],"name":"` + pad + `"}}`,
+		"/answers":     `{"worker":"alice","task":"t0","selected":[true,false],"pad":"` + pad + `"}`,
+		"/assignments": `{"workers":["alice","` + pad + `"]}`,
+	}
+	for path, body := range bodies {
+		resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("POST %s: %v", path, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s with a %d-byte body: status %d, want 413", path, len(body), resp.StatusCode)
+		}
+	}
+
+	var after map[string]any
+	if code := do(t, http.MethodGet, srv.URL+"/healthz", nil, &after); code != http.StatusOK {
+		t.Fatalf("GET /healthz: status %d", code)
+	}
+	delete(before, "uptime_seconds")
+	delete(after, "uptime_seconds")
+	if !reflect.DeepEqual(before, after) {
+		t.Fatalf("oversized bodies changed service state:\nbefore %v\nafter  %v", before, after)
 	}
 }

@@ -3,6 +3,7 @@ package shard
 import (
 	"fmt"
 
+	"poilabel/internal/model"
 	"poilabel/internal/snapshot"
 )
 
@@ -46,38 +47,44 @@ func (s *Sharded) RestoreState(st *snapshot.ShardedState) error {
 	if len(st.Shards) != len(s.models) {
 		return fmt.Errorf("shard: snapshot has %d shards, fitter has %d", len(st.Shards), len(s.models))
 	}
-	if len(st.PI) != len(s.workers) || len(st.PDW) != len(s.workers) {
-		return fmt.Errorf("shard: snapshot has %d/%d merged worker rows, fitter has %d",
-			len(st.PI), len(st.PDW), len(s.workers))
-	}
-	nf := s.cfg.Model.FuncSet.Len()
-	for w := range st.PDW {
-		if len(st.PDW[w]) != nf {
-			return fmt.Errorf("shard: snapshot worker %d has %d sensitivity weights, fitter has %d",
-				w, len(st.PDW[w]), nf)
-		}
-	}
 	for si, m := range s.models {
 		if err := m.RestoreState(&st.Shards[si]); err != nil {
 			return fmt.Errorf("shard %d: %w", si, err)
 		}
 	}
-	for si, m := range s.models {
-		cnt := s.counts[si]
-		for w := range cnt {
-			cnt[w] = 0
+	if err := s.RestoreMerged(st.PI, st.PDW); err != nil {
+		return err
+	}
+	return s.restoreOrder(st.Order)
+}
+
+// RestoreMerged finishes a restore once every child holds its restored
+// state: it recounts each child's per-worker answers and installs the
+// captured merged estimates. It is the node-level half of RestoreState,
+// exported for the adapter that restores nested children from its own wire
+// type (internal/federation).
+func (s *Sharded) RestoreMerged(pi []float64, pdw [][]float64) error {
+	if len(pi) != len(s.workers) || len(pdw) != len(s.workers) {
+		return fmt.Errorf("shard: snapshot has %d/%d merged worker rows, fitter has %d",
+			len(pi), len(pdw), len(s.workers))
+	}
+	nf := s.cfg.Model.FuncSet.Len()
+	for w := range pdw {
+		if len(pdw[w]) != nf {
+			return fmt.Errorf("shard: snapshot worker %d has %d sensitivity weights, fitter has %d",
+				w, len(pdw[w]), nf)
 		}
-		ans := m.Answers()
-		for i := 0; i < ans.Len(); i++ {
-			w, _ := ans.Pair(i)
-			cnt[w]++
+	}
+	for si, k := range s.kids {
+		for w := range s.counts[si] {
+			s.counts[si][w] = k.workerAnswers(model.WorkerID(w))
 		}
 	}
 	for w := range s.pi {
-		s.pi[w] = st.PI[w]
-		copy(s.pdw[w], st.PDW[w])
+		s.pi[w] = pi[w]
+		copy(s.pdw[w], pdw[w])
 	}
-	return s.restoreOrder(st.Order)
+	return nil
 }
 
 // restoreOrder rebuilds the global arrival log from the snapshot. A recorded

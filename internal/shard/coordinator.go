@@ -10,43 +10,35 @@ import (
 )
 
 // Coordinator plans task assignment over a sharded world. The paper's AccOpt
-// greedy plans within each shard — every shard holds a reusable
+// greedy plans within each shard — every leaf holds a reusable
 // assign.Planner whose O(|W_s|·|T_s|) scratch persists across rounds — and
 // the coordinator stays thin: it routes each requesting worker to their home
 // shard (the shard whose task region is nearest to any of the worker's
-// locations), runs the per-shard planners concurrently, and balances the
+// locations), plans the populated shards concurrently, and balances the
 // round's budget across shards proportionally to what each shard's greedy
-// could actually use.
+// could actually use. Over a nested fitter the same round runs at both
+// levels: the home city plans through its own shards with no cap, and the
+// budget is balanced across cities here.
 //
 // Coordinator is not safe for concurrent use; a single round fans out over
 // the shards internally.
 type Coordinator struct {
-	s        *Sharded
-	planners []*assign.Planner
+	s *Sharded
 }
 
-// NewCoordinator builds a coordinator over a sharded fitter, one AccOpt
-// planner per shard. Shard task regions are owned by the fitter, so routing
-// follows tasks added after construction.
-func NewCoordinator(s *Sharded) *Coordinator {
-	c := &Coordinator{
-		s:        s,
-		planners: make([]*assign.Planner, s.NumShards()),
-	}
-	for si := range c.planners {
-		c.planners[si] = assign.NewPlanner()
-	}
-	return c
-}
+// NewCoordinator builds a coordinator over a sharded fitter. Shard task
+// regions and planners are owned by the fitter, so routing follows tasks
+// added after construction.
+func NewCoordinator(s *Sharded) *Coordinator { return &Coordinator{s: s} }
 
 // regionDist returns the minimum distance from any of worker w's locations
-// to shard si's task region (zero when a location falls inside it). Home
+// to child si's task region (zero when a location falls inside it). Home
 // routing and the fallback search order both derive from it, so they can
 // never disagree.
-func (c *Coordinator) regionDist(w model.WorkerID, si int) float64 {
-	r := c.s.Region(si)
+func (s *Sharded) regionDist(w model.WorkerID, si int) float64 {
+	r := s.regions[si]
 	d := math.Inf(1)
-	for _, loc := range c.s.workers[w].Locations {
+	for _, loc := range s.workers[w].Locations {
 		if dd := loc.Dist(r.Clamp(loc)); dd < d {
 			d = dd
 		}
@@ -57,10 +49,12 @@ func (c *Coordinator) regionDist(w model.WorkerID, si int) float64 {
 // HomeShard returns the shard whose task region is nearest to any of worker
 // w's locations (distance zero when a location falls inside the region; ties
 // go to the lowest shard index).
-func (c *Coordinator) HomeShard(w model.WorkerID) int {
+func (c *Coordinator) HomeShard(w model.WorkerID) int { return c.s.home(w) }
+
+func (s *Sharded) home(w model.WorkerID) int {
 	best, bestD := 0, math.Inf(1)
-	for si := range c.planners {
-		if d := c.regionDist(w, si); d < bestD {
+	for si := range s.kids {
+		if d := s.regionDist(w, si); d < bestD {
 			best, bestD = si, d
 		}
 	}
@@ -86,22 +80,28 @@ func (c *Coordinator) Assign(workers []model.WorkerID, h, budget int) assign.Ass
 // assignments already pending an answer — consume no budget and the shares
 // reflect only realizable demand. A nil skip excludes nothing.
 func (c *Coordinator) AssignExcluding(workers []model.WorkerID, h, budget int, skip func(model.WorkerID, model.TaskID) bool) assign.Assignment {
+	return c.s.assign(workers, h, budget, skip)
+}
+
+// assign is one round at this node: home child, concurrent uncapped plans,
+// next-nearest fallback for dry workers, then the budget balance.
+func (s *Sharded) assign(workers []model.WorkerID, h, budget int, skip assign.SkipFunc) assign.Assignment {
 	out := make(assign.Assignment)
 	if h <= 0 || len(workers) == 0 || budget == 0 {
 		return out
 	}
 
-	byShard := make([][]model.WorkerID, len(c.planners))
+	byShard := make([][]model.WorkerID, len(s.kids))
 	for _, w := range workers {
-		si := c.HomeShard(w)
+		si := s.home(w)
 		byShard[si] = append(byShard[si], w)
 	}
 
 	// Plan every populated shard concurrently. Each goroutine touches only
-	// its own shard's planner and model (including the model's lazy
-	// distance cache), so the fan-out is race-free and the per-shard output
+	// its own child's planners and models (including the models' lazy
+	// distance caches), so the fan-out is race-free and the per-shard output
 	// does not depend on the interleaving.
-	local := make([]assign.Assignment, len(c.planners))
+	local := make([]assign.Assignment, len(s.kids))
 	var wg sync.WaitGroup
 	for si := range byShard {
 		if len(byShard[si]) == 0 {
@@ -110,7 +110,7 @@ func (c *Coordinator) AssignExcluding(workers []model.WorkerID, h, budget int, s
 		wg.Add(1)
 		go func(si int) {
 			defer wg.Done()
-			local[si] = c.planners[si].AssignExcluding(c.s.models[si], byShard[si], h, c.localSkip(si, skip))
+			local[si] = s.kids[si].plan(byShard[si], h, s.localSkip(si, skip))
 		}(si)
 	}
 	wg.Wait()
@@ -121,7 +121,10 @@ func (c *Coordinator) AssignExcluding(workers []model.WorkerID, h, budget int, s
 	// empty round while neighboring shards still have work. The pass runs
 	// sequentially after the fan-out, so it touches other shards' planners
 	// without racing them, and its picks join the demand pool before the
-	// budget is balanced.
+	// budget is balanced. Cost: one extra planner pass per dry worker per
+	// child probed; in a fully drained world every polling worker pays the
+	// full sweep, which is the end-state of a load run, not the steady state
+	// a budget targets.
 	fellBack := make(map[model.WorkerID]bool)
 	for si := range byShard {
 		for _, w := range byShard[si] {
@@ -129,11 +132,11 @@ func (c *Coordinator) AssignExcluding(workers []model.WorkerID, h, budget int, s
 				continue
 			}
 			fellBack[w] = true
-			for _, alt := range c.shardsByDistance(w) {
+			for _, alt := range s.shardsByDistance(w) {
 				if alt == si {
 					continue
 				}
-				plan := c.planners[alt].AssignExcluding(c.s.models[alt], []model.WorkerID{w}, h, c.localSkip(alt, skip))
+				plan := s.kids[alt].plan([]model.WorkerID{w}, h, s.localSkip(alt, skip))
 				if len(plan[w]) == 0 {
 					continue
 				}
@@ -156,20 +159,25 @@ func (c *Coordinator) AssignExcluding(workers []model.WorkerID, h, budget int, s
 	for si := range local {
 		for w, ts := range assign.Trim(local[si], shares[si]) {
 			for _, lt := range ts {
-				out[w] = append(out[w], model.TaskID(c.s.parts[si][lt]))
+				out[w] = append(out[w], model.TaskID(s.parts[si][lt]))
 			}
 		}
 	}
 	return out
 }
 
-// localSkip remaps a global-task-ID exclusion predicate into shard si's
+// plan is an uncapped round seen from an enclosing node.
+func (s *Sharded) plan(workers []model.WorkerID, h int, skip assign.SkipFunc) assign.Assignment {
+	return s.assign(workers, h, -1, skip)
+}
+
+// localSkip remaps a global-task-ID exclusion predicate into child si's
 // local index space; a nil skip stays nil.
-func (c *Coordinator) localSkip(si int, skip assign.SkipFunc) assign.SkipFunc {
+func (s *Sharded) localSkip(si int, skip assign.SkipFunc) assign.SkipFunc {
 	if skip == nil {
 		return nil
 	}
-	part := c.s.parts[si]
+	part := s.parts[si]
 	return func(w model.WorkerID, lt model.TaskID) bool {
 		return skip(w, model.TaskID(part[lt]))
 	}
@@ -179,14 +187,14 @@ func (c *Coordinator) localSkip(si int, skip assign.SkipFunc) assign.SkipFunc {
 // distance from any of worker w's locations to the shard's task region
 // (ties to the lowest index) — the fallback search order when the home
 // shard has nothing to assign.
-func (c *Coordinator) shardsByDistance(w model.WorkerID) []int {
+func (s *Sharded) shardsByDistance(w model.WorkerID) []int {
 	type entry struct {
 		si int
 		d  float64
 	}
-	entries := make([]entry, len(c.planners))
-	for si := range c.planners {
-		entries[si] = entry{si: si, d: c.regionDist(w, si)}
+	entries := make([]entry, len(s.kids))
+	for si := range s.kids {
+		entries[si] = entry{si: si, d: s.regionDist(w, si)}
 	}
 	sort.Slice(entries, func(a, b int) bool {
 		if entries[a].d != entries[b].d {

@@ -147,8 +147,12 @@ func mergeSorted(a, b []int) []int {
 //
 // The receiver is read but never mutated, so a serving layer can Rebuild a
 // captured copy off-lock and swap the result in atomically. The rebuilt
-// fitter's estimates start at the priors; run Fit before publishing.
+// fitter's estimates start at the priors; run Fit before publishing. Only a
+// fitter over models keeps the arrival log Rebuild replays.
 func (s *Sharded) Rebuild(layout [][]int) (*Sharded, error) {
+	if s.models == nil {
+		return nil, fmt.Errorf("shard: rebuild of a nested fitter")
+	}
 	cfg := s.cfg
 	cfg.Shards = len(layout)
 	ns, err := NewWithLayout(s.tasks, s.workers, s.norm, cfg, layout)

@@ -20,6 +20,20 @@
 // paper's AccOpt greedy plans within each shard and a thin coordinator
 // routes workers to their home shard and balances the round's budget across
 // shards.
+//
+// # One partition node
+//
+// Every partition decision — nearest-region task routing, answer routing with
+// the local-ID remap and per-child answer counts, the concurrent child fits,
+// the count-weighted worker merge, the result gather, and the home-child →
+// concurrent plan → dry fallback → budget balance of an assignment round —
+// is written once, on Sharded, over the small child interface below. A
+// child is either a leaf (one core.Model with its AccOpt planner) or another
+// *Sharded, so the same node one level up is a federation: NewNested builds
+// a node whose children are per-city nodes, and internal/federation is only
+// the adapter that names its parts "cities". The extras that need the answer
+// logs themselves — the arrival order, Rebuild, refinement sweeps, the
+// ShardedState checkpoint — belong to a node over leaves.
 package shard
 
 import (
@@ -28,6 +42,7 @@ import (
 	"sync"
 	"time"
 
+	"poilabel/internal/assign"
 	"poilabel/internal/core"
 	"poilabel/internal/geo"
 	"poilabel/internal/model"
@@ -54,37 +69,94 @@ type Config struct {
 	Model core.Config
 }
 
-// Sharded is a K-shard fitter over a fixed set of tasks and workers. Answers
-// are routed to the shard owning their task; Fit runs all shards
-// concurrently and merges the per-worker estimates.
+// child is what a partition node needs from each of its regions. Task IDs
+// crossing the interface are the child's dense local indices; worker IDs are
+// global, because every child is built over the full worker pool.
+type child interface {
+	AddTask(model.Task) error
+	AddWorker(model.Worker) error
+	Observe(model.Answer) error
+	TotalAnswers() int
+	// fit runs the child's full fit and summarizes it for the parent.
+	fit(ctx context.Context) (core.FitStats, error)
+	// estimate returns worker w's current quality and sensitivity. The
+	// slice is borrowed: the parent's merge reads it in place.
+	estimate(w model.WorkerID) (float64, []float64)
+	// posterior returns task t's label posteriors, borrowed likewise.
+	posterior(t model.TaskID) []float64
+	// plan picks up to h tasks per worker with no budget cap; the parent
+	// balances the round's budget over what its children could use.
+	plan(workers []model.WorkerID, h int, skip assign.SkipFunc) assign.Assignment
+	// workerAnswers counts worker w's answers anywhere beneath the child.
+	workerAnswers(w model.WorkerID) int
+}
+
+// leaf is the bottom of the tree: one inference model and the reusable
+// AccOpt planner whose O(|W|·|T|) scratch persists across rounds.
+type leaf struct {
+	*core.Model
+	planner *assign.Planner
+}
+
+func (l *leaf) TotalAnswers() int { return l.Answers().Len() }
+
+func (l *leaf) fit(ctx context.Context) (core.FitStats, error) { return l.FitContext(ctx) }
+
+func (l *leaf) estimate(w model.WorkerID) (float64, []float64) {
+	p := l.Params()
+	return p.PI[w], p.PDW[w]
+}
+
+func (l *leaf) posterior(t model.TaskID) []float64 { return l.Params().PZ[t] }
+
+func (l *leaf) plan(workers []model.WorkerID, h int, skip assign.SkipFunc) assign.Assignment {
+	return l.planner.AssignExcluding(l.Model, workers, h, skip)
+}
+
+func (l *leaf) workerAnswers(w model.WorkerID) int { return l.WorkerAnswerCount(w) }
+
+// Sharded is a partition node: a fixed set of tasks carved into K geographic
+// regions, each owned by one child. Built by New its children are inference
+// models (the K shards of one city); built by NewNested they are themselves
+// Sharded (the cities of a federation). Answers are routed to the child
+// owning their task; Fit runs all children concurrently and merges the
+// per-worker estimates.
 //
 // Sharded is not safe for concurrent use by multiple goroutines; Fit itself
-// fans out over the shards internally.
+// fans out over the children internally.
 type Sharded struct {
 	cfg     Config
 	norm    geo.Normalizer
 	tasks   []model.Task
 	workers []model.Worker
 
-	parts     [][]int    // shard -> global task indices, ascending at construction
+	parts     [][]int    // child -> global task indices, ascending at construction
 	baseParts [][]int    // construction-time layout, frozen (AddTask grows parts only)
-	shardOf   []int32    // global task -> shard
-	localOf   []int32    // global task -> dense local index within its shard
-	regions   []geo.Rect // bounding box of each shard's task locations
+	shardOf   []int32    // global task -> child
+	localOf   []int32    // global task -> dense local index within its child
+	regions   []geo.Rect // bounding box of each child's task locations
 
-	models []*core.Model
-	counts [][]int // counts[s][w]: answers by worker w routed to shard s
+	kids   []child
+	models []*core.Model // kids' models when they are leaves, nil otherwise
+	counts [][]int       // counts[s][w]: answers by worker w routed to child s
+
+	// city is this node's index inside an enclosing node (-1 at the top); a
+	// nested fit stamps it on its fit.shard spans so the four shards of a
+	// 2x2 federation are told apart in a trace.
+	city int
 
 	// order logs the shard index of every accepted answer in global
 	// submission order. Together with the per-shard append-only answer logs
 	// it reconstructs the exact global arrival stream, which Rebuild replays
 	// so a migrated fitter is bit-identical to a fresh one fed the same
-	// answers (float summation order inside each shard is preserved).
+	// answers (float summation order inside each shard is preserved). Kept
+	// only over leaves, where Rebuild can use it.
 	order []int32
 
-	// lastFitDur[s] is the wall-clock duration of shard s's most recent EM
-	// run — one of the imbalance signals the drift detector watches.
+	// lastFitDur[s] is the wall-clock duration of child s's most recent fit
+	// — one of the imbalance signals the drift detector watches.
 	lastFitDur []time.Duration
+	lastFit    FitStats
 
 	// Merged per-worker estimates, refreshed by Fit.
 	pi  []float64
@@ -96,7 +168,7 @@ type Sharded struct {
 // whole city so per-shard distances stay on the same scale as an unsharded
 // model's.
 func New(tasks []model.Task, workers []model.Worker, norm geo.Normalizer, cfg Config) (*Sharded, error) {
-	return NewWithLayout(tasks, workers, norm, cfg, nil)
+	return newNode(tasks, workers, norm, cfg, nil, nil)
 }
 
 // NewWithLayout creates a sharded fitter over an explicit partition instead
@@ -107,6 +179,31 @@ func New(tasks []model.Task, workers []model.Worker, norm geo.Normalizer, cfg Co
 // fitter at a migrated shard boundary and to restore snapshots whose layout
 // no longer matches the kd construction over the current task set.
 func NewWithLayout(tasks []model.Task, workers []model.Worker, norm geo.Normalizer, cfg Config, layout [][]int) (*Sharded, error) {
+	return newNode(tasks, workers, norm, cfg, layout, nil)
+}
+
+// NewNested creates the same node one level up: the tasks are kd-partitioned
+// into outer regions (clamped to the task count, like Config.Shards) and each
+// region is itself a sharded fitter built by New with cfg over the full
+// worker pool. Region estimates merge exactly as shard estimates do, and a
+// one-region nested node is bit-identical to the plain fitter inside it.
+func NewNested(tasks []model.Task, workers []model.Worker, norm geo.Normalizer, outer int, cfg Config) (*Sharded, error) {
+	top := Config{Shards: outer, Model: cfg.Model}
+	return newNode(tasks, workers, norm, top, nil, func(ci int, local []model.Task) (child, error) {
+		c, err := New(local, workers, norm, cfg)
+		if err != nil {
+			return nil, err
+		}
+		c.city = ci
+		return c, nil
+	})
+}
+
+// newNode is the one constructor: it validates the dense-ID contract,
+// settles the layout, and builds one child per group — a leaf unless nested
+// supplies something else.
+func newNode(tasks []model.Task, workers []model.Worker, norm geo.Normalizer, cfg Config, layout [][]int,
+	nested func(si int, local []model.Task) (child, error)) (*Sharded, error) {
 	if len(tasks) == 0 {
 		return nil, fmt.Errorf("shard: no tasks")
 	}
@@ -153,16 +250,17 @@ func NewWithLayout(tasks []model.Task, workers []model.Worker, norm geo.Normaliz
 	}
 	cfg.Shards = len(layout)
 	s := &Sharded{
-		cfg:       cfg,
-		norm:      norm,
-		tasks:     tasks,
-		workers:   workers,
-		parts:     layout,
-		baseParts: cloneLayout(layout),
-		shardOf:   make([]int32, len(tasks)),
-		localOf:   make([]int32, len(tasks)),
+		cfg:        cfg,
+		norm:       norm,
+		tasks:      tasks,
+		workers:    workers,
+		parts:      layout,
+		baseParts:  cloneLayout(layout),
+		shardOf:    make([]int32, len(tasks)),
+		localOf:    make([]int32, len(tasks)),
+		city:       -1,
+		lastFitDur: make([]time.Duration, len(layout)),
 	}
-	s.lastFitDur = make([]time.Duration, len(layout))
 	for si, part := range s.parts {
 		local := make([]model.Task, len(part))
 		locs := make([]geo.Point, len(part))
@@ -172,11 +270,21 @@ func NewWithLayout(tasks []model.Task, workers []model.Worker, norm geo.Normaliz
 			s.shardOf[g] = int32(si)
 			s.localOf[g] = int32(j)
 		}
-		m, err := core.NewModel(local, workers, norm, cfg.Model)
+		var kid child
+		var err error
+		if nested != nil {
+			kid, err = nested(si, local)
+		} else {
+			var m *core.Model
+			if m, err = core.NewModel(local, workers, norm, cfg.Model); err == nil {
+				s.models = append(s.models, m)
+				kid = &leaf{Model: m, planner: assign.NewPlanner()}
+			}
+		}
 		if err != nil {
 			return nil, err
 		}
-		s.models = append(s.models, m)
+		s.kids = append(s.kids, kid)
 		s.counts = append(s.counts, make([]int, len(workers)))
 		s.regions = append(s.regions, geo.Bound(locs))
 	}
@@ -190,17 +298,18 @@ func NewWithLayout(tasks []model.Task, workers []model.Worker, norm geo.Normaliz
 }
 
 // AddTask appends a task after construction. The task's ID must be the next
-// dense global index; it is routed to the shard whose task region is nearest
-// to its location (ties to the lowest shard index) and appended to that
-// shard's model with the next dense local index. The owning shard's region
-// grows to cover the new location, so subsequent routing sees it.
+// dense global index; it is routed to the child whose task region is nearest
+// to its location (ties to the lowest index) and appended to that child with
+// the next dense local index — a nested child routes it on to its own
+// nearest shard. The owning region grows to cover the new location, so
+// subsequent routing sees it.
 func (s *Sharded) AddTask(t model.Task) error {
 	if int(t.ID) != len(s.tasks) {
 		return fmt.Errorf("shard: new task has ID %d, want next dense index %d", t.ID, len(s.tasks))
 	}
 	si := s.nearestRegion(t.Location)
 	local := t.WithID(model.TaskID(len(s.parts[si])))
-	if err := s.models[si].AddTask(local); err != nil {
+	if err := s.kids[si].AddTask(local); err != nil {
 		return err
 	}
 	s.tasks = append(s.tasks, t)
@@ -213,14 +322,14 @@ func (s *Sharded) AddTask(t model.Task) error {
 
 // AddWorker appends a worker after construction. The worker's ID must be the
 // next dense global index; like construction-time workers they are registered
-// with every shard's model (answers decide which shards actually estimate
-// them) and start at the configured priors.
+// with every child (answers decide which children actually estimate them)
+// and start at the configured priors.
 func (s *Sharded) AddWorker(w model.Worker) error {
 	if int(w.ID) != len(s.workers) {
 		return fmt.Errorf("shard: new worker has ID %d, want next dense index %d", w.ID, len(s.workers))
 	}
-	for _, m := range s.models {
-		if err := m.AddWorker(w); err != nil {
+	for _, k := range s.kids {
+		if err := k.AddWorker(w); err != nil {
 			return err
 		}
 	}
@@ -233,8 +342,8 @@ func (s *Sharded) AddWorker(w model.Worker) error {
 	return nil
 }
 
-// nearestRegion returns the shard whose task region is nearest to p (distance
-// zero when p falls inside; ties to the lowest shard index).
+// nearestRegion returns the child whose task region is nearest to p
+// (distance zero when p falls inside; ties to the lowest index).
 func (s *Sharded) nearestRegion(p geo.Point) int {
 	best, bestD := 0, p.Dist(s.regions[0].Clamp(p))
 	for si := 1; si < len(s.regions); si++ {
@@ -248,8 +357,8 @@ func (s *Sharded) nearestRegion(p geo.Point) int {
 // Region returns the bounding box of shard si's task locations.
 func (s *Sharded) Region(si int) geo.Rect { return s.regions[si] }
 
-// Observe routes an answer to the shard owning its task, remapping the task
-// ID to the shard's local index. Like core.Model.Observe it only appends to
+// Observe routes an answer to the child owning its task, remapping the task
+// ID to the child's local index. Like core.Model.Observe it only appends to
 // the log; call Fit to update estimates.
 func (s *Sharded) Observe(a model.Answer) error {
 	if int(a.Task) < 0 || int(a.Task) >= len(s.tasks) {
@@ -261,11 +370,13 @@ func (s *Sharded) Observe(a model.Answer) error {
 	si := s.shardOf[a.Task]
 	local := a
 	local.Task = model.TaskID(s.localOf[a.Task])
-	if err := s.models[si].Observe(local); err != nil {
+	if err := s.kids[si].Observe(local); err != nil {
 		return err
 	}
 	s.counts[si][a.Worker]++
-	s.order = append(s.order, si)
+	if s.models != nil {
+		s.order = append(s.order, si)
+	}
 	return nil
 }
 
@@ -273,6 +384,8 @@ func (s *Sharded) Observe(a model.Answer) error {
 type FitStats struct {
 	// Shards holds every shard's final full-EM stats. After refinement
 	// sweeps, a refitted shard's entry is from its last (warm-started) fit.
+	// Over nested children each entry summarizes one child's whole fit
+	// (Iterations, Converged, Elapsed); the child's LastFit has the detail.
 	Shards []core.FitStats
 	// Converged reports whether every shard's last fit converged.
 	Converged bool
@@ -306,7 +419,16 @@ func (s *Sharded) Fit() FitStats {
 // fitter is left in a consistent (if unconverged) state.
 func (s *Sharded) FitContext(ctx context.Context) (FitStats, error) {
 	start := time.Now()
-	st := FitStats{Shards: make([]core.FitStats, len(s.models))}
+	st := FitStats{Shards: make([]core.FitStats, len(s.kids))}
+	err := s.fitAndRefine(ctx, &st)
+	st.Elapsed = time.Since(start)
+	s.lastFit = st
+	return st, err
+}
+
+// fitAndRefine is FitContext's body; every return leaves the merged
+// estimates refreshed from whatever iteration each child reached.
+func (s *Sharded) fitAndRefine(ctx context.Context, st *FitStats) error {
 	err := s.fitAll(ctx, st.Shards, nil)
 	for _, fs := range st.Shards {
 		if fs.Iterations > st.Iterations {
@@ -315,20 +437,18 @@ func (s *Sharded) FitContext(ctx context.Context) (FitStats, error) {
 	}
 	s.mergeWorkers()
 	if err != nil {
-		st.Elapsed = time.Since(start)
-		return st, err
+		return err
 	}
 
 	roam := s.roamingWorkers()
 	st.Roaming = len(roam)
 	for sweep := 0; sweep < s.cfg.RefineSweeps && len(roam) > 0; sweep++ {
 		touched := s.pushMerged(roam)
-		if err := s.fitAll(ctx, st.Shards, touched); err != nil {
-			s.mergeWorkers()
-			st.Elapsed = time.Since(start)
-			return st, err
-		}
+		err := s.fitAll(ctx, st.Shards, touched)
 		s.mergeWorkers()
+		if err != nil {
+			return err
+		}
 		st.RefineSweeps++
 	}
 
@@ -339,19 +459,28 @@ func (s *Sharded) FitContext(ctx context.Context) (FitStats, error) {
 			break
 		}
 	}
-	st.Elapsed = time.Since(start)
-	return st, nil
+	return nil
 }
 
-// fitAll runs Fit on the selected shards (all of them when only is nil) in
-// one goroutine each. Shard models share no mutable state, and each
-// goroutine writes a distinct stats slot, so the fan-out is race-free; the
-// per-shard results do not depend on the interleaving. The first context
-// error observed by any shard is returned.
+// LastFit returns the stats of the node's most recent fit — how an enclosing
+// node's caller reads the per-shard detail behind one nested child's summary.
+func (s *Sharded) LastFit() FitStats { return s.lastFit }
+
+// fit is FitContext seen from an enclosing node.
+func (s *Sharded) fit(ctx context.Context) (core.FitStats, error) {
+	st, err := s.FitContext(ctx)
+	return core.FitStats{Iterations: st.Iterations, Converged: st.Converged, Elapsed: st.Elapsed}, err
+}
+
+// fitAll fits the selected children (all of them when only is nil) in one
+// goroutine each. Children share no mutable state, and each goroutine writes
+// a distinct stats slot, so the fan-out is race-free; the per-child results
+// do not depend on the interleaving. The first context error observed by any
+// child is returned.
 func (s *Sharded) fitAll(ctx context.Context, into []core.FitStats, only []bool) error {
 	var wg sync.WaitGroup
-	errs := make([]error, len(s.models))
-	for i := range s.models {
+	errs := make([]error, len(s.kids))
+	for i := range s.kids {
 		if only != nil && !only[i] {
 			continue
 		}
@@ -360,10 +489,17 @@ func (s *Sharded) fitAll(ctx context.Context, into []core.FitStats, only []bool)
 			defer wg.Done()
 			// Per-shard child span, minted and ended on this goroutine — the
 			// concurrent-emission case the arena mutex exists for. No-op
-			// unless the caller's context carries a fit/migrate trace.
-			_, sp := trace.Start(ctx, "fit.shard")
-			sp.AttrInt("shard", int64(i))
-			into[i], errs[i] = s.models[i].FitContext(ctx)
+			// unless the caller's context carries a fit/migrate trace, and
+			// only over leaves: a nested child's own fan-out mints them.
+			var sp *trace.Span
+			if s.models != nil {
+				_, sp = trace.Start(ctx, "fit.shard")
+				if s.city >= 0 {
+					sp.AttrInt("city", int64(s.city))
+				}
+				sp.AttrInt("shard", int64(i))
+			}
+			into[i], errs[i] = s.kids[i].fit(ctx)
 			if errs[i] != nil {
 				sp.Fail(errs[i])
 			}
@@ -383,12 +519,13 @@ func (s *Sharded) fitAll(ctx context.Context, into []core.FitStats, only []bool)
 
 // mergeWorkers refreshes the merged per-worker estimates: each worker's
 // quality and sensitivity are the answer-count-weighted average of the
-// estimates from the shards holding their answers. Workers with no answers
+// estimates from the children holding their answers. Workers with no answers
 // keep their initial values.
 func (s *Sharded) mergeWorkers() {
 	for w := range s.workers {
+		wid := model.WorkerID(w)
 		total, contributors, last := 0, 0, -1
-		for si := range s.models {
+		for si := range s.kids {
 			if c := s.counts[si][w]; c > 0 {
 				total += c
 				contributors++
@@ -399,12 +536,13 @@ func (s *Sharded) mergeWorkers() {
 			continue
 		}
 		if contributors == 1 {
-			// A non-roaming worker's merged estimate is their only shard's
+			// A non-roaming worker's merged estimate is their only child's
 			// estimate, copied verbatim: the weighted-average path's
 			// multiply-then-divide round trip would perturb the last bit.
-			p := s.models[last].Params()
-			s.pi[w] = p.PI[w]
-			copy(s.pdw[w], p.PDW[w])
+			// This is what makes a one-child node bit-identical to its child.
+			pi, pdw := s.kids[last].estimate(wid)
+			s.pi[w] = pi
+			copy(s.pdw[w], pdw)
 			continue
 		}
 		pi := 0.0
@@ -412,15 +550,15 @@ func (s *Sharded) mergeWorkers() {
 		for j := range pdw {
 			pdw[j] = 0
 		}
-		for si, m := range s.models {
+		for si, k := range s.kids {
 			c := float64(s.counts[si][w])
 			if c == 0 {
 				continue
 			}
-			p := m.Params()
-			pi += c * p.PI[w]
+			kpi, kpdw := k.estimate(wid)
+			pi += c * kpi
 			for j := range pdw {
-				pdw[j] += c * p.PDW[w][j]
+				pdw[j] += c * kpdw[j]
 			}
 		}
 		inv := 1 / float64(total)
@@ -431,12 +569,12 @@ func (s *Sharded) mergeWorkers() {
 	}
 }
 
-// roamingWorkers returns the workers with answers in more than one shard.
+// roamingWorkers returns the workers with answers in more than one child.
 func (s *Sharded) roamingWorkers() []model.WorkerID {
 	var out []model.WorkerID
 	for w := range s.workers {
 		shards := 0
-		for si := range s.models {
+		for si := range s.kids {
 			if s.counts[si][w] > 0 {
 				shards++
 			}
@@ -450,6 +588,7 @@ func (s *Sharded) roamingWorkers() []model.WorkerID {
 
 // pushMerged writes the merged estimates of the given roaming workers into
 // every shard holding their answers and reports which shards were touched.
+// Refinement is a leaf-level extra: it writes model parameters directly.
 func (s *Sharded) pushMerged(roam []model.WorkerID) []bool {
 	touched := make([]bool, len(s.models))
 	for _, w := range roam {
@@ -468,17 +607,32 @@ func (s *Sharded) pushMerged(roam []model.WorkerID) []bool {
 	return touched
 }
 
-// Result materializes the city-wide inference: every shard's label
-// posteriors copied back to the global task order.
+// estimate, posterior and workerAnswers are the node seen from an enclosing
+// node: its merged worker estimates, and its children's per-task quantities
+// and answer counts one remap further down.
+func (s *Sharded) estimate(w model.WorkerID) (float64, []float64) { return s.pi[w], s.pdw[w] }
+
+func (s *Sharded) posterior(t model.TaskID) []float64 {
+	return s.kids[s.shardOf[t]].posterior(model.TaskID(s.localOf[t]))
+}
+
+func (s *Sharded) workerAnswers(w model.WorkerID) int {
+	n := 0
+	for si := range s.counts {
+		n += s.counts[si][w]
+	}
+	return n
+}
+
+// Result materializes the node-wide inference: every task's label
+// posteriors gathered from the leaf that owns it, in global task order.
 func (s *Sharded) Result() *model.Result {
 	res := model.NewResult(s.tasks)
-	for si, m := range s.models {
-		p := m.Params()
-		for j, g := range s.parts[si] {
-			copy(res.Prob[g], p.PZ[j])
-			for k, v := range p.PZ[j] {
-				res.Inferred[g][k] = v >= 0.5
-			}
+	for g := range s.tasks {
+		pz := s.posterior(model.TaskID(g))
+		copy(res.Prob[g], pz)
+		for k, v := range pz {
+			res.Inferred[g][k] = v >= 0.5
 		}
 	}
 	return res
@@ -508,11 +662,18 @@ func (s *Sharded) DistanceSensitivity(w model.WorkerID) []float64 {
 	return append([]float64(nil), s.pdw[w]...)
 }
 
-// NumShards returns K.
-func (s *Sharded) NumShards() int { return len(s.models) }
+// NumShards returns K, the number of children.
+func (s *Sharded) NumShards() int { return len(s.kids) }
 
-// TaskShard returns the shard owning task t.
+// TaskShard returns the child owning task t.
 func (s *Sharded) TaskShard(t model.TaskID) int { return int(s.shardOf[t]) }
+
+// Nested returns child si when it is itself a partition node (the node was
+// built by NewNested), nil when it is a model.
+func (s *Sharded) Nested(si int) *Sharded {
+	c, _ := s.kids[si].(*Sharded)
+	return c
+}
 
 // Partition returns the global task indices of every shard, ascending within
 // each shard. The returned slices are owned by the fitter; callers must not
@@ -525,16 +686,16 @@ func (s *Sharded) Workers() []model.Worker { return s.workers }
 // Tasks returns the task set the fitter was built over.
 func (s *Sharded) Tasks() []model.Task { return s.tasks }
 
-// Models exposes the per-shard inference models for advanced use (the
-// assignment coordinator, parameter inspection). Mutating them bypasses the
-// fitter's merge bookkeeping.
+// Models exposes the per-shard inference models for advanced use (parameter
+// inspection); nil over nested children. Mutating them bypasses the fitter's
+// merge bookkeeping.
 func (s *Sharded) Models() []*core.Model { return s.models }
 
-// TotalAnswers returns the number of answers observed across all shards.
+// TotalAnswers returns the number of answers observed across all children.
 func (s *Sharded) TotalAnswers() int {
 	n := 0
-	for _, m := range s.models {
-		n += m.Answers().Len()
+	for _, k := range s.kids {
+		n += k.TotalAnswers()
 	}
 	return n
 }
@@ -578,7 +739,7 @@ type ShardStat struct {
 // reads only the fitter's bookkeeping (never the models), so it is cheap
 // enough to call at every metrics scrape and detector tick.
 func (s *Sharded) Stats() []ShardStat {
-	out := make([]ShardStat, len(s.models))
+	out := make([]ShardStat, len(s.kids))
 	// A worker's answers count as boundary mass in every shard they touch
 	// when they touch more than one.
 	nshard := make([]int, len(s.workers))
@@ -589,7 +750,7 @@ func (s *Sharded) Stats() []ShardStat {
 			}
 		}
 	}
-	for si := range s.models {
+	for si := range s.kids {
 		st := ShardStat{
 			Tasks:           len(s.parts[si]),
 			LastFitDuration: s.lastFitDur[si],

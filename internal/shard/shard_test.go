@@ -79,53 +79,6 @@ func testConfig() core.Config {
 	return cfg
 }
 
-func TestSingleShardMatchesPlainModel(t *testing.T) {
-	tasks, workers, norm := quadWorld(10, 3)
-	answers := blockAnswers(tasks, workers, 10, 3)
-
-	sh, err := New(tasks, workers, norm, Config{Shards: 1, Model: testConfig()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := core.NewModel(tasks, workers, norm, testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, a := range answers {
-		if err := sh.Observe(a); err != nil {
-			t.Fatal(err)
-		}
-		if err := m.Observe(a); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := sh.Fit()
-	ref := m.Fit()
-	if st.Iterations != ref.Iterations {
-		t.Errorf("iterations: sharded %d, plain %d", st.Iterations, ref.Iterations)
-	}
-
-	got, want := sh.Result(), m.Result()
-	for ti := range want.Prob {
-		for k := range want.Prob[ti] {
-			if got.Prob[ti][k] != want.Prob[ti][k] {
-				t.Fatalf("P(z) mismatch at task %d label %d: %v vs %v",
-					ti, k, got.Prob[ti][k], want.Prob[ti][k])
-			}
-			if got.Inferred[ti][k] != want.Inferred[ti][k] {
-				t.Fatalf("label mismatch at task %d label %d", ti, k)
-			}
-		}
-	}
-	for wi := range workers {
-		w := model.WorkerID(wi)
-		if sh.WorkerQuality(w) != m.WorkerQuality(w) {
-			t.Fatalf("worker %d quality: sharded %v, plain %v",
-				wi, sh.WorkerQuality(w), m.WorkerQuality(w))
-		}
-	}
-}
-
 func TestBlockDiagonalMatchesPerBlockFits(t *testing.T) {
 	const nPerQuad, wPerQuad = 12, 3
 	tasks, workers, norm := quadWorld(nPerQuad, wPerQuad)

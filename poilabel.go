@@ -23,6 +23,8 @@
 // the current decision and probability for every label. The backend is
 // pluggable: a single model (default), one city geo-sharded across K
 // concurrent fitters, or a multi-city federation — all behind the same API.
+// The last two are one partition mechanism (internal/shard) at two tree
+// shapes: WithShards and WithCities only choose how deep and how wide.
 //
 // # Quick start
 //
@@ -62,18 +64,6 @@
 // compatibility policy, and cmd/poiserve wires it to -checkpoint/-restore
 // flags and a POST /checkpoint endpoint.
 //
-// # Migrating from Framework and ShardedModel
-//
-// Framework (per-answer incremental serving) and ShardedModel (batch
-// sharded fitting) remain as thin wrappers over Service but are deprecated.
-// Framework users: NewService with the same options, register tasks and
-// workers by ID, and use RequestTasks/SubmitAnswer/Results as before — IDs
-// are now strings you choose, and the service is safe for concurrent use.
-// ShardedModel users: NewService(WithEngine(EngineSharded), WithShards(k),
-// WithFullEMInterval(0)) reproduces the batch contract — answers only log
-// until an explicit Fit. Unlike the old ShardedModel, assignment now
-// dedupes pending pairs exactly like the Framework always did.
-//
 // Lower-level building blocks (the raw inference model, the assignment
 // estimator, majority voting and Dawid–Skene baselines, dataset generators
 // and the crowd simulator used by the reproduction benchmarks) live in the
@@ -82,16 +72,11 @@
 package poilabel
 
 import (
-	"context"
 	"errors"
-	"fmt"
-	"strconv"
 
 	"poilabel/internal/baseline"
-	"poilabel/internal/core"
 	"poilabel/internal/geo"
 	"poilabel/internal/model"
-	"poilabel/internal/shard"
 )
 
 // Re-exported domain types. See the internal/model package for full
@@ -125,7 +110,7 @@ func Accuracy(res *Result, truth *GroundTruth) float64 {
 	return model.Accuracy(res, truth)
 }
 
-// AssignerKind selects a task assignment strategy for the Framework.
+// AssignerKind selects a task assignment strategy (WithAssigner).
 type AssignerKind int
 
 // Available assignment strategies.
@@ -147,429 +132,9 @@ const (
 	AssignerMarginalGreedy
 )
 
-// Options configure a Framework. The zero value of each field means "use
-// the paper's default".
-type Options struct {
-	// Budget is the total number of (worker, task) assignments the
-	// framework will hand out. Zero means unlimited.
-	Budget int
-	// TasksPerRequest is h, the number of tasks given to each requesting
-	// worker. Zero means 2, the paper's HIT size.
-	TasksPerRequest int
-	// Assigner selects the assignment strategy. Default AccOpt.
-	Assigner AssignerKind
-	// Model configures the inference model. A zero Config means
-	// core.DefaultConfig (α = 0.5, F = {f100, f10, f0.1}, tol 0.005).
-	Model core.Config
-	// FullEMInterval is the number of submissions between full EM runs
-	// (Section III-D); incremental EM runs in between. Zero means 100.
-	FullEMInterval int
-	// Seed drives the random assigner. Ignored by the others.
-	Seed int64
-}
-
-// Framework is the paper's POI-labelling framework (Figure 1): an inference
-// model and an online task assigner working alternately under a budget. It
-// is now a thin wrapper over a Service running the single engine with
-// dense integer IDs.
-//
-// Deprecated: use Service, which serves the same protocol concurrency-
-// safely, accepts stable string IDs with dynamic registration, and scales
-// to sharded and federated backends. Framework is kept for compatibility.
-//
-// Framework is not safe for concurrent use.
-type Framework struct {
-	svc *Service
-	m   *core.Model
-}
-
-type pairKey struct {
-	w WorkerID
-	t TaskID
-}
-
-// denseID is the stable string ID the legacy wrappers register dense
-// integer IDs under.
-func denseID(i int) string { return strconv.Itoa(i) }
-
-// registerDense validates the legacy dense-ID contract and registers every
-// task and worker with the service under its stringified index.
-func registerDense(svc *Service, tasks []Task, workers []Worker) error {
-	if len(tasks) == 0 {
-		return errors.New("poilabel: no tasks")
-	}
-	for i := range tasks {
-		if int(tasks[i].ID) != i {
-			return fmt.Errorf("poilabel: task at index %d has ID %d; IDs must be dense indices", i, tasks[i].ID)
-		}
-	}
-	for i := range workers {
-		if int(workers[i].ID) != i {
-			return fmt.Errorf("poilabel: worker at index %d has ID %d; IDs must be dense indices", i, workers[i].ID)
-		}
-		if len(workers[i].Locations) == 0 {
-			return fmt.Errorf("poilabel: worker %d has no locations", i)
-		}
-	}
-	for i := range tasks {
-		if err := svc.AddTask(denseID(i), TaskSpec{
-			Name:     tasks[i].Name,
-			Location: tasks[i].Location,
-			Labels:   tasks[i].Labels,
-			Reviews:  tasks[i].Reviews,
-		}); err != nil {
-			return err
-		}
-	}
-	for i := range workers {
-		if err := svc.AddWorker(denseID(i), WorkerSpec{
-			Name:      workers[i].Name,
-			Locations: workers[i].Locations,
-		}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// New creates a Framework over the given tasks and workers. Task IDs must
-// be their indices in the slice (0..len-1), and likewise for workers;
-// distances are normalized by the bounding-box diameter of all task and
-// worker locations.
-//
-// Deprecated: use NewService.
-func New(tasks []Task, workers []Worker, opts ...Options) (*Framework, error) {
-	var o Options
-	switch len(opts) {
-	case 0:
-	case 1:
-		o = opts[0]
-	default:
-		return nil, errors.New("poilabel: pass at most one Options")
-	}
-	if o.TasksPerRequest == 0 {
-		o.TasksPerRequest = 2
-	}
-	if o.TasksPerRequest < 0 {
-		return nil, fmt.Errorf("poilabel: negative TasksPerRequest %d", o.TasksPerRequest)
-	}
-	if o.FullEMInterval == 0 {
-		o.FullEMInterval = 100
-	}
-	cfg := o.Model
-	if cfg.FuncSet == nil {
-		cfg = core.DefaultConfig()
-	}
-	svc, err := NewService(
-		WithEngine(EngineSingle),
-		WithAssigner(o.Assigner),
-		WithBudget(orUnlimited(o.Budget)),
-		WithTasksPerRequest(o.TasksPerRequest),
-		WithFullEMInterval(o.FullEMInterval),
-		WithSeed(o.Seed),
-		WithModelConfig(cfg),
-	)
-	if err != nil {
-		return nil, err
-	}
-	if err := registerDense(svc, tasks, workers); err != nil {
-		return nil, err
-	}
-	eng, err := svc.engine()
-	if err != nil {
-		return nil, err
-	}
-	return &Framework{svc: svc, m: eng.(*singleEngine).Model()}, nil
-}
-
-// orUnlimited maps the legacy Options convention (0 means unlimited) onto
-// WithBudget's (negative means unlimited).
-func orUnlimited(budget int) int {
-	if budget == 0 {
-		return -1
-	}
-	return budget
-}
-
-// RemainingBudget returns the number of assignments still available, or -1
-// when the framework was created without a budget.
-func (f *Framework) RemainingBudget() int { return f.svc.RemainingBudget() }
-
-// RequestTasks runs the task assigner for a set of requesting workers and
-// returns up to h tasks per worker, bounded by the remaining budget.
-// Returned assignments are recorded as pending; the framework expects a
-// SubmitAnswer for each, and pending pairs are excluded from later rounds.
-func (f *Framework) RequestTasks(workers []WorkerID) (map[WorkerID][]TaskID, error) {
-	ids := make([]string, len(workers))
-	for i, w := range workers {
-		if int(w) < 0 || int(w) >= f.svc.NumWorkers() {
-			return nil, fmt.Errorf("%w: %d", ErrUnknownWorker, w)
-		}
-		ids[i] = denseID(int(w))
-	}
-	//lint:ignore ctxflow Framework is the in-process context-free facade; use Service for deadlines
-	assigned, err := f.svc.RequestTasks(context.Background(), ids)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[WorkerID][]TaskID, len(assigned))
-	for wid, ts := range assigned {
-		w, err := strconv.Atoi(wid)
-		if err != nil {
-			return nil, fmt.Errorf("poilabel: non-dense worker id %q", wid)
-		}
-		tasks := make([]TaskID, len(ts))
-		for i, tid := range ts {
-			t, err := strconv.Atoi(tid)
-			if err != nil {
-				return nil, fmt.Errorf("poilabel: non-dense task id %q", tid)
-			}
-			tasks[i] = TaskID(t)
-		}
-		out[WorkerID(w)] = tasks
-	}
-	return out, nil
-}
-
 // ErrBudgetExhausted is returned by RequestTasks when the assignment budget
 // has been fully spent.
 var ErrBudgetExhausted = errors.New("poilabel: assignment budget exhausted")
-
-// SubmitAnswer feeds one worker answer into the inference model, updating
-// parameter estimates per the configured policy (incremental EM, with a
-// periodic full EM). Answers for tasks that were not assigned through
-// RequestTasks are accepted too — the model simply learns from them without
-// touching the budget.
-func (f *Framework) SubmitAnswer(a Answer) error {
-	return f.svc.SubmitAnswer(denseID(int(a.Worker)), denseID(int(a.Task)), a.Selected)
-}
-
-// Refit forces a full EM pass over all answers received so far and reports
-// whether it converged within the configured iteration cap.
-func (f *Framework) Refit() bool {
-	//lint:ignore ctxflow Framework is the in-process context-free facade; use Service for deadlines
-	converged, _ := f.svc.Fit(context.Background())
-	return converged
-}
-
-// Results returns the current inference: for every task and label, the
-// probability it is a correct label and the thresholded decision.
-func (f *Framework) Results() *Result {
-	// A full EM pass makes the returned snapshot self-consistent (the
-	// incremental updates between full runs only touch local parameters).
-	//lint:ignore ctxflow Framework is the in-process context-free facade; use Service for deadlines
-	res, _ := f.svc.ResultSet(context.Background())
-	return res
-}
-
-// WorkerQuality returns the estimated inherent quality P(i_w = 1) of a
-// worker (Definition 2).
-func (f *Framework) WorkerQuality(w WorkerID) float64 { return f.m.WorkerQuality(w) }
-
-// AnswerAccuracy returns the model's estimate of the probability that
-// worker w answers task t correctly (Equation 9), combining the worker's
-// inherent quality, distance-aware quality, and the POI's influence.
-func (f *Framework) AnswerAccuracy(w WorkerID, t TaskID) float64 {
-	return f.m.AgreementProb(w, t)
-}
-
-// POIInfluence returns the estimated influence weights of task t over the
-// model's distance-function set, ordered from the steepest (most local)
-// function to the widest. A large final component means a famous POI that
-// distant workers still answer well.
-func (f *Framework) POIInfluence(t TaskID) []float64 {
-	p := f.m.Params().PDT[t]
-	return append([]float64(nil), p...)
-}
-
-// DistanceSensitivity returns the estimated sensitivity weights of worker w
-// over the distance-function set, from steepest to widest.
-func (f *Framework) DistanceSensitivity(w WorkerID) []float64 {
-	p := f.m.Params().PDW[w]
-	return append([]float64(nil), p...)
-}
-
-// EstimatedAccuracy returns the model's own estimate of the current overall
-// accuracy: the mean over all labels of max(P(z), 1−P(z)) — the Equation 15
-// accuracy under the model's best guess for each label's truth. It rises
-// toward 1 as evidence accumulates and is the natural signal for budget-
-// aware early stopping ("stop paying once estimated accuracy exceeds X").
-func (f *Framework) EstimatedAccuracy() float64 {
-	params := f.m.Params()
-	var sum float64
-	var n int
-	for t := range params.PZ {
-		for _, p := range params.PZ[t] {
-			if p < 0.5 {
-				p = 1 - p
-			}
-			sum += p
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}
-
-// SaveCheckpoint persists the framework's learned state (answer log and
-// parameter estimates) to a file; a new Framework over the same tasks and
-// workers can LoadCheckpoint to resume without replaying history.
-func (f *Framework) SaveCheckpoint(path string) error { return f.m.SaveCheckpoint(path) }
-
-// LoadCheckpoint restores learned state saved by SaveCheckpoint.
-func (f *Framework) LoadCheckpoint(path string) error {
-	if err := f.m.LoadCheckpoint(path); err != nil {
-		return err
-	}
-	// The model changed behind the service's back; force the next Results
-	// to refit over the restored log.
-	f.svc.invalidate()
-	return nil
-}
-
-// Model exposes the underlying inference model for advanced use (parameter
-// inspection, custom assignment). Mutating it bypasses the framework's
-// budget accounting.
-func (f *Framework) Model() *core.Model { return f.m }
-
-// ShardOptions configure a ShardedModel. The zero value of each field means
-// "use the default".
-type ShardOptions struct {
-	// Shards is K, the number of geographic partitions. Zero means 4;
-	// values above the task count are clamped.
-	Shards int
-	// RefineSweeps is the number of cross-shard refinement sweeps per Fit:
-	// each sweep pushes the merged parameters of roaming workers (answers
-	// in more than one shard) back into their shards and refits. Zero means
-	// none.
-	RefineSweeps int
-	// Model configures every per-shard inference model. A zero Config means
-	// core.DefaultConfig.
-	Model core.Config
-}
-
-// ShardFitStats reports the outcome of a sharded fit. See the shard package
-// for field documentation.
-type ShardFitStats = shard.FitStats
-
-// ShardedModel fits the paper's inference model over K geographic shards of
-// one city's tasks. The answer graph is naturally near-block-diagonal by
-// geography, so shards fit concurrently (one full-EM run each) and merge:
-// per-task label posteriors concatenate directly, while roaming workers'
-// quality and distance-sensitivity estimates are averaged weighted by answer
-// count, optionally refined by cross-shard sweeps. Task assignment plans
-// AccOpt within each shard under a thin budget-balancing coordinator. It is
-// now a thin wrapper over a Service running the sharded engine with
-// automatic fits disabled.
-//
-// Deprecated: use Service with WithEngine(EngineSharded) and
-// WithFullEMInterval(0), which adds concurrency safety, stable string IDs,
-// dynamic registration, and a federated multi-city variant.
-//
-// Methods are not safe for concurrent use; Fit and AssignTasks fan out over
-// the shards internally.
-type ShardedModel struct {
-	svc *Service
-	eng *shardedEngine
-}
-
-// NewShardedModel creates a sharded model over the given tasks and workers.
-// ID and location requirements match New; distances are normalized by the
-// bounding-box diameter of all task and worker locations, so per-shard
-// distances stay on the same scale as an unsharded model's.
-//
-// Deprecated: use NewService with WithEngine(EngineSharded).
-func NewShardedModel(tasks []Task, workers []Worker, opts ...ShardOptions) (*ShardedModel, error) {
-	var o ShardOptions
-	switch len(opts) {
-	case 0:
-	case 1:
-		o = opts[0]
-	default:
-		return nil, errors.New("poilabel: pass at most one ShardOptions")
-	}
-	cfg := o.Model
-	if cfg.FuncSet == nil {
-		cfg = core.DefaultConfig()
-	}
-	svc, err := NewService(
-		WithEngine(EngineSharded),
-		WithShards(o.Shards),
-		WithRefineSweeps(o.RefineSweeps),
-		WithModelConfig(cfg),
-		// The batch contract: answers only log until an explicit Fit.
-		WithFullEMInterval(0),
-	)
-	if err != nil {
-		return nil, err
-	}
-	if err := registerDense(svc, tasks, workers); err != nil {
-		return nil, err
-	}
-	eng, err := svc.engine()
-	if err != nil {
-		return nil, err
-	}
-	return &ShardedModel{svc: svc, eng: eng.(*shardedEngine)}, nil
-}
-
-// SubmitAnswer routes one worker answer to the shard owning its task. Unlike
-// the Framework, a ShardedModel does not update estimates per answer; call
-// Fit after a batch.
-func (sm *ShardedModel) SubmitAnswer(a Answer) error {
-	return sm.svc.SubmitAnswer(denseID(int(a.Worker)), denseID(int(a.Task)), a.Selected)
-}
-
-// Fit runs full EM on every shard concurrently, merges roaming-worker
-// estimates, and runs the configured refinement sweeps.
-func (sm *ShardedModel) Fit() ShardFitStats {
-	//lint:ignore ctxflow ShardedModel is the in-process context-free facade; use Service for deadlines
-	sm.svc.Fit(context.Background())
-	return sm.eng.lastStats
-}
-
-// Results returns the current city-wide inference, concatenated over shards.
-// Unlike Service.Results it does not force a fit first.
-func (sm *ShardedModel) Results() *Result {
-	res, _ := sm.svc.currentResult()
-	return res
-}
-
-// AssignTasks chooses up to h tasks per requesting worker — AccOpt planned
-// inside each worker's home shard — spending at most budget (worker, task)
-// pairs in total; a negative budget means unlimited. Returned task IDs are
-// global. The caller owns budget accounting across rounds, but pending
-// dedup is automatic: handed-out pairs are excluded from later rounds until
-// their answer arrives, matching the Framework's contract.
-func (sm *ShardedModel) AssignTasks(workers []WorkerID, h, budget int) (map[WorkerID][]TaskID, error) {
-	if h <= 0 {
-		return nil, fmt.Errorf("poilabel: non-positive h %d", h)
-	}
-	for _, w := range workers {
-		if int(w) < 0 || int(w) >= sm.svc.NumWorkers() {
-			return nil, fmt.Errorf("%w: %d", ErrUnknownWorker, w)
-		}
-	}
-	return sm.svc.assignWithExternalBudget(workers, h, budget)
-}
-
-// WorkerQuality returns the merged estimate of P(i_w = 1): for a roaming
-// worker, the answer-count-weighted average over the shards they answered in.
-func (sm *ShardedModel) WorkerQuality(w WorkerID) float64 { return sm.eng.sh.WorkerQuality(w) }
-
-// DistanceSensitivity returns the merged sensitivity weights of worker w
-// over the distance-function set, from steepest to widest.
-func (sm *ShardedModel) DistanceSensitivity(w WorkerID) []float64 {
-	return sm.eng.sh.DistanceSensitivity(w)
-}
-
-// NumShards returns the number of geographic shards actually in use.
-func (sm *ShardedModel) NumShards() int { return sm.eng.sh.NumShards() }
-
-// TaskShard returns the shard owning task t.
-func (sm *ShardedModel) TaskShard(t TaskID) int { return sm.eng.sh.TaskShard(t) }
 
 // MajorityVote runs the MV baseline over an external answer log.
 // It is a convenience for comparing the paper's model with naive

@@ -1,6 +1,7 @@
 package poilabel
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -45,63 +46,89 @@ func answer(w WorkerID, t TaskID, truth *GroundTruth, p float64, rng *rand.Rand)
 	return Answer{Worker: w, Task: t, Selected: sel}
 }
 
+// tinyService is the paper's framework (Figure 1) on the tiny world: a
+// Service with the given options and the world registered under tid/wid.
+func tinyService(t *testing.T, opts ...ServiceOption) (*Service, *GroundTruth) {
+	t.Helper()
+	svc, err := NewService(opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return svc, registerTinyWorld(t, svc)
+}
+
+// allTinyWorkers are the tiny world's four workers, in index order.
+var allTinyWorkers = []string{wid(0), wid(1), wid(2), wid(3)}
+
+// quality is WorkerInfo's estimate, fatal on error.
+func quality(t *testing.T, svc *Service, w int) float64 {
+	t.Helper()
+	info, err := svc.WorkerInfo(wid(w))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return info.Quality
+}
+
 func TestNewValidation(t *testing.T) {
-	tasks, workers, _ := tinyWorld()
-
-	if _, err := New(nil, workers); err == nil {
-		t.Error("no tasks accepted")
-	}
-
-	badID := append([]Task(nil), tasks...)
-	badID[3].ID = 9
-	if _, err := New(badID, workers); err == nil {
-		t.Error("non-dense task IDs accepted")
-	}
-
-	noLoc := append([]Worker(nil), workers...)
-	noLoc[0].Locations = nil
-	if _, err := New(tasks, noLoc); err == nil {
-		t.Error("worker without location accepted")
-	}
-
-	if _, err := New(tasks, workers, Options{}, Options{}); err == nil {
-		t.Error("two Options values accepted")
-	}
-
-	if _, err := New(tasks, workers, Options{TasksPerRequest: -1}); err == nil {
+	ctx := context.Background()
+	if _, err := NewService(WithTasksPerRequest(-1)); err == nil {
 		t.Error("negative TasksPerRequest accepted")
 	}
 
-	if _, err := New(tasks, workers, Options{Assigner: AssignerKind(99)}); err == nil {
-		t.Error("unknown assigner accepted")
+	// The engine is built lazily, so a world without tasks or without
+	// workers surfaces at the first operation that needs it.
+	svc, err := NewService()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.AddWorker(wid(0), WorkerSpec{Locations: []Point{Pt(0, 0)}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.RequestTasks(ctx, []string{wid(0)}); !errors.Is(err, ErrNoTasks) {
+		t.Errorf("no tasks: error = %v, want ErrNoTasks", err)
+	}
+	svc, _ = NewService()
+	if err := svc.AddTask(tid(0), TaskSpec{Location: Pt(1, 1), Labels: []string{"a"}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.Results(ctx); !errors.Is(err, ErrNoWorkers) {
+		t.Errorf("no workers: error = %v, want ErrNoWorkers", err)
+	}
+
+	// Shard counts above the task count clamp.
+	sh, _ := tinyService(t, WithEngine(EngineSharded), WithShards(100))
+	if _, err := sh.Results(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got := sh.ElasticStats().Shards; got != 8 {
+		t.Errorf("shards = %d, want clamp to the 8 tasks", got)
 	}
 }
 
 func TestFrameworkEndToEnd(t *testing.T) {
-	tasks, workers, truth := tinyWorld()
+	ctx := context.Background()
+	svc, truth := tinyService(t, WithBudget(40), WithTasksPerRequest(2), WithSeed(2))
 	rng := rand.New(rand.NewSource(1))
-	fw, err := New(tasks, workers, Options{Budget: 40, TasksPerRequest: 2, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fw.RemainingBudget() != 40 {
-		t.Fatalf("initial budget = %d", fw.RemainingBudget())
+	if svc.RemainingBudget() != 40 {
+		t.Fatalf("initial budget = %d", svc.RemainingBudget())
 	}
 
-	for fw.RemainingBudget() > 0 {
-		assigned, err := fw.RequestTasks([]WorkerID{0, 1, 2, 3})
+	for svc.RemainingBudget() > 0 {
+		assigned, err := svc.RequestTasks(ctx, allTinyWorkers)
 		if err != nil {
 			t.Fatal(err)
 		}
 		n := 0
-		for w, ts := range assigned {
-			for _, tid := range ts {
+		for w := range allTinyWorkers {
+			for _, taskID := range assigned[wid(w)] {
 				// Worker 3 is a spammer; the rest are good.
 				p := 0.9
 				if w == 3 {
 					p = 0.5
 				}
-				if err := fw.SubmitAnswer(answer(w, tid, truth, p, rng)); err != nil {
+				a := answer(WorkerID(w), svc.taskIdx[taskID], truth, p, rng)
+				if err := svc.SubmitAnswer(wid(w), taskID, a.Selected); err != nil {
 					t.Fatal(err)
 				}
 				n++
@@ -112,23 +139,23 @@ func TestFrameworkEndToEnd(t *testing.T) {
 		}
 	}
 
-	res := fw.Results()
+	res, err := svc.ResultSet(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if acc := Accuracy(res, truth); acc < 0.7 {
 		t.Errorf("end-to-end accuracy = %v, want >= 0.7", acc)
 	}
 	// Quality ordering must hold.
-	if fw.WorkerQuality(0) <= fw.WorkerQuality(3) {
-		t.Errorf("good worker quality %v <= spammer %v", fw.WorkerQuality(0), fw.WorkerQuality(3))
+	if good, spam := quality(t, svc, 0), quality(t, svc, 3); good <= spam {
+		t.Errorf("good worker quality %v <= spammer %v", good, spam)
 	}
 }
 
 func TestFrameworkBudgetAccounting(t *testing.T) {
-	tasks, workers, _ := tinyWorld()
-	fw, err := New(tasks, workers, Options{Budget: 3, TasksPerRequest: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assigned, err := fw.RequestTasks([]WorkerID{0, 1})
+	ctx := context.Background()
+	svc, _ := tinyService(t, WithBudget(3), WithTasksPerRequest(2))
+	assigned, err := svc.RequestTasks(ctx, []string{wid(0), wid(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,60 +166,48 @@ func TestFrameworkBudgetAccounting(t *testing.T) {
 	if total != 3 {
 		t.Errorf("assigned %d tasks with budget 3", total)
 	}
-	if fw.RemainingBudget() != 0 {
-		t.Errorf("remaining = %d, want 0", fw.RemainingBudget())
+	if svc.RemainingBudget() != 0 {
+		t.Errorf("remaining = %d, want 0", svc.RemainingBudget())
 	}
-	if _, err := fw.RequestTasks([]WorkerID{0}); !errors.Is(err, ErrBudgetExhausted) {
+	if _, err := svc.RequestTasks(ctx, []string{wid(0)}); !errors.Is(err, ErrBudgetExhausted) {
 		t.Errorf("post-budget request error = %v, want ErrBudgetExhausted", err)
 	}
 }
 
 func TestFrameworkUnlimitedBudget(t *testing.T) {
-	tasks, workers, _ := tinyWorld()
-	fw, err := New(tasks, workers)
-	if err != nil {
-		t.Fatal(err)
+	svc, _ := tinyService(t)
+	if svc.RemainingBudget() != -1 {
+		t.Errorf("unlimited budget reported as %d", svc.RemainingBudget())
 	}
-	if fw.RemainingBudget() != -1 {
-		t.Errorf("unlimited budget reported as %d", fw.RemainingBudget())
-	}
-	if _, err := fw.RequestTasks([]WorkerID{0}); err != nil {
+	if _, err := svc.RequestTasks(context.Background(), []string{wid(0)}); err != nil {
 		t.Errorf("unlimited request failed: %v", err)
 	}
 }
 
 func TestFrameworkRequestUnknownWorker(t *testing.T) {
-	tasks, workers, _ := tinyWorld()
-	fw, _ := New(tasks, workers)
-	if _, err := fw.RequestTasks([]WorkerID{42}); err == nil {
-		t.Error("unknown worker accepted")
+	svc, _ := tinyService(t)
+	if _, err := svc.RequestTasks(context.Background(), []string{wid(42)}); !errors.Is(err, ErrUnknownWorker) {
+		t.Errorf("unknown worker: error = %v, want ErrUnknownWorker", err)
 	}
 }
 
 func TestFrameworkUnsolicitedAnswer(t *testing.T) {
-	tasks, workers, truth := tinyWorld()
+	svc, truth := tinyService(t, WithBudget(10))
 	rng := rand.New(rand.NewSource(3))
-	fw, _ := New(tasks, workers, Options{Budget: 10})
 	// An answer that was never assigned must still be learned from.
-	if err := fw.SubmitAnswer(answer(0, 5, truth, 0.9, rng)); err != nil {
-		t.Fatalf("unsolicited answer rejected: %v", err)
+	submit(t, svc, 0, 5, truth, 0.9, rng)
+	if svc.RemainingBudget() != 10 {
+		t.Errorf("unsolicited answer consumed budget: %d", svc.RemainingBudget())
 	}
-	if fw.RemainingBudget() != 10 {
-		t.Errorf("unsolicited answer consumed budget: %d", fw.RemainingBudget())
-	}
-	if fw.Model().Answers().Len() != 1 {
+	if svc.AnswerCount() != 1 {
 		t.Error("unsolicited answer not recorded")
 	}
 }
 
 func TestFrameworkAssignerKinds(t *testing.T) {
-	tasks, workers, _ := tinyWorld()
 	for _, kind := range []AssignerKind{AssignerAccOpt, AssignerSpatialFirst, AssignerRandom} {
-		fw, err := New(tasks, workers, Options{Assigner: kind, Budget: 4})
-		if err != nil {
-			t.Fatalf("kind %d: %v", kind, err)
-		}
-		assigned, err := fw.RequestTasks([]WorkerID{0, 1})
+		svc, _ := tinyService(t, WithAssigner(kind), WithBudget(4))
+		assigned, err := svc.RequestTasks(context.Background(), []string{wid(0), wid(1)})
 		if err != nil {
 			t.Fatalf("kind %d request: %v", kind, err)
 		}
@@ -202,187 +217,88 @@ func TestFrameworkAssignerKinds(t *testing.T) {
 	}
 }
 
+// TestFrameworkIntrospection pins what a fitted service tells about a
+// worker: a quality in (0, 1] and a sensitivity distribution the caller owns.
 func TestFrameworkIntrospection(t *testing.T) {
-	tasks, workers, truth := tinyWorld()
+	svc, truth := tinyService(t)
 	rng := rand.New(rand.NewSource(4))
-	fw, _ := New(tasks, workers)
 	for ti := 0; ti < 8; ti++ {
-		if err := fw.SubmitAnswer(answer(1, TaskID(ti), truth, 0.9, rng)); err != nil {
-			t.Fatal(err)
-		}
+		submit(t, svc, 1, ti, truth, 0.9, rng)
 	}
-	fw.Refit()
+	if _, err := svc.Fit(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 
-	if p := fw.AnswerAccuracy(1, 0); p < 0.5 || p > 1 {
-		t.Errorf("AnswerAccuracy = %v", p)
-	}
-	infl := fw.POIInfluence(0)
-	sens := fw.DistanceSensitivity(1)
-	var si, ss float64
-	for i := range infl {
-		si += infl[i]
-	}
-	for i := range sens {
-		ss += sens[i]
-	}
-	if len(infl) != 3 || si < 0.999 || si > 1.001 {
-		t.Errorf("POIInfluence = %v", infl)
-	}
-	if len(sens) != 3 || ss < 0.999 || ss > 1.001 {
-		t.Errorf("DistanceSensitivity = %v", sens)
-	}
-	// Returned slices must be copies.
-	infl[0] = 99
-	if fw.POIInfluence(0)[0] == 99 {
-		t.Error("POIInfluence returns aliased storage")
-	}
-}
-
-func TestShardedModelEndToEnd(t *testing.T) {
-	tasks, workers, truth := tinyWorld()
-	rng := rand.New(rand.NewSource(5))
-	sm, err := NewShardedModel(tasks, workers, ShardOptions{Shards: 4, RefineSweeps: 1})
+	info, err := svc.WorkerInfo(wid(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sm.NumShards() != 4 {
-		t.Fatalf("NumShards = %d, want 4", sm.NumShards())
+	if info.Quality <= 0 || info.Quality > 1 {
+		t.Errorf("Quality = %v", info.Quality)
 	}
+	var sum float64
+	for _, v := range info.DistanceSensitivity {
+		sum += v
+	}
+	if len(info.DistanceSensitivity) != 3 || sum < 0.999 || sum > 1.001 {
+		t.Errorf("DistanceSensitivity = %v", info.DistanceSensitivity)
+	}
+	// Returned slices must be copies.
+	info.DistanceSensitivity[0] = 99
+	if again, _ := svc.WorkerInfo(wid(1)); again.DistanceSensitivity[0] == 99 {
+		t.Error("WorkerInfo returns aliased storage")
+	}
+}
+
+// TestShardedModelEndToEnd is the batch contract on the sharded engine: with
+// automatic fits off, answers only log until an explicit Fit.
+func TestShardedModelEndToEnd(t *testing.T) {
+	ctx := context.Background()
+	svc, truth := tinyService(t,
+		WithEngine(EngineSharded), WithShards(4), WithRefineSweeps(1), WithFullEMInterval(0))
+	rng := rand.New(rand.NewSource(5))
 
 	// Batch-collect answers: every worker answers every task, worker 3 is a
 	// spammer.
-	for wi := range workers {
-		for ti := range tasks {
+	for wi := 0; wi < 4; wi++ {
+		for ti := 0; ti < 8; ti++ {
 			p := 0.9
 			if wi == 3 {
 				p = 0.5
 			}
-			if err := sm.SubmitAnswer(answer(WorkerID(wi), TaskID(ti), truth, p, rng)); err != nil {
-				t.Fatal(err)
-			}
+			submit(t, svc, wi, ti, truth, p, rng)
 		}
 	}
-	st := sm.Fit()
-	if !st.Converged {
+	if prior := quality(t, svc, 0); prior != svc.cfg.model.InitPI {
+		t.Errorf("quality moved to %v before the explicit fit", prior)
+	}
+	converged, err := svc.Fit(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !converged {
 		t.Error("sharded fit did not converge")
 	}
-	if st.Roaming == 0 {
+	stats := svc.ShardStats()
+	if len(stats) != 4 {
+		t.Fatalf("ShardStats covers %d shards, want 4", len(stats))
+	}
+	if stats[0].BoundaryAnswers == 0 {
 		t.Error("workers answering every task should roam across shards")
 	}
 
-	res := sm.Results()
-	if len(res.Inferred) != len(tasks) {
-		t.Fatalf("result covers %d tasks, want %d", len(res.Inferred), len(tasks))
+	res, err := svc.ResultSet(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Inferred) != 8 {
+		t.Fatalf("result covers %d tasks, want 8", len(res.Inferred))
 	}
 	if acc := Accuracy(res, truth); acc < 0.7 {
 		t.Errorf("sharded accuracy = %v, want >= 0.7", acc)
 	}
-	if sm.WorkerQuality(0) <= sm.WorkerQuality(3) {
-		t.Errorf("good worker quality %v <= spammer %v", sm.WorkerQuality(0), sm.WorkerQuality(3))
-	}
-	if pdw := sm.DistanceSensitivity(0); len(pdw) == 0 {
-		t.Error("empty sensitivity vector")
-	}
-	for ti := range tasks {
-		if s := sm.TaskShard(TaskID(ti)); s < 0 || s >= sm.NumShards() {
-			t.Fatalf("task %d mapped to shard %d", ti, s)
-		}
-	}
-}
-
-func TestShardedModelAssignTasks(t *testing.T) {
-	tasks, workers, truth := tinyWorld()
-	rng := rand.New(rand.NewSource(6))
-	sm, err := NewShardedModel(tasks, workers, ShardOptions{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A sparse warm-up log leaves every worker undone tasks to be assigned.
-	for wi := range workers {
-		if err := sm.SubmitAnswer(answer(WorkerID(wi), TaskID(wi), truth, 0.9, rng)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sm.Fit()
-
-	all := []WorkerID{0, 1, 2, 3}
-	a, err := sm.AssignTasks(all, 2, -1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for w, ts := range a {
-		if len(ts) > 2 {
-			t.Fatalf("worker %d got %d tasks, h=2", w, len(ts))
-		}
-		total += len(ts)
-	}
-	if total == 0 {
-		t.Fatal("empty unlimited assignment")
-	}
-
-	b, err := sm.AssignTasks(all, 2, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := 0
-	for _, ts := range b {
-		n += len(ts)
-	}
-	if n != 3 {
-		t.Fatalf("budgeted assignment used %d of 3", n)
-	}
-
-	// Pairs handed out in the first round are pending and must not be
-	// re-assigned before their answers arrive — the same dedup contract the
-	// Framework has always had.
-	first := make(map[[2]int]bool)
-	for w, ts := range a {
-		for _, tid := range ts {
-			first[[2]int{int(w), int(tid)}] = true
-		}
-	}
-	for w, ts := range b {
-		for _, tid := range ts {
-			if first[[2]int{int(w), int(tid)}] {
-				t.Fatalf("pending pair (%d, %d) handed out twice", w, tid)
-			}
-		}
-	}
-
-	if _, err := sm.AssignTasks([]WorkerID{99}, 2, -1); err == nil {
-		t.Error("unknown worker accepted")
-	}
-	if _, err := sm.AssignTasks(all, 0, -1); err == nil {
-		t.Error("non-positive h accepted")
-	}
-}
-
-func TestNewShardedModelValidation(t *testing.T) {
-	tasks, workers, _ := tinyWorld()
-	if _, err := NewShardedModel(nil, workers); err == nil {
-		t.Error("no tasks accepted")
-	}
-	badID := append([]Task(nil), tasks...)
-	badID[3].ID = 9
-	if _, err := NewShardedModel(badID, workers); err == nil {
-		t.Error("non-dense task IDs accepted")
-	}
-	noLoc := append([]Worker(nil), workers...)
-	noLoc[1].Locations = nil
-	if _, err := NewShardedModel(tasks, noLoc); err == nil {
-		t.Error("worker without locations accepted")
-	}
-	if _, err := NewShardedModel(tasks, workers, ShardOptions{}, ShardOptions{}); err == nil {
-		t.Error("two option structs accepted")
-	}
-	// Shard counts above the task count clamp.
-	sm, err := NewShardedModel(tasks, workers, ShardOptions{Shards: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sm.NumShards() != len(tasks) {
-		t.Errorf("NumShards = %d, want clamp to %d", sm.NumShards(), len(tasks))
+	if good, spam := quality(t, svc, 0), quality(t, svc, 3); good <= spam {
+		t.Errorf("good worker quality %v <= spammer %v", good, spam)
 	}
 }
 
@@ -424,65 +340,39 @@ func TestDawidSkeneHelper(t *testing.T) {
 	}
 }
 
-func TestFrameworkEstimatedAccuracy(t *testing.T) {
-	tasks, workers, truth := tinyWorld()
-	rng := rand.New(rand.NewSource(6))
-	fw, _ := New(tasks, workers)
-	// With no evidence every label sits at the 0.5 prior.
-	if got := fw.EstimatedAccuracy(); got != 0.5 {
-		t.Errorf("prior estimated accuracy = %v, want 0.5", got)
-	}
-	for ti := 0; ti < 8; ti++ {
-		for wi := 0; wi < 3; wi++ {
-			if err := fw.SubmitAnswer(answer(WorkerID(wi), TaskID(ti), truth, 0.9, rng)); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	fw.Refit()
-	got := fw.EstimatedAccuracy()
-	if got <= 0.6 {
-		t.Errorf("estimated accuracy after evidence = %v, want > 0.6", got)
-	}
-	if got > 1 {
-		t.Errorf("estimated accuracy %v > 1", got)
-	}
-}
-
+// TestFrameworkCheckpointRoundTrip resumes a fitted service from a file.
 func TestFrameworkCheckpointRoundTrip(t *testing.T) {
-	tasks, workers, truth := tinyWorld()
+	svc, truth := tinyService(t)
 	rng := rand.New(rand.NewSource(7))
-	fw, _ := New(tasks, workers)
 	for ti := 0; ti < 8; ti++ {
-		if err := fw.SubmitAnswer(answer(0, TaskID(ti), truth, 0.9, rng)); err != nil {
-			t.Fatal(err)
-		}
+		submit(t, svc, 0, ti, truth, 0.9, rng)
 	}
-	fw.Refit()
+	if _, err := svc.Fit(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	path := t.TempDir() + "/fw.ckpt"
-	if err := fw.SaveCheckpoint(path); err != nil {
+	if _, err := svc.SaveCheckpoint(path); err != nil {
 		t.Fatal(err)
 	}
-	fw2, _ := New(tasks, workers)
-	if err := fw2.LoadCheckpoint(path); err != nil {
+	resumed, err := NewService()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if fw2.Model().Answers().Len() != 8 {
-		t.Errorf("restored framework has %d answers, want 8", fw2.Model().Answers().Len())
+	if err := resumed.LoadCheckpoint(path); err != nil {
+		t.Fatal(err)
 	}
-	if fw2.WorkerQuality(0) != fw.WorkerQuality(0) {
+	if resumed.AnswerCount() != 8 {
+		t.Errorf("restored service has %d answers, want 8", resumed.AnswerCount())
+	}
+	if quality(t, resumed, 0) != quality(t, svc, 0) {
 		t.Error("restored worker quality differs")
 	}
 }
 
 func TestFrameworkExtraAssignerKinds(t *testing.T) {
-	tasks, workers, _ := tinyWorld()
 	for _, kind := range []AssignerKind{AssignerEntropy, AssignerMarginalGreedy} {
-		fw, err := New(tasks, workers, Options{Assigner: kind, Budget: 4})
-		if err != nil {
-			t.Fatalf("kind %d: %v", kind, err)
-		}
-		assigned, err := fw.RequestTasks([]WorkerID{0, 1})
+		svc, _ := tinyService(t, WithAssigner(kind), WithBudget(4))
+		assigned, err := svc.RequestTasks(context.Background(), []string{wid(0), wid(1)})
 		if err != nil {
 			t.Fatalf("kind %d request: %v", kind, err)
 		}
@@ -497,8 +387,7 @@ func TestFrameworkExtraAssignerKinds(t *testing.T) {
 }
 
 func TestFlagBiasedWorkers(t *testing.T) {
-	tasks, _, truth := tinyWorld()
-	_ = tasks
+	_, _, truth := tinyWorld()
 	rng := rand.New(rand.NewSource(8))
 	var answers []Answer
 	for ti := 0; ti < 8; ti++ {

@@ -9,20 +9,17 @@
 #   2. rolling-restart: mid-run POST /checkpoint + SIGTERM (graceful drain,
 #      final checkpoint) + restart with -restore; poiload exits non-zero if
 #      a single acknowledged answer was lost or the error rate exceeds 1%.
-#   3. steady + background fits + SLO gate: the server runs with -bg-fit so
-#      full EM never blocks a request, and the run's per-endpoint p99 is
-#      gated against the committed BENCH_serve.json run "smoke-slo-single"
-#      (fail on >25% regression). Like poibench -checkperf, the comparison
-#      skips itself on hosts whose environment differs from the baseline's.
+#   3. steady + background fits: the server runs with -bg-fit so full EM
+#      never blocks a request; same zero-lost, error-rate and counter-match
+#      assertions as the first leg.
 #   4. rolling-restart + background fits: the drain must fold outstanding
 #      answers into a final generation before the final checkpoint, so the
 #      zero-lost-acked-answers assertion holds with the pipeline enabled.
 #   5. drift + elastic re-sharding: halfway through, all traffic shifts
 #      onto one quadrant's workers while the elastic sharded server
 #      live-migrates its partition; poiload exits non-zero on any lost
-#      acked answer or error rate above 1%. (The elastic-vs-frozen 1.2x
-#      post-drift throughput gate runs against BENCH_serve.json's
-#      L-world drift series, not this short smoke workload.)
+#      acked answer or error rate above 1%. (Post-drift throughput is
+#      the benchmark's drift-elastic workload, see benchmark/README.md.)
 #   6. tracing: four steady runs, tracing off-on-on-off (all with
 #      -bg-fit, so synchronous-EM stall noise doesn't swamp the
 #      comparison; the mirrored order cancels host capacity drift). The
@@ -30,9 +27,8 @@
 #      slowest requests (proving /debug/traces is populated and the ID
 #      handshake works end to end), and summed traced throughput must
 #      stay within 5% of untraced. The throughput gate needs >= 2 CPUs
-#      (like the SLO gate's environment rule) — on one core the client,
-#      server, and trace poll contend for the same cycles and per-run
-#      noise swamps the bound.
+#      — on one core the client, server, and trace poll contend for the
+#      same cycles and per-run noise swamps the bound.
 #
 # CI's load-smoke job runs this; it also works locally:
 #   scripts/poiload_smoke.sh [port]
@@ -56,9 +52,8 @@ echo "== load-smoke: steady =="
 echo "== load-smoke: rolling-restart =="
 "$BIN_DIR/poiload" "${COMMON[@]}" -scenario rolling-restart -max-error-rate 0.01
 
-echo "== load-smoke: steady + background fits + SLO gate =="
-"$BIN_DIR/poiload" "${COMMON[@]}" -scenario steady -bg-fit 250ms -bg-min-answers 64 \
-        -slo-baseline BENCH_serve.json -slo-run smoke-slo-single -slo-tol 0.25
+echo "== load-smoke: steady + background fits =="
+"$BIN_DIR/poiload" "${COMMON[@]}" -scenario steady -bg-fit 250ms -bg-min-answers 64
 
 echo "== load-smoke: rolling-restart + background fits =="
 "$BIN_DIR/poiload" "${COMMON[@]}" -scenario rolling-restart -max-error-rate 0.01 \
@@ -89,8 +84,8 @@ echo "$ON_JSON" | grep -q '"slow_traces"' \
         || { echo "traced run joined no traces — /debug/traces empty?"; exit 1; }
 echo "$ON_JSON" | grep -q '"spans"' \
         || { echo "traced run has no server-side span trees in its join"; exit 1; }
-# Like the SLO and -checkperf gates, the wall-clock comparison only runs
-# where the host can support it: with a single CPU the client, server,
+# The wall-clock comparison only runs where the host can support it: with a
+# single CPU the client, server,
 # and trace poll all time-slice one core and per-run noise (±8%) swamps
 # the 5% bound, so the join assertions above are the whole check there.
 NCPU="$(getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)"

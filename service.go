@@ -261,7 +261,11 @@ func WithTracer(tr *trace.Tracer) ServiceOption {
 	}
 }
 
-// pairKey is retained in poilabel.go; the Service shares it.
+// pairKey identifies one (worker, task) assignment by dense indices.
+type pairKey struct {
+	w WorkerID
+	t TaskID
+}
 
 // Service is the one front door to the POI-labelling system: a
 // concurrency-safe serving type that runs the paper's alternating
@@ -520,34 +524,24 @@ func (s *Service) ensureEngineWith(layout [][]int, diam float64) error {
 		}
 	}
 	norm := geo.NewNormalizer(diam)
-	cfg := s.cfg.model
+	shCfg := shard.Config{Shards: s.cfg.shards, RefineSweeps: s.cfg.refineSweeps, Model: s.cfg.model}
 	var (
 		eng Engine
 		err error
 	)
 	switch s.cfg.engine {
 	case EngineSingle:
-		eng, err = newSingleEngine(s.tasks, s.workers, norm, cfg, s.cfg.assigner, s.cfg.seed)
+		eng, err = newSingleEngine(s.tasks, s.workers, norm, s.cfg.model, s.cfg.assigner, s.cfg.seed)
 	case EngineSharded:
-		shCfg := shard.Config{
-			Shards:       s.cfg.shards,
-			RefineSweeps: s.cfg.refineSweeps,
-			Model:        cfg,
-		}
-		if layout != nil {
-			eng, err = newShardedEngineWithLayout(s.tasks, s.workers, norm, shCfg, layout)
-		} else {
-			eng, err = newShardedEngine(s.tasks, s.workers, norm, shCfg)
+		var sh *shard.Sharded
+		if sh, err = shard.NewWithLayout(s.tasks, s.workers, norm, shCfg, layout); err == nil {
+			eng = newShardedEngine(sh)
 		}
 	case EngineFederated:
-		eng, err = newFederatedEngine(s.tasks, s.workers, norm, federation.Config{
-			Cities: s.cfg.cities,
-			Shard: shard.Config{
-				Shards:       s.cfg.shards,
-				RefineSweeps: s.cfg.refineSweeps,
-				Model:        cfg,
-			},
-		})
+		var fed *federation.Federation
+		if fed, err = federation.New(s.tasks, s.workers, norm, federation.Config{Cities: s.cfg.cities, Shard: shCfg}); err == nil {
+			eng = newFederatedEngine(fed)
+		}
 	default:
 		err = fmt.Errorf("poilabel: unknown engine kind %d", int(s.cfg.engine))
 	}
@@ -1201,55 +1195,4 @@ func (s *Service) EngineKind() EngineKind {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.cfg.engine
-}
-
-// currentResult returns the engine's inference without forcing a fit.
-// Wrappers that keep the legacy "no fit on read" semantics use it.
-func (s *Service) currentResult() (*Result, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.ensureEngine(); err != nil {
-		return nil, err
-	}
-	return s.eng.Result(), nil
-}
-
-// invalidate marks the engine as holding unfitted evidence. The legacy
-// wrappers call it after mutating the underlying model behind the
-// service's back (checkpoint restore).
-func (s *Service) invalidate() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.dirty = true
-}
-
-// engine returns the built engine, constructing it on demand. Wrappers use
-// it for engine-specific introspection.
-func (s *Service) engine() (Engine, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.ensureEngine(); err != nil {
-		return nil, err
-	}
-	return s.eng, nil
-}
-
-// assignWithExternalBudget runs one assignment round whose budget is owned
-// by the caller instead of the service (the legacy ShardedModel contract).
-// Pending dedup still applies: handed-out pairs are recorded and excluded
-// until answered.
-func (s *Service) assignWithExternalBudget(ws []WorkerID, h, budget int) (map[WorkerID][]TaskID, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.ensureEngine(); err != nil {
-		return nil, err
-	}
-	skip := func(w WorkerID, t TaskID) bool { return s.pending[pairKey{w, t}] }
-	assigned := s.eng.Assign(ws, h, budget, skip)
-	for w, ts := range assigned {
-		for _, t := range ts {
-			s.pending[pairKey{w, t}] = true
-		}
-	}
-	return assigned, nil
 }

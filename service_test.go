@@ -346,63 +346,6 @@ func TestServiceDynamicRegistration(t *testing.T) {
 	}
 }
 
-// TestServiceFederatedOneCityMatchesSharded pins the federation merge: a
-// one-city federated service must produce results identical to the plain
-// sharded engine on the same answer log.
-func TestServiceFederatedOneCityMatchesSharded(t *testing.T) {
-	build := func(opts ...ServiceOption) *Service {
-		svc, err := NewService(append(opts, WithShards(3), WithFullEMInterval(0))...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		registerTinyWorld(t, svc)
-		return svc
-	}
-	fed := build(WithEngine(EngineFederated), WithCities(1))
-	sh := build(WithEngine(EngineSharded))
-
-	rng := rand.New(rand.NewSource(14))
-	_, _, truth := tinyWorld()
-	for wi := 0; wi < 4; wi++ {
-		for ti := 0; ti < 8; ti++ {
-			if (wi+ti)%5 == 0 {
-				continue
-			}
-			a := answer(WorkerID(wi), TaskID(ti), truth, 0.85, rng)
-			if err := fed.SubmitAnswer(wid(wi), tid(ti), a.Selected); err != nil {
-				t.Fatal(err)
-			}
-			if err := sh.SubmitAnswer(wid(wi), tid(ti), a.Selected); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	ctx := context.Background()
-	fres, err := fed.ResultSet(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sres, err := sh.ResultSet(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for ti := range fres.Prob {
-		for k := range fres.Prob[ti] {
-			if fres.Prob[ti][k] != sres.Prob[ti][k] {
-				t.Fatalf("task %d label %d: federated %v != sharded %v",
-					ti, k, fres.Prob[ti][k], sres.Prob[ti][k])
-			}
-		}
-	}
-	for wi := 0; wi < 4; wi++ {
-		fi, _ := fed.WorkerInfo(wid(wi))
-		si, _ := sh.WorkerInfo(wid(wi))
-		if fi.Quality != si.Quality {
-			t.Fatalf("worker %d: federated quality %v != sharded %v", wi, fi.Quality, si.Quality)
-		}
-	}
-}
-
 // TestServiceConcurrent hammers one service from many goroutines mixing
 // submissions, assignment requests, reads, and registrations; run with
 // -race it is the acceptance check that the Service is concurrency-safe.
