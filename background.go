@@ -12,17 +12,21 @@ import (
 	"poilabel/internal/trace"
 )
 
-// ErrClosed is returned by operations that need the background fit pipeline
-// after Close has shut it down.
+// ErrClosed is returned by operations that need the fit pipeline after Close
+// has shut it down.
 var ErrClosed = errors.New("poilabel: service closed")
 
-// WithBackgroundFit moves full EM fits off the request path: a single
-// background goroutine fits over a copy-on-write snapshot of the answer
-// store and swaps the finished parameters in atomically, so no request ever
-// waits for EM convergence. Reads (Results, ResultSet, WorkerInfo, Fit)
-// serve the last published parameter generation lock-free; answers accepted
+// WithBackgroundFit chooses where full EM fits run: instead of inline under
+// the write lock, a single pipeline goroutine fits over a copy-on-write
+// snapshot of the answer store and swaps the finished engine in, so no
+// request ever waits for EM convergence. Everything else is the one path
+// every service has — answers are learned and counted as they arrive, every
+// completed fit publishes a generation, and reads serve it — with one
+// consequence for reads: they never wait for the pipeline, so Results,
+// ResultSet and WorkerInfo serve the last generation however stale, and Fit
+// and WaitFresh are the barriers that buy freshness back. Answers accepted
 // while a fit is in flight are batched into a delta that is merged — via the
-// engine's cheap incremental update — into the next published generation.
+// engine's cheap incremental update — into the generation that fit publishes.
 //
 // interval is the fit cadence: whenever answers are outstanding, a full fit
 // starts at most this long after they arrived. minAnswers (values below 1
@@ -30,10 +34,10 @@ var ErrClosed = errors.New("poilabel: service closed")
 // without waiting for the tick. At most one fit is ever in flight; triggers
 // arriving mid-fit coalesce into a single queued re-fit.
 //
-// Background fitting supersedes WithFullEMInterval: submissions never fit
-// inline. Call Close to drain the pipeline on shutdown and WaitFresh to
-// barrier on a fully fitted generation. See docs/ARCHITECTURE.md ("Life of
-// a fit") for the staleness contract.
+// The pipeline's cadence replaces WithFullEMInterval's: submissions never
+// fit inline. Call Close to drain the pipeline on shutdown. See
+// docs/ARCHITECTURE.md ("Life of a fit") for the staleness contract and
+// PERFORMANCE.md for what the copy costs a single forced fit.
 func WithBackgroundFit(interval time.Duration, minAnswers int) ServiceOption {
 	return func(c *serviceConfig) error {
 		if interval <= 0 {
@@ -50,8 +54,9 @@ func WithBackgroundFit(interval time.Duration, minAnswers int) ServiceOption {
 
 // paramGen is one published parameter generation: an immutable copy of the
 // engine's read state plus the bookkeeping readers need to reason about
-// staleness. Generations are published through Service.published with an
-// atomic pointer swap and must never be mutated afterwards.
+// staleness. Every full fit ends in one, whichever placement ran it.
+// Generations are published through Service.published with an atomic pointer
+// swap and must never be mutated afterwards.
 type paramGen struct {
 	gen       uint64    // publication counter, strictly increasing
 	seq       uint64    // answers covered (full fit + merged delta)
@@ -66,12 +71,16 @@ type paramGen struct {
 	// engine does not support snapshot planning). RequestTasks plans
 	// against it off the write lock and re-validates picks at commit.
 	plan *assign.Snapshot
+	// superseded is closed when the next generation is published; barrier
+	// waiters select on it, so a publication between their check and their
+	// wait cannot be missed.
+	superseded chan struct{}
 }
 
-// fitPipeline is the background fit scheduler: one goroutine that owns the
-// full-EM cadence for a Service. Lock ordering: the pipeline's mutex is only
-// ever acquired after (or without) the Service's — never take s.mu while
-// holding p.mu.
+// fitPipeline is the off-lock fit placement's scheduler: one goroutine that
+// owns the full-EM cadence for a Service. Lock ordering: the pipeline's mutex
+// is only ever acquired after (or without) the Service's — never take s.mu
+// while holding p.mu.
 type fitPipeline struct {
 	s          *Service
 	interval   time.Duration
@@ -88,7 +97,6 @@ type fitPipeline struct {
 	mu         sync.Mutex
 	wantFull   bool              // an explicit full fit was requested (WaitFresh)
 	inFlight   bool              // a fit is running right now
-	notify     chan struct{}     // closed and replaced on every publication
 	pendingMig *migrationRequest // queued elastic migration (capacity 1)
 
 	fits      atomic.Uint64 // completed fit attempts (including abandoned)
@@ -109,7 +117,6 @@ func newFitPipeline(s *Service, interval time.Duration, minAnswers int) *fitPipe
 		done:       make(chan struct{}),
 		fitCtx:     ctx,
 		cancelFit:  cancel,
-		notify:     make(chan struct{}),
 	}
 }
 
@@ -207,15 +214,11 @@ func (p *fitPipeline) drainFits() {
 // published generation (full fit or merged delta).
 func (p *fitPipeline) backlog() uint64 {
 	seq := p.s.answerSeq.Load()
-	if pub := p.s.published.Load(); pub != nil {
-		if pub.seq >= seq {
-			return 0
-		}
+	// Nothing published means no engine, hence no accepted answer.
+	if pub := p.s.published.Load(); pub != nil && pub.seq < seq {
 		return seq - pub.seq
 	}
-	// Nothing published yet: answers imply a built engine, which publishes
-	// at construction, so seq here is almost always 0.
-	return seq
+	return 0
 }
 
 // kickNow hands the scheduler a wake-up token without blocking. A token
@@ -242,22 +245,6 @@ func (p *fitPipeline) takeWantFull() bool {
 	w := p.wantFull
 	p.wantFull = false
 	return w
-}
-
-// notifyCh returns the channel closed at the next publication.
-func (p *fitPipeline) notifyCh() <-chan struct{} {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.notify
-}
-
-// broadcast wakes every waiter after a publication. Called with s.mu held
-// (publishLocked) — the s.mu → p.mu nesting is the allowed direction.
-func (p *fitPipeline) broadcast() {
-	p.mu.Lock()
-	close(p.notify)
-	p.notify = make(chan struct{})
-	p.mu.Unlock()
 }
 
 func (p *fitPipeline) setInFlight(v bool) {
@@ -288,10 +275,10 @@ var fitPhases = cyclePhases{
 	swap:    func(ctx context.Context) (context.Context, *trace.Span) { return trace.Start(ctx, "fit.swap") },
 }
 
-// runOneFit executes one full background fit; see runCycle.
+// runOneFit executes one full pipeline fit; see runCycle.
 func (p *fitPipeline) runOneFit() { p.runCycle(fitPhases, nil) }
 
-// runCycle is the one body of a background fit (mig nil) and of a live
+// runCycle is the one body of a pipeline fit (mig nil) and of a live
 // migration (mig set), which is a fit with a re-layout step between the
 // rebuild and EM:
 //
@@ -363,13 +350,7 @@ func (p *fitPipeline) runCycle(ph cyclePhases, mig *migrationRequest) error {
 	defer p.setInFlight(false)
 
 	start := time.Now()
-	scratch := &Service{
-		cfg:       cfg,
-		taskIdx:   make(map[string]TaskID),
-		workerIdx: make(map[string]WorkerID),
-		pending:   make(map[pairKey]bool),
-		dirty:     true,
-	}
+	scratch := newBareService(cfg)
 	scratch.cfg.observer = nil
 	_, rbSp := ph.rebuild(tctx)
 	err := scratch.applySnapshot(&snap.Service)
@@ -461,16 +442,10 @@ func (p *fitPipeline) runCycle(ph cyclePhases, mig *migrationRequest) error {
 // not absorb the answer backlog that schedules real fits.
 func (p *fitPipeline) republishRegistrations() {
 	s := p.s
-	if s.published.Load() == nil {
-		return
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.eng == nil {
-		return
-	}
-	cur := s.published.Load()
-	if cur != nil && (len(cur.results) < len(s.tasks) || len(cur.pi) < len(s.workers)) {
+	// A generation exists exactly when an engine does.
+	if cur := s.published.Load(); cur != nil && (len(cur.results) < len(s.tasks) || len(cur.pi) < len(s.workers)) {
 		s.publishLocked(cur.seq, cur.fullSeq, cur.converged)
 	}
 }
@@ -480,16 +455,10 @@ func (p *fitPipeline) republishRegistrations() {
 // ErrClosed if the pipeline shuts down first.
 func (p *fitPipeline) await(ctx context.Context) error {
 	target := p.s.answerSeq.Load()
-	fresh := func() bool {
+	for {
+		// Nothing published means no engine, hence no accepted answer to cover.
 		pub := p.s.published.Load()
-		if pub == nil {
-			return target == 0
-		}
-		return pub.fullSeq >= target
-	}
-	for !fresh() {
-		ch := p.notifyCh()
-		if fresh() {
+		if pub == nil || pub.fullSeq >= target {
 			return ctx.Err()
 		}
 		p.requestFull()
@@ -503,14 +472,13 @@ func (p *fitPipeline) await(ctx context.Context) error {
 			case <-ctx.Done():
 				return ctx.Err()
 			}
-			if fresh() {
+			if p.s.published.Load().fullSeq >= target {
 				return nil
 			}
 			return ErrClosed
-		case <-ch:
+		case <-pub.superseded:
 		}
 	}
-	return ctx.Err()
 }
 
 // close shuts the scheduler down, draining any outstanding answers into one
@@ -528,11 +496,13 @@ func (p *fitPipeline) close(ctx context.Context) error {
 	}
 }
 
-// FitPipelineStats is a point-in-time view of the background fit pipeline,
-// the backing state for the poilabel_fit_* metrics and the /healthz fit
-// section.
+// FitPipelineStats is a point-in-time view of the published generation and,
+// where one runs, of the fit pipeline: the backing state for the
+// poilabel_fit_* metrics and the /healthz fit section.
 type FitPipelineStats struct {
-	// Enabled reports whether WithBackgroundFit was configured.
+	// Enabled reports whether WithBackgroundFit was configured; the
+	// scheduler fields below (InFlight, QueueDepth, Fits, Coalesced) stay
+	// zero without it.
 	Enabled bool `json:"enabled"`
 	// Generation is the published parameter generation (0 until the engine
 	// is built).
@@ -549,39 +519,36 @@ type FitPipelineStats struct {
 	// have been waiting: zero when the publication covers everything, else
 	// the age of the publication.
 	Staleness time.Duration `json:"staleness,omitempty"`
-	// InFlight reports whether a fit is running right now.
+	// InFlight reports whether a pipeline fit is running right now.
 	InFlight bool `json:"in_flight"`
 	// QueueDepth counts the in-flight fit (if any) plus the queued re-fit
 	// token (if any): 0 idle, 1 fitting or queued, 2 both.
 	QueueDepth int `json:"queue_depth"`
-	// Fits is the number of completed fit attempts, including abandoned
-	// ones.
+	// Fits is the number of completed pipeline fit attempts, including
+	// abandoned ones.
 	Fits uint64 `json:"fits"`
 	// Coalesced is the number of fit triggers dropped because a re-fit was
 	// already queued.
 	Coalesced uint64 `json:"coalesced"`
 }
 
-// FitStats reports the background pipeline's current state. On a service
-// without WithBackgroundFit it returns a zero value with Enabled false.
+// FitStats reports the published generation's coverage and, with
+// WithBackgroundFit, the pipeline scheduler's counters.
 func (s *Service) FitStats() FitPipelineStats {
-	if s.bg == nil {
-		return FitPipelineStats{}
-	}
-	p := s.bg
-	st := FitPipelineStats{
-		Enabled:   true,
-		Fits:      p.fits.Load(),
-		Coalesced: p.coalesced.Load(),
-	}
-	p.mu.Lock()
-	if p.inFlight {
-		st.InFlight = true
-		st.QueueDepth++
-	}
-	p.mu.Unlock()
-	if len(p.kick) > 0 {
-		st.QueueDepth++
+	var st FitPipelineStats
+	if p := s.bg; p != nil {
+		st.Enabled = true
+		st.Fits = p.fits.Load()
+		st.Coalesced = p.coalesced.Load()
+		p.mu.Lock()
+		if p.inFlight {
+			st.InFlight = true
+			st.QueueDepth++
+		}
+		p.mu.Unlock()
+		if len(p.kick) > 0 {
+			st.QueueDepth++
+		}
 	}
 	seq := s.answerSeq.Load()
 	if pub := s.published.Load(); pub != nil {
@@ -596,38 +563,12 @@ func (s *Service) FitStats() FitPipelineStats {
 	return st
 }
 
-// WaitFresh blocks until the service's results reflect, through a full EM
-// fit, every answer accepted before the call — the barrier tests and
-// pre-checkpoint hooks use to quiesce the pipeline. With background fitting
-// it waits on (and requests) background generations; without it, it runs
-// the same synchronous fit Results would.
-func (s *Service) WaitFresh(ctx context.Context) error {
-	if s.bg != nil {
-		return s.bg.await(ctx)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.eng == nil || !s.dirty {
-		return ctx.Err()
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	s.sinceFull = 0
-	if _, err := s.fitEngineLocked(ctx); err != nil {
-		return err
-	}
-	s.dirty = false
-	return nil
-}
-
-// Close shuts down the background fit pipeline, folding any outstanding
-// answers into one final published generation. The context bounds the
-// drain: on expiry the in-flight fit is cancelled and the last complete
-// generation keeps serving. Close is idempotent and a no-op on services
-// without background fitting; the service remains usable for reads and
-// submissions afterwards (submissions keep learning incrementally, but no
-// further full fits run).
+// Close shuts down the fit pipeline, folding any outstanding answers into
+// one final published generation. The context bounds the drain: on expiry
+// the in-flight fit is cancelled and the last complete generation keeps
+// serving. Close is idempotent and a no-op on services whose fits run
+// inline; the service remains usable for reads and submissions afterwards
+// (submissions keep learning incrementally, but no further full fits run).
 func (s *Service) Close(ctx context.Context) error {
 	if s.elastic != nil {
 		// Stop the drift detector first so no new migration is proposed

@@ -251,69 +251,6 @@ func TestBackgroundQuiescedMatchesSync(t *testing.T) {
 	}
 }
 
-// TestBackgroundStalenessContract pins the read-path contract: on a
-// background-fit service, Results never triggers a fit — readers see the
-// published generation N, however stale, while generation N+1 is (or is not
-// yet) being fitted. Freshness is exchanged for boundedness; WaitFresh is
-// the explicit barrier that buys freshness back.
-func TestBackgroundStalenessContract(t *testing.T) {
-	ctx := context.Background()
-	svc, err := NewService(append([]ServiceOption{WithEngine(EngineSingle)}, bgOpts()...)...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc.Close(ctx)
-	truth := registerTinyWorld(t, svc)
-
-	before, err := svc.Results(ctx) // builds the engine, publishes generation 1
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen0 := svc.FitStats().Generation
-	if gen0 == 0 {
-		t.Fatal("no generation published after first read")
-	}
-
-	feedTinyWorld(t, svc, truth, 29)
-
-	// The scheduler never fires (hour-long interval, unreachable threshold),
-	// so these reads must all serve the pre-answer generation without ever
-	// fitting inline.
-	for i := 0; i < 10; i++ {
-		res, err := svc.Results(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(res) != len(before) {
-			t.Fatalf("read %d: %d results, want %d", i, len(res), len(before))
-		}
-	}
-	st := svc.FitStats()
-	if st.Generation != gen0 {
-		t.Fatalf("generation moved %d → %d on reads alone", gen0, st.Generation)
-	}
-	if st.Fits != 0 {
-		t.Fatalf("%d fits ran; Results must never fit on a background service", st.Fits)
-	}
-	if st.Staleness <= 0 {
-		t.Fatalf("staleness %v with %d uncovered answers, want > 0", st.Staleness, 32)
-	}
-
-	if err := svc.WaitFresh(ctx); err != nil {
-		t.Fatal(err)
-	}
-	st = svc.FitStats()
-	if st.Generation <= gen0 {
-		t.Fatalf("generation %d did not advance past %d after WaitFresh", st.Generation, gen0)
-	}
-	if st.Fits == 0 {
-		t.Fatal("WaitFresh quiesced without running a fit")
-	}
-	if st.Staleness != 0 {
-		t.Fatalf("staleness %v after WaitFresh, want 0", st.Staleness)
-	}
-}
-
 // TestBackgroundFitNeverBlocksReads is the zero-pause claim itself: while a
 // deliberately slow full fit is in flight, every read and assignment request
 // completes in a small fraction of the fit's duration, and readers keep
@@ -693,6 +630,12 @@ func TestFitTraceTellsNestedShardsApart(t *testing.T) {
 		truth := registerGridWorld(t, svc, 48, 8)
 		feedPairs(t, svc, truth, 7, 0, 8, 0, 24)
 		if err := svc.WaitFresh(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		// The barrier returns at the publication; the cycle's root span ends
+		// (and reaches the ring) only after its last locked section. Close
+		// waits for the scheduler goroutine, hence for the finished trace.
+		if err := svc.Close(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 		var out []map[string]string

@@ -49,13 +49,7 @@ func (s *Service) Restore(r io.Reader) error {
 	}
 	// Rebuild into a scratch service first so a mid-restore failure (corrupt
 	// snapshot, shape mismatch) leaves the receiver untouched.
-	fresh := &Service{
-		cfg:       s.cfg,
-		taskIdx:   make(map[string]TaskID),
-		workerIdx: make(map[string]WorkerID),
-		pending:   make(map[pairKey]bool),
-		dirty:     true,
-	}
+	fresh := newBareService(s.cfg)
 	if err := fresh.applySnapshot(&snap.Service); err != nil {
 		return err
 	}
@@ -65,23 +59,20 @@ func (s *Service) Restore(r io.Reader) error {
 	s.workerIdx, s.workerKey, s.workers = fresh.workerIdx, fresh.workerKey, fresh.workers
 	s.pending, s.sinceFull, s.dirty = fresh.pending, fresh.sinceFull, fresh.dirty
 	s.builtTasks, s.builtWorkers = fresh.builtTasks, fresh.builtWorkers
-	// Background-fit bookkeeping: invalidate any fit captured before the
+	// Generation bookkeeping: invalidate any fit captured before the
 	// restore, seed the sequence/generation counters from the snapshot, and
-	// publish the restored parameters so lock-free readers switch over with
-	// the rest of the state. sinceFull answers arrived after the snapshot's
-	// last full fit, so the restored publication's full-fit coverage stops
-	// short of them — WaitFresh after a dirty restore runs a real fit.
+	// publish the restored parameters so readers switch over with the rest
+	// of the state. sinceFull answers arrived after the snapshot's last full
+	// fit, so the restored publication's full-fit coverage stops short of
+	// them — a barrier after a dirty restore runs a real fit.
 	s.restoreEpoch++
 	s.delta, s.deltaActive = nil, false
 	s.baseGen = fresh.baseGen
 	s.answerSeq.Store(fresh.answerSeq.Load())
-	if s.bg != nil && s.eng != nil {
+	if s.eng != nil {
 		seq := s.answerSeq.Load()
-		full := uint64(0)
-		if uint64(s.sinceFull) <= seq {
-			full = seq - uint64(s.sinceFull)
-		}
-		s.publishLocked(seq, full, !s.dirty)
+		s.publishLocked(seq, seq-uint64(s.sinceFull), !s.dirty)
+		s.restoredGen = s.published.Load().gen
 	}
 	return nil
 }
@@ -126,10 +117,12 @@ func (s *Service) captureLocked() *snapshot.Snapshot {
 	for i := range s.workers {
 		sv.Workers[i] = snapshot.WorkerState(s.workerKey[i], s.workers[i])
 	}
-	if pub := s.published.Load(); pub != nil {
+	// The generation a restore published is the snapshot's own state under
+	// the next number; until a fit or a registration republish replaces it,
+	// a checkpoint records the number it was restored from.
+	sv.Generation = s.baseGen
+	if pub := s.published.Load(); pub != nil && pub.gen != s.restoredGen {
 		sv.Generation = pub.gen
-	} else {
-		sv.Generation = s.baseGen
 	}
 	for pk := range s.pending {
 		sv.Pending = append(sv.Pending, snapshot.Pair{Worker: int(pk.w), Task: int(pk.t)})
@@ -166,7 +159,8 @@ func (s *Service) captureLocked() *snapshot.Snapshot {
 // the distance normalizer and geographic partitions are recomputed from
 // exactly the sets the original used), replays the remaining registrations
 // dynamically, and installs the learned engine state and service
-// bookkeeping.
+// bookkeeping. It publishes nothing: the scratch service is never read, and
+// whoever adopts its engine (Restore, the pipeline's swap) publishes then.
 func (s *Service) applySnapshot(sv *snapshot.ServiceState) error {
 	if sv.Engine != s.cfg.engine.String() {
 		return fmt.Errorf("poilabel: snapshot was taken from a %q engine, service is configured for %q",
@@ -229,7 +223,7 @@ func (s *Service) applySnapshot(sv *snapshot.ServiceState) error {
 			layout = sv.Sharded.Layout
 			diam = sv.NormDiameter
 		}
-		if err := s.ensureEngineWith(layout, diam); err != nil {
+		if err := s.buildEngine(layout, diam); err != nil {
 			return err
 		}
 		if err := addTasks(sv.BuiltTasks, nt); err != nil {
@@ -280,11 +274,16 @@ func (s *Service) applySnapshot(sv *snapshot.ServiceState) error {
 	} else {
 		s.cfg.budget = sv.Budget
 	}
+	answers := 0
+	if s.eng != nil {
+		answers = s.eng.TotalAnswers()
+	}
+	if sv.SinceFull < 0 || sv.SinceFull > answers {
+		return fmt.Errorf("poilabel: corrupt snapshot: %d answers since the last full fit, of %d held", sv.SinceFull, answers)
+	}
 	s.sinceFull = sv.SinceFull
 	s.dirty = sv.Dirty
 	s.baseGen = sv.Generation
-	if s.eng != nil {
-		s.answerSeq.Store(uint64(s.eng.TotalAnswers()))
-	}
+	s.answerSeq.Store(uint64(answers))
 	return nil
 }

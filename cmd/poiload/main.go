@@ -99,7 +99,7 @@ func run() error {
 	cities := flag.Int("cities", 0, "spawned server city count")
 	budget := flag.Int("budget", -1, "spawned server assignment budget")
 	fullEM := flag.Int("fullem", 100, "spawned server full-fit interval")
-	bgFit := flag.Duration("bg-fit", 0, "spawned server background fit cadence (0 = synchronous fits)")
+	bgFit := flag.Duration("bg-fit", 0, "spawned server fit pipeline cadence (0 = fits run inline)")
 	bgMin := flag.Int("bg-min-answers", 256, "spawned server eager background fit threshold (needs -bg-fit)")
 	elastic := flag.Bool("elastic", false, "spawned server: drift-aware elastic re-sharding (needs -engine sharded and -bg-fit)")
 	elasticCheck := flag.Duration("elastic-check", time.Second, "spawned server drift-detector tick (needs -elastic)")

@@ -6,7 +6,7 @@
 //	poiserve [-addr :8080] [-engine single|sharded|federated]
 //	         [-shards K] [-cities N] [-budget N] [-h N]
 //	         [-assigner accopt|marginal|sf|entropy|random]
-//	         [-fullem N] [-bg-fit D [-bg-min-answers N] [-plan-candidates K]]
+//	         [-fullem N] [-bg-fit D [-bg-min-answers N]]
 //	         [-elastic [-elastic-check D] [-elastic-split R] [-elastic-merge R]
 //	          [-elastic-max K] [-elastic-min-answers N]]
 //	         [-demo N] [-demo-tasks N] [-seed N]
@@ -23,20 +23,25 @@
 // full net/http/pprof surface is mounted on a second listener and /metrics
 // grows poiserve_go_* runtime gauges (goroutines, live heap, GC pause).
 //
-// With -bg-fit D full EM fits leave the request path entirely: a background
-// pipeline fits over a copy-on-write snapshot at most every D (eagerly once
-// -bg-min-answers have queued) and swaps the parameters in atomically, so
-// /results and /assignments latency is bounded by the hardware, not by EM
-// convergence. /results responses carry X-Poilabel-Generation and
-// X-Poilabel-Staleness-Seconds headers, and /healthz grows a "fit" section.
-// On shutdown the pipeline drains — outstanding answers are folded into one
-// final generation — before the final checkpoint is written.
+// Every full fit publishes a parameter generation and every read serves it;
+// -bg-fit only chooses where the fit runs. Without it a fit runs inline: the
+// -fullem N-th answer (or a /results read with unfitted answers behind it)
+// waits for EM under the write lock, and so does everyone queued behind it.
+// With -bg-fit D full EM fits leave the request path entirely: a pipeline
+// goroutine fits over a copy-on-write snapshot at most every D (eagerly once
+// -bg-min-answers have queued) and swaps the result in, so /results and
+// /assignments latency is bounded by the hardware, not by EM convergence, and
+// /results serves the last generation however stale. /results responses then
+// carry X-Poilabel-Generation and X-Poilabel-Staleness-Seconds headers, and
+// /healthz grows a "fit" section. On shutdown the pipeline drains —
+// outstanding answers are folded into one final generation — before the
+// final checkpoint is written.
 //
 // With -bg-fit on the single engine and the accopt assigner, assignment
 // planning also leaves the write lock: /assignments plans against the last
-// published snapshot (per-worker candidate lists, -plan-candidates K) and
-// only takes the lock for a short optimistic commit. /healthz grows a
-// "plan" section with conflict/retry counters and the last plan latency.
+// published snapshot (per-worker candidate lists) and only takes the lock
+// for a short optimistic commit. /healthz grows a "plan" section with
+// conflict/retry counters and the last plan latency.
 //
 // With -elastic (requires -engine sharded and -bg-fit) the shard layout
 // becomes drift-aware: a detector watches per-shard answer traffic every
@@ -103,10 +108,9 @@ func main() {
 	budget := flag.Int("budget", -1, "total assignment budget (-1 = unlimited)")
 	h := flag.Int("h", 2, "tasks handed to each requesting worker")
 	assigner := flag.String("assigner", "accopt", "single-engine assigner: accopt, marginal, sf, entropy, or random")
-	fullEM := flag.Int("fullem", 100, "answers between automatic full fits (0 = explicit fits only; ignored with -bg-fit)")
-	bgFit := flag.Duration("bg-fit", 0, "background fit cadence; fits run off the request path over a snapshot (0 = synchronous fits)")
-	bgMin := flag.Int("bg-min-answers", 256, "answers that trigger an eager background fit before the cadence tick (needs -bg-fit)")
-	planCand := flag.Int("plan-candidates", 0, "per-worker candidate prefix K for lock-free planning (0 = default, negative = disable caching; needs -bg-fit with the single engine and accopt)")
+	fullEM := flag.Int("fullem", 100, "answers between inline full fits (0 = only when /results needs one; unused with -bg-fit)")
+	bgFit := flag.Duration("bg-fit", 0, "run full fits on a pipeline goroutine over a snapshot, at most this often (0 = fits run inline under the write lock)")
+	bgMin := flag.Int("bg-min-answers", 256, "answers that trigger an eager pipeline fit before the cadence tick (needs -bg-fit)")
 	elastic := flag.Bool("elastic", false, "drift-aware elastic re-sharding: split hot shards, merge cold ones, migrate live (needs -engine sharded and -bg-fit)")
 	elasticCheck := flag.Duration("elastic-check", 5*time.Second, "drift-detector tick (needs -elastic; 0 = detector off, migrations only via tests)")
 	elasticSplit := flag.Float64("elastic-split", 0, "split a shard whose window answer share is at least this multiple of the per-shard mean (0 = default 2)")
@@ -146,14 +150,14 @@ func main() {
 		traceCfg = &trace.Config{SlowThreshold: *traceSlow, RingSize: 2048}
 	}
 
-	if err := run(*addr, *engine, *shards, *cities, *budget, *h, *assigner, *fullEM, *bgFit, *bgMin, *planCand, elasticCfg, *demo, *demoTasks, *seed,
+	if err := run(*addr, *engine, *shards, *cities, *budget, *h, *assigner, *fullEM, *bgFit, *bgMin, elasticCfg, *demo, *demoTasks, *seed,
 		*ckpt, *ckptEvery, *restore, *shutdownTimeout, traceCfg, *debugAddr); err != nil {
 		fmt.Fprintf(os.Stderr, "poiserve: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr, engine string, shards, cities, budget, h int, assigner string, fullEM int, bgFit time.Duration, bgMin, planCand int, elastic *poilabel.ElasticConfig, demo, demoTasks int, seed int64,
+func run(addr, engine string, shards, cities, budget, h int, assigner string, fullEM int, bgFit time.Duration, bgMin int, elastic *poilabel.ElasticConfig, demo, demoTasks int, seed int64,
 	ckptPath string, ckptEvery time.Duration, restorePath string, shutdownTimeout time.Duration, traceCfg *trace.Config, debugAddr string) error {
 	var tracer *trace.Tracer
 	if traceCfg != nil {
@@ -166,7 +170,6 @@ func run(addr, engine string, shards, cities, budget, h int, assigner string, fu
 		poilabel.WithSeed(seed),
 		poilabel.WithShards(shards),
 		poilabel.WithCities(cities),
-		poilabel.WithPlanCandidates(planCand),
 	}
 	if bgFit > 0 {
 		opts = append(opts, poilabel.WithBackgroundFit(bgFit, bgMin))

@@ -52,8 +52,9 @@ func (k EngineKind) String() string {
 // and plan. WithEngine selects one of two implementations: a single model,
 // or a partition node in the sharded or the federated shape.
 //
-// Engines are not safe for concurrent use on their own — the Service
-// serializes access.
+// An engine has no read methods: what a fit inferred leaves it only through
+// Publish, as the generation every Service read serves. Engines are not safe
+// for concurrent use on their own — the Service serializes access.
 type Engine interface {
 	// Name returns the engine's short display name.
 	Name() string
@@ -66,8 +67,6 @@ type Engine interface {
 	// Fit runs a full fit, reporting convergence. The context is honored
 	// between EM iterations.
 	Fit(ctx context.Context) (converged bool, err error)
-	// Result returns the current inference over all tasks in dense order.
-	Result() *Result
 	// Assign plans up to h tasks per requesting worker, spending at most
 	// budget pairs (negative budget means unlimited). Pairs for which skip
 	// returns true are excluded during planning; skip may be nil.
@@ -76,17 +75,12 @@ type Engine interface {
 	AddTask(t Task) error
 	// AddWorker registers a worker with the next dense index.
 	AddWorker(w Worker) error
-	// WorkerQuality returns the estimated P(i_w = 1).
-	WorkerQuality(w WorkerID) float64
-	// DistanceSensitivity returns a copy of the worker's estimated
-	// sensitivity multinomial over the distance-function set.
-	DistanceSensitivity(w WorkerID) []float64
 	// TotalAnswers returns the number of answers observed so far.
 	TotalAnswers() int
 	// Publish returns a self-contained copy of the engine's read state —
 	// the dense result plus per-worker quality and sensitivity estimates.
-	// Nothing in it aliases the engine, so the background-fit pipeline can
-	// hand it to lock-free readers while the engine keeps mutating.
+	// Nothing in it aliases the engine, so the Service can hand it to
+	// lock-free readers while the engine keeps mutating.
 	Publish() *PublishedParams
 	// PlanSnapshot returns an immutable planning view of the engine's
 	// current state (parameters, coverage, distances), or nil when the
@@ -94,14 +88,6 @@ type Engine interface {
 	// the Service run assignment planning off the write lock and validate
 	// picks in a short optimistic commit; see assign.SnapshotModel.
 	PlanSnapshot() *assign.Snapshot
-}
-
-// answerChecker is the narrow view the optimistic commit needs of the live
-// engine: an O(1) answered-pair probe. The single engine implements it; the
-// lock-free planning path is gated on it (and on PlanSnapshot returning
-// non-nil), so batch engines simply keep the locked path.
-type answerChecker interface {
-	HasAnswer(w WorkerID, t TaskID) bool
 }
 
 // PublishedParams is an immutable copy of an engine's read state, produced
@@ -163,8 +149,6 @@ func (e *singleEngine) Fit(ctx context.Context) (bool, error) {
 	return st.Converged, err
 }
 
-func (e *singleEngine) Result() *Result { return e.m.Result() }
-
 func (e *singleEngine) Assign(workers []WorkerID, h, budget int, skip func(WorkerID, TaskID) bool) map[WorkerID][]TaskID {
 	if h <= 0 || budget == 0 {
 		return map[WorkerID][]TaskID{}
@@ -184,12 +168,8 @@ func (e *singleEngine) AddTask(t Task) error {
 	}
 	return nil
 }
-func (e *singleEngine) AddWorker(w Worker) error         { return e.m.AddWorker(w) }
-func (e *singleEngine) TotalAnswers() int                { return e.m.Answers().Len() }
-func (e *singleEngine) WorkerQuality(w WorkerID) float64 { return e.m.WorkerQuality(w) }
-func (e *singleEngine) DistanceSensitivity(w WorkerID) []float64 {
-	return append([]float64(nil), e.m.Params().PDW[w]...)
-}
+func (e *singleEngine) AddWorker(w Worker) error { return e.m.AddWorker(w) }
+func (e *singleEngine) TotalAnswers() int        { return e.m.Answers().Len() }
 
 func (e *singleEngine) Publish() *PublishedParams {
 	res, pi, pdw := e.m.Publish()
@@ -198,6 +178,8 @@ func (e *singleEngine) Publish() *PublishedParams {
 
 func (e *singleEngine) PlanSnapshot() *assign.Snapshot { return assign.SnapshotModel(e.m) }
 
+// HasAnswer is the O(1) answered-pair probe the optimistic commit of a
+// lock-free plan re-checks its picks with.
 func (e *singleEngine) HasAnswer(w WorkerID, t TaskID) bool { return e.m.HasAnswer(w, t) }
 
 // partitionEngine backs a Service with a partition node (internal/shard):
@@ -239,19 +221,13 @@ func (e *partitionEngine) Fit(ctx context.Context) (bool, error) {
 	return st.Converged, err
 }
 
-func (e *partitionEngine) Result() *Result { return e.sh.Result() }
-
 func (e *partitionEngine) Assign(workers []WorkerID, h, budget int, skip func(WorkerID, TaskID) bool) map[WorkerID][]TaskID {
 	return e.co.AssignExcluding(workers, h, budget, skip)
 }
 
-func (e *partitionEngine) AddTask(t Task) error             { return e.sh.AddTask(t) }
-func (e *partitionEngine) AddWorker(w Worker) error         { return e.sh.AddWorker(w) }
-func (e *partitionEngine) TotalAnswers() int                { return e.sh.TotalAnswers() }
-func (e *partitionEngine) WorkerQuality(w WorkerID) float64 { return e.sh.WorkerQuality(w) }
-func (e *partitionEngine) DistanceSensitivity(w WorkerID) []float64 {
-	return e.sh.DistanceSensitivity(w)
-}
+func (e *partitionEngine) AddTask(t Task) error     { return e.sh.AddTask(t) }
+func (e *partitionEngine) AddWorker(w Worker) error { return e.sh.AddWorker(w) }
+func (e *partitionEngine) TotalAnswers() int        { return e.sh.TotalAnswers() }
 
 func (e *partitionEngine) Publish() *PublishedParams {
 	res, pi, pdw := e.sh.Publish()

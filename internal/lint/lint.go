@@ -34,9 +34,10 @@
 //
 // on a function declaration marks the whole function as a sanctioned
 // blocking critical-section helper: lockorder does not descend into it from
-// callers' critical sections. The synchronous fit path (Service
-// fitEngineLocked) carries the one legitimate use — fitting under the write
-// lock is that mode's documented design, not an accident.
+// callers' critical sections. The inline fit placement (Service
+// fitInlineLocked) carries the one legitimate use — fitting under the write
+// lock is that placement's documented design, not an accident — and nothing
+// on a path a fit pipeline serves reaches it.
 package lint
 
 import (

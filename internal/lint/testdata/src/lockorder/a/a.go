@@ -119,7 +119,7 @@ func (s *Service) okBlockOffLock(ch chan int) {
 }
 
 // fitLocked deliberately fits under the caller's write lock; the sanction
-// stops the call-graph walk exactly like the real fitEngineLocked.
+// stops the call-graph walk exactly like the real fitInlineLocked.
 //
 //lint:sanctioned lockorder fixture: synchronous fit under the write lock by design
 func (s *Service) fitLocked(e *Engine) {

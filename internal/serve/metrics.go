@@ -27,10 +27,11 @@ import (
 //	assign_dedup_hits_total                   pending pairs skipped while planning
 //	tasks, workers, pending_pairs, answers_observed, budget_remaining  gauges
 //
-// Plus the background fit pipeline's families under the poilabel_ prefix
-// (zeros on a synchronous service): fit_queue_depth,
-// param_staleness_seconds, param_generation gauges and fit_coalesced_total,
-// fits_total counters, all read from Service.FitStats at scrape time; and
+// Plus the published generation's and the fit pipeline's families under the
+// poilabel_ prefix: param_staleness_seconds and param_generation gauges
+// (every service publishes generations), and the scheduler's fit_queue_depth
+// gauge and fit_coalesced_total, fits_total counters (zeros where fits run
+// inline), all read from Service.FitStats at scrape time; and
 // the assignment planning path's poilabel_plan_* families (lock_free_total,
 // locked_total, conflicts_total, retries_total, conflict_rate,
 // last_duration_seconds, candidate_{builds,rebuilds,hits}_total), read from
@@ -89,9 +90,9 @@ func NewMetrics(reg *metrics.Registry, svc *poilabel.Service) *Metrics {
 		func() float64 { return float64(svc.Health().Answers) })
 	reg.GaugeFunc("poiserve_budget_remaining", "Assignment budget remaining (-1 = unlimited).",
 		func() float64 { return float64(svc.RemainingBudget()) })
-	// Background fit pipeline (poilabel_ prefix: these describe the library's
-	// fit scheduler, not the HTTP layer). All read FitStats at scrape time
-	// and report zeros on a synchronous service.
+	// Published generation and fit pipeline (poilabel_ prefix: these describe
+	// the library, not the HTTP layer). All read FitStats at scrape time; the
+	// scheduler's three report zeros on a service whose fits run inline.
 	reg.GaugeFunc("poilabel_fit_queue_depth",
 		"Background fits in flight plus queued re-fit tokens (0 when idle or synchronous).",
 		func() float64 { return float64(svc.FitStats().QueueDepth) })

@@ -433,9 +433,9 @@ type resultsResponse struct {
 }
 
 func (h *Handler) getResults(w http.ResponseWriter, r *http.Request) {
-	// With background fitting the response is a published generation, not a
-	// freshly fitted snapshot; stamp which generation and how stale it is so
-	// clients can reason about the staleness contract.
+	// With a fit pipeline the published generation this serves can be stale;
+	// stamp which generation and how stale it is so clients can reason about
+	// the staleness contract.
 	if st := h.svc.FitStats(); st.Enabled {
 		w.Header().Set("X-Poilabel-Generation", strconv.FormatUint(st.Generation, 10))
 		w.Header().Set("X-Poilabel-Staleness-Seconds",

@@ -3,6 +3,7 @@ package shard
 import (
 	"fmt"
 
+	"poilabel/internal/core"
 	"poilabel/internal/model"
 	"poilabel/internal/snapshot"
 )
@@ -74,6 +75,11 @@ func (s *Sharded) RestoreMerged(pi []float64, pdw [][]float64) error {
 			return fmt.Errorf("shard: snapshot worker %d has %d sensitivity weights, fitter has %d",
 				w, len(pdw[w]), nf)
 		}
+	}
+	// The merged rows are worker estimates like any leaf's — served to
+	// readers and weighted into the next merge — so they pass the leaf's rule.
+	if err := (&core.Params{PI: pi, PDW: pdw}).Validate(); err != nil {
+		return fmt.Errorf("shard: merged worker estimates: %w", err)
 	}
 	for si, k := range s.kids {
 		for w := range s.counts[si] {

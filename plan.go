@@ -17,19 +17,6 @@ import (
 // committed so far.
 const maxPlanRetries = 8
 
-// WithPlanCandidates sets K, the per-worker candidate prefix length the
-// lock-free planner caches per published parameter generation (see
-// assign.Candidates). Zero — the default — means
-// assign.DefaultCandidatePrefix; a negative k disables candidate caching, so
-// every single-worker plan scans the full improvement row. Candidates only
-// apply to the single engine's AccOpt lock-free path.
-func WithPlanCandidates(k int) ServiceOption {
-	return func(c *serviceConfig) error {
-		c.planCand = k
-		return nil
-	}
-}
-
 // planCounters is the Service's lock-free planning instrumentation, updated
 // atomically so readers never need the service lock.
 type planCounters struct {
@@ -46,8 +33,8 @@ type planCounters struct {
 // section. Counters cover the service's lifetime.
 type PlanPipelineStats struct {
 	// Enabled reports whether the lock-free planning path is configured
-	// (background fitting on the single engine with a planner-based
-	// assigner). Individual rounds can still fall back to the locked path —
+	// (a fit pipeline on the single engine with the AccOpt assigner).
+	// Individual rounds can still fall back to the locked path —
 	// e.g. for workers registered after the last publication.
 	Enabled bool `json:"enabled"`
 	// LockFreePlans counts assignment rounds planned against a published
@@ -69,11 +56,12 @@ type PlanPipelineStats struct {
 	// LastPlanDuration is the wall-clock of the most recent lock-free
 	// plan-and-commit round.
 	LastPlanDuration time.Duration `json:"last_plan_duration"`
-	// CandidatePrefix is the configured per-worker candidate prefix K
-	// (0 when candidate caching is disabled).
+	// CandidatePrefix is the per-worker candidate prefix K the lock-free
+	// planner caches per generation, assign.DefaultCandidatePrefix (0 when
+	// the path is not configured).
 	CandidatePrefix int `json:"candidate_prefix"`
-	// Candidates holds the candidate index counters (zero value when
-	// caching is disabled).
+	// Candidates holds the candidate index counters (zero value when the
+	// path is not configured).
 	Candidates assign.CandidateStats `json:"candidates"`
 }
 
@@ -104,14 +92,11 @@ func (s *Service) PlanStats() PlanPipelineStats {
 // The fit pipeline calls it right after a publication, from the background
 // goroutine with no lock held.
 func (s *Service) warmPlanCandidates() {
-	if s.cands == nil {
-		return
+	// A generation carries a plan view only when lock-free planning is
+	// configured, which is also when the candidate index exists.
+	if pub := s.published.Load(); pub != nil && pub.plan != nil {
+		s.cands.Warm(pub.plan, pub.gen)
 	}
-	pub := s.published.Load()
-	if pub == nil || pub.plan == nil {
-		return
-	}
-	s.cands.Warm(pub.plan, pub.gen)
 }
 
 // planContext carries the state the lock-free path captures under the read
@@ -129,10 +114,10 @@ type planContext struct {
 
 // planWorkers plans h tasks per worker against the immutable snapshot, with
 // no service lock held. Single-worker rounds go through the candidate index
-// when it is enabled (the serving hot path: HTTP /assignments requests carry
-// one worker); everything else runs a pooled planner over the snapshot.
+// (the serving hot path: HTTP /assignments requests carry one worker);
+// everything else runs a pooled planner over the snapshot.
 func (s *Service) planWorkers(snap *assign.Snapshot, gen uint64, ws []WorkerID, h int, skip assign.SkipFunc) map[WorkerID][]TaskID {
-	if len(ws) == 1 && s.cands != nil {
+	if len(ws) == 1 {
 		picks, _ := s.cands.PlanWorker(snap, gen, ws[0], h, skip)
 		if len(picks) == 0 {
 			return map[WorkerID][]TaskID{}
@@ -168,9 +153,12 @@ func (s *Service) requestTasksLockFree(ctx context.Context, ws []WorkerID, pc *p
 	plans := s.planWorkers(snap, pc.pub.gen, ws, pc.h, skip)
 	planSp.End()
 	var totalConflicts, retries int64
+	var exhausted bool
 	for attempt := 0; ; attempt++ {
 		_, commitSp := trace.Start(ctx, "plan.commit")
-		conflicts, exhausted, stale := s.commitPlans(plans, accepted, pc.epoch)
+		var conflicts []pairKey
+		var stale bool
+		conflicts, exhausted, stale = s.commitPlans(plans, accepted, pc.epoch)
 		commitSp.AttrInt("conflicts", int64(len(conflicts)))
 		commitSp.End()
 		if len(conflicts) > 0 {
@@ -227,11 +215,13 @@ func (s *Service) requestTasksLockFree(ctx context.Context, ws []WorkerID, pc *p
 			pc.observer.DedupHitsObserved(int(n))
 		}
 	}
+	if exhausted && len(accepted) == 0 {
+		// The budget was spent between the read-locked check and the commit:
+		// the same answer the locked planner's re-check gives.
+		return nil, ErrBudgetExhausted
+	}
 	out := make(map[string][]string, len(accepted))
 	for w, ts := range accepted {
-		if len(ts) == 0 {
-			continue
-		}
 		ids := make([]string, len(ts))
 		for i, t := range ts {
 			ids[i] = pc.taskKeys[t]
@@ -265,7 +255,7 @@ func (s *Service) commitPlans(plans map[WorkerID][]TaskID, accepted map[WorkerID
 	if s.restoreEpoch != epoch {
 		return nil, false, true
 	}
-	checker, _ := s.eng.(answerChecker)
+	eng := s.eng.(*singleEngine) // the only engine that publishes a plan view
 	for round := 0; ; round++ {
 		progressed := false
 		for _, wi := range order {
@@ -280,7 +270,7 @@ func (s *Service) commitPlans(plans map[WorkerID][]TaskID, accepted map[WorkerID
 			}
 			t := ts[round]
 			pk := pairKey{w, t}
-			if s.pending[pk] || (checker != nil && checker.HasAnswer(w, t)) {
+			if s.pending[pk] || eng.HasAnswer(w, t) {
 				conflicts = append(conflicts, pk)
 				continue
 			}

@@ -160,6 +160,50 @@ func TestLockFreePlanBudgetEquivalence(t *testing.T) {
 	}
 }
 
+// TestLockFreeCommitReportsExhaustedBudget replays, deterministically, the
+// race the locked planner's re-check covers: a round captures its plan
+// context while budget remains, another round spends the last unit, and only
+// then does the first round commit. It must report ErrBudgetExhausted like
+// the locked path — not an empty assignment and a nil error.
+func TestLockFreeCommitReportsExhaustedBudget(t *testing.T) {
+	ctx := context.Background()
+	svc, err := NewService(append(bgOpts(), WithTasksPerRequest(2), WithBudget(2))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close(ctx)
+	registerGridWorld(t, svc, 12, 3)
+	if _, err := svc.Results(ctx); err != nil { // builds the engine, publishes the plan view
+		t.Fatal(err)
+	}
+
+	// What RequestTasks captures under the read lock, while 2 units remain.
+	svc.mu.RLock()
+	pc := &planContext{
+		pub:       svc.published.Load(),
+		skipSet:   map[pairKey]struct{}{},
+		taskKeys:  svc.taskKeys,
+		workerKey: svc.workerKey,
+		h:         svc.cfg.h,
+		epoch:     svc.restoreEpoch,
+	}
+	svc.mu.RUnlock()
+	if pc.pub == nil || pc.pub.plan == nil {
+		t.Fatal("no plan view published; the lock-free path is not configured")
+	}
+
+	if got, err := svc.RequestTasks(ctx, []string{wid(1)}); err != nil || len(got[wid(1)]) != 2 {
+		t.Fatalf("the competing round got %v, %v; want the last 2 units", got, err)
+	}
+	got, err := svc.requestTasksLockFree(ctx, []WorkerID{0}, pc)
+	if !errors.Is(err, ErrBudgetExhausted) {
+		t.Fatalf("commit after the budget was spent returned %v, %v; want ErrBudgetExhausted", got, err)
+	}
+	if svc.PendingCount() != 2 || svc.RemainingBudget() != 0 {
+		t.Fatalf("exhausted commit changed the ledger: %d pending, budget %d", svc.PendingCount(), svc.RemainingBudget())
+	}
+}
+
 // TestConcurrentRequestTasksRace drives 16 workers through concurrent
 // request/answer loops with eager background fits and checks the handout
 // invariants the optimistic commit must preserve: no (worker, task) pair is

@@ -3,10 +3,14 @@
 # drive the core endpoints (answers, assignments, results, worker
 # introspection), checkpoint it, kill it, restart it with -restore, and
 # assert the restarted server reports identical results and budget. CI runs
-# this; it also works locally: scripts/poiserve_smoke.sh [port]
+# this once per engine shape; it also works locally:
+#   [POISERVE_SMOKE_ENGINE="-engine federated -cities 2 -shards 2"] scripts/poiserve_smoke.sh [port]
 set -euo pipefail
 
 PORT="${1:-18080}"
+# The engine flags both server starts share (word-split on purpose).
+ENGINE_FLAGS="${POISERVE_SMOKE_ENGINE:--engine sharded -shards 4}"
+ENGINE_NAME="$(echo "$ENGINE_FLAGS" | sed -n 's/.*-engine \([a-z]*\).*/\1/p')"
 BASE="http://127.0.0.1:${PORT}"
 BIN="$(mktemp -d)/poiserve"
 LOG="$(mktemp)"
@@ -14,7 +18,7 @@ SNAP="$(mktemp -d)/poiserve.snap"
 
 go build -o "$BIN" ./cmd/poiserve
 
-"$BIN" -addr "127.0.0.1:${PORT}" -demo 12 -engine sharded -shards 4 -budget 200 \
+"$BIN" -addr "127.0.0.1:${PORT}" -demo 12 $ENGINE_FLAGS -budget 200 \
   -checkpoint "$SNAP" >"$LOG" 2>&1 &
 SERVER_PID=$!
 trap 'kill "$SERVER_PID" 2>/dev/null || true; cat "$LOG"' EXIT
@@ -32,7 +36,7 @@ fail() { echo "SMOKE FAIL: $1" >&2; exit 1; }
 health=$(curl -sf "$BASE/healthz")
 echo "healthz: $health"
 echo "$health" | grep -q '"ok":true' || fail "healthz not ok"
-echo "$health" | grep -q '"engine":"sharded"' || fail "wrong engine"
+echo "$health" | grep -q "\"engine\":\"$ENGINE_NAME\"" || fail "wrong engine"
 echo "$health" | grep -q '"tasks":200' || fail "demo tasks missing"
 
 # Register one extra task and worker over HTTP (dynamic registration).
@@ -78,7 +82,7 @@ kill "$SERVER_PID" 2>/dev/null || true
 wait "$SERVER_PID" 2>/dev/null || true
 
 # Restart from the snapshot: same engine flags, no -demo seeding.
-"$BIN" -addr "127.0.0.1:${PORT}" -engine sharded -shards 4 -restore "$SNAP" >>"$LOG" 2>&1 &
+"$BIN" -addr "127.0.0.1:${PORT}" $ENGINE_FLAGS -restore "$SNAP" >>"$LOG" 2>&1 &
 SERVER_PID=$!
 for _ in $(seq 1 50); do
   if curl -sf "$BASE/healthz" >/dev/null 2>&1; then

@@ -92,9 +92,8 @@ type serviceConfig struct {
 	seed           int64
 	model          core.Config
 	observer       Observer
-	bgInterval     time.Duration // background fit cadence; 0 = synchronous fits
-	bgMinAnswers   int           // eager background fit threshold
-	planCand       int           // candidate prefix K; 0 = default, < 0 disables
+	bgInterval     time.Duration // fit pipeline cadence; 0 = full fits run inline
+	bgMinAnswers   int           // eager pipeline fit threshold
 	elasticOn      bool          // drift-aware elastic re-sharding (WithElasticShards)
 	elastic        ElasticConfig
 	tracer         *trace.Tracer // nil disables tracing (every span site is nil-safe)
@@ -192,11 +191,13 @@ func WithRefineSweeps(n int) ServiceOption {
 	}
 }
 
-// WithFullEMInterval sets how many submitted answers trigger an automatic
-// full fit (Section III-D; the default is 100, the paper's setting). Between
-// full fits the single engine applies incremental EM per answer while the
-// batch engines only log. Zero disables automatic fits entirely — call Fit
-// (or Results, which fits) explicitly.
+// WithFullEMInterval sets how many submitted answers make an inline full fit
+// due (Section III-D; the default is 100, the paper's setting): the
+// submission that completes the interval runs it. Between full fits the
+// single engine applies incremental EM per answer while the batch engines
+// only log. Zero disables automatic fits entirely — call Fit (or Results,
+// which fits when anything arrived since the last fit) explicitly. Unused
+// with WithBackgroundFit, whose cadence decides when a fit is due.
 func WithFullEMInterval(n int) ServiceOption {
 	return func(c *serviceConfig) error {
 		if n < 0 {
@@ -274,6 +275,16 @@ type pairKey struct {
 // AddWorker work before and after answers start flowing — and interns them
 // to the dense indices the flattened EM hot paths expect.
 //
+// There is one submit path and one read path: every accepted answer is
+// learned by the live engine and counted, every completed full fit publishes
+// an immutable parameter generation, and Results, ResultSet, WorkerInfo,
+// Health and FitStats serve that generation and those counters, never the
+// engine. WithBackgroundFit only decides where a full fit runs: inline on
+// the live engine under the write lock (the default — whoever makes the fit
+// due waits for it, and Results first brings the generation up to date), or
+// on the pipeline's goroutine over a copy, with reads serving the last
+// generation however stale.
+//
 // All methods are safe for concurrent use; long fits honor their context
 // between EM iterations. Budget and pending semantics are uniform across
 // engines: every pair handed out by RequestTasks spends one budget unit and
@@ -294,8 +305,8 @@ type Service struct {
 	pending   map[pairKey]bool
 	sinceFull int
 	// dirty reports whether the engine saw new evidence (answers, tasks,
-	// workers) since its last successful full fit; Results skips the
-	// redundant refit when clean.
+	// workers) since its last successful full fit; the inline freshness
+	// barrier skips the redundant refit when clean.
 	dirty bool
 
 	// builtTasks/builtWorkers are the registration counts at the moment the
@@ -307,14 +318,18 @@ type Service struct {
 	builtTasks   int
 	builtWorkers int
 
-	// Background-fit pipeline state (WithBackgroundFit). published is the
-	// last parameter generation, swapped atomically so readers never take
-	// the service lock; answerSeq counts accepted answers (written under
-	// the write lock, read lock-free by the scheduler); delta records
-	// answers accepted while a fit is in flight, for the incremental merge
-	// into the next generation; restoreEpoch invalidates in-flight fits
-	// that raced a Restore; baseGen seeds the generation counter from a
-	// restored checkpoint so generations stay monotonic across restarts.
+	// Generation state. published is the last parameter generation — non-nil
+	// from the moment the engine exists, replaced by every completed full fit
+	// in either placement, and the only thing a read touches; answerSeq counts
+	// accepted answers (written under the write lock, read lock-free). bg is
+	// the fit pipeline, nil when full fits run inline; delta records answers
+	// accepted while a pipeline fit is in flight, for the incremental merge
+	// into the next generation; restoreEpoch invalidates in-flight fits that
+	// raced a Restore; baseGen seeds the generation counter from a restored
+	// checkpoint so generations stay monotonic across restarts, and
+	// restoredGen numbers the generation Restore published (0: none) — a
+	// checkpoint taken while it is still current records baseGen again, so
+	// restore followed by checkpoint reproduces the snapshot byte for byte.
 	bg           *fitPipeline
 	published    atomic.Pointer[paramGen]
 	answerSeq    atomic.Uint64
@@ -322,13 +337,14 @@ type Service struct {
 	deltaActive  bool
 	restoreEpoch uint64
 	baseGen      uint64
+	restoredGen  uint64
 
 	// Lock-free planning state (see plan.go). sincePlan records pairs
 	// answered since the published plan snapshot was captured — together
 	// with pending it forms the exclusion set a snapshot plan starts from;
-	// it is reset at every capture and is nil outside background mode.
-	// cands is the per-worker candidate index (nil when disabled), planPool
-	// recycles planner scratch across off-lock plans, planStats counts
+	// it is reset at every capture and is nil unless planEnabled. cands is
+	// the per-worker candidate index, planPool recycles planner scratch
+	// across off-lock plans (both nil unless planEnabled), planStats counts
 	// commit outcomes, and planEnabled reports the path is configured.
 	// forceLockedPlan routes every round through the locked planner; the
 	// equivalence tests use it to diff the two paths.
@@ -341,7 +357,7 @@ type Service struct {
 
 	// Elastic re-sharding state (see elastic.go). The controller is the
 	// drift-detector goroutine; migrations themselves execute on the fit
-	// pipeline so they serialize with background fits.
+	// pipeline so they serialize with its fits.
 	elastic *elasticController
 
 	// tracer mints the background pipeline's fit.cycle/migrate.cycle trace
@@ -372,14 +388,8 @@ func NewService(opts ...ServiceOption) (*Service, error) {
 	if cfg.model.FuncSet == nil {
 		cfg.model = core.DefaultConfig()
 	}
-	s := &Service{
-		cfg:       cfg,
-		taskIdx:   make(map[string]TaskID),
-		workerIdx: make(map[string]WorkerID),
-		pending:   make(map[pairKey]bool),
-		dirty:     true,
-		tracer:    cfg.tracer,
-	}
+	s := newBareService(cfg)
+	s.tracer = cfg.tracer
 	if cfg.elasticOn {
 		if cfg.engine != EngineSharded {
 			return nil, fmt.Errorf("poilabel: WithElasticShards requires the sharded engine (got %q)", cfg.engine)
@@ -393,9 +403,7 @@ func NewService(opts ...ServiceOption) (*Service, error) {
 		if cfg.engine == EngineSingle && cfg.assigner == AssignerAccOpt {
 			s.planEnabled = true
 			s.planPool.New = func() any { return assign.NewPlanner() }
-			if cfg.planCand >= 0 {
-				s.cands = assign.NewCandidates(cfg.planCand)
-			}
+			s.cands = assign.NewCandidates(assign.DefaultCandidatePrefix)
 		}
 		go s.bg.run()
 	}
@@ -406,6 +414,19 @@ func NewService(opts ...ServiceOption) (*Service, error) {
 		}
 	}
 	return s, nil
+}
+
+// newBareService returns an empty service holding cfg and nothing that runs:
+// what NewService starts from, and the unshared scratch a snapshot is replayed
+// into (Restore, the pipeline's off-lock rebuild).
+func newBareService(cfg serviceConfig) *Service {
+	return &Service{
+		cfg:       cfg,
+		taskIdx:   make(map[string]TaskID),
+		workerIdx: make(map[string]WorkerID),
+		pending:   make(map[pairKey]bool),
+		dirty:     true,
+	}
 }
 
 // AddTask registers a labelling task under a stable string ID. Tasks can be
@@ -483,24 +504,30 @@ func (s *Service) addWorkerLocked(id string, spec WorkerSpec) error {
 	return nil
 }
 
-// ensureEngine builds the configured engine on first use. Callers must hold
-// the write lock. The distance normalizer spans every location registered at
-// build time (later registrations use the same scale, clamped to [0, 1]).
+// ensureEngine builds the configured engine on first use and publishes its
+// prior-only generation, so published is non-nil whenever an engine exists.
+// Callers must hold the write lock.
 func (s *Service) ensureEngine() error {
-	return s.ensureEngineWith(nil, 0)
-}
-
-// ensureEngineWith is ensureEngine with the two degrees of freedom the
-// elastic restore path needs pinned from the snapshot instead of recomputed:
-// an explicit shard layout (sharded engine only; nil means the kd default)
-// and the normalizer diameter (zero means derive it from the registered
-// locations, as construction does). After a migration the live layout is no
-// longer a function of the built prefix, so both must travel explicitly for
-// a restore to reproduce the engine.
-func (s *Service) ensureEngineWith(layout [][]int, diam float64) error {
 	if s.eng != nil {
 		return nil
 	}
+	if err := s.buildEngine(nil, 0); err != nil {
+		return err
+	}
+	s.publishLocked(0, 0, false)
+	return nil
+}
+
+// buildEngine constructs the configured engine over everything registered so
+// far; the distance normalizer spans every location registered at build time
+// (later registrations use the same scale, clamped to [0, 1]). The elastic
+// restore path pins two degrees of freedom from the snapshot instead of
+// recomputing them: an explicit shard layout (sharded engine only; nil means
+// the kd default) and the normalizer diameter (zero means derive it from the
+// registered locations) — after a migration the live layout is no longer a
+// function of the built prefix. The caller publishes the engine's first
+// generation before it releases the write lock.
+func (s *Service) buildEngine(layout [][]int, diam float64) error {
 	if len(s.tasks) == 0 {
 		return ErrNoTasks
 	}
@@ -551,20 +578,15 @@ func (s *Service) ensureEngineWith(layout [][]int, diam float64) error {
 	s.eng = eng
 	s.builtTasks = len(s.tasks)
 	s.builtWorkers = len(s.workers)
-	if s.bg != nil {
-		// Publish the prior-only generation so lock-free readers have
-		// something to serve before the first background fit lands.
-		seq := s.answerSeq.Load()
-		s.publishLocked(seq, seq, false)
-	}
 	return nil
 }
 
 // publishLocked snapshots the engine's read state into a fresh parameter
-// generation and swaps it in for lock-free readers. seq is the answer
-// sequence the generation covers for scheduling purposes (full fit plus
-// merged delta); fullSeq is the part covered by the underlying full fit.
-// Callers must hold the write lock.
+// generation and swaps it in for every reader; it is how an engine's first
+// state, a completed full fit in either placement and a restore become
+// visible. seq is the answer sequence the generation covers for scheduling
+// purposes (full fit plus merged delta); fullSeq is the part covered by the
+// underlying full fit. Callers must hold the write lock.
 func (s *Service) publishLocked(seq, fullSeq uint64, converged bool) {
 	pub := s.eng.Publish()
 	results := make([]TaskResult, len(s.tasks))
@@ -577,7 +599,8 @@ func (s *Service) publishLocked(seq, fullSeq uint64, converged bool) {
 		}
 	}
 	gen := s.baseGen + 1
-	if prev := s.published.Load(); prev != nil {
+	prev := s.published.Load()
+	if prev != nil {
 		gen = prev.gen + 1
 	}
 	// Capture the planning snapshot alongside the parameters when lock-free
@@ -593,19 +616,20 @@ func (s *Service) publishLocked(seq, fullSeq uint64, converged bool) {
 		}
 	}
 	s.published.Store(&paramGen{
-		gen:       gen,
-		seq:       seq,
-		fullSeq:   fullSeq,
-		at:        time.Now(),
-		converged: converged,
-		results:   results,
-		dense:     pub.Result,
-		pi:        pub.PI,
-		pdw:       pub.PDW,
-		plan:      plan,
+		gen:        gen,
+		seq:        seq,
+		fullSeq:    fullSeq,
+		at:         time.Now(),
+		converged:  converged,
+		results:    results,
+		dense:      pub.Result,
+		pi:         pub.PI,
+		pdw:        pub.PDW,
+		plan:       plan,
+		superseded: make(chan struct{}),
 	})
-	if s.bg != nil {
-		s.bg.broadcast()
+	if prev != nil {
+		close(prev.superseded)
 	}
 }
 
@@ -627,8 +651,8 @@ func (s *Service) lookupTask(id string) (TaskID, error) {
 }
 
 // SubmitAnswer feeds one worker's votes on one task into the engine. It is
-// SubmitAnswerContext without a deadline: the periodic inline full fit (every
-// FullEMInterval-th submission in synchronous mode) runs to completion.
+// SubmitAnswerContext without a deadline: the inline full fit the
+// FullEMInterval-th submission makes due runs to completion.
 func (s *Service) SubmitAnswer(workerID, taskID string, selected []bool) error {
 	// The context-free compatibility surface: the root context is the entire
 	// point of this wrapper.
@@ -639,12 +663,13 @@ func (s *Service) SubmitAnswer(workerID, taskID string, selected []bool) error {
 // SubmitAnswerContext feeds one worker's votes on one task into the engine.
 // The pair's pending mark (if any) is cleared; unsolicited answers — pairs
 // never handed out by RequestTasks — are learned from exactly the same way
-// and never touch the budget. Every FullEMInterval-th submission triggers a
-// full fit honoring ctx between EM iterations (a cancelled fit keeps the
-// last completed iteration's estimates and marks the engine dirty); in
-// between, the single engine applies incremental EM and the batch engines
-// only log. With background fitting (WithBackgroundFit) submissions never
-// fit inline: the pipeline schedules full fits off the request path.
+// and never touch the budget. Every answer takes the same path — learned by
+// the live engine (incremental EM on the single engine, a log append on the
+// batch engines), counted, and asked whether it makes a full fit due.
+// Without a pipeline the FullEMInterval-th submission runs that fit itself,
+// honoring ctx between EM iterations (a cancelled fit keeps the last
+// published generation and marks the engine dirty); with WithBackgroundFit
+// it only wakes the pipeline and never waits for a fit.
 func (s *Service) SubmitAnswerContext(ctx context.Context, workerID, taskID string, selected []bool) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -687,59 +712,24 @@ func (s *Service) submitAnswer(ctx context.Context, workerID, taskID string, sel
 		ded.Attr("pending", "true")
 	}
 	ded.End()
-	if s.bg != nil {
-		// Background mode: never fit inline. The engine's cheap per-answer
-		// update keeps the live parameters warm; the scheduler decides when
-		// the next full fit folds everything into a published generation.
-		_, lrn := trace.Start(ctx, "answer.learn")
-		err := s.eng.Learn(a)
-		if err != nil {
-			lrn.Fail(err)
-			lrn.End()
-			return err
-		}
-		lrn.End()
-		delete(s.pending, pairKey{w, t})
-		if s.sincePlan != nil {
-			// The published plan snapshot predates this answer; record the
-			// pair so off-lock plans exclude it without re-reading the engine.
-			s.sincePlan[pairKey{w, t}] = true
-		}
-		s.sinceFull++
-		s.dirty = true
-		s.answerSeq.Add(1)
-		if s.deltaActive {
-			s.delta = append(s.delta, a)
-		}
-		s.observeAnswer(false)
-		if s.bg.backlog() >= uint64(s.cfg.bgMinAnswers) {
-			s.bg.kickNow()
-		}
-		return nil
+	// Is a full fit due once this answer is in, and who runs it? Inline, this
+	// submission when it completes the FullEMInterval; with a pipeline, the
+	// scheduler, woken at its eager threshold (its tick picks up the rest).
+	var fitInline, wakePipeline bool
+	if s.bg == nil {
+		fitInline = s.cfg.fullEMInterval > 0 && s.sinceFull+1 >= s.cfg.fullEMInterval
+	} else {
+		wakePipeline = s.bg.backlog()+1 >= uint64(s.cfg.bgMinAnswers)
 	}
-	full := s.cfg.fullEMInterval > 0 && s.sinceFull+1 >= s.cfg.fullEMInterval
-	if full {
-		if err := s.eng.Observe(a); err != nil {
-			return err
-		}
-		delete(s.pending, pairKey{w, t})
-		s.sinceFull = 0
-		s.observeAnswer(true)
-		// Synchronous mode's inline full fit, the expensive tail of every
-		// FullEMInterval-th submission.
-		fctx, fit := trace.Start(ctx, "answer.fit_inline")
-		if _, err := s.fitEngineLocked(fctx); err != nil {
-			s.dirty = true
-			fit.Fail(err)
-			fit.End()
-			return err
-		}
-		fit.End()
-		s.dirty = false
-		return nil
-	}
+	// The engine's cheap per-answer update keeps the live parameters warm
+	// between full fits; the answer an inline fit follows is only logged,
+	// since the fit recomputes every estimate from the log.
 	_, lrn := trace.Start(ctx, "answer.learn")
-	err = s.eng.Learn(a)
+	if fitInline {
+		err = s.eng.Observe(a)
+	} else {
+		err = s.eng.Learn(a)
+	}
 	if err != nil {
 		lrn.Fail(err)
 		lrn.End()
@@ -747,34 +737,90 @@ func (s *Service) submitAnswer(ctx context.Context, workerID, taskID string, sel
 	}
 	lrn.End()
 	delete(s.pending, pairKey{w, t})
+	if s.sincePlan != nil {
+		// The published plan snapshot predates this answer; record the
+		// pair so off-lock plans exclude it without re-reading the engine.
+		s.sincePlan[pairKey{w, t}] = true
+	}
 	s.sinceFull++
 	s.dirty = true
-	s.observeAnswer(false)
+	s.answerSeq.Add(1)
+	if s.deltaActive {
+		s.delta = append(s.delta, a)
+	}
+	if s.cfg.observer != nil {
+		s.cfg.observer.AnswerObserved(fitInline)
+	}
+	switch {
+	case fitInline:
+		// The expensive tail of every FullEMInterval-th submission.
+		fctx, fit := trace.Start(ctx, "answer.fit_inline")
+		err := s.fitInlineLocked(fctx)
+		if err != nil {
+			fit.Fail(err)
+		}
+		fit.End()
+		return err
+	case wakePipeline:
+		s.bg.kickNow()
+	}
 	return nil
 }
 
-// observeAnswer notifies the observer of one accepted answer; callers must
-// hold the write lock.
-func (s *Service) observeAnswer(full bool) {
-	if s.cfg.observer != nil {
-		s.cfg.observer.AnswerObserved(full)
-	}
-}
-
-// fitEngineLocked runs one full engine fit with observer timing; callers
-// must hold the write lock. Fitting under the write lock is synchronous
-// mode's documented contract — submissions and Results block for the fit —
-// so lockorder's blocking-call walk stops here instead of flagging every
-// caller; background mode never reaches this function from the request path.
+// fitInlineLocked is the inline placement of a full fit: EM on the live
+// engine under the write lock, which callers must hold, then one
+// publication. A failed (cancelled) fit publishes nothing — the last
+// generation keeps serving — and leaves the engine dirty so the next barrier
+// retries. Fitting under the write lock is this placement's documented
+// contract, so lockorder's blocking-call walk stops here instead of flagging
+// every caller; a service with a pipeline never reaches this function — its
+// fits run in fitPipeline.runCycle, off-lock, and end in the same publish.
 //
-//lint:sanctioned lockorder synchronous mode fits under the write lock by design
-func (s *Service) fitEngineLocked(ctx context.Context) (bool, error) {
+//lint:sanctioned lockorder the inline fit placement fits under the write lock by design
+func (s *Service) fitInlineLocked(ctx context.Context) error {
+	s.sinceFull = 0
 	start := time.Now()
 	converged, err := s.eng.Fit(ctx)
 	if s.cfg.observer != nil {
 		s.cfg.observer.FitObserved(time.Since(start), converged, err)
 	}
-	return converged, err
+	if err != nil {
+		s.dirty = true
+		return err
+	}
+	s.dirty = false
+	seq := s.answerSeq.Load()
+	s.publishLocked(seq, seq, converged)
+	return nil
+}
+
+// fitInline is the inline placement's freshness barrier, the counterpart of
+// fitPipeline.await: it runs a full fit when one is owed — always with refit,
+// otherwise only when answers or registrations arrived since the last one —
+// and returns with the published generation up to date. With build it first
+// constructs an engine that does not exist yet, so that the fit's publication
+// is the engine's first generation rather than its second.
+func (s *Service) fitInline(ctx context.Context, build, refit bool) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	err := ctx.Err()
+	if err != nil || (s.eng == nil && !build) {
+		return err
+	}
+	if s.eng == nil {
+		if err := s.buildEngine(nil, 0); err != nil {
+			return err
+		}
+	}
+	if refit || s.dirty {
+		err = s.fitInlineLocked(ctx)
+	}
+	if s.published.Load() == nil {
+		// The engine was built above and its fit failed or was not owed: the
+		// prior-only generation stands in, as after ensureEngine.
+		s.publishLocked(0, 0, false)
+	}
+	return err
 }
 
 // RequestTasks runs the task assigner for a set of requesting workers and
@@ -785,14 +831,15 @@ func (s *Service) fitEngineLocked(ctx context.Context) (bool, error) {
 // RequestTasks returns ErrBudgetExhausted; when it runs out mid-round the
 // round is trimmed to the remaining units.
 //
-// With background fitting on the single engine and the AccOpt assigner,
-// planning runs off the write lock against the last published parameter
-// generation; only a short optimistic commit takes the write lock, re-checking
-// each pick against the live pending set, answer log, and budget, and
-// replanning conflicted picks. Every other configuration — batch engines,
-// other assigners, workers registered after the last publication — plans
-// under the write lock as before. Both paths produce identical assignments on
-// a quiesced service.
+// With a fit pipeline on the single engine and the AccOpt assigner, planning
+// runs off the write lock against the last published parameter generation;
+// only a short optimistic commit takes the write lock, re-checking each pick
+// against the live pending set, answer log, and budget, and replanning
+// conflicted picks. Every other configuration — batch engines, other
+// assigners, workers registered after the last publication, and every service
+// whose fits run inline, where the live engine's per-answer updates are newer
+// than any generation — plans from the live engine under the write lock. Both
+// paths produce identical assignments on a quiesced service.
 func (s *Service) RequestTasks(ctx context.Context, workerIDs []string) (map[string][]string, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -818,13 +865,10 @@ func (s *Service) RequestTasks(ctx context.Context, workerIDs []string) (map[str
 		}
 		ws[i] = w
 	}
+	// Only the single engine with AccOpt behind a fit pipeline publishes a
+	// plan view (planEnabled), so a generation that carries one implies it.
 	pub := s.published.Load()
-	lockFree := s.planEnabled && !s.forceLockedPlan && pub != nil && pub.plan != nil
-	if lockFree {
-		if _, ok := s.eng.(answerChecker); !ok {
-			lockFree = false
-		}
-	}
+	lockFree := !s.forceLockedPlan && pub != nil && pub.plan != nil
 	if lockFree {
 		// Workers registered after the snapshot was captured are invisible
 		// to it; fall back to the locked planner for this round.
@@ -930,47 +974,70 @@ func (s *Service) requestTasksLocked(ctx context.Context, ws []WorkerID, workerI
 	return out, nil
 }
 
-// Fit forces a full fit of the engine and reports whether it converged. The
-// context is honored between EM iterations; on cancellation the engine keeps
-// the last completed iteration's estimates. With background fitting the fit
-// runs on the pipeline: Fit requests a generation covering every answer
-// accepted so far, waits for it, and reports its convergence.
+// Fit brings the published generation up to a full fit over every answer
+// accepted so far and reports whether that fit converged, building the engine
+// first if nothing has yet. Without a pipeline it always refits — inline, on
+// the live engine, honoring ctx between EM iterations; a cancelled fit keeps
+// the last published generation. With WithBackgroundFit it is a barrier, not
+// an unconditional refit: it returns as soon as a generation whose full fit
+// covers every accepted answer is published, asking the pipeline for one only
+// when the current generation falls short.
 func (s *Service) Fit(ctx context.Context) (converged bool, err error) {
-	if s.bg != nil {
-		if _, err := s.publishedGen(ctx); err != nil {
-			return false, err
+	if err := s.fullFitBarrier(ctx, true); err != nil {
+		return false, err
+	}
+	return s.published.Load().converged, nil
+}
+
+// WaitFresh blocks until the published generation reflects, through a full
+// EM fit, every answer accepted before the call — the barrier tests and
+// pre-checkpoint hooks use to quiesce the service. With a pipeline it waits
+// on (and requests) pipeline generations; without one it runs the fit inline
+// when anything arrived since the last. It never builds the engine: before
+// anything was inferred there is nothing to wait for.
+func (s *Service) WaitFresh(ctx context.Context) error {
+	return s.fullFitBarrier(ctx, false)
+}
+
+// fullFitBarrier is Fit (force) and WaitFresh (not): who runs the full fit
+// the caller waits for is the one thing the fit placement decides here.
+func (s *Service) fullFitBarrier(ctx context.Context, force bool) error {
+	if s.bg == nil {
+		return s.fitInline(ctx, force, force)
+	}
+	if force {
+		if err := s.ensurePublished(); err != nil {
+			return err
 		}
-		if err := s.bg.await(ctx); err != nil {
-			return false, err
-		}
-		return s.published.Load().converged, nil
+	}
+	return s.bg.await(ctx)
+}
+
+// ensurePublished builds the engine — which publishes its prior-only
+// generation — if nothing has been published yet.
+func (s *Service) ensurePublished() error {
+	if s.published.Load() != nil {
+		return nil
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.ensureEngine(); err != nil {
-		return false, err
-	}
-	s.sinceFull = 0
-	converged, err = s.fitEngineLocked(ctx)
-	if err == nil {
-		s.dirty = false
-	}
-	return converged, err
+	return s.ensureEngine()
 }
 
-// publishedGen serves the last published parameter generation without taking
-// the service lock, building the engine (which publishes the prior-only
-// generation) on the very first read.
-func (s *Service) publishedGen(ctx context.Context) (*paramGen, error) {
+// servedGen is the one read path: the published generation, building the
+// engine on the very first read. Where full fits run inline a read is fresh
+// by contract, so it first passes the same barrier WaitFresh is (a lock and
+// a flag test on a settled service); with a pipeline it never waits.
+func (s *Service) servedGen(ctx context.Context) (*paramGen, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if pub := s.published.Load(); pub != nil {
-		return pub, nil
+	var err error
+	if s.bg == nil {
+		err = s.fitInline(ctx, true, false)
+	} else {
+		err = s.ensurePublished()
 	}
-	s.mu.Lock()
-	err := s.ensureEngine()
-	s.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
@@ -978,111 +1045,57 @@ func (s *Service) publishedGen(ctx context.Context) (*paramGen, error) {
 }
 
 // Results returns the current inference for every registered task, keyed by
-// stable IDs. Synchronous mode (the default) runs a full fit first so the
-// snapshot is self-consistent. With background fitting Results is lock-free:
-// it serves the last published generation — never triggering a fit and never
-// waiting on one — so reads see generation N while N+1 is still fitting, and
-// tasks registered since the last publication appear in the next generation.
-// The returned slice is shared and must not be mutated; use WaitFresh first
-// when a fully fitted snapshot matters more than latency.
+// stable IDs, from the published generation. Without a pipeline it first
+// fits inline if answers or registrations arrived since the last full fit, so
+// the snapshot covers everything accepted before the call; on a settled
+// service that is a pointer load. With WithBackgroundFit it never triggers a
+// fit and never waits on one — reads see generation N while N+1 is still
+// fitting, and tasks registered since the last publication appear in the
+// next generation; use WaitFresh first when a fully fitted snapshot matters
+// more than latency. The returned slice is shared with other readers and
+// must not be mutated.
 func (s *Service) Results(ctx context.Context) ([]TaskResult, error) {
-	if s.bg != nil {
-		pub, err := s.publishedGen(ctx)
-		if err != nil {
-			return nil, err
-		}
-		return pub.results, nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	res, err := s.fitResult(ctx)
+	pub, err := s.servedGen(ctx)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]TaskResult, len(s.tasks))
-	for t := range s.tasks {
-		out[t] = TaskResult{
-			Task:     s.taskKeys[t],
-			Labels:   s.tasks[t].Labels,
-			Prob:     res.Prob[t],
-			Inferred: res.Inferred[t],
-		}
-	}
-	return out, nil
+	return pub.results, nil
 }
 
 // ResultSet is Results in dense form: row t of the returned Result is the
 // task registered t-th. The returned value is a copy the caller owns.
 func (s *Service) ResultSet(ctx context.Context) (*Result, error) {
-	if s.bg != nil {
-		pub, err := s.publishedGen(ctx)
-		if err != nil {
-			return nil, err
-		}
-		out := &Result{
-			Prob:     make([][]float64, len(pub.dense.Prob)),
-			Inferred: make([][]bool, len(pub.dense.Inferred)),
-		}
-		for t := range pub.dense.Prob {
-			out.Prob[t] = append([]float64(nil), pub.dense.Prob[t]...)
-			out.Inferred[t] = append([]bool(nil), pub.dense.Inferred[t]...)
-		}
-		return out, nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.fitResult(ctx)
-}
-
-// fitResult runs the fit-then-snapshot sequence, skipping the fit when the
-// engine saw no new evidence since the last one — polling Results on a
-// quiet service stays cheap. Callers must hold the write lock, which keeps
-// the snapshot aligned with the registered task set.
-func (s *Service) fitResult(ctx context.Context) (*Result, error) {
-	if err := s.ensureEngine(); err != nil {
+	pub, err := s.servedGen(ctx)
+	if err != nil {
 		return nil, err
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
+	out := &Result{
+		Prob:     make([][]float64, len(pub.dense.Prob)),
+		Inferred: make([][]bool, len(pub.dense.Inferred)),
 	}
-	if s.dirty {
-		s.sinceFull = 0
-		if _, err := s.fitEngineLocked(ctx); err != nil {
-			return nil, err
-		}
-		s.dirty = false
+	for t := range pub.dense.Prob {
+		out.Prob[t] = append([]float64(nil), pub.dense.Prob[t]...)
+		out.Inferred[t] = append([]bool(nil), pub.dense.Inferred[t]...)
 	}
-	return s.eng.Result(), nil
+	return out, nil
 }
 
-// WorkerInfo returns the current estimate of one worker. With background
-// fitting the estimate comes from the last published generation (the lock is
-// only taken to resolve the ID); a worker registered after that publication
-// reads as the model's priors, exactly what a fresh worker's estimate is.
+// WorkerInfo returns one worker's estimate from the published generation
+// (the lock is only taken to resolve the ID). It has no context and never
+// fits: the estimate is as of the last full fit, and a worker registered
+// after that publication — or before anything was published — reads as the
+// model's priors, exactly what a fresh worker's estimate is.
 func (s *Service) WorkerInfo(id string) (WorkerInfo, error) {
 	s.mu.RLock()
 	w, err := s.lookupWorker(id)
+	s.mu.RUnlock()
 	if err != nil {
-		s.mu.RUnlock()
 		return WorkerInfo{}, err
 	}
-	if s.bg != nil {
-		s.mu.RUnlock()
-		info := WorkerInfo{Worker: id}
-		if pub := s.published.Load(); pub != nil && int(w) < len(pub.pi) {
-			info.Quality = pub.pi[w]
-			info.DistanceSensitivity = append([]float64(nil), pub.pdw[w]...)
-		} else {
-			info.Quality = s.cfg.model.InitPI
-			info.DistanceSensitivity = s.cfg.model.FuncSet.Uniform()
-		}
-		return info, nil
-	}
-	defer s.mu.RUnlock()
 	info := WorkerInfo{Worker: id}
-	if s.eng != nil {
-		info.Quality = s.eng.WorkerQuality(w)
-		info.DistanceSensitivity = s.eng.DistanceSensitivity(w)
+	if pub := s.published.Load(); pub != nil && int(w) < len(pub.pi) {
+		info.Quality = pub.pi[w]
+		info.DistanceSensitivity = append([]float64(nil), pub.pdw[w]...)
 	} else {
 		info.Quality = s.cfg.model.InitPI
 		info.DistanceSensitivity = s.cfg.model.FuncSet.Uniform()
@@ -1106,15 +1119,9 @@ func (s *Service) PendingCount() int {
 	return len(s.pending)
 }
 
-// AnswerCount returns the number of answers observed by the engine (zero
-// before the first answer builds it).
+// AnswerCount returns the number of answers accepted so far.
 func (s *Service) AnswerCount() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.eng == nil {
-		return 0
-	}
-	return s.eng.TotalAnswers()
+	return int(s.answerSeq.Load())
 }
 
 // HealthStats is the service-level counter block /healthz and the gauge
@@ -1127,28 +1134,20 @@ type HealthStats struct {
 	RemainingBudget int `json:"remaining_budget"`
 }
 
-// Health gathers every /healthz counter under a single read lock. In
-// background mode the answer count is served from the cached accepted-answer
-// sequence — which by invariant exactly tracks the engine's answer total,
-// and is restored to it on checkpoint restore — instead of recounting
-// through the engine on every scrape; synchronous mode, with no cached
-// sequence, still asks the engine.
+// Health gathers every /healthz counter under a single read lock. The answer
+// count is the accepted-answer sequence — which by invariant exactly tracks
+// the engine's answer total, and is restored to it on checkpoint restore —
+// so a scrape never recounts through the engine.
 func (s *Service) Health() HealthStats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	st := HealthStats{
+	return HealthStats{
 		Tasks:           len(s.tasks),
 		Workers:         len(s.workers),
+		Answers:         int(s.answerSeq.Load()),
 		Pending:         len(s.pending),
 		RemainingBudget: s.cfg.budget,
 	}
-	switch {
-	case s.bg != nil:
-		st.Answers = int(s.answerSeq.Load())
-	case s.eng != nil:
-		st.Answers = s.eng.TotalAnswers()
-	}
-	return st
 }
 
 // SetObserver attaches (or, with nil, detaches) an instrumentation observer

@@ -9,6 +9,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"poilabel/internal/snapshot"
 )
 
 // buildMidStreamService drives a service into a representative mid-stream
@@ -244,6 +246,55 @@ func TestServiceRestoreValidation(t *testing.T) {
 			t.Fatal("garbage accepted")
 		}
 	})
+
+	// A partition node's merged worker rows are held to the rule leaf rows
+	// are, and since_full to the answers actually held — values no Checkpoint
+	// call can have written. Each rejection leaves the receiver untouched.
+	corruptions := []struct {
+		name   string
+		mutate func(sv *snapshot.ServiceState, pi []float64, pdw [][]float64)
+	}{
+		{"merged pi out of range", func(_ *snapshot.ServiceState, pi []float64, _ [][]float64) { pi[0] = 7 }},
+		{"negative merged pdw", func(_ *snapshot.ServiceState, _ []float64, pdw [][]float64) { pdw[1][0] = -pdw[1][0] }},
+		{"negative since_full", func(sv *snapshot.ServiceState, _ []float64, _ [][]float64) { sv.SinceFull = -1 }},
+		{"since_full above answers", func(sv *snapshot.ServiceState, _ []float64, _ [][]float64) { sv.SinceFull = 1 << 20 }},
+	}
+	for _, eng := range engineMatrix[1:] {
+		opts := append([]ServiceOption{WithBudget(30), WithFullEMInterval(5)}, eng.opts...)
+		_, clean := buildMidStreamService(t, opts...)
+		for _, c := range corruptions {
+			t.Run(eng.name+" "+c.name, func(t *testing.T) {
+				snap, err := snapshot.Decode(bytes.NewReader(clean))
+				if err != nil {
+					t.Fatal(err)
+				}
+				sv := &snap.Service
+				if sv.Sharded != nil {
+					c.mutate(sv, sv.Sharded.PI, sv.Sharded.PDW)
+				} else {
+					c.mutate(sv, sv.Federated.PI, sv.Federated.PDW)
+				}
+				var bad bytes.Buffer
+				if err := snapshot.Encode(&bad, snap); err != nil {
+					t.Fatal(err)
+				}
+				svc, err := NewService(opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := svc.Restore(&bad); err == nil {
+					t.Fatal("corrupt snapshot restored without error")
+				}
+				if svc.NumTasks() != 0 || svc.NumWorkers() != 0 || svc.FitStats().Generation != 0 {
+					t.Fatal("rejected restore left state behind")
+				}
+				// The same service still accepts the clean snapshot.
+				if err := svc.Restore(bytes.NewReader(clean)); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+	}
 }
 
 // TestServiceSaveLoadCheckpointFile exercises the atomic file path end to
