@@ -2,7 +2,7 @@
 //
 // Usage:
 //
-//	poibench [-seed N] [-shards K] [-list] [-json dir] <experiment-id>... | all
+//	poibench [-seed N] [-shards K] [-list] [-out dir] <experiment-id>... | all
 //
 // Each experiment id corresponds to one table or figure of the paper's
 // evaluation section (fig6..fig14, table1, table2), an ablation study
@@ -11,12 +11,14 @@
 // shards on the Fig13 workload; -shards sets K). Output is the same
 // rows/series the paper reports, as aligned text tables.
 //
-// With -json dir, poibench instead (or additionally) runs the tracked
-// hot-path sweeps and writes dir/BENCH_inference.json and
-// dir/BENCH_assign.json — the perf-trajectory baselines described in
-// PERFORMANCE.md. They are historical records: regressions are gated by the
-// repository benchmark (benchmark/README.md), which compares same-run pairs
-// instead of absolute baselines.
+// With -out dir each experiment's output is also written to dir/<id>.txt,
+// without the timed header stdout carries, so the files are diffable. The
+// ids whose output holds no wall-clock column are pinned as goldens:
+//
+//	poibench -out internal/experiment/testdata/paper fig6 fig7 fig8 table1 fig9 fig10 fig11
+//
+// regenerates them (TestPaperOutputsGolden compares byte for byte). Wall-clock
+// numbers come from the repository benchmark, not from here: go run ./benchmark.
 package main
 
 import (
@@ -33,9 +35,7 @@ func main() {
 	seed := flag.Int64("seed", 7, "scenario seed (population and answers)")
 	list := flag.Bool("list", false, "list available experiment ids and exit")
 	outDir := flag.String("out", "", "also write each experiment's output to <dir>/<id>.txt")
-	jsonDir := flag.String("json", "", "run the tracked perf sweeps and write BENCH_*.json to <dir>")
 	shards := flag.Int("shards", 0, "shard count for the 'sharded' experiment (0 = default)")
-	snapBench := flag.Bool("snapbench", false, "measure snapshot encode/decode throughput on the L-size Fig13 workload")
 	flag.Usage = usage
 	flag.Parse()
 
@@ -49,28 +49,6 @@ func main() {
 			fmt.Println(id)
 		}
 		return
-	}
-
-	if *jsonDir != "" {
-		if err := writePerfReports(*jsonDir, *seed); err != nil {
-			fmt.Fprintf(os.Stderr, "poibench: %v\n", err)
-			os.Exit(1)
-		}
-		if flag.NArg() == 0 && !*snapBench {
-			return
-		}
-	}
-
-	if *snapBench {
-		out, err := experiment.RunSnapshotBench(*seed)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "poibench: snapbench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Print(out)
-		if flag.NArg() == 0 {
-			return
-		}
 	}
 
 	args := flag.Args()
@@ -99,8 +77,9 @@ func main() {
 			failed = true
 			continue
 		}
-		out := fmt.Sprintf("### %s (seed %d, %s)\n\n%s\n", id, *seed, time.Since(start).Round(time.Millisecond), res)
-		fmt.Print(out)
+		elapsed := time.Since(start).Round(time.Millisecond)
+		out := res.String()
+		fmt.Printf("### %s (seed %d, %s)\n\n%s\n", id, *seed, elapsed, out)
 		if *outDir != "" {
 			if err := writeOutput(*outDir, id, out); err != nil {
 				fmt.Fprintf(os.Stderr, "poibench: %v\n", err)
@@ -114,7 +93,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintf(os.Stderr, `usage: poibench [-seed N] [-shards K] [-json dir] <experiment-id>... | all
+	fmt.Fprintf(os.Stderr, `usage: poibench [-seed N] [-shards K] [-list] [-out dir] <experiment-id>... | all
 
 Regenerates the evaluation tables and figures of "Crowdsourced POI
 Labelling: Location-Aware Result Inference and Task Assignment" (ICDE'16).
@@ -126,34 +105,8 @@ Experiments:
 	}
 }
 
-// writePerfReports runs the tracked inference and assignment sweeps and
-// stores them as BENCH_inference.json / BENCH_assign.json under dir.
-func writePerfReports(dir string, seed int64) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("create perf output dir: %w", err)
-	}
-	for _, run := range []struct {
-		name string
-		fn   func(int64) (*experiment.PerfReport, error)
-	}{
-		{"BENCH_inference.json", experiment.RunPerfInference},
-		{"BENCH_assign.json", experiment.RunPerfAssign},
-	} {
-		start := time.Now()
-		r, err := run.fn(seed)
-		if err != nil {
-			return fmt.Errorf("%s: %w", run.name, err)
-		}
-		path := filepath.Join(dir, run.name)
-		if err := r.WriteFile(path); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s (%s)\n", path, time.Since(start).Round(time.Millisecond))
-	}
-	return nil
-}
-
-// writeOutput stores one experiment's rendered output under dir.
+// writeOutput stores one experiment's rendered output under dir: the
+// runner's output only, no elapsed time, so reruns are byte-identical.
 func writeOutput(dir, id, out string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("create output dir: %w", err)

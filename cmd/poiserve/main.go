@@ -18,7 +18,7 @@
 // tree: recent traces are kept in a ring served on GET /debug/traces (filter
 // with ?slow=1, ?min_ms=, ?name=), slow and errored traces are always kept,
 // responses carry X-Poilabel-Trace IDs (client-supplied IDs are adopted, so
-// cmd/poiload can join its latency outliers with server-side span trees),
+// a client can join its latency outliers with server-side span trees),
 // and /metrics grows the poilabel_trace_* families. With -debug-addr the
 // full net/http/pprof surface is mounted on a second listener and /metrics
 // grows poiserve_go_* runtime gauges (goroutines, live heap, GC pause).
@@ -59,8 +59,8 @@
 // Prometheus counters and latency summaries). With -demo N a deterministic
 // synthetic world — the Beijing dataset of the reproduction experiments
 // plus N simulated workers, or a -demo-tasks sized synthetic city — is
-// pre-registered so the server is immediately usable (and so cmd/poiload,
-// given the same seed, can regenerate the identical world client-side):
+// pre-registered so the server is immediately usable (and so a client, given
+// the same seed, can regenerate the identical world with crowd.DemoWorld):
 //
 //	poiserve -demo 30 -engine sharded -shards 4 &
 //	curl -s localhost:8080/healthz

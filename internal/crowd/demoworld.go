@@ -9,7 +9,7 @@ import (
 )
 
 // DemoWorld builds the deterministic synthetic world that poiserve's -demo
-// flag serves and the poiload crowd simulator drives. Both sides construct
+// flag serves and a simulated crowd client drives. Both sides construct
 // it independently from the same (numTasks, numWorkers, seed) triple, so a
 // load generator pointed at a demo server knows the server's task labels,
 // worker identities, and the latent ground truth to draw answers from

@@ -2,6 +2,8 @@ package experiment
 
 import (
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -277,6 +279,33 @@ func TestRegistryComplete(t *testing.T) {
 		if ids[i-1] >= ids[i] {
 			t.Error("IDs not sorted")
 		}
+	}
+}
+
+// TestPaperOutputsGolden pins the paper's label-accuracy tables: each file
+// under testdata/paper is exactly what the registry runner prints at seed 7.
+// table2 is fig11's runner and needs no file; fig12-fig14 print wall-clock
+// columns and cannot be pinned (their Test*Small tests cover the shape).
+// Regenerate with:
+//
+//	go run ./cmd/poibench -out internal/experiment/testdata/paper fig6 fig7 fig8 table1 fig9 fig10 fig11
+func TestPaperOutputsGolden(t *testing.T) {
+	reg := Registry()
+	for _, id := range []string{"fig6", "fig7", "fig8", "table1", "fig9", "fig10", "fig11"} {
+		t.Run(id, func(t *testing.T) {
+			t.Parallel()
+			want, err := os.ReadFile(filepath.Join("testdata", "paper", id+".txt"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := reg[id](7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := res.String(); got != string(want) {
+				t.Errorf("%s at seed 7 differs from testdata/paper/%s.txt\n--- got ---\n%s--- want ---\n%s", id, id, got, want)
+			}
+		})
 	}
 }
 

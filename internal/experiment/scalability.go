@@ -58,14 +58,7 @@ func RunFig13(seed int64, sizes []int) (*Fig13Result, error) {
 	}
 	// Enough tasks that each holds ~5 answers at the largest sweep point,
 	// with 100 workers as in the paper's assignment scalability setup.
-	return runFig13Env(seed, sizes, sizes[len(sizes)-1]/5, 100)
-}
-
-// runFig13Env is RunFig13 with an explicit environment size, so reduced
-// sweeps (the CI perf smoke) can sample a prefix of a larger sweep under the
-// same synthetic world as the full run.
-func runFig13Env(seed int64, sizes []int, envTasks, envWorkers int) (*Fig13Result, error) {
-	env, err := SyntheticEnv(envTasks, envWorkers, seed)
+	env, err := SyntheticEnv(sizes[len(sizes)-1]/5, 100, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -183,97 +176,6 @@ func timeAssignment(numTasks, numWorkers int, seed int64) (float64, error) {
 		return 0, fmt.Errorf("experiment: empty assignment for %d tasks, %d workers", numTasks, numWorkers)
 	}
 	return float64(elapsed.Microseconds()) / 1000, nil
-}
-
-// timeSnapshotPlan measures the lock-free serving path's planning cost on
-// the same warmed world as timeAssignment: single-worker rounds (h=2, the
-// shape of an HTTP /assignments request) planned against an immutable
-// snapshot through the per-worker candidate index (assign.Candidates).
-// coldMs is the average first plan per worker at a fresh generation —
-// candidate-list build plus scan — and warmMs is the average steady-state
-// plan between fits: the cached prefix rescanned with previously handed
-// pairs excluded.
-func timeSnapshotPlan(numTasks, numWorkers int, seed int64) (coldMs, warmMs float64, err error) {
-	env, err := SyntheticEnv(numTasks, numWorkers, seed)
-	if err != nil {
-		return 0, 0, err
-	}
-	m, err := env.NewModel()
-	if err != nil {
-		return 0, 0, err
-	}
-	rng := rand.New(rand.NewSource(seed + 3))
-	for t := 0; t < numTasks; t += 10 {
-		w := model.WorkerID(rng.Intn(numWorkers))
-		if err := m.Observe(env.Sim.Answer(w, model.TaskID(t))); err != nil {
-			return 0, 0, err
-		}
-	}
-	m.Fit()
-
-	const h = 2
-	snap := assign.SnapshotModel(m)
-	available := env.Sim.SampleAvailable(numWorkers)
-	if len(available) == 0 {
-		return 0, 0, fmt.Errorf("experiment: no available workers for %d tasks, %d workers", numTasks, numWorkers)
-	}
-	cands := assign.NewCandidates(0)
-	key := func(w model.WorkerID, t model.TaskID) uint64 {
-		return uint64(w)<<32 | uint64(uint32(t))
-	}
-
-	// Microbenchmark hygiene: plans are microseconds, so take the fastest of
-	// a few repetitions — a scheduler hiccup on a busy host must not
-	// masquerade as a regression in the recorded series. Each cold
-	// repetition bumps the generation, which drops every cached list and
-	// forces fresh builds; the picks are identical across generations, so
-	// the handed set only needs filling once.
-	const reps = 3
-	handed := make(map[uint64]bool, len(available)*h)
-	var cold time.Duration
-	for rep := 0; rep < reps; rep++ {
-		gen := uint64(rep + 1)
-		picksTotal := 0
-		start := time.Now()
-		for _, w := range available {
-			picks, _ := cands.PlanWorker(snap, gen, w, h, nil)
-			picksTotal += len(picks)
-			if rep == 0 {
-				for _, t := range picks {
-					handed[key(w, t)] = true
-				}
-			}
-		}
-		elapsed := time.Since(start)
-		if picksTotal == 0 {
-			return 0, 0, fmt.Errorf("experiment: empty snapshot plan for %d tasks, %d workers", numTasks, numWorkers)
-		}
-		if rep == 0 || elapsed < cold {
-			cold = elapsed
-		}
-	}
-
-	// Steady state: the handed-out pairs stay pending, so every subsequent
-	// plan rescans the cached prefix around them. Enough rounds that the
-	// per-plan cost is measured over thousands of plans, not one.
-	skip := func(w model.WorkerID, t model.TaskID) bool { return handed[key(w, t)] }
-	const warmRounds = 200
-	var warm time.Duration
-	for rep := 0; rep < reps; rep++ {
-		start := time.Now()
-		for r := 0; r < warmRounds; r++ {
-			for _, w := range available {
-				cands.PlanWorker(snap, reps, w, h, skip)
-			}
-		}
-		if elapsed := time.Since(start); rep == 0 || elapsed < warm {
-			warm = elapsed
-		}
-	}
-
-	coldMs = float64(cold.Nanoseconds()) / 1e6 / float64(len(available))
-	warmMs = float64(warm.Nanoseconds()) / 1e6 / float64(warmRounds*len(available))
-	return coldMs, warmMs, nil
 }
 
 // Table renders both sweeps.

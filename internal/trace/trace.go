@@ -77,8 +77,8 @@ func (c Config) withDefaults() Config {
 }
 
 // Header is the HTTP header trace IDs travel in, both directions — the wire
-// contract internal/serve and internal/loadgen share, kept here so neither
-// has to import the other.
+// contract internal/serve shares with its clients, kept here so a client
+// does not have to import the gateway.
 const Header = "X-Poilabel-Trace"
 
 // ringShards is the number of independently locked recent-trace rings.

@@ -133,10 +133,10 @@ func BenchmarkDirectModelSubmit(b *testing.B) {
 }
 
 // BenchmarkRequestTasksParallel measures the lock-free serving path at the
-// load benchmark's L scale (8000 tasks, 100 workers): goroutines run the
-// closed crowd loop — request one worker's assignments (h = 2), answer the
-// handed-out tasks — against a background-fit service configured like the
-// BENCH_serve closed-single row (2s cadence, eager fit at 2000 answers).
+// repository benchmark's closed-single scale (8000 tasks, 100 workers):
+// goroutines run the closed crowd loop — request one worker's assignments
+// (h = 2), answer the handed-out tasks — against a background-fit service
+// (2s cadence, eager fit at 2000 answers).
 // Planning runs against the published snapshot through the per-worker
 // candidate index; only the optimistic commit and the answer submissions
 // take the write lock. Compare with BenchmarkServiceRequestTasks, which
