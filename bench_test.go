@@ -272,11 +272,25 @@ func BenchmarkIncrementalUpdate(b *testing.B) {
 	}
 }
 
-// BenchmarkAccOptAssign measures one assignment round on a warm model at
-// three scales: S is the paper's deployment (200 tasks, 5 workers), M and
-// L are synthetic worlds up to the Figure 14 sweep sizes. Rounds run on a
-// reused Planner, the steady state of an assignment loop.
+// BenchmarkAccOptAssign measures one assignment round on a warm model. S is
+// the paper's deployment (200 tasks, 5 workers); M and L are synthetic worlds
+// up to the Figure 14 sweep sizes, nine tasks in ten still unanswered, so the
+// row kernel mostly takes its cold-task branch there. Round10 and Single are
+// the shapes the service plans: a 10-worker round over 5 000 tasks and one
+// worker's row over 2 000 (a shard's share), both on a fitted log of four
+// answers per task, where every pair pays both mixtures. Rounds run on a
+// reused Planner, the steady state of an assignment loop; ns/pair is the
+// round's time over |W|·|T|.
 func BenchmarkAccOptAssign(b *testing.B) {
+	run := func(b *testing.B, m *core.Model, workers []model.WorkerID) {
+		pl := assign.NewPlanner()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			pl.Assign(m, workers, 2)
+		}
+		pairs := b.N * len(workers) * len(m.Tasks())
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(pairs), "ns/pair")
+	}
 	b.Run("S", func(b *testing.B) {
 		env := experiment.DefaultScenario("Beijing", benchSeed).MustBuild()
 		answers, err := env.Collect()
@@ -287,12 +301,7 @@ func BenchmarkAccOptAssign(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		workers := env.Sim.SampleAvailable(5)
-		pl := assign.NewPlanner()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			pl.Assign(m, workers, 2)
-		}
+		run(b, m, env.Sim.SampleAvailable(5))
 	})
 	for _, sc := range []struct {
 		name             string
@@ -319,12 +328,30 @@ func BenchmarkAccOptAssign(b *testing.B) {
 				}
 			}
 			m.Fit()
-			workers := env.Sim.SampleAvailable(sc.nWorkers)
-			pl := assign.NewPlanner()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				pl.Assign(m, workers, 2)
+			run(b, m, env.Sim.SampleAvailable(sc.nWorkers))
+		})
+	}
+	for _, sc := range []struct {
+		name           string
+		nTasks, nRound int
+	}{
+		{"Round10", 5000, 10},
+		{"Single", 2000, 1},
+	} {
+		b.Run(sc.name, func(b *testing.B) {
+			env, err := experiment.SyntheticEnv(sc.nTasks, 100, benchSeed)
+			if err != nil {
+				b.Fatal(err)
 			}
+			answers, err := env.Sim.CollectBiased(4, 0, 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			m, _, err := env.FitModel(answers)
+			if err != nil {
+				b.Fatal(err)
+			}
+			run(b, m, env.Sim.SampleAvailable(sc.nRound))
 		})
 	}
 }

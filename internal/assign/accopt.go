@@ -61,24 +61,33 @@ var unavailable = math.Inf(-1)
 
 // Planner runs the greedy assignment with round-scoped scratch buffers that
 // persist across calls: the O(|W|·|T|) probability and improvement
-// matrices, the per-task accuracy states, the per-worker cached bests, and
-// the pick heap. A Planner amortizes those allocations across the many
-// assignment rounds of an experiment sweep; it is not safe for concurrent
-// use. It implements Assigner.
+// matrices, the per-task answer counts, the accuracy states of the tasks a
+// round picks, the per-worker cached bests, and the pick heap. A Planner
+// amortizes those allocations across the many assignment rounds of an
+// experiment sweep — a steady-state round allocates only the Assignment it
+// returns, plus its goroutines when the init fans out — and is not safe for
+// concurrent use. It implements Assigner.
 type Planner struct {
 	marginal bool
 
-	matrix    []float64 // backing store for the p and delta rows
-	p         [][]float64
-	delta     [][]float64
-	taskAcc   []*LabelAcc
-	taskDelta []float64
-	bestT     []int
-	bestD     []float64
-	active    []bool
-	assigned  []int
-	heap      pickHeap
-	seen      map[model.WorkerID]bool // dedup scratch, cleared after use
+	matrix []float64 // backing store for the p and delta rows
+	p      [][]float64
+	delta  [][]float64
+	taskN  []int // |W(t)| per task, read from the view once per round
+	// bundles holds the accuracy state of every task picked so far this
+	// round, in first-pick order; a task that nobody picks never gets one,
+	// its improvement entries come straight from PZ and taskN (rowKernel).
+	// slot[t]-1 indexes bundles, 0 meaning task t has no state yet. Both are
+	// reset at the top of every round.
+	bundles  []LabelAcc
+	slot     []int32
+	answered [][]model.TaskID // per-row scratch of rowKernel.fill
+	bestT    []int
+	bestD    []float64
+	active   []bool
+	assigned []int
+	heap     pickHeap
+	seen     map[model.WorkerID]bool // dedup scratch, cleared after use
 }
 
 // NewPlanner returns a reusable AccOpt planner.
@@ -97,7 +106,8 @@ func (pl *Planner) Name() string {
 }
 
 // grow resizes the planner's buffers for a round over nW workers and nT
-// tasks, reusing prior capacity where possible.
+// tasks, reusing prior capacity where possible, and forgets the previous
+// round's bundle states.
 func (pl *Planner) grow(nW, nT int) {
 	if need := 2 * nW * nT; cap(pl.matrix) < need {
 		pl.matrix = make([]float64, need)
@@ -109,14 +119,16 @@ func (pl *Planner) grow(nW, nT int) {
 		pl.p[i] = pl.matrix[2*i*nT : (2*i+1)*nT]
 		pl.delta[i] = pl.matrix[(2*i+1)*nT : (2*i+2)*nT]
 	}
-	if cap(pl.taskDelta) < nT {
-		pl.taskDelta = make([]float64, nT)
-		pl.taskAcc = make([]*LabelAcc, nT)
+	if cap(pl.taskN) < nT {
+		pl.taskN = make([]int, nT)
+		pl.slot = make([]int32, nT)
 	}
-	pl.taskDelta = pl.taskDelta[:nT]
-	pl.taskAcc = pl.taskAcc[:nT]
-	for t := range pl.taskDelta {
-		pl.taskDelta[t] = 0
+	pl.taskN = pl.taskN[:nT]
+	pl.slot = pl.slot[:nT]
+	clear(pl.slot)
+	pl.bundles = pl.bundles[:0]
+	for len(pl.answered) < nW {
+		pl.answered = append(pl.answered, nil)
 	}
 	if cap(pl.bestT) < nW {
 		pl.bestT = make([]int, nW)
@@ -134,6 +146,29 @@ func (pl *Planner) grow(nW, nT int) {
 	pl.heap = pl.heap[:0]
 }
 
+// bundle returns task t's accuracy state for this round, materialising the
+// pre-assignment state (acc1 = P(z=1), acc0 = P(z=0) per label, n = |W(t)|)
+// at the task's first pick. The pointer is valid until the next call.
+func (pl *Planner) bundle(t int, pz []float64) *LabelAcc {
+	if s := pl.slot[t]; s > 0 {
+		return &pl.bundles[s-1]
+	}
+	if n := len(pl.bundles); n < cap(pl.bundles) {
+		pl.bundles = pl.bundles[:n+1] // reuse an earlier round's label buffers
+	} else {
+		pl.bundles = append(pl.bundles, LabelAcc{})
+	}
+	pl.slot[t] = int32(len(pl.bundles))
+	la := &pl.bundles[len(pl.bundles)-1]
+	la.Acc1 = append(la.Acc1[:0], pz...)
+	la.Acc0 = la.Acc0[:0]
+	for _, p := range pz {
+		la.Acc0 = append(la.Acc0, 1-p)
+	}
+	la.N = pl.taskN[t]
+	return la
+}
+
 // Assign implements Assigner. Duplicate workers in the list are dropped
 // after their first occurrence: the Assigner contract caps each worker at
 // h tasks with no repeats, and the parallel matrix init requires each
@@ -148,75 +183,44 @@ func (pl *Planner) Assign(v View, workers []model.WorkerID, h int) Assignment {
 // already-answered pairs, so the greedy spends each worker's h picks on
 // assignable pairs only.
 func (pl *Planner) AssignExcluding(v View, workers []model.WorkerID, h int, skip SkipFunc) Assignment {
+	if h <= 0 {
+		return Assignment{}
+	}
 	workers = pl.dedupWorkers(workers)
-	est := NewEstimator(v)
-	tasks := v.Tasks()
 	params := v.Params()
-	nT := len(tasks)
+	nT := len(v.Tasks())
 	nW := len(workers)
 
 	out := make(Assignment, nW)
 	pl.grow(nW, nT)
-
-	// Per-task accuracy state (acc1 = P(z=1), acc0 = P(z=0) per label,
-	// n = |W(t)|), reusing the previous round's LabelAcc objects when the
-	// task set shape is unchanged.
-	for t := 0; t < nT; t++ {
-		pz := params.PZ[t]
-		la := pl.taskAcc[t]
-		if la == nil || len(la.Acc1) != len(pz) {
-			pl.taskAcc[t] = est.TaskAcc(model.TaskID(t))
-			continue
-		}
-		for k, p := range pz {
-			la.Acc1[k] = p
-			la.Acc0[k] = 1 - p
-		}
-		la.N = v.TaskAnswerCount(model.TaskID(t))
+	for t := range pl.taskN {
+		pl.taskN[t] = v.TaskAnswerCount(model.TaskID(t))
 	}
 
 	// p[i][t]: agreement probability of workers[i] on task t.
 	// delta[i][t]: matrix entry per Algorithm 1 (bundle total, or marginal
-	// gain in the ablation variant). unavailable marks pairs that cannot
-	// be assigned (already answered, or assigned this round).
+	// gain in the ablation variant; the two coincide while the bundle is
+	// empty). unavailable marks pairs that cannot be assigned (already
+	// answered, excluded by skip, or assigned this round).
 	//
 	// The O(|W|·|T|·L) init dominates a round, is embarrassingly parallel
 	// over workers, and each chunk touches only its own workers' rows, so
 	// it fans out over the CPUs. Row contents do not depend on the chunk
 	// split; the result is deterministic.
-	initRow := func(i int) {
-		w := workers[i]
-		prow, drow := pl.p[i], pl.delta[i]
-		for t := 0; t < nT; t++ {
-			tid := model.TaskID(t)
-			if v.HasAnswer(w, tid) || (skip != nil && skip(w, tid)) {
-				drow[t] = unavailable
-				prow[t] = 0
-				continue
-			}
-			prow[t] = est.Agreement(w, tid)
-			drow[t] = pl.taskAcc[t].SingleDelta(params.PZ[t], prow[t])
-		}
-		pl.rescan(i)
-	}
+	kern := newRowKernel(v, pl.taskN)
 	if procs := runtime.GOMAXPROCS(0); procs > 1 && nW > 1 && nW*nT >= 4096 {
 		chunk := (nW + procs - 1) / procs
 		var wg sync.WaitGroup
 		for lo := 0; lo < nW; lo += chunk {
-			hi := min(lo+chunk, nW)
 			wg.Add(1)
-			go func(lo, hi int) {
+			go func(lo int, chunk []model.WorkerID) {
 				defer wg.Done()
-				for i := lo; i < hi; i++ {
-					initRow(i)
-				}
-			}(lo, hi)
+				pl.initRows(kern, chunk, skip, lo)
+			}(lo, workers[lo:min(lo+chunk, nW)])
 		}
 		wg.Wait()
 	} else {
-		for i := 0; i < nW; i++ {
-			initRow(i)
-		}
+		pl.initRows(kern, workers, skip, 0)
 	}
 
 	// Max-heap over the workers' cached best entries, replacing the O(|W|)
@@ -252,8 +256,13 @@ func (pl *Planner) AssignExcluding(v View, workers []model.WorkerID, h int, skip
 		pl.delta[imax][tmax] = unavailable
 
 		// Extend the chosen task's bundle with the chosen worker.
-		pl.taskAcc[tmax].Extend(pl.p[imax][tmax])
-		pl.taskDelta[tmax] = pl.taskAcc[tmax].Delta(params.PZ[tmax])
+		pz := params.PZ[tmax]
+		la := pl.bundle(tmax, pz)
+		la.Extend(pl.p[imax][tmax])
+		var bundleDelta float64
+		if pl.marginal {
+			bundleDelta = la.Delta(pz)
+		}
 
 		// Refresh the tmax column for every other active worker and fix
 		// their cached best entries. Entries for other tasks are
@@ -264,9 +273,9 @@ func (pl *Planner) AssignExcluding(v View, workers []model.WorkerID, h int, skip
 				continue
 			}
 			if pl.delta[i][tmax] != unavailable {
-				d := pl.taskAcc[tmax].SingleDelta(params.PZ[tmax], pl.p[i][tmax])
+				d := la.SingleDelta(pz, pl.p[i][tmax])
 				if pl.marginal {
-					d -= pl.taskDelta[tmax]
+					d -= bundleDelta
 				}
 				pl.delta[i][tmax] = d
 			}
@@ -292,6 +301,16 @@ func (pl *Planner) AssignExcluding(v View, workers []model.WorkerID, h int, skip
 		}
 	}
 	return out
+}
+
+// initRows fills the matrix rows lo, lo+1, … for workers, and their cached
+// bests.
+func (pl *Planner) initRows(kern rowKernel, workers []model.WorkerID, skip SkipFunc, lo int) {
+	for k, w := range workers {
+		i := lo + k
+		pl.answered[i] = kern.fill(w, skip, pl.p[i], pl.delta[i], pl.answered[i])
+		pl.rescan(i)
+	}
 }
 
 // rescan recomputes worker i's cached best entry from its delta row,

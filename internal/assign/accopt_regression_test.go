@@ -8,14 +8,16 @@ import (
 	"testing"
 
 	"poilabel/internal/core"
+	"poilabel/internal/geo"
 	"poilabel/internal/model"
 )
 
 // referenceGreedy is the pre-refactor greedy assignment: serial matrix
-// init, a linear O(|W|) argmax scan per pick, and fresh scratch per call.
-// The heap-based, parallel-init Planner must reproduce its output byte for
-// byte — same picks, same order, same per-worker task lists.
-func referenceGreedy(m *core.Model, workers []model.WorkerID, h int, marginal bool) Assignment {
+// init through the Estimator, every task's accuracy state built up front, a
+// linear O(|W|) argmax scan per pick, and fresh scratch per call. The
+// heap-based, parallel-init, kernel-filled Planner must reproduce its output
+// byte for byte — same picks, same order, same per-worker task lists.
+func referenceGreedy(m *core.Model, workers []model.WorkerID, h int, marginal bool, skip SkipFunc) Assignment {
 	est := NewEstimator(m)
 	tasks := m.Tasks()
 	answers := m.Answers()
@@ -38,7 +40,7 @@ func referenceGreedy(m *core.Model, workers []model.WorkerID, h int, marginal bo
 		delta[i] = make([]float64, nT)
 		for t := 0; t < nT; t++ {
 			tid := model.TaskID(t)
-			if answers.Has(w, tid) {
+			if answers.Has(w, tid) || (skip != nil && skip(w, tid)) {
 				delta[i][t] = unavailable
 				continue
 			}
@@ -135,9 +137,10 @@ func regressionWorld(t *testing.T, nT, nW int, seed int64) *core.Model {
 	return m
 }
 
-// The Planner (heap pick, parallel init, reused scratch) must be
-// byte-identical to the reference greedy across scales, variants, and
-// repeated rounds on the same planner.
+// The Planner (heap pick, parallel init, reused scratch, lazily built bundle
+// state) must be byte-identical to the reference greedy across scales,
+// variants, views, exclusions, and repeated rounds on the same planner while
+// the model grows under it.
 func TestPlannerMatchesReferenceGreedy(t *testing.T) {
 	// Force several P so the goroutine-chunked init actually runs even on
 	// single-CPU hosts; the chunk split must not change the output.
@@ -159,14 +162,27 @@ func TestPlannerMatchesReferenceGreedy(t *testing.T) {
 			if marginal {
 				pl = NewMarginalPlanner()
 			}
-			// Two rounds on the same planner: the second exercises the
-			// buffer-reuse path against a fresh reference run.
-			for round := 0; round < 2; round++ {
-				want := referenceGreedy(m, workers, tc.h, marginal)
-				got := pl.Assign(m, workers, tc.h)
+			// Three rounds on the same planner, each against a fresh
+			// reference run: the later ones exercise the buffer-reuse path,
+			// an exclusion set, and a task and a worker the planner's
+			// buffers were not sized for.
+			for round := 0; round < 3; round++ {
+				var skip SkipFunc
+				if round > 0 {
+					skip = func(w model.WorkerID, tid model.TaskID) bool { return (int(w)+int(tid)+round)%7 == 0 }
+				}
+				want := referenceGreedy(m, workers, tc.h, marginal, skip)
+				got := pl.AssignExcluding(m, workers, tc.h, skip)
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("nT=%d nW=%d marginal=%v round %d: planner diverges from reference\n got: %v\nwant: %v",
 						tc.nT, tc.nW, marginal, round, got, want)
+				}
+				// The same round once more, over a snapshot. The run above
+				// extended the bundle state of every task it picked; a
+				// state that outlived its round would be extended twice.
+				if again := pl.AssignExcluding(SnapshotModel(m), workers, tc.h, skip); !reflect.DeepEqual(again, want) {
+					t.Fatalf("nT=%d nW=%d marginal=%v round %d: replanning over a snapshot diverges from reference\n got: %v\nwant: %v",
+						tc.nT, tc.nW, marginal, round, again, want)
 				}
 				// Execute the round so the next one starts from a
 				// different model state.
@@ -182,9 +198,31 @@ func TestPlannerMatchesReferenceGreedy(t *testing.T) {
 						}
 					}
 				}
+				if round == 0 {
+					growWorld(t, m)
+					workers = allWorkers(len(m.Workers()))
+				}
 				m.Fit()
 			}
 		}
+	}
+}
+
+// growWorld registers one more task and one more worker, both cold, beside
+// the first ones.
+func growWorld(t *testing.T, m *core.Model) {
+	t.Helper()
+	task := m.Tasks()[0]
+	task.ID = model.TaskID(len(m.Tasks()))
+	task.Location.Y += 0.25
+	if err := m.AddTask(task); err != nil {
+		t.Fatal(err)
+	}
+	worker := m.Workers()[0]
+	worker.ID = model.WorkerID(len(m.Workers()))
+	worker.Locations = []geo.Point{{X: worker.Locations[0].X, Y: worker.Locations[0].Y + 0.25}}
+	if err := m.AddWorker(worker); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -7,6 +7,24 @@
 // exhaustive optimal assigner used to validate the greedy on small
 // instances (the exact problem is NP-hard, Lemma 3).
 //
+// # The row kernel
+//
+// AccOpt's cost is the O(|W|·|T|·L) init of its improvement matrix. That
+// loop exists once, in rowKernel.fill: a worker's agreement row and initial
+// improvement row over every task, with whatever a round does not change
+// read once — configuration and parameters per round, the task answer
+// counts per round into a dense slice, π_w, P(d_w) and the worker's cold
+// flag per row — the function set evaluated once per pair for both mixtures,
+// answered pairs marked from the worker's own answer list
+// (View.AnsweredTasks) instead of one set probe per task, and the
+// improvement computed straight from P(z) and the answer count. Planner
+// (every round, hence every shard's leaf planner) and Candidates (every list
+// build) call it; a task's LabelAcc is built only when the greedy first
+// picks it. Estimator.Agreement and LabelAcc.SingleDelta stay as the
+// readable reference: the kernel keeps their floating-point operation order
+// and is held to them bit for bit by TestRowKernelMatchesEstimator, so plans
+// do not change.
+//
 // # Snapshot planning
 //
 // Every assigner reads model state through the View interface, which has two
@@ -70,7 +88,8 @@ type Assigner interface {
 	// Name returns the short display name used in experiment tables.
 	Name() string
 	// Assign returns the chosen tasks. Workers may receive fewer than h
-	// tasks only when fewer than h undone tasks remain for them.
+	// tasks only when fewer than h undone tasks remain for them; h <= 0
+	// asks for nothing and returns an empty Assignment.
 	Assign(v View, workers []model.WorkerID, h int) Assignment
 }
 
@@ -112,6 +131,9 @@ func (r Random) Assign(v View, workers []model.WorkerID, h int) Assignment {
 
 // AssignExcluding implements ExcludingAssigner.
 func (r Random) AssignExcluding(v View, workers []model.WorkerID, h int, skip SkipFunc) Assignment {
+	if h <= 0 {
+		return Assignment{}
+	}
 	out := make(Assignment, len(workers))
 	tasks := v.Tasks()
 	for _, w := range workers {
@@ -158,6 +180,9 @@ func (s *SpatialFirst) Assign(v View, workers []model.WorkerID, h int) Assignmen
 
 // AssignExcluding implements ExcludingAssigner.
 func (s *SpatialFirst) AssignExcluding(v View, workers []model.WorkerID, h int, skip SkipFunc) Assignment {
+	if h <= 0 {
+		return Assignment{}
+	}
 	out := make(Assignment, len(workers))
 	allWorkers := v.Workers()
 	tasks := v.Tasks()

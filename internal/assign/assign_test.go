@@ -13,6 +13,12 @@ import (
 // line, nW workers at chosen positions, a few warm answers.
 func smallWorld(t *testing.T, nT, nW int, seed int64) *core.Model {
 	t.Helper()
+	return smallWorldCfg(t, nT, nW, seed, core.DefaultConfig())
+}
+
+// smallWorldCfg is smallWorld under a caller-chosen model configuration.
+func smallWorldCfg(t *testing.T, nT, nW int, seed int64, cfg core.Config) *core.Model {
+	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	var tasks []model.Task
 	var pts []geo.Point
@@ -27,7 +33,7 @@ func smallWorld(t *testing.T, nT, nW int, seed int64) *core.Model {
 		workers = append(workers, model.Worker{ID: model.WorkerID(i), Locations: []geo.Point{loc}})
 		pts = append(pts, loc)
 	}
-	m, err := core.NewModel(tasks, workers, geo.NormalizerFor(pts), core.DefaultConfig())
+	m, err := core.NewModel(tasks, workers, geo.NormalizerFor(pts), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,6 +244,37 @@ func TestAssignFewerTasksThanH(t *testing.T) {
 		a := asg.Assign(m, []model.WorkerID{0}, 3)
 		if len(a[0]) != 1 || a[0][0] != 1 {
 			t.Errorf("%s assigned %v, want just task 1", asg.Name(), a[0])
+		}
+	}
+}
+
+// h <= 0 asks for nothing: every assigner of the package returns an empty
+// Assignment, none hands out a task and none panics on a negative h.
+func TestNonPositiveHAssignsNothing(t *testing.T) {
+	m := smallWorld(t, 6, 2, 36)
+	rng := rand.New(rand.NewSource(37))
+	warm(t, m, [][2]int{{0, 0}, {1, 3}}, rng)
+	workers := allWorkers(2)
+	assigners := []Assigner{
+		AccOpt{}, MarginalGreedy{}, NewPlanner(), NewMarginalPlanner(),
+		Random{Rand: rand.New(rand.NewSource(38))}, NewSpatialFirst(m.Tasks()),
+		EntropyFirst{}, Exhaustive{},
+	}
+	for _, h := range []int{0, -1} {
+		for _, asg := range assigners {
+			for _, v := range []View{m, SnapshotModel(m)} {
+				if a := asg.Assign(v, workers, h); len(a) != 0 {
+					t.Errorf("%s.Assign(%T, h=%d) = %v, want an empty assignment", asg.Name(), v, h, a)
+				}
+			}
+			if ex, ok := asg.(ExcludingAssigner); ok {
+				if a := ex.AssignExcluding(m, workers, h, func(model.WorkerID, model.TaskID) bool { return false }); len(a) != 0 {
+					t.Errorf("%s.AssignExcluding(h=%d) = %v, want an empty assignment", asg.Name(), h, a)
+				}
+			}
+		}
+		if picks, built := NewCandidates(0).PlanWorker(SnapshotModel(m), 1, 0, h, nil); len(picks) != 0 || built {
+			t.Errorf("Candidates.PlanWorker(h=%d) = %v (built %v), want nothing", h, picks, built)
 		}
 	}
 }

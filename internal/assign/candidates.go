@@ -209,29 +209,18 @@ func scanRow(entries []candEntry, h int, w model.WorkerID, skip SkipFunc) []mode
 
 // build fills r with worker w's assignable row against snap, sorted by
 // (improvement desc, task asc), truncated to k entries (k < 0 keeps the
-// whole row). The improvement values use the same LabelAcc arithmetic, in
-// the same operation order, as the Planner's matrix init, so the sorted
-// order ties out exactly.
+// whole row). The improvement values come from the same row kernel as the
+// Planner's matrix init, so the sorted order ties out exactly.
 func (c *Candidates) build(r *candRow, snap *Snapshot, w model.WorkerID, k int) {
-	est := NewEstimator(snap)
-	params := snap.Params()
-	nT := len(snap.Tasks())
+	nT := len(snap.tasks)
+	rows := make([]float64, 2*nT)
+	delta := rows[nT:]
+	newRowKernel(snap, snap.taskN).fill(w, nil, rows[:nT], delta, nil)
 	entries := r.entries[:0]
-	la := &LabelAcc{}
-	for t := 0; t < nT; t++ {
-		tid := model.TaskID(t)
-		if snap.HasAnswer(w, tid) {
-			continue
+	for t, d := range delta {
+		if d != unavailable {
+			entries = append(entries, candEntry{t: model.TaskID(t), d: d})
 		}
-		pz := params.PZ[t]
-		la.Acc1 = append(la.Acc1[:0], pz...)
-		la.Acc0 = la.Acc0[:0]
-		for _, p := range pz {
-			la.Acc0 = append(la.Acc0, 1-p)
-		}
-		la.N = snap.TaskAnswerCount(tid)
-		p := est.Agreement(w, tid)
-		entries = append(entries, candEntry{t: tid, d: la.SingleDelta(pz, p)})
 	}
 	sort.Slice(entries, func(i, j int) bool {
 		if entries[i].d != entries[j].d {

@@ -17,6 +17,9 @@ func (Exhaustive) Name() string { return "Exhaustive" }
 
 // Assign implements Assigner.
 func (Exhaustive) Assign(v View, workers []model.WorkerID, h int) Assignment {
+	if h <= 0 {
+		return Assignment{}
+	}
 	est := NewEstimator(v)
 	tasks := v.Tasks()
 	params := v.Params()

@@ -37,6 +37,12 @@ type View interface {
 	Distance(w model.WorkerID, t model.TaskID) float64
 	// HasAnswer reports whether worker w has already answered task t.
 	HasAnswer(w model.WorkerID, t model.TaskID) bool
+	// AnsweredTasks appends T(w), the tasks worker w has answered, to buf in
+	// no particular order and returns the extended slice: HasAnswer(w, t)
+	// is true for exactly these tasks. The AccOpt row kernel marks a
+	// worker's answered pairs from this list instead of probing HasAnswer
+	// once per task.
+	AnsweredTasks(w model.WorkerID, buf []model.TaskID) []model.TaskID
 	// WorkerAnswerCount returns |T(w)|, the number of answers worker w has
 	// given.
 	WorkerAnswerCount(w model.WorkerID) int
@@ -47,7 +53,8 @@ type View interface {
 
 // Snapshot is an immutable, self-contained copy of the planning-relevant
 // model state: cloned parameters, the task/worker slices as of capture, the
-// answered-pair set, and dense per-worker/per-task answer counts. It
+// answered-pair set, every worker's answered-task list, and dense per-task
+// answer counts. It
 // implements View; distances are recomputed on the fly through the captured
 // normalizer (the same geo.Normalizer.MinDistance the live model caches), so
 // a Snapshot's numbers are bit-identical to the model it was taken from.
@@ -64,8 +71,11 @@ type Snapshot struct {
 	params  *core.Params
 	norm    geo.Normalizer
 	pairs   map[uint64]struct{}
-	workerN []int
 	taskN   []int
+	// answered[workerOff[w]:workerOff[w+1]] is T(w), the tasks worker w has
+	// answered.
+	answered  []model.TaskID
+	workerOff []int
 }
 
 // pairBits packs a (worker, task) pair into one map key.
@@ -78,27 +88,30 @@ func pairBits(w model.WorkerID, t model.TaskID) uint64 {
 // live answer log); afterwards the Snapshot is independent of m. Capture is
 // O(|T| + |W| + |R|) time and memory: parameters are deep-copied, the
 // append-only task/worker slices are captured by length-bounded reference,
-// and the answer log is folded into a pair set plus dense counts.
+// and the answer log is walked once, worker by worker, into a pair set, one
+// flat array of per-worker answered-task lists, and dense per-task counts.
 func SnapshotModel(m *core.Model) *Snapshot {
 	tasks := m.Tasks()
 	workers := m.Workers()
-	s := &Snapshot{
-		cfg:     m.Config(),
-		tasks:   tasks[:len(tasks):len(tasks)],
-		workers: workers[:len(workers):len(workers)],
-		params:  m.Params().Clone(),
-		norm:    m.Normalizer(),
-		workerN: make([]int, len(workers)),
-		taskN:   make([]int, len(tasks)),
-	}
 	ans := m.Answers()
-	n := ans.Len()
-	s.pairs = make(map[uint64]struct{}, n)
-	for i := 0; i < n; i++ {
-		w, t := ans.Pair(i)
-		s.pairs[pairBits(w, t)] = struct{}{}
-		s.workerN[w]++
-		s.taskN[t]++
+	s := &Snapshot{
+		cfg:       m.Config(),
+		tasks:     tasks[:len(tasks):len(tasks)],
+		workers:   workers[:len(workers):len(workers)],
+		params:    m.Params().Clone(),
+		norm:      m.Normalizer(),
+		pairs:     make(map[uint64]struct{}, ans.Len()),
+		taskN:     make([]int, len(tasks)),
+		answered:  make([]model.TaskID, 0, ans.Len()),
+		workerOff: make([]int, len(workers)+1),
+	}
+	for w := range workers {
+		s.answered = m.AnsweredTasks(model.WorkerID(w), s.answered)
+		s.workerOff[w+1] = len(s.answered)
+		for _, t := range s.answered[s.workerOff[w]:] {
+			s.pairs[pairBits(model.WorkerID(w), t)] = struct{}{}
+			s.taskN[t]++
+		}
 	}
 	return s
 }
@@ -128,8 +141,15 @@ func (s *Snapshot) HasAnswer(w model.WorkerID, t model.TaskID) bool {
 	return ok
 }
 
+// AnsweredTasks implements View against the coverage as of capture.
+func (s *Snapshot) AnsweredTasks(w model.WorkerID, buf []model.TaskID) []model.TaskID {
+	return append(buf, s.answered[s.workerOff[w]:s.workerOff[w+1]]...)
+}
+
 // WorkerAnswerCount implements View against the coverage as of capture.
-func (s *Snapshot) WorkerAnswerCount(w model.WorkerID) int { return s.workerN[w] }
+func (s *Snapshot) WorkerAnswerCount(w model.WorkerID) int {
+	return s.workerOff[w+1] - s.workerOff[w]
+}
 
 // TaskAnswerCount implements View against the coverage as of capture.
 func (s *Snapshot) TaskAnswerCount(t model.TaskID) int { return s.taskN[t] }

@@ -192,6 +192,16 @@ func (m *Model) HasAnswer(w model.WorkerID, t model.TaskID) bool {
 	return m.answers.Has(w, t)
 }
 
+// AnsweredTasks appends T(w), the tasks worker w has answered, to buf in
+// submission order and returns the extended slice.
+func (m *Model) AnsweredTasks(w model.WorkerID, buf []model.TaskID) []model.TaskID {
+	for _, i := range m.answers.ByWorker(w) {
+		_, t := m.answers.Pair(i)
+		buf = append(buf, t)
+	}
+	return buf
+}
+
 // WorkerAnswerCount returns |T(w)|, the number of answers worker w has given.
 func (m *Model) WorkerAnswerCount(w model.WorkerID) int {
 	return m.answers.WorkerAnswerCount(w)

@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"poilabel/internal/trace"
 )
 
 // parseWid and parseTid invert the wid/tid test helpers.
@@ -301,4 +303,49 @@ func TestConcurrentRequestTasksRace(t *testing.T) {
 		t.Errorf("committed %d picks, want %d", st.CommittedPicks, budget)
 	}
 	t.Logf("plan stats: %+v", st)
+}
+
+// TestLockedPlanSpanCountsItsRound reads a locked round's size off its trace:
+// the plan.locked span carries how many workers asked and how many pairs the
+// round committed, so /debug/traces gives the write-lock hold per worker.
+func TestLockedPlanSpanCountsItsRound(t *testing.T) {
+	tracer := trace.New(trace.Config{})
+	svc, err := NewService(WithEngine(EngineSharded), WithShards(2), WithTasksPerRequest(2), WithTracer(tracer))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close(context.Background())
+	registerGridWorld(t, svc, 24, 4)
+
+	ctx, root := tracer.StartRoot(context.Background(), "plan.request", 0)
+	got, err := svc.RequestTasks(ctx, []string{wid(0), wid(1), wid(2)})
+	root.End()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs := 0
+	for _, ts := range got {
+		pairs += len(ts)
+	}
+	if pairs != 6 {
+		t.Fatalf("round handed out %d pairs, want 6: %v", pairs, got)
+	}
+	traces := tracer.Snapshot(trace.Query{Name: "plan.request"})
+	if len(traces) != 1 {
+		t.Fatalf("got %d plan.request traces, want 1", len(traces))
+	}
+	for _, sp := range traces[0].Spans {
+		if sp.Name != "plan.locked" {
+			continue
+		}
+		attrs := make(map[string]string)
+		for _, a := range sp.Attrs {
+			attrs[a.K] = a.V
+		}
+		if attrs["workers"] != "3" || attrs["committed"] != "6" {
+			t.Fatalf("plan.locked attrs = %v, want workers=3 committed=6", attrs)
+		}
+		return
+	}
+	t.Fatalf("no plan.locked span in %+v", traces[0].Spans)
 }

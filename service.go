@@ -957,6 +957,7 @@ func (s *Service) requestTasksLocked(ctx context.Context, ws []WorkerID, workerI
 		}
 	}
 	out := make(map[string][]string, len(assigned))
+	var committed int64
 	for w, ts := range assigned {
 		if len(ts) == 0 {
 			continue
@@ -967,10 +968,13 @@ func (s *Service) requestTasksLocked(ctx context.Context, ws []WorkerID, workerI
 			s.pending[pairKey{w, t}] = true
 		}
 		out[s.workerKey[w]] = ids
+		committed += int64(len(ts))
 		if s.cfg.budget > 0 {
 			s.cfg.budget -= len(ts)
 		}
 	}
+	sp.AttrInt("workers", int64(len(ws)))
+	sp.AttrInt("committed", committed)
 	return out, nil
 }
 
