@@ -2,6 +2,7 @@ package poilabel
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -56,7 +57,9 @@ func WithBackgroundFit(interval time.Duration, minAnswers int) ServiceOption {
 // engine's read state plus the bookkeeping readers need to reason about
 // staleness. Every full fit ends in one, whichever placement ran it.
 // Generations are published through Service.published with an atomic pointer
-// swap and must never be mutated afterwards.
+// swap and must never be mutated afterwards — with one exception, the body
+// cell below — and, because that cell holds a sync.Once, a paramGen is only
+// ever handled by pointer, never copied.
 type paramGen struct {
 	gen       uint64    // publication counter, strictly increasing
 	seq       uint64    // answers covered (full fit + merged delta)
@@ -75,6 +78,68 @@ type paramGen struct {
 	// waiters select on it, so a publication between their check and their
 	// wait cannot be missed.
 	superseded chan struct{}
+	// body is the generation's GET /results response, encoded by its first
+	// reader (resultsJSON) and dropped with the generation: a write-once cell
+	// with its own synchronisation, written at most once, before its first
+	// use and never after. Nothing encodes at publication — most generations
+	// of a busy pipeline are never read.
+	body struct {
+		once sync.Once
+		json []byte
+		err  error
+	}
+}
+
+// resultsJSON returns the generation's results as the bytes
+// json.NewEncoder(w).Encode(struct{Results []TaskResult `json:"results"`}{g.results})
+// writes — trailing newline included, a generation without rows as [] —
+// encoding them on the first call and serving the same slice to every later
+// one. Concurrent first callers wait for the one encode; encoded is true for
+// the caller that ran it.
+//
+// Rows are encoded one at a time straight into the body, so encoding/json
+// never holds a second copy of it, and the body is allocated once: lastSize is
+// the length of the service's previous encode (a generation's body differs
+// from its predecessor's by the digits of some probabilities and the rows of
+// late registrations), read for the capacity and left at this body's length.
+func (g *paramGen) resultsJSON(lastSize *atomic.Int64) (body []byte, encoded bool, err error) {
+	g.body.once.Do(func() {
+		encoded = true
+		hint := int(lastSize.Load())
+		buf := bodyBuffer(append(make([]byte, 0, hint+hint/16), `{"results":[`...))
+		enc := json.NewEncoder(&buf)
+		for i := range g.results {
+			if err := enc.Encode(&g.results[i]); err != nil {
+				g.body.err = fmt.Errorf("poilabel: encoding the results of generation %d: %w", g.gen, err)
+				return
+			}
+			buf[len(buf)-1] = ',' // over the encoder's newline
+		}
+		if len(g.results) > 0 {
+			buf = buf[:len(buf)-1]
+		}
+		g.body.json = append(buf, "]}\n"...)
+		lastSize.Store(int64(len(g.body.json)))
+	})
+	return g.body.json, encoded, g.body.err
+}
+
+// bodyBuffer is the io.Writer the row encoder appends to.
+type bodyBuffer []byte
+
+func (b *bodyBuffer) Write(p []byte) (int, error) {
+	*b = append(*b, p...)
+	return len(p), nil
+}
+
+// staleness is how long answers the generation does not cover have been
+// waiting, given the accepted-answer sequence: zero when it covers them all,
+// else the generation's age.
+func (g *paramGen) staleness(answerSeq uint64) time.Duration {
+	if answerSeq > g.seq {
+		return time.Since(g.at)
+	}
+	return 0
 }
 
 // fitPipeline is the off-lock fit placement's scheduler: one goroutine that
@@ -556,9 +621,7 @@ func (s *Service) FitStats() FitPipelineStats {
 		st.CoveredAnswers = pub.seq
 		st.FullFitAnswers = pub.fullSeq
 		st.PublishedAt = pub.at
-		if seq > pub.seq {
-			st.Staleness = time.Since(pub.at)
-		}
+		st.Staleness = pub.staleness(seq)
 	}
 	return st
 }

@@ -31,11 +31,16 @@
 // goroutine fits over a copy-on-write snapshot at most every D (eagerly once
 // -bg-min-answers have queued) and swaps the result in, so /results and
 // /assignments latency is bounded by the hardware, not by EM convergence, and
-// /results serves the last generation however stale. /results responses then
-// carry X-Poilabel-Generation and X-Poilabel-Staleness-Seconds headers, and
-// /healthz grows a "fit" section. On shutdown the pipeline drains —
-// outstanding answers are folded into one final generation — before the
-// final checkpoint is written.
+// /results serves the last generation however stale; /healthz grows a "fit"
+// section. On shutdown the pipeline drains — outstanding answers are folded
+// into one final generation — before the final checkpoint is written.
+//
+// With or without -bg-fit, a /results response is one generation's: its body
+// is encoded once, by the generation's first reader, and written as it stands
+// to every later one, and its X-Poilabel-Generation and
+// X-Poilabel-Staleness-Seconds headers name that same generation and how long
+// answers it does not cover have been waiting. A body that cannot be encoded
+// is a 500, never a truncated 200.
 //
 // With -bg-fit on the single engine and the accopt assigner, assignment
 // planning also leaves the write lock: /assignments plans against the last

@@ -3,7 +3,11 @@ package poilabel
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"errors"
+	"math"
 	"reflect"
+	"sync/atomic"
 	"testing"
 )
 
@@ -124,6 +128,28 @@ func TestEveryFitPublishesEveryReadServes(t *testing.T) {
 					if !reflect.DeepEqual(res, pub.results) || !reflect.DeepEqual(dense, pub.dense) {
 						t.Fatal("Results/ResultSet are not the published generation")
 					}
+					// The encoded read is that generation too: its number, its
+					// publication time, encoding/json's bytes for its results —
+					// and the generation's one copy of them on every read.
+					enc, err := svc.ResultsJSON(ctx)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var want bytes.Buffer
+					if err := json.NewEncoder(&want).Encode(map[string][]TaskResult{"results": res}); err != nil {
+						t.Fatal(err)
+					}
+					if enc.Generation != pub.gen || !enc.PublishedAt.Equal(pub.at) || enc.Staleness != 0 || !bytes.Equal(enc.JSON, want.Bytes()) {
+						t.Fatalf("ResultsJSON is generation %d published %v, stale %v; the published one is %d, %v; body matches: %t",
+							enc.Generation, enc.PublishedAt, enc.Staleness, pub.gen, pub.at, bytes.Equal(enc.JSON, want.Bytes()))
+					}
+					again, err := svc.ResultsJSON(ctx)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if again.Encoded || &again.JSON[0] != &enc.JSON[0] || &enc.JSON[0] != &pub.body.json[0] {
+						t.Fatal("a second ResultsJSON of one generation encoded again or served other bytes than the generation's")
+					}
 					for w, id := range svc.WorkerIDs() {
 						info, err := svc.WorkerInfo(id)
 						if err != nil {
@@ -184,6 +210,31 @@ func TestEveryFitPublishesEveryReadServes(t *testing.T) {
 					t.Fatalf("late worker reads %+v, want the priors %+v", info, want)
 				}
 			})
+		}
+	}
+}
+
+// TestGenerationEncodesOnce pins the generation's body cell at its edges: a
+// generation without rows encodes as [] rather than null, only the first
+// caller is told it encoded, and an encoder failure is the generation's
+// answer to every read, not a retry.
+func TestGenerationEncodesOnce(t *testing.T) {
+	var size atomic.Int64
+	empty := &paramGen{gen: 1}
+	body, encoded, err := empty.resultsJSON(&size)
+	if err != nil || !encoded || string(body) != "{\"results\":[]}\n" {
+		t.Fatalf("a generation without rows encodes as %q (encoded %t, err %v)", body, encoded, err)
+	}
+	if _, encoded, _ := empty.resultsJSON(&size); encoded {
+		t.Fatal("the second read of a generation encoded again")
+	}
+
+	bad := &paramGen{gen: 2, results: []TaskResult{{Task: "t", Labels: []string{"a"}, Prob: []float64{math.NaN()}, Inferred: []bool{false}}}}
+	for read := 0; read < 2; read++ {
+		body, encoded, err := bad.resultsJSON(&size)
+		var unsupported *json.UnsupportedValueError
+		if body != nil || encoded != (read == 0) || !errors.As(err, &unsupported) {
+			t.Fatalf("read %d of a NaN generation: body %q, encoded %t, err %v", read, body, encoded, err)
 		}
 	}
 }

@@ -17,12 +17,13 @@ import (
 // with == instead of errors.Is — wrapped errors make == quietly wrong.
 // Span names carry the same weight: the /debug/traces name filter, the
 // per-span-name duration summaries, and the lifecycle docs all key on the
-// answer./plan./fit./migrate. prefixes, so a span minted outside them (or
-// with uppercase/undotted segments) vanishes from every view that matters.
+// answer./plan./fit./migrate./results. prefixes, so a span minted outside
+// them (or with uppercase/undotted segments) vanishes from every view that
+// matters.
 var MetricNameAnalyzer = &Analyzer{
 	Name: "metricname",
 	Doc: "report metric registrations off the poilabel_*/poiserve_* naming " +
-		"conventions, span names outside the answer./plan./fit./migrate. " +
+		"conventions, span names outside the answer./plan./fit./migrate./results. " +
 		"lifecycles, and sentinel errors compared with == instead of errors.Is",
 	Run: runMetricName,
 }
@@ -113,8 +114,8 @@ func checkRegistration(pass *Pass, info *types.Info, call *ast.CallExpr) {
 }
 
 // spanNamePattern is the span naming contract: dotted lowercase segments
-// under exactly the four instrumented lifecycles.
-var spanNamePattern = regexp.MustCompile(`^(answer|plan|fit|migrate)(\.[a-z0-9_]+)+$`)
+// under exactly the five instrumented lifecycles.
+var spanNamePattern = regexp.MustCompile(`^(answer|plan|fit|migrate|results)(\.[a-z0-9_]+)+$`)
 
 // checkSpanName validates the literal name argument of a span mint — the
 // package-level trace.Start or the Tracer.StartRoot method of any package
@@ -149,7 +150,7 @@ func checkSpanName(pass *Pass, info *types.Info, call *ast.CallExpr) {
 		return
 	}
 	if !spanNamePattern.MatchString(name) {
-		pass.Reportf(lit.Pos(), "span name %q must be dotted lowercase under the answer./plan./fit./migrate. lifecycles", name)
+		pass.Reportf(lit.Pos(), "span name %q must be dotted lowercase under the answer./plan./fit./migrate./results. lifecycles", name)
 	}
 }
 

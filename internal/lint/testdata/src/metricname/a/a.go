@@ -51,6 +51,7 @@ func okRegister(r *metrics.Registry) {
 func okSpans(ctx context.Context, t *trace.Tracer) {
 	t.StartRoot(ctx, "answer.request", 0)
 	t.StartRoot(ctx, "migrate.cycle", 7)
+	t.StartRoot(ctx, "results.request", 0)
 	trace.Start(ctx, "plan.commit")
 	trace.Start(ctx, "fit.em_step_2")
 	name := "whatever goes"

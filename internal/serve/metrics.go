@@ -25,6 +25,7 @@ import (
 //	engine_fit_duration_seconds               full-fit wall-clock summary
 //	answers_total{kind}                       accepted answers: incremental|full_fit
 //	assign_dedup_hits_total                   pending pairs skipped while planning
+//	results_encodes_total                     generations encoded for GET /results (its requests over this = reads per encode)
 //	tasks, workers, pending_pairs, answers_observed, budget_remaining  gauges
 //
 // Plus the published generation's and the fit pipeline's families under the
@@ -56,6 +57,9 @@ type Metrics struct {
 	fitSeconds *metrics.Histogram
 	answers    *metrics.CounterVec
 	dedupHits  *metrics.Counter
+	// resultsEncodes counts the GET /results requests that ran a generation's
+	// one encode; every other read was served the generation's bytes.
+	resultsEncodes *metrics.Counter
 }
 
 // NewMetrics registers the gateway's metric families for svc on reg and
@@ -77,6 +81,8 @@ func NewMetrics(reg *metrics.Registry, svc *poilabel.Service) *Metrics {
 			"Accepted answers, by update kind (incremental, full_fit).", "kind"),
 		dedupHits: reg.Counter("poiserve_assign_dedup_hits_total",
 			"Candidate pairs skipped during assignment because they were still pending an answer."),
+		resultsEncodes: reg.Counter("poiserve_results_encodes_total",
+			"Published generations encoded for GET /results: one per generation read, however many reads it serves."),
 	}
 	reg.GaugeFunc("poiserve_tasks", "Registered tasks.",
 		func() float64 { return float64(svc.NumTasks()) })

@@ -115,11 +115,12 @@ func WithMetrics(m *Metrics) Option {
 }
 
 // WithTracer enables the GET /debug/traces endpoint and mints a trace root
-// around every POST /answers (answer.request) and POST /assignments
-// (plan.request): the request's trace ID — adopted from the TraceHeader when
-// the client sent one, minted fresh otherwise — is echoed back in the same
-// header so clients can join their own latency measurements to the
-// server-side span tree. Pass the same tracer the service was built with
+// around every POST /answers (answer.request), POST /assignments
+// (plan.request) and GET /results (results.request, carrying the generation
+// served, the body's bytes and encoded=cold|warm): the request's trace ID —
+// adopted from the TraceHeader when the client sent one, minted fresh
+// otherwise — is echoed back in the same header so clients can join their own
+// latency measurements to the server-side span tree. Pass the same tracer the service was built with
 // (poilabel.WithTracer) so the request spans and the background fit.cycle /
 // migrate.cycle roots land in the same rings.
 func WithTracer(t *trace.Tracer) Option {
@@ -171,7 +172,7 @@ func (h *Handler) dispatch(w http.ResponseWriter, r *http.Request) {
 	case path == "/checkpoint" && r.Method == http.MethodPost:
 		h.postCheckpoint(w, r)
 	case path == "/results" && r.Method == http.MethodGet:
-		h.getResults(w, r)
+		h.traced(w, r, "results.request", h.getResults)
 	case strings.HasPrefix(path, "/workers/") && r.Method == http.MethodGet:
 		h.getWorker(w, r, strings.TrimPrefix(path, "/workers/"))
 	case path == "/healthz" && r.Method == http.MethodGet:
@@ -428,28 +429,44 @@ func (h *Handler) postCheckpoint(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, checkpointResponse{Path: h.ckpt.Path(), Bytes: n})
 }
 
-type resultsResponse struct {
-	Results []poilabel.TaskResult `json:"results"`
-}
-
+// getResults serves the generation's own encoding of its results (see
+// poilabel.Service.ResultsJSON): the body, its length and the generation
+// headers all come from the one value that read returns, so a publication
+// mid-request cannot stamp one generation's number on another's body, and an
+// encoder failure is a 500 before the first byte is sent rather than a
+// truncated 200. The headers say which generation this is and how stale, in
+// either fit placement.
 func (h *Handler) getResults(w http.ResponseWriter, r *http.Request) {
-	// With a fit pipeline the published generation this serves can be stale;
-	// stamp which generation and how stale it is so clients can reason about
-	// the staleness contract.
-	if st := h.svc.FitStats(); st.Enabled {
-		w.Header().Set("X-Poilabel-Generation", strconv.FormatUint(st.Generation, 10))
-		w.Header().Set("X-Poilabel-Staleness-Seconds",
-			strconv.FormatFloat(st.Staleness.Seconds(), 'f', 6, 64))
-	}
-	results, err := h.svc.Results(r.Context())
+	res, err := h.svc.ResultsJSON(r.Context())
 	if err != nil {
-		writeServiceError(w, err)
+		var unsupported *json.UnsupportedValueError
+		if errors.As(err, &unsupported) {
+			writeError(w, http.StatusInternalServerError, err)
+		} else {
+			writeServiceError(w, err)
+		}
 		return
 	}
-	if results == nil {
-		results = []poilabel.TaskResult{}
+	encoded := "warm"
+	if res.Encoded {
+		encoded = "cold"
+		if h.metrics != nil {
+			h.metrics.resultsEncodes.Inc()
+		}
 	}
-	writeJSON(w, http.StatusOK, resultsResponse{Results: results})
+	sp := trace.FromContext(r.Context())
+	sp.AttrInt("generation", int64(res.Generation))
+	sp.AttrInt("bytes", int64(len(res.JSON)))
+	sp.Attr("encoded", encoded)
+
+	hdr := w.Header()
+	hdr.Set("Content-Type", "application/json")
+	hdr.Set("Content-Length", strconv.Itoa(len(res.JSON)))
+	hdr.Set("X-Poilabel-Generation", strconv.FormatUint(res.Generation, 10))
+	hdr.Set("X-Poilabel-Staleness-Seconds", strconv.FormatFloat(res.Staleness.Seconds(), 'f', 6, 64))
+	w.WriteHeader(http.StatusOK)
+	// A failed write is the client going away; there is nobody to tell.
+	_, _ = w.Write(res.JSON)
 }
 
 func (h *Handler) getWorker(w http.ResponseWriter, r *http.Request, id string) {

@@ -13,8 +13,9 @@
 // The three lifecycles docs/ARCHITECTURE.md narrates are instrumented with
 // it: the life of an answer (answer.* spans), the life of an assignment
 // (plan.* spans), and the life of a fit or migration (fit.* / migrate.*
-// spans). Span names are dotted lowercase under exactly those four
-// prefixes — the metricname analyzer enforces the convention.
+// spans); a read of the results is one results.request root. Span names are
+// dotted lowercase under exactly those five prefixes — the metricname
+// analyzer enforces the convention.
 //
 // Spans thread through context.Context: a root span (Tracer.StartRoot)
 // stores itself in the context, children (Start) attach to whatever span

@@ -330,9 +330,12 @@ type Service struct {
 	// restoredGen numbers the generation Restore published (0: none) — a
 	// checkpoint taken while it is still current records baseGen again, so
 	// restore followed by checkpoint reproduces the snapshot byte for byte.
+	// resultsSize is the length of the last results body a generation encoded,
+	// from which the next one sizes its buffer (paramGen.resultsJSON).
 	bg           *fitPipeline
 	published    atomic.Pointer[paramGen]
 	answerSeq    atomic.Uint64
+	resultsSize  atomic.Int64
 	delta        []Answer
 	deltaActive  bool
 	restoreEpoch uint64
@@ -1064,6 +1067,50 @@ func (s *Service) Results(ctx context.Context) ([]TaskResult, error) {
 		return nil, err
 	}
 	return pub.results, nil
+}
+
+// EncodedResults is one published generation's results as the GET /results
+// response body, with the facts about that same generation a response is
+// stamped with.
+type EncodedResults struct {
+	// JSON is {"results":[...]} and a trailing newline: what encoding/json
+	// writes for Results() of this generation. It is shared with every other
+	// reader of the generation and must not be mutated.
+	JSON []byte
+	// Generation and PublishedAt identify the generation JSON encodes.
+	Generation  uint64
+	PublishedAt time.Time
+	// Staleness is how long answers this generation does not cover have been
+	// waiting (FitPipelineStats.Staleness, for this generation).
+	Staleness time.Duration
+	// Encoded reports that this call ran the generation's one encode; every
+	// other read of the generation, concurrent or later, is served its bytes.
+	Encoded bool
+}
+
+// ResultsJSON is Results already encoded: the generation Results would serve,
+// under the same freshness contract, as its JSON response body. A generation
+// is encoded at most once — by its first ResultsJSON reader, never at
+// publication — and the bytes live and die with it, so a read of a generation
+// somebody has read before costs a pointer load. An encoder failure (a NaN
+// probability is the reachable one) is returned as the error, for every read
+// of that generation.
+func (s *Service) ResultsJSON(ctx context.Context) (EncodedResults, error) {
+	pub, err := s.servedGen(ctx)
+	if err != nil {
+		return EncodedResults{}, err
+	}
+	body, encoded, err := pub.resultsJSON(&s.resultsSize)
+	if err != nil {
+		return EncodedResults{}, err
+	}
+	return EncodedResults{
+		JSON:        body,
+		Generation:  pub.gen,
+		PublishedAt: pub.at,
+		Staleness:   pub.staleness(s.answerSeq.Load()),
+		Encoded:     encoded,
+	}, nil
 }
 
 // ResultSet is Results in dense form: row t of the returned Result is the
