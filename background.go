@@ -278,7 +278,7 @@ func (p *fitPipeline) drainFits() {
 // backlog returns the number of accepted answers not yet covered by the
 // published generation (full fit or merged delta).
 func (p *fitPipeline) backlog() uint64 {
-	seq := p.s.answerSeq.Load()
+	seq := p.s.led.answered()
 	// Nothing published means no engine, hence no accepted answer.
 	if pub := p.s.published.Load(); pub != nil && pub.seq < seq {
 		return seq - pub.seq
@@ -321,7 +321,6 @@ func (p *fitPipeline) setInFlight(v bool) {
 // cyclePhases mints one lifecycle's spans. The names stay string literals at
 // their trace call so the metricname vocabulary check sees every one.
 type cyclePhases struct {
-	what                              string // names the cycle in abort errors
 	root                              func(*trace.Tracer, context.Context) (context.Context, *trace.Span)
 	capture, rebuild, em, merge, swap startSpan
 }
@@ -329,7 +328,6 @@ type cyclePhases struct {
 type startSpan func(context.Context) (context.Context, *trace.Span)
 
 var fitPhases = cyclePhases{
-	what: "fit",
 	root: func(tr *trace.Tracer, ctx context.Context) (context.Context, *trace.Span) {
 		return tr.StartRoot(ctx, "fit.cycle", 0)
 	},
@@ -347,27 +345,29 @@ func (p *fitPipeline) runOneFit() { p.runCycle(fitPhases, nil) }
 // migration (mig set), which is a fit with a re-layout step between the
 // rebuild and EM:
 //
-//  1. Under the write lock (milliseconds): deep-copy the service into a
-//     snapshot via the checkpoint capture path and start recording a delta
-//     of answers accepted from here on. A migration first validates its
-//     decision against the live layout.
+//  1. Under the write lock (milliseconds): deep-copy the service — all of it
+//     but the ledger, which a fit never reads — into a snapshot via the
+//     checkpoint capture path and start recording a delta of answers
+//     accepted from here on. A migration first validates its decision
+//     against the live layout.
 //  2. Off-lock (the expensive part): rebuild a scratch service from the
 //     snapshot — bit-identical to the live one, warm-started from the live
 //     parameters — let a migration re-partition its engine (replaying every
 //     answer into a fresh fitter at the new layout in exact global arrival
 //     order), and run full EM on the scratch engine.
-//  3. Under the write lock (milliseconds): abort if a Restore bumped the
-//     epoch; replay registrations and the recorded delta onto the fitted
-//     scratch engine via its incremental update, swap it in as the live
-//     engine, and publish the new generation.
+//  3. Under the write lock (milliseconds): replay registrations and the
+//     recorded delta onto the fitted scratch engine via its incremental
+//     update, swap it in as the live engine, and publish the new generation.
+//     What step 1 captured is still a prefix of the live state: Restore alone
+//     replaces it, and is admitted only on an empty service.
 //
 // On error (shutdown cancellation, corrupt state, a stale migration
 // decision) the cycle is abandoned and the live engine, which learned every
-// answer as it arrived, keeps serving the previous generation. Pending pairs
-// and the budget are keyed by global IDs and never touched, so no handed-out
-// assignment is dropped or double-spent; in-flight answers land either in
-// the capture (before phase 1) or in the delta (after), never both and never
-// neither. The returned error is the migration waiter's outcome.
+// answer as it arrived, keeps serving the previous generation. The ledger is
+// keyed by global IDs and never touched, so no handed-out assignment is
+// dropped or double-spent; in-flight answers land either in the capture
+// (before phase 1) or in the delta (after), never both and never neither.
+// The returned error is the migration waiter's outcome.
 func (p *fitPipeline) runCycle(ph cyclePhases, mig *migrationRequest) error {
 	s := p.s
 
@@ -375,7 +375,7 @@ func (p *fitPipeline) runCycle(ph cyclePhases, mig *migrationRequest) error {
 	// locked section's deferred Unlock, so it runs after the lock drops —
 	// pushes the finished trace into the rings; no span operation below ever
 	// runs ring work while s.mu is held.
-	tctx, root := ph.root(s.tracer, p.fitCtx)
+	tctx, root := ph.root(s.cfg.tracer, p.fitCtx)
 	defer root.End()
 	if mig != nil {
 		mig.describe(root)
@@ -400,10 +400,8 @@ func (p *fitPipeline) runCycle(ph cyclePhases, mig *migrationRequest) error {
 		}
 		capSp.AttrInt("k", int64(liveK))
 	}
-	epoch := s.restoreEpoch
-	startSeq := s.answerSeq.Load()
-	snap := s.captureLocked()
-	cfg := s.cfg
+	startSeq := s.led.answered()
+	sv := s.captureLocked()
 	s.delta = s.delta[:0]
 	s.deltaActive = true
 	deltaTasks, deltaWorkers := len(s.tasks), len(s.workers)
@@ -415,10 +413,9 @@ func (p *fitPipeline) runCycle(ph cyclePhases, mig *migrationRequest) error {
 	defer p.setInFlight(false)
 
 	start := time.Now()
-	scratch := newBareService(cfg)
-	scratch.cfg.observer = nil
+	scratch := newBareService(s.cfg)
 	_, rbSp := ph.rebuild(tctx)
-	err := scratch.applySnapshot(&snap.Service)
+	err := scratch.applySnapshot(&sv)
 	var action string
 	if err == nil && mig != nil {
 		action, err = mig.relayout(scratch, rbSp)
@@ -443,12 +440,9 @@ func (p *fitPipeline) runCycle(ph cyclePhases, mig *migrationRequest) error {
 	defer s.mu.Unlock()
 	if mig == nil {
 		p.fits.Add(1)
-		if s.cfg.observer != nil {
-			s.cfg.observer.FitObserved(elapsed, converged, err)
+		if s.observer != nil {
+			s.observer.FitObserved(elapsed, converged, err)
 		}
-	}
-	if err == nil && s.restoreEpoch != epoch {
-		err = fmt.Errorf("poilabel: %s raced a restore; abandoned", ph.what)
 	}
 	if err == nil {
 		// Replay registrations that arrived mid-cycle, then merge the delta:
@@ -461,18 +455,14 @@ func (p *fitPipeline) runCycle(ph cyclePhases, mig *migrationRequest) error {
 		for i := deltaWorkers; i < len(s.workers) && err == nil; i++ {
 			err = scratch.eng.AddWorker(s.workers[i])
 		}
-		for _, a := range s.delta {
-			if err != nil {
-				break
-			}
-			err = scratch.eng.Learn(a)
+		for i := 0; i < len(s.delta) && err == nil; i++ {
+			err = scratch.eng.Learn(s.delta[i])
 		}
 	}
 	nDelta := len(s.delta)
 	mergeSp.AttrInt("delta", int64(nDelta))
 	mergeSp.End()
-	s.delta = nil
-	s.deltaActive = false
+	s.delta, s.deltaActive = nil, false
 	if mig != nil {
 		s.elastic.recordOutcome(mig, action, err)
 	}
@@ -491,7 +481,7 @@ func (p *fitPipeline) runCycle(ph cyclePhases, mig *migrationRequest) error {
 	}
 	s.sinceFull = nDelta
 	s.dirty = nDelta > 0
-	s.publishLocked(s.answerSeq.Load(), startSeq, converged)
+	s.publishLocked(s.led.answered(), startSeq, converged)
 	swapSp.End()
 	if mig == nil {
 		root.Attr("converged", fmt.Sprintf("%t", converged))
@@ -519,7 +509,7 @@ func (p *fitPipeline) republishRegistrations() {
 // answer accepted before the call, requesting fits as needed. It returns
 // ErrClosed if the pipeline shuts down first.
 func (p *fitPipeline) await(ctx context.Context) error {
-	target := p.s.answerSeq.Load()
+	target := p.s.led.answered()
 	for {
 		// Nothing published means no engine, hence no accepted answer to cover.
 		pub := p.s.published.Load()
@@ -615,7 +605,7 @@ func (s *Service) FitStats() FitPipelineStats {
 			st.QueueDepth++
 		}
 	}
-	seq := s.answerSeq.Load()
+	seq := s.led.answered()
 	if pub := s.published.Load(); pub != nil {
 		st.Generation = pub.gen
 		st.CoveredAnswers = pub.seq

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 
 	"poilabel/internal/snapshot"
 )
@@ -23,9 +22,10 @@ import (
 // from WithSeed, so only that assigner's future plans may differ.
 func (s *Service) Checkpoint(w io.Writer) error {
 	s.mu.RLock()
-	snap := s.captureLocked()
+	sv := s.captureLocked()
+	s.led.capture(&sv)
 	s.mu.RUnlock()
-	return snapshot.Encode(w, snap)
+	return snapshot.Encode(w, snapshot.New(sv))
 }
 
 // Restore loads a state written by Checkpoint into this service. The
@@ -47,30 +47,33 @@ func (s *Service) Restore(r io.Reader) error {
 		return fmt.Errorf("poilabel: restore into a service that already has state (%d tasks, %d workers)",
 			len(s.tasks), len(s.workers))
 	}
+	// Admitted only on an empty service, a restore has nothing in flight over
+	// the state it replaces: a plan starts from a worker, a fit or a migration
+	// from an engine (docs/ARCHITECTURE.md, "Locks and invariants").
+	//
 	// Rebuild into a scratch service first so a mid-restore failure (corrupt
-	// snapshot, shape mismatch) leaves the receiver untouched.
+	// snapshot, shape mismatch) leaves the receiver untouched; the ledger
+	// validates before it changes, and is the last step that can fail.
 	fresh := newBareService(s.cfg)
 	if err := fresh.applySnapshot(&snap.Service); err != nil {
 		return err
 	}
-	s.cfg = fresh.cfg
+	if err := s.led.apply(&snap.Service, fresh.logged()); err != nil {
+		return err
+	}
 	s.eng = fresh.eng
 	s.taskIdx, s.taskKeys, s.tasks = fresh.taskIdx, fresh.taskKeys, fresh.tasks
 	s.workerIdx, s.workerKey, s.workers = fresh.workerIdx, fresh.workerKey, fresh.workers
-	s.pending, s.sinceFull, s.dirty = fresh.pending, fresh.sinceFull, fresh.dirty
+	s.sinceFull, s.dirty = fresh.sinceFull, fresh.dirty
 	s.builtTasks, s.builtWorkers = fresh.builtTasks, fresh.builtWorkers
-	// Generation bookkeeping: invalidate any fit captured before the
-	// restore, seed the sequence/generation counters from the snapshot, and
-	// publish the restored parameters so readers switch over with the rest
-	// of the state. sinceFull answers arrived after the snapshot's last full
-	// fit, so the restored publication's full-fit coverage stops short of
-	// them — a barrier after a dirty restore runs a real fit.
-	s.restoreEpoch++
-	s.delta, s.deltaActive = nil, false
+	// Generation bookkeeping: seed the generation counter from the snapshot
+	// and publish the restored parameters so readers switch over with the
+	// rest of the state. sinceFull answers arrived after the snapshot's last
+	// full fit, so the restored publication's full-fit coverage stops short
+	// of them — a barrier after a dirty restore runs a real fit.
 	s.baseGen = fresh.baseGen
-	s.answerSeq.Store(fresh.answerSeq.Load())
 	if s.eng != nil {
-		seq := s.answerSeq.Load()
+		seq := s.led.answered()
 		s.publishLocked(seq, seq-uint64(s.sinceFull), !s.dirty)
 		s.restoredGen = s.published.Load().gen
 	}
@@ -95,9 +98,11 @@ func (s *Service) LoadCheckpoint(path string) error {
 	return s.Restore(f)
 }
 
-// captureLocked builds the wire state. Callers must hold at least the read
+// captureLocked builds the wire state of everything but the ledger, whose
+// fields (pending, budget) only a checkpoint adds: the fit pipeline copies the
+// service through here and reads neither. Callers must hold at least the read
 // lock.
-func (s *Service) captureLocked() *snapshot.Snapshot {
+func (s *Service) captureLocked() snapshot.ServiceState {
 	sv := snapshot.ServiceState{
 		Engine:       s.cfg.engine.String(),
 		Shards:       s.cfg.shards,
@@ -105,7 +110,6 @@ func (s *Service) captureLocked() *snapshot.Snapshot {
 		EngineBuilt:  s.eng != nil,
 		BuiltTasks:   s.builtTasks,
 		BuiltWorkers: s.builtWorkers,
-		Budget:       s.cfg.budget,
 		SinceFull:    s.sinceFull,
 		Dirty:        s.dirty,
 		Tasks:        make([]snapshot.Task, len(s.tasks)),
@@ -124,15 +128,6 @@ func (s *Service) captureLocked() *snapshot.Snapshot {
 	if pub := s.published.Load(); pub != nil && pub.gen != s.restoredGen {
 		sv.Generation = pub.gen
 	}
-	for pk := range s.pending {
-		sv.Pending = append(sv.Pending, snapshot.Pair{Worker: int(pk.w), Task: int(pk.t)})
-	}
-	sort.Slice(sv.Pending, func(a, b int) bool {
-		if sv.Pending[a].Worker != sv.Pending[b].Worker {
-			return sv.Pending[a].Worker < sv.Pending[b].Worker
-		}
-		return sv.Pending[a].Task < sv.Pending[b].Task
-	})
 	switch e := s.eng.(type) {
 	case *singleEngine:
 		sv.Single = e.m.CheckpointState()
@@ -150,7 +145,15 @@ func (s *Service) captureLocked() *snapshot.Snapshot {
 			sv.NormDiameter = e.sh.Normalizer().Max()
 		}
 	}
-	return snapshot.New(sv)
+	return sv
+}
+
+// logged is the number of answers the engine holds, none before it is built.
+func (s *Service) logged() int {
+	if s.eng == nil {
+		return 0
+	}
+	return s.eng.TotalAnswers()
 }
 
 // applySnapshot replays a wire state into an unshared scratch service: it
@@ -158,9 +161,10 @@ func (s *Service) captureLocked() *snapshot.Snapshot {
 // workers, rebuilds the engine at the recorded construction boundary (so
 // the distance normalizer and geographic partitions are recomputed from
 // exactly the sets the original used), replays the remaining registrations
-// dynamically, and installs the learned engine state and service
-// bookkeeping. It publishes nothing: the scratch service is never read, and
-// whoever adopts its engine (Restore, the pipeline's swap) publishes then.
+// dynamically, and installs the learned engine state and the fit bookkeeping.
+// The ledger is not its business (Restore applies that to the receiver), and
+// it publishes nothing: the scratch service is never read, and whoever adopts
+// its engine (Restore, the pipeline's swap) publishes then.
 func (s *Service) applySnapshot(sv *snapshot.ServiceState) error {
 	if sv.Engine != s.cfg.engine.String() {
 		return fmt.Errorf("poilabel: snapshot was taken from a %q engine, service is configured for %q",
@@ -186,8 +190,9 @@ func (s *Service) applySnapshot(sv *snapshot.ServiceState) error {
 		}
 	}
 	nt, nw := len(sv.Tasks), len(sv.Workers)
-	addTasks := func(from, to int) error {
-		for i := from; i < to; i++ {
+	// register replays registrations, in order, up to the given counts.
+	register := func(tasks, workers int) error {
+		for i := len(s.tasks); i < tasks; i++ {
 			t := &sv.Tasks[i]
 			if err := s.addTaskLocked(t.Key, TaskSpec{
 				Name: t.Name, Location: t.Location, Labels: t.Labels, Reviews: t.Reviews,
@@ -195,10 +200,7 @@ func (s *Service) applySnapshot(sv *snapshot.ServiceState) error {
 				return err
 			}
 		}
-		return nil
-	}
-	addWorkers := func(from, to int) error {
-		for i := from; i < to; i++ {
+		for i := len(s.workers); i < workers; i++ {
 			w := &sv.Workers[i]
 			if err := s.addWorkerLocked(w.Key, WorkerSpec{Name: w.Name, Locations: w.Locations}); err != nil {
 				return err
@@ -211,79 +213,48 @@ func (s *Service) applySnapshot(sv *snapshot.ServiceState) error {
 			return fmt.Errorf("poilabel: corrupt snapshot: engine built over %d/%d tasks/workers of %d/%d registered",
 				sv.BuiltTasks, sv.BuiltWorkers, nt, nw)
 		}
-		if err := addTasks(0, sv.BuiltTasks); err != nil {
-			return err
-		}
-		if err := addWorkers(0, sv.BuiltWorkers); err != nil {
+		if err := register(sv.BuiltTasks, sv.BuiltWorkers); err != nil {
 			return err
 		}
 		var layout [][]int
 		var diam float64
 		if s.cfg.engine == EngineSharded && sv.Sharded != nil {
-			layout = sv.Sharded.Layout
-			diam = sv.NormDiameter
+			layout, diam = sv.Sharded.Layout, sv.NormDiameter
 		}
 		if err := s.buildEngine(layout, diam); err != nil {
 			return err
 		}
-		if err := addTasks(sv.BuiltTasks, nt); err != nil {
-			return err
+	} else if sv.Single != nil || sv.Sharded != nil || sv.Federated != nil {
+		return fmt.Errorf("poilabel: corrupt snapshot: engine state present but engine marked unbuilt")
+	}
+	if err := register(nt, nw); err != nil {
+		return err
+	}
+	var err error
+	switch e := s.eng.(type) {
+	case *singleEngine:
+		if sv.Single == nil {
+			return fmt.Errorf("poilabel: corrupt snapshot: missing single-engine state")
 		}
-		if err := addWorkers(sv.BuiltWorkers, nw); err != nil {
-			return err
-		}
-		var err error
-		switch e := s.eng.(type) {
-		case *singleEngine:
-			if sv.Single == nil {
-				return fmt.Errorf("poilabel: corrupt snapshot: missing single-engine state")
-			}
-			err = e.m.RestoreState(sv.Single)
-		case *partitionEngine:
-			switch {
-			case e.fed != nil && sv.Federated != nil:
-				err = e.fed.RestoreState(sv.Federated)
-			case e.fed == nil && sv.Sharded != nil:
-				err = e.sh.RestoreState(sv.Sharded)
-			default:
-				return fmt.Errorf("poilabel: corrupt snapshot: missing %s-engine state", e.Name())
-			}
-		}
-		if err != nil {
-			return err
-		}
-	} else {
-		if sv.Single != nil || sv.Sharded != nil || sv.Federated != nil {
-			return fmt.Errorf("poilabel: corrupt snapshot: engine state present but engine marked unbuilt")
-		}
-		if err := addTasks(0, nt); err != nil {
-			return err
-		}
-		if err := addWorkers(0, nw); err != nil {
-			return err
+		err = e.m.RestoreState(sv.Single)
+	case *partitionEngine:
+		switch {
+		case e.fed != nil && sv.Federated != nil:
+			err = e.fed.RestoreState(sv.Federated)
+		case e.fed == nil && sv.Sharded != nil:
+			err = e.sh.RestoreState(sv.Sharded)
+		default:
+			return fmt.Errorf("poilabel: corrupt snapshot: missing %s-engine state", e.Name())
 		}
 	}
-	for _, p := range sv.Pending {
-		if p.Worker < 0 || p.Worker >= nw || p.Task < 0 || p.Task >= nt {
-			return fmt.Errorf("poilabel: corrupt snapshot: pending pair (%d, %d) out of range", p.Worker, p.Task)
-		}
-		s.pending[pairKey{WorkerID(p.Worker), TaskID(p.Task)}] = true
+	if err != nil {
+		return err
 	}
-	if sv.Budget < 0 {
-		s.cfg.budget = -1
-	} else {
-		s.cfg.budget = sv.Budget
-	}
-	answers := 0
-	if s.eng != nil {
-		answers = s.eng.TotalAnswers()
-	}
-	if sv.SinceFull < 0 || sv.SinceFull > answers {
+	if answers := s.logged(); sv.SinceFull < 0 || sv.SinceFull > answers {
 		return fmt.Errorf("poilabel: corrupt snapshot: %d answers since the last full fit, of %d held", sv.SinceFull, answers)
 	}
 	s.sinceFull = sv.SinceFull
 	s.dirty = sv.Dirty
 	s.baseGen = sv.Generation
-	s.answerSeq.Store(uint64(answers))
 	return nil
 }

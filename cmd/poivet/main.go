@@ -13,21 +13,16 @@
 package main
 
 import (
-	"crypto/sha256"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"poilabel/internal/lint"
 )
 
 func main() {
 	list := flag.Bool("list", false, "list the analyzers and exit")
-	version := flag.String("V", "", "print version and exit (go vet -vettool protocol)")
-	flagsJSON := flag.Bool("flags", false, "print analyzer flags as JSON and exit (go vet -vettool protocol)")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: poivet [-list] [packages]\n\nAnalyzers:\n")
 		for _, a := range lint.All() {
@@ -35,29 +30,13 @@ func main() {
 		}
 	}
 	flag.Parse()
-	if *version != "" {
-		// cmd/go fingerprints the tool with -V=full before driving it; the
-		// content hash of the binary is the cache-busting version.
-		fmt.Printf("poivet version devel buildID=%x\n", selfHash())
-		return
-	}
 	if *list {
 		for _, a := range lint.All() {
 			fmt.Printf("%-12s %s\n", a.Name, a.Doc)
 		}
 		return
 	}
-	if *flagsJSON {
-		// cmd/go queries the vettool's analyzer flags as JSON; poivet has none.
-		fmt.Println("[]")
-		return
-	}
-	args := flag.Args()
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		// Invoked by `go vet -vettool=poivet`: one package per .cfg file.
-		os.Exit(lint.Unitchecker(args[0], lint.All()))
-	}
-	os.Exit(run(args))
+	os.Exit(run(flag.Args()))
 }
 
 func run(patterns []string) int {
@@ -118,18 +97,4 @@ func findModuleRoot() (string, error) {
 		}
 		dir = parent
 	}
-}
-
-// selfHash content-hashes the running executable for the -V=full
-// fingerprint, so go vet's cache invalidates when the tool changes.
-func selfHash() []byte {
-	h := sha256.New()
-	exe, err := os.Executable()
-	if err == nil {
-		if f, err := os.Open(exe); err == nil {
-			io.Copy(h, f)
-			f.Close()
-		}
-	}
-	return h.Sum(nil)
 }

@@ -394,7 +394,6 @@ func (c *elasticController) recordOutcome(req *migrationRequest, action string, 
 }
 
 var migratePhases = cyclePhases{
-	what: "migration",
 	root: func(tr *trace.Tracer, ctx context.Context) (context.Context, *trace.Span) {
 		return tr.StartRoot(ctx, "migrate.cycle", 0)
 	},

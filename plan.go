@@ -2,7 +2,6 @@ package poilabel
 
 import (
 	"context"
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -101,15 +100,16 @@ func (s *Service) warmPlanCandidates() {
 
 // planContext carries the state the lock-free path captures under the read
 // lock: the generation to plan against, the live exclusions at capture time,
-// the ID tables for translating the result, and the request shape.
+// and the ID tables for translating the result. A pair in skipSet is left out
+// of the plan; its value says why — true for a pending pair, the only kind
+// DedupHitsObserved counts, false for one answered since the generation's
+// snapshot or found in conflict at a commit.
 type planContext struct {
 	pub       *paramGen
-	skipSet   map[pairKey]struct{}
+	skipSet   map[pairKey]bool
 	taskKeys  []string
 	workerKey []string
 	observer  Observer
-	h         int
-	epoch     uint64 // restoreEpoch at capture; a moved epoch aborts the commit
 }
 
 // planWorkers plans h tasks per worker against the immutable snapshot, with
@@ -139,33 +139,40 @@ func (s *Service) requestTasksLockFree(ctx context.Context, ws []WorkerID, pc *p
 	snap := pc.pub.plan
 	var dedupHits atomic.Int64
 	skip := func(w WorkerID, t TaskID) bool {
-		if _, ok := pc.skipSet[pairKey{w, t}]; ok {
+		pending, excluded := pc.skipSet[pairKey{w, t}]
+		if pending {
 			dedupHits.Add(1)
-			return true
 		}
-		return false
+		return excluded
 	}
 
 	accepted := make(map[WorkerID][]TaskID, len(ws))
 	// The candidate-scan phase: plan every requested worker against the
 	// immutable snapshot, no lock held.
 	_, planSp := trace.Start(ctx, "plan.plan")
-	plans := s.planWorkers(snap, pc.pub.gen, ws, pc.h, skip)
+	plans := s.planWorkers(snap, pc.pub.gen, ws, s.cfg.h, skip)
 	planSp.End()
 	var totalConflicts, retries int64
 	var exhausted bool
-	for attempt := 0; ; attempt++ {
+	for attempt := 0; len(plans) > 0; attempt++ {
+		// The optimistic commit: every pick re-checked against the live
+		// ledger and the live answer log (this path's engine is the single
+		// one, the only engine that publishes a plan view).
 		_, commitSp := trace.Start(ctx, "plan.commit")
+		var took map[WorkerID][]TaskID
 		var conflicts []pairKey
-		var stale bool
-		conflicts, exhausted, stale = s.commitPlans(plans, accepted, pc.epoch)
+		s.mu.Lock()
+		took, conflicts, exhausted = s.led.commit(plans, s.eng.(*singleEngine).HasAnswer)
+		s.mu.Unlock()
 		commitSp.AttrInt("conflicts", int64(len(conflicts)))
 		commitSp.End()
-		if len(conflicts) > 0 {
-			s.planStats.conflicts.Add(uint64(len(conflicts)))
-			totalConflicts += int64(len(conflicts))
+		for w, ts := range took {
+			accepted[w] = append(accepted[w], ts...)
+			s.planStats.committed.Add(uint64(len(ts)))
 		}
-		if stale || len(conflicts) == 0 || exhausted || attempt >= maxPlanRetries {
+		s.planStats.conflicts.Add(uint64(len(conflicts)))
+		totalConflicts += int64(len(conflicts))
+		if len(conflicts) == 0 || exhausted || attempt >= maxPlanRetries {
 			break
 		}
 		s.planStats.retries.Add(1)
@@ -178,12 +185,12 @@ func (s *Service) requestTasksLockFree(ctx context.Context, ws []WorkerID, pc *p
 		_, replanSp := trace.Start(ctx, "plan.replan")
 		need := make(map[WorkerID]int, len(conflicts))
 		for _, pk := range conflicts {
-			pc.skipSet[pk] = struct{}{}
+			pc.skipSet[pk] = false
 			need[pk.w]++
 		}
 		for w, ts := range accepted {
 			for _, t := range ts {
-				pc.skipSet[pairKey{w, t}] = struct{}{}
+				pc.skipSet[pairKey{w, t}] = true
 			}
 		}
 		plans = make(map[WorkerID][]TaskID, len(need))
@@ -194,95 +201,22 @@ func (s *Service) requestTasksLockFree(ctx context.Context, ws []WorkerID, pc *p
 			}
 		}
 		replanSp.End()
-		if len(plans) == 0 {
-			break
-		}
 	}
 
 	s.planStats.lockFree.Add(1)
 	s.planStats.lastNanos.Store(time.Since(start).Nanoseconds())
-	if sp := trace.FromContext(ctx); sp != nil {
-		var committed int64
-		for _, ts := range accepted {
-			committed += int64(len(ts))
-		}
-		sp.AttrInt("committed", committed)
-		sp.AttrInt("conflicts", totalConflicts)
-		sp.AttrInt("retries", retries)
+	if n := dedupHits.Load(); n > 0 && pc.observer != nil {
+		pc.observer.DedupHitsObserved(int(n))
 	}
-	if pc.observer != nil {
-		if n := dedupHits.Load(); n > 0 {
-			pc.observer.DedupHitsObserved(int(n))
-		}
-	}
-	if exhausted && len(accepted) == 0 {
+	out, committed := handOut(accepted, pc.workerKey, pc.taskKeys)
+	sp := trace.FromContext(ctx) // the caller's span, nil-safe
+	sp.AttrInt("committed", committed)
+	sp.AttrInt("conflicts", totalConflicts)
+	sp.AttrInt("retries", retries)
+	if exhausted && committed == 0 {
 		// The budget was spent between the read-locked check and the commit:
 		// the same answer the locked planner's re-check gives.
 		return nil, ErrBudgetExhausted
 	}
-	out := make(map[string][]string, len(accepted))
-	for w, ts := range accepted {
-		ids := make([]string, len(ts))
-		for i, t := range ts {
-			ids[i] = pc.taskKeys[t]
-		}
-		out[pc.workerKey[w]] = ids
-	}
 	return out, nil
-}
-
-// commitPlans validates planned picks against the live pending set, answer
-// log, and budget under the write lock, accepting survivors in assign.Trim
-// order (round-robin over ascending worker IDs) so budget trimming is
-// byte-identical to the locked path. Accepted picks are marked pending and
-// spend budget immediately; conflicted picks — pairs answered or handed out
-// since planning — are returned for the caller's retry loop. exhausted
-// reports that the budget ran out mid-commit, which ends the round exactly
-// like assign.Trim cutting a plan short. stale reports that a Restore
-// replaced the service state since planning; the plan's dense indices no
-// longer refer to the live state, so nothing was committed.
-func (s *Service) commitPlans(plans map[WorkerID][]TaskID, accepted map[WorkerID][]TaskID, epoch uint64) (conflicts []pairKey, exhausted, stale bool) {
-	if len(plans) == 0 {
-		return nil, false, false
-	}
-	order := make([]int, 0, len(plans))
-	for w := range plans {
-		order = append(order, int(w))
-	}
-	sort.Ints(order)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.restoreEpoch != epoch {
-		return nil, false, true
-	}
-	eng := s.eng.(*singleEngine) // the only engine that publishes a plan view
-	for round := 0; ; round++ {
-		progressed := false
-		for _, wi := range order {
-			w := WorkerID(wi)
-			ts := plans[w]
-			if round >= len(ts) {
-				continue
-			}
-			progressed = true
-			if s.cfg.budget == 0 {
-				return conflicts, true, false
-			}
-			t := ts[round]
-			pk := pairKey{w, t}
-			if s.pending[pk] || eng.HasAnswer(w, t) {
-				conflicts = append(conflicts, pk)
-				continue
-			}
-			s.pending[pk] = true
-			accepted[w] = append(accepted[w], t)
-			s.planStats.committed.Add(1)
-			if s.cfg.budget > 0 {
-				s.cfg.budget--
-			}
-		}
-		if !progressed {
-			return conflicts, false, false
-		}
-	}
 }

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -26,9 +27,20 @@ func parseTid(id string) (int, error) {
 	return i, err
 }
 
+// dedupCounter totals the pending pairs a service's planning rounds report
+// having skipped; planPair hangs one on each side.
+type dedupCounter struct{ hits atomic.Int64 }
+
+func (*dedupCounter) FitObserved(time.Duration, bool, error) {}
+func (*dedupCounter) AnswerObserved(bool)                    {}
+func (c *dedupCounter) DedupHitsObserved(n int)              { c.hits.Add(int64(n)) }
+
+func dedupHits(s *Service) int64 { return s.observer.(*dedupCounter).hits.Load() }
+
 // planPair builds the matched pair of services the equivalence tests diff:
 // two background-fit services over the same world, one forced through the
-// write-locked planner, fed byte-identical histories.
+// write-locked planner, fed byte-identical histories, each counting its
+// dedup hits.
 func planPair(t *testing.T, nTasks, nWorkers int, extra ...ServiceOption) (free, locked *Service, truth *GroundTruth) {
 	t.Helper()
 	opts := append(bgOpts(), extra...)
@@ -42,13 +54,16 @@ func planPair(t *testing.T, nTasks, nWorkers int, extra ...ServiceOption) (free,
 		t.Fatal(err)
 	}
 	locked.forceLockedPlan = true
+	free.SetObserver(new(dedupCounter))
+	locked.SetObserver(new(dedupCounter))
 	truth = registerGridWorld(t, free, nTasks, nWorkers)
 	registerGridWorld(t, locked, nTasks, nWorkers)
 	return free, locked, truth
 }
 
 // requestBoth runs the same RequestTasks call on both services and requires
-// byte-identical assignments (or the same error).
+// byte-identical assignments (or the same error) and, after every round, the
+// same number of pending pairs skipped while planning.
 func requestBoth(t *testing.T, free, locked *Service, workers []string) map[string][]string {
 	t.Helper()
 	ctx := context.Background()
@@ -59,6 +74,9 @@ func requestBoth(t *testing.T, free, locked *Service, workers []string) map[stri
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("lock-free plan %v differs from locked plan %v", got, want)
+	}
+	if f, l := dedupHits(free), dedupHits(locked); f != l {
+		t.Fatalf("dedup hits after %v: lock-free %d, locked %d", workers, f, l)
 	}
 	return got
 }
@@ -162,6 +180,40 @@ func TestLockFreePlanBudgetEquivalence(t *testing.T) {
 	}
 }
 
+// TestLockFreeDedupHitsCountPendingOnly: a dedup hit is a pending pair skipped
+// while planning, on either path. The lock-free path leaves out a second kind
+// of pair — answered since the generation's snapshot was captured — and must
+// not count it: with unsolicited answers after the snapshot and nothing
+// pending, both paths report zero for the same plan.
+func TestLockFreeDedupHitsCountPendingOnly(t *testing.T) {
+	free, locked, truth := planPair(t, 24, 4, WithTasksPerRequest(2))
+	defer free.Close(context.Background())
+	defer locked.Close(context.Background())
+	ctx := context.Background()
+	for _, svc := range []*Service{free, locked} {
+		if _, err := svc.Results(ctx); err != nil { // builds the engine, publishes the plan view
+			t.Fatal(err)
+		}
+	}
+	// Six unsolicited answers the published snapshot does not hold; bgOpts
+	// never fits on its own, so they stay in sincePlan.
+	log := feedPairs(t, free, truth, 5, 0, 2, 0, 3)
+	replayAnswers(t, locked, log)
+	if n := len(free.sincePlan); n != len(log) || free.PendingCount() != 0 {
+		t.Fatalf("setup: %d pairs answered since the snapshot (want %d), %d pending (want 0)", n, len(log), free.PendingCount())
+	}
+
+	requestBoth(t, free, locked, []string{wid(0)})
+	requestBoth(t, free, locked, []string{wid(0), wid(1)})
+	if got := dedupHits(locked); got != 2 {
+		// Round two re-probed worker 0's two pending pairs and nothing else.
+		t.Fatalf("locked path counted %d dedup hits, want 2", got)
+	}
+	if st := free.PlanStats(); st.LockFreePlans != 2 {
+		t.Fatalf("the lock-free side planned %d rounds off the lock, want 2: %+v", st.LockFreePlans, st)
+	}
+}
+
 // TestLockFreeCommitReportsExhaustedBudget replays, deterministically, the
 // race the locked planner's re-check covers: a round captures its plan
 // context while budget remains, another round spends the last unit, and only
@@ -183,11 +235,9 @@ func TestLockFreeCommitReportsExhaustedBudget(t *testing.T) {
 	svc.mu.RLock()
 	pc := &planContext{
 		pub:       svc.published.Load(),
-		skipSet:   map[pairKey]struct{}{},
+		skipSet:   map[pairKey]bool{},
 		taskKeys:  svc.taskKeys,
 		workerKey: svc.workerKey,
-		h:         svc.cfg.h,
-		epoch:     svc.restoreEpoch,
 	}
 	svc.mu.RUnlock()
 	if pc.pub == nil || pc.pub.plan == nil {

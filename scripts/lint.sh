@@ -1,6 +1,5 @@
 #!/usr/bin/env bash
-# The project's whole static gate in one command: gofmt, go vet (both
-# stock and with poivet as the -vettool), and the standalone poivet run
+# The project's whole static gate in one command: gofmt, go vet, and poivet
 # over every package. CI's lint job runs this verbatim; run it locally
 # before pushing. Exits nonzero on the first failing stage.
 set -euo pipefail
@@ -18,18 +17,9 @@ fi
 echo "== go vet"
 go vet ./...
 
-echo "== go vet -vettool=poivet"
-# The same analyzers driven per-package by cmd/go's unitchecker protocol:
-# exercises the vettool path and vet's caching, and keeps `go vet` the one
-# entry point editors already integrate.
-POIVET="$(mktemp -d)/poivet"
-go build -o "$POIVET" ./cmd/poivet
-go vet -vettool="$POIVET" ./...
-
 echo "== poivet"
-# The standalone driver loads the whole module at once, so the lockorder
-# call-graph walk can descend across packages — strictly stronger than the
-# per-package vettool pass above.
+# poivet loads the whole module at once, so the lockorder call-graph walk
+# descends across packages.
 go run ./cmd/poivet ./...
 
 echo "lint OK"

@@ -79,10 +79,11 @@ type WorkerInfo struct {
 	DistanceSensitivity []float64 `json:"distance_sensitivity"`
 }
 
-// serviceConfig collects the options a Service is built from.
+// serviceConfig collects the options a Service is built from. Nothing writes
+// it once NewService has returned.
 type serviceConfig struct {
 	engine         EngineKind
-	budget         int // remaining budget; negative means unlimited
+	initialBudget  int // what the ledger starts from; negative means unlimited
 	h              int
 	assigner       AssignerKind
 	shards         int
@@ -91,12 +92,16 @@ type serviceConfig struct {
 	fullEMInterval int
 	seed           int64
 	model          core.Config
-	observer       Observer
+	observer       Observer      // becomes Service.observer, which SetObserver replaces
 	bgInterval     time.Duration // fit pipeline cadence; 0 = full fits run inline
 	bgMinAnswers   int           // eager pipeline fit threshold
 	elasticOn      bool          // drift-aware elastic re-sharding (WithElasticShards)
 	elastic        ElasticConfig
-	tracer         *trace.Tracer // nil disables tracing (every span site is nil-safe)
+	// tracer mints the background pipeline's fit.cycle/migrate.cycle trace
+	// roots; request-path spans attach to the caller's context instead. Nil
+	// disables tracing (every span site is nil-safe). Invariant: the tracer
+	// never acquires Service.mu, and no root span is ended while it is held.
+	tracer *trace.Tracer
 }
 
 // ServiceOption configures a Service. Options follow the functional-options
@@ -121,10 +126,7 @@ func WithEngine(kind EngineKind) ServiceOption {
 // also means unlimited.
 func WithBudget(n int) ServiceOption {
 	return func(c *serviceConfig) error {
-		if n < 0 {
-			n = -1
-		}
-		c.budget = n
+		c.initialBudget = max(n, -1)
 		return nil
 	}
 }
@@ -262,12 +264,6 @@ func WithTracer(tr *trace.Tracer) ServiceOption {
 	}
 }
 
-// pairKey identifies one (worker, task) assignment by dense indices.
-type pairKey struct {
-	w WorkerID
-	t TaskID
-}
-
 // Service is the one front door to the POI-labelling system: a
 // concurrency-safe serving type that runs the paper's alternating
 // inference/assignment protocol over a pluggable Engine. It accepts stable
@@ -302,7 +298,9 @@ type Service struct {
 	workerKey []string
 	workers   []Worker
 
-	pending   map[pairKey]bool
+	// led is the hand-out accounting — pending pairs, remaining budget, the
+	// accepted-answer count — and the only code that changes any of them.
+	led       ledger
 	sinceFull int
 	// dirty reports whether the engine saw new evidence (answers, tasks,
 	// workers) since its last successful full fit; the inline freshness
@@ -320,27 +318,23 @@ type Service struct {
 
 	// Generation state. published is the last parameter generation — non-nil
 	// from the moment the engine exists, replaced by every completed full fit
-	// in either placement, and the only thing a read touches; answerSeq counts
-	// accepted answers (written under the write lock, read lock-free). bg is
-	// the fit pipeline, nil when full fits run inline; delta records answers
-	// accepted while a pipeline fit is in flight, for the incremental merge
-	// into the next generation; restoreEpoch invalidates in-flight fits that
-	// raced a Restore; baseGen seeds the generation counter from a restored
+	// in either placement, and the only thing a read touches. bg is the fit
+	// pipeline, nil when full fits run inline; delta records answers accepted
+	// while a pipeline fit is in flight, for the incremental merge into the
+	// next generation; baseGen seeds the generation counter from a restored
 	// checkpoint so generations stay monotonic across restarts, and
 	// restoredGen numbers the generation Restore published (0: none) — a
 	// checkpoint taken while it is still current records baseGen again, so
 	// restore followed by checkpoint reproduces the snapshot byte for byte.
 	// resultsSize is the length of the last results body a generation encoded,
 	// from which the next one sizes its buffer (paramGen.resultsJSON).
-	bg           *fitPipeline
-	published    atomic.Pointer[paramGen]
-	answerSeq    atomic.Uint64
-	resultsSize  atomic.Int64
-	delta        []Answer
-	deltaActive  bool
-	restoreEpoch uint64
-	baseGen      uint64
-	restoredGen  uint64
+	bg          *fitPipeline
+	published   atomic.Pointer[paramGen]
+	resultsSize atomic.Int64
+	delta       []Answer
+	deltaActive bool
+	baseGen     uint64
+	restoredGen uint64
 
 	// Lock-free planning state (see plan.go). sincePlan records pairs
 	// answered since the published plan snapshot was captured — together
@@ -363,11 +357,9 @@ type Service struct {
 	// pipeline so they serialize with its fits.
 	elastic *elasticController
 
-	// tracer mints the background pipeline's fit.cycle/migrate.cycle trace
-	// roots; request-path spans attach to the caller's context instead. Nil
-	// when tracing is off. Invariant: the tracer never acquires s.mu, and no
-	// root span is ever ended while s.mu is held.
-	tracer *trace.Tracer
+	// observer receives the instrumentation events, nil when nobody listens;
+	// guarded by mu (SetObserver replaces it on a running service).
+	observer Observer
 }
 
 // NewService creates a Service. With no options it serves the single engine
@@ -377,7 +369,7 @@ type Service struct {
 func NewService(opts ...ServiceOption) (*Service, error) {
 	cfg := serviceConfig{
 		engine:         EngineSingle,
-		budget:         -1,
+		initialBudget:  -1,
 		h:              2,
 		assigner:       AssignerAccOpt,
 		fullEMInterval: 100,
@@ -392,7 +384,7 @@ func NewService(opts ...ServiceOption) (*Service, error) {
 		cfg.model = core.DefaultConfig()
 	}
 	s := newBareService(cfg)
-	s.tracer = cfg.tracer
+	s.observer = cfg.observer
 	if cfg.elasticOn {
 		if cfg.engine != EngineSharded {
 			return nil, fmt.Errorf("poilabel: WithElasticShards requires the sharded engine (got %q)", cfg.engine)
@@ -419,15 +411,15 @@ func NewService(opts ...ServiceOption) (*Service, error) {
 	return s, nil
 }
 
-// newBareService returns an empty service holding cfg and nothing that runs:
-// what NewService starts from, and the unshared scratch a snapshot is replayed
-// into (Restore, the pipeline's off-lock rebuild).
+// newBareService returns an empty service holding cfg and nothing that runs
+// or listens: what NewService starts from, and the unshared scratch a snapshot
+// is replayed into (Restore, the pipeline's off-lock rebuild).
 func newBareService(cfg serviceConfig) *Service {
 	return &Service{
 		cfg:       cfg,
 		taskIdx:   make(map[string]TaskID),
 		workerIdx: make(map[string]WorkerID),
-		pending:   make(map[pairKey]bool),
+		led:       ledger{pending: make(map[pairKey]bool), budget: cfg.initialBudget},
 		dirty:     true,
 	}
 }
@@ -711,7 +703,7 @@ func (s *Service) submitAnswer(ctx context.Context, workerID, taskID string, sel
 	// rejects duplicates)? Only a child span — its End never touches the
 	// rings, so it is safe under the write lock we hold.
 	_, ded := trace.Start(ctx, "answer.dedup")
-	if s.pending[pairKey{w, t}] {
+	if s.led.isPending(w, t) {
 		ded.Attr("pending", "true")
 	}
 	ded.End()
@@ -739,7 +731,7 @@ func (s *Service) submitAnswer(ctx context.Context, workerID, taskID string, sel
 		return err
 	}
 	lrn.End()
-	delete(s.pending, pairKey{w, t})
+	s.led.answer(w, t)
 	if s.sincePlan != nil {
 		// The published plan snapshot predates this answer; record the
 		// pair so off-lock plans exclude it without re-reading the engine.
@@ -747,12 +739,11 @@ func (s *Service) submitAnswer(ctx context.Context, workerID, taskID string, sel
 	}
 	s.sinceFull++
 	s.dirty = true
-	s.answerSeq.Add(1)
 	if s.deltaActive {
 		s.delta = append(s.delta, a)
 	}
-	if s.cfg.observer != nil {
-		s.cfg.observer.AnswerObserved(fitInline)
+	if s.observer != nil {
+		s.observer.AnswerObserved(fitInline)
 	}
 	switch {
 	case fitInline:
@@ -784,15 +775,15 @@ func (s *Service) fitInlineLocked(ctx context.Context) error {
 	s.sinceFull = 0
 	start := time.Now()
 	converged, err := s.eng.Fit(ctx)
-	if s.cfg.observer != nil {
-		s.cfg.observer.FitObserved(time.Since(start), converged, err)
+	if s.observer != nil {
+		s.observer.FitObserved(time.Since(start), converged, err)
 	}
 	if err != nil {
 		s.dirty = true
 		return err
 	}
 	s.dirty = false
-	seq := s.answerSeq.Load()
+	seq := s.led.answered()
 	s.publishLocked(seq, seq, converged)
 	return nil
 }
@@ -847,97 +838,88 @@ func (s *Service) RequestTasks(ctx context.Context, workerIDs []string) (map[str
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	// The snapshot phase: everything up to the RUnlock below runs under the
-	// read lock and captures the state the off-lock planner works from.
 	_, snapSp := trace.Start(ctx, "plan.snapshot")
-	s.mu.RLock()
-	if s.cfg.budget == 0 {
-		s.mu.RUnlock()
-		snapSp.Fail(ErrBudgetExhausted)
+	ws, pc, err := s.capturePlan(workerIDs)
+	if err != nil {
+		snapSp.Fail(err)
 		snapSp.End()
-		return nil, ErrBudgetExhausted
+		return nil, err
+	}
+	if pc == nil {
+		snapSp.Attr("path", "locked")
+		snapSp.End()
+		return s.requestTasksLocked(ctx, ws)
+	}
+	snapSp.AttrInt("gen", int64(pc.pub.gen))
+	snapSp.AttrInt("skip_set", int64(len(pc.skipSet)))
+	snapSp.End()
+	return s.requestTasksLockFree(ctx, ws, pc)
+}
+
+// capturePlan is RequestTasks' snapshot phase: under the read lock, resolve
+// the workers and capture what the off-lock planner works from. A nil
+// planContext sends the round to the locked planner.
+func (s *Service) capturePlan(workerIDs []string) ([]WorkerID, *planContext, error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if s.led.exhausted() {
+		return nil, nil, ErrBudgetExhausted
 	}
 	ws := make([]WorkerID, len(workerIDs))
 	for i, id := range workerIDs {
 		w, err := s.lookupWorker(id)
 		if err != nil {
-			s.mu.RUnlock()
-			snapSp.Fail(err)
-			snapSp.End()
-			return nil, err
+			return nil, nil, err
 		}
 		ws[i] = w
 	}
 	// Only the single engine with AccOpt behind a fit pipeline publishes a
 	// plan view (planEnabled), so a generation that carries one implies it.
 	pub := s.published.Load()
-	lockFree := !s.forceLockedPlan && pub != nil && pub.plan != nil
-	if lockFree {
-		// Workers registered after the snapshot was captured are invisible
-		// to it; fall back to the locked planner for this round.
-		nW := len(pub.plan.Workers())
-		for _, w := range ws {
-			if int(w) >= nW {
-				lockFree = false
-				break
-			}
+	if s.forceLockedPlan || pub == nil || pub.plan == nil {
+		return ws, nil, nil
+	}
+	// Workers registered after the snapshot was captured are invisible to
+	// it; fall back to the locked planner for this round.
+	for _, w := range ws {
+		if int(w) >= len(pub.plan.Workers()) {
+			return ws, nil, nil
 		}
 	}
-	if !lockFree {
-		s.mu.RUnlock()
-		snapSp.Attr("path", "locked")
-		snapSp.End()
-		return s.requestTasksLocked(ctx, ws, workerIDs)
-	}
-	// Copy the live exclusions while still under the read lock: pending
-	// pairs plus answers accepted since the snapshot. The copy may go stale
-	// the moment the lock drops — the optimistic commit re-validates every
-	// pick — but starting close to live keeps conflicts rare. The ID tables
-	// are append-only, so the captured slice headers stay valid off-lock.
+	// Copy the live exclusions: pending pairs (true) plus answers accepted
+	// since the snapshot (false). The copy may go stale the moment the lock
+	// drops — the optimistic commit re-validates every pick — but starting
+	// close to live keeps conflicts rare. The ID tables are append-only, so
+	// the captured slice headers stay valid off-lock.
 	pc := &planContext{
 		pub:       pub,
-		skipSet:   make(map[pairKey]struct{}, len(s.pending)+len(s.sincePlan)),
+		skipSet:   make(map[pairKey]bool, len(s.led.pending)+len(s.sincePlan)),
 		taskKeys:  s.taskKeys,
 		workerKey: s.workerKey,
-		observer:  s.cfg.observer,
-		h:         s.cfg.h,
-		epoch:     s.restoreEpoch,
-	}
-	for pk := range s.pending {
-		pc.skipSet[pk] = struct{}{}
+		observer:  s.observer,
 	}
 	for pk := range s.sincePlan {
-		pc.skipSet[pk] = struct{}{}
+		pc.skipSet[pk] = false
 	}
-	s.mu.RUnlock()
-	snapSp.AttrInt("gen", int64(pub.gen))
-	snapSp.AttrInt("skip_set", int64(len(pc.skipSet)))
-	snapSp.End()
-	return s.requestTasksLockFree(ctx, ws, pc)
+	for pk := range s.led.pending {
+		pc.skipSet[pk] = true
+	}
+	return ws, pc, nil
 }
 
-// requestTasksLocked is the write-locked assignment path: plan and commit in
-// one critical section. It serves the batch engines, non-planner assigners,
-// the window before the first publication, and workers newer than the
-// published snapshot.
-func (s *Service) requestTasksLocked(ctx context.Context, ws []WorkerID, workerIDs []string) (map[string][]string, error) {
+// requestTasksLocked is the write-locked assignment path: plan from the live
+// engine and commit in one critical section. It serves the batch engines,
+// non-planner assigners, the window before the first publication, and workers
+// newer than the published snapshot.
+func (s *Service) requestTasksLocked(ctx context.Context, ws []WorkerID) (map[string][]string, error) {
 	_, sp := trace.Start(ctx, "plan.locked")
 	defer sp.End()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	// Re-check under the write lock: the budget may have been spent between
 	// the caller's read-locked check and here.
-	if s.cfg.budget == 0 {
+	if s.led.exhausted() {
 		return nil, ErrBudgetExhausted
-	}
-	// Re-resolve the worker IDs: a Restore between the locks could have
-	// renumbered the dense indices.
-	for i, id := range workerIDs {
-		w, err := s.lookupWorker(id)
-		if err != nil {
-			return nil, err
-		}
-		ws[i] = w
 	}
 	if err := s.ensureEngine(); err != nil {
 		return nil, err
@@ -947,38 +929,37 @@ func (s *Service) requestTasksLocked(ctx context.Context, ws []WorkerID, workerI
 	// goroutines (the sharded fan-out), so the dedup-hit tally is atomic.
 	var dedupHits atomic.Int64
 	skip := func(w WorkerID, t TaskID) bool {
-		if s.pending[pairKey{w, t}] {
+		if s.led.isPending(w, t) {
 			dedupHits.Add(1)
 			return true
 		}
 		return false
 	}
-	assigned := s.eng.Assign(ws, s.cfg.h, s.cfg.budget, skip)
-	if s.cfg.observer != nil {
-		if n := dedupHits.Load(); n > 0 {
-			s.cfg.observer.DedupHitsObserved(int(n))
-		}
+	// The live planner left out every answered and every pending pair and the
+	// engine trimmed the round to the budget, so the commit takes it whole.
+	accepted, _, _ := s.led.commit(s.eng.Assign(ws, s.cfg.h, s.led.budget, skip), nil)
+	if n := dedupHits.Load(); n > 0 && s.observer != nil {
+		s.observer.DedupHitsObserved(int(n))
 	}
-	out := make(map[string][]string, len(assigned))
-	var committed int64
-	for w, ts := range assigned {
-		if len(ts) == 0 {
-			continue
-		}
-		ids := make([]string, len(ts))
-		for i, t := range ts {
-			ids[i] = s.taskKeys[t]
-			s.pending[pairKey{w, t}] = true
-		}
-		out[s.workerKey[w]] = ids
-		committed += int64(len(ts))
-		if s.cfg.budget > 0 {
-			s.cfg.budget -= len(ts)
-		}
-	}
+	out, committed := handOut(accepted, s.workerKey, s.taskKeys)
 	sp.AttrInt("workers", int64(len(ws)))
 	sp.AttrInt("committed", committed)
 	return out, nil
+}
+
+// handOut translates a committed round into the stable IDs RequestTasks
+// returns, and counts its pairs.
+func handOut(accepted map[WorkerID][]TaskID, workerKey, taskKeys []string) (out map[string][]string, pairs int64) {
+	out = make(map[string][]string, len(accepted))
+	for w, ts := range accepted {
+		ids := make([]string, len(ts))
+		for i, t := range ts {
+			ids[i] = taskKeys[t]
+		}
+		out[workerKey[w]] = ids
+		pairs += int64(len(ts))
+	}
+	return out, pairs
 }
 
 // Fit brings the published generation up to a full fit over every answer
@@ -1108,7 +1089,7 @@ func (s *Service) ResultsJSON(ctx context.Context) (EncodedResults, error) {
 		JSON:        body,
 		Generation:  pub.gen,
 		PublishedAt: pub.at,
-		Staleness:   pub.staleness(s.answerSeq.Load()),
+		Staleness:   pub.staleness(s.led.answered()),
 		Encoded:     encoded,
 	}, nil
 }
@@ -1159,7 +1140,7 @@ func (s *Service) WorkerInfo(id string) (WorkerInfo, error) {
 func (s *Service) RemainingBudget() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.cfg.budget
+	return s.led.budget
 }
 
 // PendingCount returns the number of handed-out pairs still awaiting an
@@ -1167,12 +1148,12 @@ func (s *Service) RemainingBudget() int {
 func (s *Service) PendingCount() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.pending)
+	return len(s.led.pending)
 }
 
 // AnswerCount returns the number of answers accepted so far.
 func (s *Service) AnswerCount() int {
-	return int(s.answerSeq.Load())
+	return int(s.led.answered())
 }
 
 // HealthStats is the service-level counter block /healthz and the gauge
@@ -1195,9 +1176,9 @@ func (s *Service) Health() HealthStats {
 	return HealthStats{
 		Tasks:           len(s.tasks),
 		Workers:         len(s.workers),
-		Answers:         int(s.answerSeq.Load()),
-		Pending:         len(s.pending),
-		RemainingBudget: s.cfg.budget,
+		Answers:         int(s.led.answered()),
+		Pending:         len(s.led.pending),
+		RemainingBudget: s.led.budget,
 	}
 }
 
@@ -1207,7 +1188,7 @@ func (s *Service) Health() HealthStats {
 func (s *Service) SetObserver(o Observer) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.cfg.observer = o
+	s.observer = o
 }
 
 // NumTasks returns the number of registered tasks.

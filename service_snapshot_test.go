@@ -248,31 +248,48 @@ func TestServiceRestoreValidation(t *testing.T) {
 	})
 
 	// A partition node's merged worker rows are held to the rule leaf rows
-	// are, and since_full to the answers actually held — values no Checkpoint
-	// call can have written. Each rejection leaves the receiver untouched.
+	// are, since_full to the answers actually held, and the ledger's pending
+	// list to pairs of registered IDs, each once — values no Checkpoint call
+	// can have written. Each rejection leaves the receiver untouched. The
+	// merged rows exist on a partition node only; the other corruptions touch
+	// the service section alone and run on every engine.
 	corruptions := []struct {
 		name   string
+		merged bool   // mutates the partition node's merged worker rows
+		want   string // in the error, when the row pins its wording
 		mutate func(sv *snapshot.ServiceState, pi []float64, pdw [][]float64)
 	}{
-		{"merged pi out of range", func(_ *snapshot.ServiceState, pi []float64, _ [][]float64) { pi[0] = 7 }},
-		{"negative merged pdw", func(_ *snapshot.ServiceState, _ []float64, pdw [][]float64) { pdw[1][0] = -pdw[1][0] }},
-		{"negative since_full", func(sv *snapshot.ServiceState, _ []float64, _ [][]float64) { sv.SinceFull = -1 }},
-		{"since_full above answers", func(sv *snapshot.ServiceState, _ []float64, _ [][]float64) { sv.SinceFull = 1 << 20 }},
+		{"merged pi out of range", true, "", func(_ *snapshot.ServiceState, pi []float64, _ [][]float64) { pi[0] = 7 }},
+		{"negative merged pdw", true, "", func(_ *snapshot.ServiceState, _ []float64, pdw [][]float64) { pdw[1][0] = -pdw[1][0] }},
+		{"negative since_full", false, "", func(sv *snapshot.ServiceState, _ []float64, _ [][]float64) { sv.SinceFull = -1 }},
+		{"since_full above answers", false, "", func(sv *snapshot.ServiceState, _ []float64, _ [][]float64) { sv.SinceFull = 1 << 20 }},
+		{"pending pair out of range", false, "out of range", func(sv *snapshot.ServiceState, _ []float64, _ [][]float64) {
+			sv.Pending[0].Task = len(sv.Tasks)
+		}},
+		{"pending pair listed twice", false, "listed twice", func(sv *snapshot.ServiceState, _ []float64, _ [][]float64) {
+			sv.Pending = append(sv.Pending, sv.Pending[0])
+		}},
 	}
-	for _, eng := range engineMatrix[1:] {
+	for _, eng := range engineMatrix {
 		opts := append([]ServiceOption{WithBudget(30), WithFullEMInterval(5)}, eng.opts...)
 		_, clean := buildMidStreamService(t, opts...)
 		for _, c := range corruptions {
+			if c.merged && eng.name == "single" {
+				continue // no merged rows without a partition node
+			}
 			t.Run(eng.name+" "+c.name, func(t *testing.T) {
 				snap, err := snapshot.Decode(bytes.NewReader(clean))
 				if err != nil {
 					t.Fatal(err)
 				}
 				sv := &snap.Service
-				if sv.Sharded != nil {
+				switch {
+				case sv.Sharded != nil:
 					c.mutate(sv, sv.Sharded.PI, sv.Sharded.PDW)
-				} else {
+				case sv.Federated != nil:
 					c.mutate(sv, sv.Federated.PI, sv.Federated.PDW)
+				default:
+					c.mutate(sv, nil, nil)
 				}
 				var bad bytes.Buffer
 				if err := snapshot.Encode(&bad, snap); err != nil {
@@ -282,11 +299,11 @@ func TestServiceRestoreValidation(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := svc.Restore(&bad); err == nil {
-					t.Fatal("corrupt snapshot restored without error")
+				if err := svc.Restore(&bad); err == nil || !strings.Contains(err.Error(), c.want) {
+					t.Fatalf("corrupt snapshot restored with error %v, want one naming %q", err, c.want)
 				}
-				if svc.NumTasks() != 0 || svc.NumWorkers() != 0 || svc.FitStats().Generation != 0 {
-					t.Fatal("rejected restore left state behind")
+				if h := svc.Health(); h != (HealthStats{RemainingBudget: 30}) || svc.FitStats().Generation != 0 {
+					t.Fatalf("rejected restore left state behind: %+v", h)
 				}
 				// The same service still accepts the clean snapshot.
 				if err := svc.Restore(bytes.NewReader(clean)); err != nil {
