@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"poilabel/internal/assign"
+	"poilabel/internal/shard"
 	"poilabel/internal/trace"
 )
 
@@ -17,17 +18,15 @@ import (
 // has shut it down.
 var ErrClosed = errors.New("poilabel: service closed")
 
-// WithBackgroundFit chooses where full EM fits run: instead of inline under
-// the write lock, a single pipeline goroutine fits over a copy-on-write
-// snapshot of the answer store and swaps the finished engine in, so no
-// request ever waits for EM convergence. Everything else is the one path
-// every service has — answers are learned and counted as they arrive, every
-// completed fit publishes a generation, and reads serve it — with one
-// consequence for reads: they never wait for the pipeline, so Results,
-// ResultSet and WorkerInfo serve the last generation however stale, and Fit
-// and WaitFresh are the barriers that buy freshness back. Answers accepted
-// while a fit is in flight are batched into a delta that is merged — via the
-// engine's cheap incremental update — into the generation that fit publishes.
+// WithBackgroundFit decides who triggers full EM fits: a scheduler goroutine
+// on its own cadence, instead of the callers — the FullEMInterval-th
+// submission, Fit, a read of stale results — who otherwise run them and wait.
+// The fit is the same cycle either way: EM over a fork of the engine with no
+// lock held, adopted by the live engine when it finishes, the answers
+// accepted meanwhile folded in by the engine's incremental update. With a
+// scheduler no request ever waits for EM, at one price: reads serve the last
+// generation however stale, and Fit and WaitFresh are the barriers that buy
+// freshness back.
 //
 // interval is the fit cadence: whenever answers are outstanding, a full fit
 // starts at most this long after they arrived. minAnswers (values below 1
@@ -35,10 +34,9 @@ var ErrClosed = errors.New("poilabel: service closed")
 // without waiting for the tick. At most one fit is ever in flight; triggers
 // arriving mid-fit coalesce into a single queued re-fit.
 //
-// The pipeline's cadence replaces WithFullEMInterval's: submissions never
-// fit inline. Call Close to drain the pipeline on shutdown. See
-// docs/ARCHITECTURE.md ("Life of a fit") for the staleness contract and
-// PERFORMANCE.md for what the copy costs a single forced fit.
+// The scheduler's cadence replaces WithFullEMInterval's. Call Close to drain
+// it on shutdown. See docs/ARCHITECTURE.md ("Life of a fit") for the
+// staleness contract and PERFORMANCE.md for what a cycle costs beyond EM.
 func WithBackgroundFit(interval time.Duration, minAnswers int) ServiceOption {
 	return func(c *serviceConfig) error {
 		if interval <= 0 {
@@ -55,7 +53,7 @@ func WithBackgroundFit(interval time.Duration, minAnswers int) ServiceOption {
 
 // paramGen is one published parameter generation: an immutable copy of the
 // engine's read state plus the bookkeeping readers need to reason about
-// staleness. Every full fit ends in one, whichever placement ran it.
+// staleness. Every full fit ends in one, whoever triggered it.
 // Generations are published through Service.published with an atomic pointer
 // swap and must never be mutated afterwards — with one exception, the body
 // cell below — and, because that cell holds a sync.Once, a paramGen is only
@@ -142,12 +140,12 @@ func (g *paramGen) staleness(answerSeq uint64) time.Duration {
 	return 0
 }
 
-// fitPipeline is the off-lock fit placement's scheduler: one goroutine that
-// owns the full-EM cadence for a Service. Lock ordering: the pipeline's mutex
-// is only ever acquired after (or without) the Service's — never take s.mu
-// while holding p.mu.
+// fitPipeline runs a Service's fit cycles — every service has one — and, with
+// WithBackgroundFit, the scheduler goroutine that owns their cadence. Lock
+// ordering: slot (claimed with no lock held), then s.mu, then p.mu.
 type fitPipeline struct {
 	s          *Service
+	scheduled  bool // the scheduler goroutine runs (WithBackgroundFit)
 	interval   time.Duration
 	minAnswers int
 
@@ -156,25 +154,31 @@ type fitPipeline struct {
 	done     chan struct{}
 	stopOnce sync.Once
 
-	fitCtx    context.Context // cancels the in-flight fit on hard shutdown
+	fitCtx    context.Context // cancels the scheduler's in-flight fit on hard shutdown
 	cancelFit context.CancelFunc
+
+	// slot holds a token while a cycle — fit or migration, the scheduler's or
+	// a caller's — is in flight, so there is at most one. A channel, not a
+	// mutex: a caller waiting its turn honors its context.
+	slot chan struct{}
 
 	mu         sync.Mutex
 	wantFull   bool              // an explicit full fit was requested (WaitFresh)
-	inFlight   bool              // a fit is running right now
 	pendingMig *migrationRequest // queued elastic migration (capacity 1)
 
 	fits      atomic.Uint64 // completed fit attempts (including abandoned)
 	coalesced atomic.Uint64 // triggers dropped because a re-fit was queued
 }
 
+// newFitPipeline returns s's pipeline; a positive interval starts its scheduler.
 func newFitPipeline(s *Service, interval time.Duration, minAnswers int) *fitPipeline {
-	// The pipeline's lifetime is the service's, not any request's: this root
+	// The scheduler's lifetime is the service's, not any request's: this root
 	// context exists to be cancelled by Close.
 	//lint:ignore ctxflow pipeline root context, cancelled by Close — no caller to inherit from
 	ctx, cancel := context.WithCancel(context.Background())
-	return &fitPipeline{
+	p := &fitPipeline{
 		s:          s,
+		scheduled:  interval > 0,
 		interval:   interval,
 		minAnswers: minAnswers,
 		kick:       make(chan struct{}, 1),
@@ -182,7 +186,12 @@ func newFitPipeline(s *Service, interval time.Duration, minAnswers int) *fitPipe
 		done:       make(chan struct{}),
 		fitCtx:     ctx,
 		cancelFit:  cancel,
+		slot:       make(chan struct{}, 1),
 	}
+	if p.scheduled {
+		go p.run()
+	}
+	return p
 }
 
 // run is the scheduler loop. One goroutine per Service.
@@ -201,7 +210,7 @@ func (p *fitPipeline) run() {
 				req.finish(ErrClosed)
 			}
 			if p.backlog() > 0 || p.takeWantFull() {
-				p.runOneFit()
+				p.runCycle(p.fitCtx, cycle{})
 			}
 			return
 		case <-p.kick:
@@ -264,7 +273,7 @@ func (p *fitPipeline) drainFits() {
 			return
 		}
 		first = false
-		p.runOneFit()
+		p.runCycle(p.fitCtx, cycle{})
 		// The new generation invalidated every candidate list; rebuild the
 		// active cohort's here, off the request path, before requests pay
 		// for builds one by one.
@@ -312,122 +321,182 @@ func (p *fitPipeline) takeWantFull() bool {
 	return w
 }
 
-func (p *fitPipeline) setInFlight(v bool) {
-	p.mu.Lock()
-	p.inFlight = v
-	p.mu.Unlock()
-}
-
 // cyclePhases mints one lifecycle's spans. The names stay string literals at
 // their trace call so the metricname vocabulary check sees every one.
 type cyclePhases struct {
-	root                              func(*trace.Tracer, context.Context) (context.Context, *trace.Span)
-	capture, rebuild, em, merge, swap startSpan
+	root                     func(*trace.Tracer, context.Context) (context.Context, *trace.Span)
+	capture, em, merge, swap startSpan
 }
 
 type startSpan func(context.Context) (context.Context, *trace.Span)
 
 var fitPhases = cyclePhases{
+	// A cycle run for a traced caller hangs off the caller's span, so a slow
+	// FullEMInterval-th submission is explained by its own trace; otherwise
+	// it is a trace of its own.
 	root: func(tr *trace.Tracer, ctx context.Context) (context.Context, *trace.Span) {
+		if trace.FromContext(ctx) != nil {
+			return trace.Start(ctx, "fit.cycle")
+		}
 		return tr.StartRoot(ctx, "fit.cycle", 0)
 	},
 	capture: func(ctx context.Context) (context.Context, *trace.Span) { return trace.Start(ctx, "fit.capture") },
-	rebuild: func(ctx context.Context) (context.Context, *trace.Span) { return trace.Start(ctx, "fit.rebuild") },
 	em:      func(ctx context.Context) (context.Context, *trace.Span) { return trace.Start(ctx, "fit.em") },
 	merge:   func(ctx context.Context) (context.Context, *trace.Span) { return trace.Start(ctx, "fit.merge") },
 	swap:    func(ctx context.Context) (context.Context, *trace.Span) { return trace.Start(ctx, "fit.swap") },
 }
 
-// runOneFit executes one full pipeline fit; see runCycle.
-func (p *fitPipeline) runOneFit() { p.runCycle(fitPhases, nil) }
+// cycle is one request to runCycle.
+type cycle struct {
+	mig    *migrationRequest // set: a migration rather than a fit
+	caller bool              // run by and for the calling goroutine, not the scheduler
+	build  bool              // construct an engine that does not exist yet
+	// unless, when set, reports under the lock that the fit is no longer
+	// needed — somebody else's covered it. Nil: always fit (the scheduler
+	// decided already; Fit without one always refits).
+	unless func(*Service) bool
+}
 
-// runCycle is the one body of a pipeline fit (mig nil) and of a live
-// migration (mig set), which is a fit with a re-layout step between the
-// rebuild and EM:
+// The two reasons a caller's fit is not owed: nothing arrived since the last
+// adopted one (WaitFresh, reads), and fewer than FullEMInterval answers did
+// (a submission).
+func clean(s *Service) bool  { return !s.dirty }
+func notDue(s *Service) bool { return s.cfg.fullEMInterval <= 0 || s.sinceFull < s.cfg.fullEMInterval }
+
+// owedLocked reports whether cycle c has anything to do; callers hold s.mu.
+func (s *Service) owedLocked(c cycle) bool {
+	switch {
+	case c.mig != nil:
+		return true
+	case s.eng == nil:
+		return c.build
+	case s.published.Load() == nil:
+		return true // an engine nobody published yet owes readers a generation
+	}
+	return c.unless == nil || !c.unless(s)
+}
+
+// runCycle is the one way a service fits (c.mig nil) or migrates (set: a fit
+// with a re-layout step before EM), whoever triggered it, one at a time:
 //
-//  1. Under the write lock (milliseconds): deep-copy the service — all of it
-//     but the ledger, which a fit never reads — into a snapshot via the
-//     checkpoint capture path and start recording a delta of answers
-//     accepted from here on. A migration first validates its decision
-//     against the live layout.
-//  2. Off-lock (the expensive part): rebuild a scratch service from the
-//     snapshot — bit-identical to the live one, warm-started from the live
-//     parameters — let a migration re-partition its engine (replaying every
-//     answer into a fresh fitter at the new layout in exact global arrival
-//     order), and run full EM on the scratch engine.
-//  3. Under the write lock (milliseconds): replay registrations and the
-//     recorded delta onto the fitted scratch engine via its incremental
-//     update, swap it in as the live engine, and publish the new generation.
-//     What step 1 captured is still a prefix of the live state: Restore alone
-//     replaces it, and is admitted only on an empty service.
+//  1. Capture, under the write lock: fork the engine — the append-only
+//     evidence shared, the parameters copied: O(parameters) whatever the log
+//     holds. A migration first validates its decision against the live layout.
+//  2. Fit, with no lock held: full EM over the fork, honoring ctx between
+//     iterations, while the live engine keeps learning. A migration first
+//     rebuilds the fork at the new layout, replaying every answer it sees in
+//     global arrival order into a fresh fitter, and fits that.
+//  3. Merge, under the write lock: the live engine adopts the fitted
+//     parameters — prior rows for what was registered since the fork, its
+//     incremental update re-applied to log[fork:], the answers accepted since
+//     — and the generation is published. A migration instead catches the
+//     rebuilt fitter up on that suffix and swaps it in. The fork is still a
+//     prefix of the live state: only Restore replaces that, and it is
+//     admitted only on an empty service.
 //
-// On error (shutdown cancellation, corrupt state, a stale migration
-// decision) the cycle is abandoned and the live engine, which learned every
-// answer as it arrived, keeps serving the previous generation. The ledger is
-// keyed by global IDs and never touched, so no handed-out assignment is
-// dropped or double-spent; in-flight answers land either in the capture
-// (before phase 1) or in the delta (after), never both and never neither.
-// The returned error is the migration waiter's outcome.
-func (p *fitPipeline) runCycle(ph cyclePhases, mig *migrationRequest) error {
+// On error (a cancelled context, shutdown, a stale migration decision) the
+// cycle is abandoned: the live engine is untouched, the last generation
+// keeps serving, and sinceFull, dirty and the coverage sequences stay what
+// they were — only an adopted fit moves them. The ledger is never touched.
+func (p *fitPipeline) runCycle(ctx context.Context, c cycle) error {
 	s := p.s
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if c.caller {
+		// A settled barrier or read: a flag test, no turn to wait for.
+		s.mu.RLock()
+		owed := s.owedLocked(c)
+		s.mu.RUnlock()
+		if !owed {
+			return nil
+		}
+	}
+	select {
+	case p.slot <- struct{}{}:
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+	defer func() { <-p.slot }()
 
-	// The trace root for this cycle. Its End — registered before the final
-	// locked section's deferred Unlock, so it runs after the lock drops —
-	// pushes the finished trace into the rings; no span operation below ever
-	// runs ring work while s.mu is held.
-	tctx, root := ph.root(s.cfg.tracer, p.fitCtx)
+	ph, runBy := fitPhases, "scheduler"
+	if c.mig != nil {
+		ph = migratePhases
+	}
+	if c.caller {
+		runBy = "caller"
+	}
+	// The cycle's span, a trace root or a child of the caller's. Its End is
+	// deferred before the final Unlock so it runs after: a root's pushes the
+	// trace into the rings, which never happens under s.mu.
+	tctx, root := ph.root(s.cfg.tracer, ctx)
 	defer root.End()
-	if mig != nil {
-		mig.describe(root)
+	root.Attr("run_by", runBy)
+	if c.mig != nil {
+		c.mig.describe(root)
 	}
 
 	_, capSp := ph.capture(tctx)
 	s.mu.Lock()
-	if mig == nil && s.eng == nil {
+	var (
+		fork  engineFork     // a fit's
+		live  *shard.Sharded // a migration's source and
+		mfork *shard.Fork    // its fork
+		err   error
+	)
+	switch {
+	case c.mig != nil:
+		if live, err = c.mig.admit(s); err == nil {
+			capSp.AttrInt("k", int64(live.NumShards()))
+			mfork = live.Fork()
+		}
+	case !s.owedLocked(c):
+		// Somebody else's cycle covered it while this one waited its turn.
 		s.mu.Unlock()
 		capSp.End()
 		return nil
+	case s.eng == nil:
+		// Built here and not published: the fit's publication is the
+		// engine's first generation rather than its second.
+		err = s.buildEngine(nil, 0)
 	}
-	if mig != nil {
-		liveK, err := mig.admit(s)
-		if err != nil {
-			s.mu.Unlock()
-			capSp.Fail(err)
-			capSp.End()
-			root.Fail(err)
-			s.elastic.recordOutcome(mig, "", err)
-			return err
+	if err != nil {
+		s.mu.Unlock()
+		capSp.Fail(err)
+		capSp.End()
+		root.Fail(err)
+		if c.mig != nil {
+			s.elastic.recordOutcome(c.mig, "", err)
 		}
-		capSp.AttrInt("k", int64(liveK))
+		return err
+	}
+	if c.mig == nil {
+		fork = s.eng.fork()
 	}
 	startSeq := s.led.answered()
-	sv := s.captureLocked()
-	s.delta = s.delta[:0]
-	s.deltaActive = true
-	deltaTasks, deltaWorkers := len(s.tasks), len(s.workers)
+	forkTasks, forkWorkers := len(s.tasks), len(s.workers)
 	s.mu.Unlock()
 	capSp.AttrInt("answers", int64(startSeq))
 	capSp.End()
 
-	p.setInFlight(true)
-	defer p.setInFlight(false)
-
 	start := time.Now()
-	scratch := newBareService(s.cfg)
-	_, rbSp := ph.rebuild(tctx)
-	err := scratch.applySnapshot(&sv)
-	var action string
-	if err == nil && mig != nil {
-		action, err = mig.relayout(scratch, rbSp)
+	var (
+		rebuilt   *shard.Sharded
+		action    string
+		converged bool
+	)
+	if c.mig != nil {
+		rebuilt, action, err = c.mig.relayout(tctx, mfork)
 	}
-	if err != nil {
-		rbSp.Fail(err)
-	}
-	rbSp.End()
-	var converged bool
 	if err == nil {
 		emCtx, emSp := ph.em(tctx)
-		converged, err = scratch.eng.Fit(emCtx)
+		if rebuilt != nil {
+			var st shard.FitStats
+			st, err = rebuilt.FitContext(emCtx)
+			converged = st.Converged
+		} else {
+			converged, err = fork.Fit(emCtx)
+		}
 		if err != nil {
 			emSp.Fail(err)
 		}
@@ -438,52 +507,48 @@ func (p *fitPipeline) runCycle(ph cyclePhases, mig *migrationRequest) error {
 	_, mergeSp := ph.merge(tctx)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if mig == nil {
+	if c.mig == nil {
 		p.fits.Add(1)
 		if s.observer != nil {
 			s.observer.FitObserved(elapsed, converged, err)
 		}
 	}
 	if err == nil {
-		// Replay registrations that arrived mid-cycle, then merge the delta:
-		// every answer accepted while the fit ran is folded into the fitted
-		// parameters through the engine's incremental update — the
-		// mini-batch E-step that makes the new generation cover them.
-		for i := deltaTasks; i < len(s.tasks) && err == nil; i++ {
-			err = scratch.eng.AddTask(s.tasks[i])
-		}
-		for i := deltaWorkers; i < len(s.workers) && err == nil; i++ {
-			err = scratch.eng.AddWorker(s.workers[i])
-		}
-		for i := 0; i < len(s.delta) && err == nil; i++ {
-			err = scratch.eng.Learn(s.delta[i])
+		if rebuilt != nil {
+			err = live.ReplaySince(mfork, rebuilt)
+		} else {
+			fork.adopt()
 		}
 	}
-	nDelta := len(s.delta)
+	nDelta := int(s.led.answered() - startSeq)
 	mergeSp.AttrInt("delta", int64(nDelta))
 	mergeSp.End()
-	s.delta, s.deltaActive = nil, false
-	if mig != nil {
-		s.elastic.recordOutcome(mig, action, err)
+	if c.mig != nil {
+		s.elastic.recordOutcome(c.mig, action, err)
 	}
 	if err != nil {
 		root.Fail(err)
+		if s.published.Load() == nil {
+			// The engine was built for this fit: the prior-only generation
+			// stands in, as after ensureEngine.
+			s.publishLocked(0, 0, false)
+		}
 		return err
 	}
 	_, swapSp := ph.swap(tctx)
-	s.eng = scratch.eng
-	if mig != nil {
+	if rebuilt != nil {
+		s.eng = newShardedEngine(rebuilt)
 		// The rebuilt layout spans every task registered at capture time, so
 		// the construction boundary (what the next checkpoint's Layout
 		// covers) moves up to the capture point.
-		s.builtTasks = deltaTasks
-		s.builtWorkers = deltaWorkers
+		s.builtTasks = forkTasks
+		s.builtWorkers = forkWorkers
 	}
 	s.sinceFull = nDelta
-	s.dirty = nDelta > 0
+	s.dirty = nDelta > 0 || len(s.tasks) > forkTasks || len(s.workers) > forkWorkers
 	s.publishLocked(s.led.answered(), startSeq, converged)
 	swapSp.End()
-	if mig == nil {
+	if c.mig == nil {
 		root.Attr("converged", fmt.Sprintf("%t", converged))
 	}
 	return nil
@@ -536,10 +601,13 @@ func (p *fitPipeline) await(ctx context.Context) error {
 	}
 }
 
-// close shuts the scheduler down, draining any outstanding answers into one
-// final generation. When ctx expires first the in-flight fit is cancelled;
-// the previous generation keeps serving reads.
+// close shuts the scheduler down, if one runs, draining any outstanding
+// answers into one final generation. When ctx expires first the in-flight fit
+// is cancelled; the previous generation keeps serving reads.
 func (p *fitPipeline) close(ctx context.Context) error {
+	if !p.scheduled {
+		return nil
+	}
 	p.stopOnce.Do(func() { close(p.stop) })
 	select {
 	case <-p.done:
@@ -551,13 +619,13 @@ func (p *fitPipeline) close(ctx context.Context) error {
 	}
 }
 
-// FitPipelineStats is a point-in-time view of the published generation and,
-// where one runs, of the fit pipeline: the backing state for the
-// poilabel_fit_* metrics and the /healthz fit section.
+// FitPipelineStats is a point-in-time view of the published generation and of
+// the fit pipeline: the backing state for the poilabel_fit_* metrics and the
+// /healthz fit section.
 type FitPipelineStats struct {
-	// Enabled reports whether WithBackgroundFit was configured; the
-	// scheduler fields below (InFlight, QueueDepth, Fits, Coalesced) stay
-	// zero without it.
+	// Enabled reports whether WithBackgroundFit was configured, that is,
+	// whether a scheduler triggers the fits; QueueDepth's queued token and
+	// Coalesced stay zero without one.
 	Enabled bool `json:"enabled"`
 	// Generation is the published parameter generation (0 until the engine
 	// is built).
@@ -574,36 +642,30 @@ type FitPipelineStats struct {
 	// have been waiting: zero when the publication covers everything, else
 	// the age of the publication.
 	Staleness time.Duration `json:"staleness,omitempty"`
-	// InFlight reports whether a pipeline fit is running right now.
+	// InFlight reports whether a fit cycle is running right now, whoever
+	// triggered it.
 	InFlight bool `json:"in_flight"`
-	// QueueDepth counts the in-flight fit (if any) plus the queued re-fit
-	// token (if any): 0 idle, 1 fitting or queued, 2 both.
+	// QueueDepth counts the in-flight cycle (if any) plus the scheduler's
+	// queued re-fit token (if any): 0 idle, 1 fitting or queued, 2 both.
 	QueueDepth int `json:"queue_depth"`
-	// Fits is the number of completed pipeline fit attempts, including
-	// abandoned ones.
+	// Fits is the number of completed fit attempts, including abandoned
+	// ones, whoever triggered them.
 	Fits uint64 `json:"fits"`
 	// Coalesced is the number of fit triggers dropped because a re-fit was
 	// already queued.
 	Coalesced uint64 `json:"coalesced"`
 }
 
-// FitStats reports the published generation's coverage and, with
-// WithBackgroundFit, the pipeline scheduler's counters.
+// FitStats reports the published generation's coverage and the fit
+// pipeline's counters.
 func (s *Service) FitStats() FitPipelineStats {
-	var st FitPipelineStats
-	if p := s.bg; p != nil {
-		st.Enabled = true
-		st.Fits = p.fits.Load()
-		st.Coalesced = p.coalesced.Load()
-		p.mu.Lock()
-		if p.inFlight {
-			st.InFlight = true
-			st.QueueDepth++
-		}
-		p.mu.Unlock()
-		if len(p.kick) > 0 {
-			st.QueueDepth++
-		}
+	p := s.bg
+	st := FitPipelineStats{
+		Enabled:    p.scheduled,
+		InFlight:   len(p.slot) > 0,
+		QueueDepth: len(p.slot) + len(p.kick),
+		Fits:       p.fits.Load(),
+		Coalesced:  p.coalesced.Load(),
 	}
 	seq := s.led.answered()
 	if pub := s.published.Load(); pub != nil {
@@ -616,20 +678,18 @@ func (s *Service) FitStats() FitPipelineStats {
 	return st
 }
 
-// Close shuts down the fit pipeline, folding any outstanding answers into
-// one final published generation. The context bounds the drain: on expiry
-// the in-flight fit is cancelled and the last complete generation keeps
-// serving. Close is idempotent and a no-op on services whose fits run
-// inline; the service remains usable for reads and submissions afterwards
-// (submissions keep learning incrementally, but no further full fits run).
+// Close stops whatever the service runs in the background: the drift detector
+// and, with WithBackgroundFit, the scheduler, folding any outstanding answers
+// into one final published generation. The context bounds that drain: on
+// expiry the in-flight fit is cancelled and the last complete generation
+// keeps serving. Close is idempotent, and a no-op without a scheduler; the
+// service remains usable for reads and submissions afterwards (submissions
+// keep learning incrementally, but a scheduler runs no further full fits).
 func (s *Service) Close(ctx context.Context) error {
 	if s.elastic != nil {
 		// Stop the drift detector first so no new migration is proposed
 		// while the pipeline drains.
 		s.elastic.close()
-	}
-	if s.bg == nil {
-		return nil
 	}
 	return s.bg.close(ctx)
 }

@@ -23,7 +23,6 @@ import (
 func (s *Service) Checkpoint(w io.Writer) error {
 	s.mu.RLock()
 	sv := s.captureLocked()
-	s.led.capture(&sv)
 	s.mu.RUnlock()
 	return snapshot.Encode(w, snapshot.New(sv))
 }
@@ -98,10 +97,8 @@ func (s *Service) LoadCheckpoint(path string) error {
 	return s.Restore(f)
 }
 
-// captureLocked builds the wire state of everything but the ledger, whose
-// fields (pending, budget) only a checkpoint adds: the fit pipeline copies the
-// service through here and reads neither. Callers must hold at least the read
-// lock.
+// captureLocked builds the service's wire state, a deep copy. Callers must
+// hold at least the read lock.
 func (s *Service) captureLocked() snapshot.ServiceState {
 	sv := snapshot.ServiceState{
 		Engine:       s.cfg.engine.String(),
@@ -145,6 +142,7 @@ func (s *Service) captureLocked() snapshot.ServiceState {
 			sv.NormDiameter = e.sh.Normalizer().Max()
 		}
 	}
+	s.led.capture(&sv)
 	return sv
 }
 
@@ -163,8 +161,8 @@ func (s *Service) logged() int {
 // exactly the sets the original used), replays the remaining registrations
 // dynamically, and installs the learned engine state and the fit bookkeeping.
 // The ledger is not its business (Restore applies that to the receiver), and
-// it publishes nothing: the scratch service is never read, and whoever adopts
-// its engine (Restore, the pipeline's swap) publishes then.
+// it publishes nothing: the scratch service is never read, and Restore, which
+// adopts its engine, publishes then.
 func (s *Service) applySnapshot(sv *snapshot.ServiceState) error {
 	if sv.Engine != s.cfg.engine.String() {
 		return fmt.Errorf("poilabel: snapshot was taken from a %q engine, service is configured for %q",

@@ -23,17 +23,17 @@
 // full net/http/pprof surface is mounted on a second listener and /metrics
 // grows poiserve_go_* runtime gauges (goroutines, live heap, GC pause).
 //
-// Every full fit publishes a parameter generation and every read serves it;
-// -bg-fit only chooses where the fit runs. Without it a fit runs inline: the
-// -fullem N-th answer (or a /results read with unfitted answers behind it)
-// waits for EM under the write lock, and so does everyone queued behind it.
-// With -bg-fit D full EM fits leave the request path entirely: a pipeline
-// goroutine fits over a copy-on-write snapshot at most every D (eagerly once
-// -bg-min-answers have queued) and swaps the result in, so /results and
-// /assignments latency is bounded by the hardware, not by EM convergence, and
-// /results serves the last generation however stale; /healthz grows a "fit"
-// section. On shutdown the pipeline drains — outstanding answers are folded
-// into one final generation — before the final checkpoint is written.
+// Every full fit is EM over a fork of the engine with no lock held, publishes
+// a parameter generation, and every read serves it; -bg-fit only chooses who
+// triggers the fit. Without it the request that makes a fit due runs it and
+// waits: the -fullem N-th answer, or a /results read with unfitted answers
+// behind it — nobody else does. With -bg-fit D full EM fits leave the request
+// path entirely: a scheduler goroutine fits at most every D (eagerly once
+// -bg-min-answers have queued), so /results and /assignments latency is
+// bounded by the hardware, not by EM convergence, and /results serves the
+// last generation however stale; /healthz grows a "fit" section. On shutdown
+// the scheduler drains — outstanding answers are folded into one final
+// generation — before the final checkpoint is written.
 //
 // With or without -bg-fit, a /results response is one generation's: its body
 // is encoded once, by the generation's first reader, and written as it stands
@@ -53,8 +53,8 @@
 // -elastic-check and re-partitions live — splitting a shard whose window
 // share exceeds -elastic-split times the mean (up to -elastic-max shards),
 // or merging the coldest shard into its nearest neighbor when their combined
-// share falls below -elastic-merge times the mean. Migrations run on the
-// background fit pipeline and never drop an acknowledged answer. /healthz
+// share falls below -elastic-merge times the mean. Migrations run between the
+// scheduler's fits and never drop an acknowledged answer. /healthz
 // grows an "elastic" section and /metrics the poilabel_shard_* and
 // poilabel_elastic_* families.
 //
@@ -113,9 +113,9 @@ func main() {
 	budget := flag.Int("budget", -1, "total assignment budget (-1 = unlimited)")
 	h := flag.Int("h", 2, "tasks handed to each requesting worker")
 	assigner := flag.String("assigner", "accopt", "single-engine assigner: accopt, marginal, sf, entropy, or random")
-	fullEM := flag.Int("fullem", 100, "answers between inline full fits (0 = only when /results needs one; unused with -bg-fit)")
-	bgFit := flag.Duration("bg-fit", 0, "run full fits on a pipeline goroutine over a snapshot, at most this often (0 = fits run inline under the write lock)")
-	bgMin := flag.Int("bg-min-answers", 256, "answers that trigger an eager pipeline fit before the cadence tick (needs -bg-fit)")
+	fullEM := flag.Int("fullem", 100, "answers between full fits, run by the request that completes the interval (0 = only when /results needs one; unused with -bg-fit)")
+	bgFit := flag.Duration("bg-fit", 0, "trigger full fits from a scheduler goroutine, at most this often (0 = the request that makes a fit due runs it and waits)")
+	bgMin := flag.Int("bg-min-answers", 256, "answers that trigger an eager scheduler fit before the cadence tick (needs -bg-fit)")
 	elastic := flag.Bool("elastic", false, "drift-aware elastic re-sharding: split hot shards, merge cold ones, migrate live (needs -engine sharded and -bg-fit)")
 	elasticCheck := flag.Duration("elastic-check", 5*time.Second, "drift-detector tick (needs -elastic; 0 = detector off, migrations only via tests)")
 	elasticSplit := flag.Float64("elastic-split", 0, "split a shard whose window answer share is at least this multiple of the per-shard mean (0 = default 2)")

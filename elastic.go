@@ -398,22 +398,21 @@ var migratePhases = cyclePhases{
 		return tr.StartRoot(ctx, "migrate.cycle", 0)
 	},
 	capture: func(ctx context.Context) (context.Context, *trace.Span) { return trace.Start(ctx, "migrate.capture") },
-	rebuild: func(ctx context.Context) (context.Context, *trace.Span) { return trace.Start(ctx, "migrate.rebuild") },
 	em:      func(ctx context.Context) (context.Context, *trace.Span) { return trace.Start(ctx, "migrate.em") },
 	merge:   func(ctx context.Context) (context.Context, *trace.Span) { return trace.Start(ctx, "migrate.merge") },
 	swap:    func(ctx context.Context) (context.Context, *trace.Span) { return trace.Start(ctx, "migrate.swap") },
 }
 
-// runOneMigration executes one live re-partition on the fit pipeline
-// goroutine: runCycle with this request's re-layout step between the scratch
-// rebuild and EM. The waiter is notified after the cycle's last locked
-// section has dropped the write lock.
+// runOneMigration executes one live re-partition on the scheduler goroutine:
+// runCycle with this request's re-layout step between the fork and EM. The
+// waiter is notified after the cycle's last locked section has dropped the
+// write lock.
 func (p *fitPipeline) runOneMigration(req *migrationRequest) {
 	if c := p.s.elastic; c != nil {
 		c.migrating.Store(true)
 		defer c.migrating.Store(false)
 	}
-	req.finish(p.runCycle(migratePhases, req))
+	req.finish(p.runCycle(p.fitCtx, cycle{mig: req}))
 }
 
 // describe stamps the decision on the cycle's root span.
@@ -427,53 +426,54 @@ func (r *migrationRequest) describe(root *trace.Span) {
 	root.AttrInt("shard", int64(r.si))
 }
 
-// admit validates the decision against the live layout and returns its shard
-// count; callers hold the write lock.
-func (r *migrationRequest) admit(s *Service) (liveK int, err error) {
+// admit validates the decision against the live layout and returns the
+// sharded fitter it will re-partition; callers hold the write lock.
+func (r *migrationRequest) admit(s *Service) (*shard.Sharded, error) {
 	sh := s.sharded()
 	if sh == nil {
-		return 0, fmt.Errorf("poilabel: migration needs a built sharded engine")
+		return nil, fmt.Errorf("poilabel: migration needs a built sharded engine")
 	}
-	liveK = sh.NumShards()
-	if r.expectK != 0 && liveK != r.expectK {
-		return 0, fmt.Errorf("poilabel: migration decided at K=%d, layout is now K=%d; abandoned", r.expectK, liveK)
+	if liveK := sh.NumShards(); r.expectK != 0 && liveK != r.expectK {
+		return nil, fmt.Errorf("poilabel: migration decided at K=%d, layout is now K=%d; abandoned", r.expectK, liveK)
 	}
-	return liveK, nil
+	return sh, nil
 }
 
-// relayout is the migration's step inside the cycle's rebuild phase: derive
-// the new layout (kd-split of the hot shard or sorted union of the cold pair)
-// and replace the scratch engine with a fitter rebuilt at it.
-func (r *migrationRequest) relayout(scratch *Service, rbSp *trace.Span) (action string, err error) {
-	sh := scratch.sharded()
+// relayout is the migration's step between the fork and EM, with no lock
+// held: derive the new layout (kd-split of the hot shard or sorted union of
+// the cold pair) and rebuild the fork at it. It reads nothing but the stores
+// the fork shares with the live fitter.
+func (r *migrationRequest) relayout(ctx context.Context, f *shard.Fork) (rebuilt *shard.Sharded, action string, err error) {
+	_, sp := trace.Start(ctx, "migrate.rebuild")
+	defer sp.End()
 	var layout [][]int
 	switch r.kind {
 	case migrateSplit:
-		pts := make([]geo.Point, len(scratch.tasks))
-		for i := range scratch.tasks {
-			pts[i] = scratch.tasks[i].Location
+		tasks := f.Tasks()
+		pts := make([]geo.Point, len(tasks))
+		for i := range tasks {
+			pts[i] = tasks[i].Location
 		}
-		layout, err = shard.SplitLayout(pts, sh.Partition(), r.si)
+		layout, err = shard.SplitLayout(pts, f.Partition(), r.si)
 	case migrateMerge:
-		layout, err = shard.MergeLayout(sh.Partition(), r.si, r.sj)
+		layout, err = shard.MergeLayout(f.Partition(), r.si, r.sj)
+	}
+	if err == nil {
+		rebuilt, err = f.Rebuild(layout)
 	}
 	if err != nil {
-		return "", err
+		sp.Fail(err)
+		return nil, "", err
 	}
-	rebuilt, err := sh.Rebuild(layout)
-	if err != nil {
-		return "", err
-	}
-	scratch.eng = newShardedEngine(rebuilt)
-	rbSp.AttrInt("k_after", int64(rebuilt.NumShards()))
-	return fmt.Sprintf("%s (K %d -> %d)", r, sh.NumShards(), rebuilt.NumShards()), nil
+	sp.AttrInt("k_after", int64(rebuilt.NumShards()))
+	return rebuilt, fmt.Sprintf("%s (K %d -> %d)", r, len(f.Partition()), rebuilt.NumShards()), nil
 }
 
 // forceMigration queues a migration and blocks until it completes — the
-// test entry point for deterministic splits and merges. It requires
-// background fitting (migrations execute on the fit pipeline).
+// test entry point for deterministic splits and merges. It requires a
+// scheduler (migrations are queued on it, between its fits).
 func (s *Service) forceMigration(ctx context.Context, req *migrationRequest) error {
-	if s.bg == nil {
+	if !s.bg.scheduled {
 		return fmt.Errorf("poilabel: forced migration requires WithBackgroundFit")
 	}
 	req.done = make(chan error, 1)

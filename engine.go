@@ -64,9 +64,9 @@ type Engine interface {
 	// update where it has one (incremental EM for the single engine);
 	// batch engines just observe.
 	Learn(a Answer) error
-	// Fit runs a full fit, reporting convergence. The context is honored
-	// between EM iterations.
-	Fit(ctx context.Context) (converged bool, err error)
+	// fork captures the engine as one full fit will see it: the Service
+	// never fits an engine in place, it fits a fork with no lock held.
+	fork() engineFork
 	// Assign plans up to h tasks per requesting worker, spending at most
 	// budget pairs (negative budget means unlimited). Pairs for which skip
 	// returns true are excluded during planning; skip may be nil.
@@ -88,6 +88,19 @@ type Engine interface {
 	// the Service run assignment planning off the write lock and validate
 	// picks in a short optimistic commit; see assign.SnapshotModel.
 	PlanSnapshot() *assign.Snapshot
+}
+
+// engineFork is an engine as one fit sees it (core.Fork, shard.Fork): the
+// append-only evidence shared with the live engine, the parameters its own —
+// a parameter copy to take, whatever the length of the answer log.
+type engineFork interface {
+	// Fit runs the full fit over what the fork sees, reporting convergence
+	// and honoring ctx between EM iterations. The live engine is not touched.
+	Fit(ctx context.Context) (converged bool, err error)
+	// adopt makes the fitted parameters the live engine's own and brings them
+	// up to what it took in since the fork (Model.Adopt, Sharded.Adopt). The
+	// fork must not be used again.
+	adopt()
 }
 
 // PublishedParams is an immutable copy of an engine's read state, produced
@@ -144,10 +157,19 @@ func (e *singleEngine) Name() string           { return "single" }
 func (e *singleEngine) Observe(a Answer) error { return e.m.Observe(a) }
 func (e *singleEngine) Learn(a Answer) error   { return e.m.Update(a) }
 
-func (e *singleEngine) Fit(ctx context.Context) (bool, error) {
-	st, err := e.m.FitContext(ctx)
+func (e *singleEngine) fork() engineFork { return singleFork{e.m, e.m.Fork()} }
+
+type singleFork struct {
+	m *core.Model
+	f *core.Fork
+}
+
+func (f singleFork) Fit(ctx context.Context) (bool, error) {
+	st, err := f.f.FitContext(ctx)
 	return st.Converged, err
 }
+
+func (f singleFork) adopt() { f.m.Adopt(f.f, true) }
 
 func (e *singleEngine) Assign(workers []WorkerID, h, budget int, skip func(WorkerID, TaskID) bool) map[WorkerID][]TaskID {
 	if h <= 0 || budget == 0 {
@@ -216,10 +238,19 @@ func (e *partitionEngine) Name() string {
 func (e *partitionEngine) Observe(a Answer) error { return e.sh.Observe(a) }
 func (e *partitionEngine) Learn(a Answer) error   { return e.sh.Observe(a) }
 
-func (e *partitionEngine) Fit(ctx context.Context) (bool, error) {
-	st, err := e.sh.FitContext(ctx)
+func (e *partitionEngine) fork() engineFork { return partitionFork{e.sh, e.sh.Fork()} }
+
+type partitionFork struct {
+	sh *shard.Sharded
+	f  *shard.Fork
+}
+
+func (f partitionFork) Fit(ctx context.Context) (bool, error) {
+	st, err := f.f.FitContext(ctx)
 	return st.Converged, err
 }
+
+func (f partitionFork) adopt() { f.sh.Adopt(f.f) }
 
 func (e *partitionEngine) Assign(workers []WorkerID, h, budget int, skip func(WorkerID, TaskID) bool) map[WorkerID][]TaskID {
 	return e.co.AssignExcluding(workers, h, budget, skip)

@@ -11,13 +11,15 @@ import (
 	"testing"
 )
 
-// fitPlacements are the two places a full fit can run. Everything a caller
-// sees after the fit is the same code on both rows; the tests below hold the
-// rows to the same assertions.
-var fitPlacements = []struct {
-	name     string
-	pipeline bool
-	opts     func() []ServiceOption
+// fitTriggers are the two ways a full fit gets triggered: by the caller that
+// needs it (the "inline" row, named for where that caller used to fit) or by
+// a scheduler (the "pipeline" row). The fit, and everything a caller sees
+// after it, is the same code on both rows; the tests below hold the rows to
+// the same assertions.
+var fitTriggers = []struct {
+	name      string
+	scheduler bool
+	opts      func() []ServiceOption
 }{
 	// Explicit barriers only, so the rows fit at the same points.
 	{"inline", false, func() []ServiceOption { return []ServiceOption{WithFullEMInterval(0)} }},
@@ -35,16 +37,16 @@ var fitShapes = []struct {
 }
 
 // TestEveryFitPublishesEveryReadServes is the unified serving contract, held
-// for both fit placements on every engine shape: accepted answers are counted
-// as they arrive, a barrier ends in exactly one publication whose full fit
-// covers all of them, every read returns that generation and nothing else,
-// reads alone never move it, and registrations made after a publication
-// appear at the model's priors in the next one. The pipeline rows are also
-// the staleness contract: between barriers reads serve the old generation and
-// never fit.
+// for both fit triggers on every engine shape: accepted answers are counted
+// as they arrive, a barrier ends in exactly one fit cycle and one publication
+// whose full fit covers all of them, every read returns that generation and
+// nothing else, reads alone never move it, and registrations made after a
+// publication appear at the model's priors in the next one. The scheduler
+// rows are also the staleness contract: between barriers reads serve the old
+// generation and never fit.
 func TestEveryFitPublishesEveryReadServes(t *testing.T) {
 	const nTasks, nWorkers = 48, 8
-	for _, pl := range fitPlacements {
+	for _, pl := range fitTriggers {
 		for _, sh := range fitShapes {
 			t.Run(pl.name+"/"+sh.name, func(t *testing.T) {
 				ctx := context.Background()
@@ -78,7 +80,7 @@ func TestEveryFitPublishesEveryReadServes(t *testing.T) {
 				if st.Generation != gen0 || st.CoveredAnswers != 0 || st.Staleness <= 0 {
 					t.Fatalf("before the barrier: %+v, want generation %d covering 0 answers and stale", st, gen0)
 				}
-				if pl.pipeline {
+				if pl.scheduler {
 					// The scheduler never fires (hour-long interval, unreachable
 					// threshold), so reads must keep serving the pre-answer
 					// generation without ever fitting.
@@ -93,20 +95,20 @@ func TestEveryFitPublishesEveryReadServes(t *testing.T) {
 						}
 					}
 					if st := svc.FitStats(); st.Generation != gen0 || st.Fits != 0 || fits() != fitsBefore {
-						t.Fatalf("reads alone moved a pipeline service: %+v", st)
+						t.Fatalf("reads alone moved a service with a scheduler: %+v", st)
 					}
 				}
 
 				barrier := func(want int) *paramGen {
 					t.Helper()
-					genBefore, fitsBefore := svc.FitStats().Generation, fits()
+					before, fitsBefore := svc.FitStats(), fits()
 					if err := svc.WaitFresh(ctx); err != nil {
 						t.Fatal(err)
 					}
 					st := svc.FitStats()
-					if st.Generation != genBefore+1 || fits() != fitsBefore+1 {
-						t.Fatalf("barrier: generation %d -> %d over %d fits, want one publication of one fit",
-							genBefore, st.Generation, fits()-fitsBefore)
+					if st.Generation != before.Generation+1 || fits() != fitsBefore+1 || st.Fits != before.Fits+1 {
+						t.Fatalf("barrier: generation %d -> %d over %d observed fits and %d counted cycles, want one publication of one fit",
+							before.Generation, st.Generation, fits()-fitsBefore, st.Fits-before.Fits)
 					}
 					if st.CoveredAnswers != uint64(want) || st.FullFitAnswers != uint64(want) ||
 						svc.Health().Answers != want || st.Staleness != 0 {
@@ -169,16 +171,16 @@ func TestEveryFitPublishesEveryReadServes(t *testing.T) {
 					t.Fatal("reads on a settled service published or fitted")
 				}
 
-				// Fit: inline it always refits (the benchmark's fit tail times
-				// exactly that); with a pipeline it is a barrier, and a settled
-				// service already satisfies it.
+				// Fit: without a scheduler it always refits (the benchmark's fit
+				// tail times exactly that); with one it is a barrier, and a
+				// settled service already satisfies it.
 				for i := 0; i < 3; i++ {
 					if _, err := svc.Fit(ctx); err != nil {
 						t.Fatal(err)
 					}
 				}
 				wantFits, wantGen := fitsSettled, pub.gen
-				if !pl.pipeline {
+				if !pl.scheduler {
 					wantFits, wantGen = fitsSettled+3, pub.gen+3
 				}
 				if fits() != wantFits || svc.FitStats().Generation != wantGen {
@@ -240,14 +242,14 @@ func TestGenerationEncodesOnce(t *testing.T) {
 }
 
 // TestCheckpointCrossesFitPlacements restores a checkpoint written under one
-// fit placement into a service using the other, on every engine shape: where
-// a fit runs is not state, so after a barrier on both sides the two serve
+// fit trigger into a service using the other, on every engine shape: who
+// triggers a fit is not state, so after a barrier on both sides the two serve
 // bit-identical results and hand out the same next round.
 func TestCheckpointCrossesFitPlacements(t *testing.T) {
 	const nTasks, nWorkers = 48, 8
 	for _, sh := range fitShapes {
-		for wi, writer := range fitPlacements {
-			reader := fitPlacements[1-wi]
+		for wi, writer := range fitTriggers {
+			reader := fitTriggers[1-wi]
 			t.Run(sh.name+"/"+writer.name+"-to-"+reader.name, func(t *testing.T) {
 				ctx := context.Background()
 				mk := func(opts []ServiceOption) *Service {

@@ -29,7 +29,7 @@ type goldenExpect struct {
 }
 
 // goldenCases build the two services whose checkpoints are pinned. syncOpts
-// is the same engine shape with fits inline and nothing else configured.
+// is the same engine shape without a scheduler and nothing else configured.
 // Restoring publishes the snapshot's state under the next generation number,
 // but a checkpoint taken while that publication is still current records the
 // number it was restored from — so under either option set the re-encoded

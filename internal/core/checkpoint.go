@@ -1,57 +1,52 @@
 package core
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
-	"os"
 
 	"poilabel/internal/model"
 	"poilabel/internal/snapshot"
 )
 
-// Checkpoint is a serializable snapshot of a model's learned state: the
-// answer log and every estimated parameter. A long-running labelling
-// deployment can persist its state between processes and resume without
-// re-running EM over history.
-//
-// The checkpoint does not carry the task/worker definitions or the model
-// configuration; Restore validates shape compatibility against the model
-// it is applied to.
-type Checkpoint struct {
-	// Answers is the full answer log in submission order.
-	Answers []model.Answer `json:"answers"`
-	// Params are the estimates at snapshot time.
-	Params *Params `json:"params"`
-}
-
-// Snapshot captures the model's current state.
-func (m *Model) Snapshot() *Checkpoint {
+// CheckpointState captures the model's learned state in the durable
+// snapshot wire format: the answer log in submission order and the current
+// parameter estimates, both deep copies. Derived stores (the answer-indexed
+// f-values, the distance cache) are not serialized; RestoreState rebuilds
+// them. The state does not carry the task/worker definitions or the model
+// configuration; RestoreState validates shape compatibility against the
+// model it is applied to.
+func (m *Model) CheckpointState() *snapshot.ModelState {
 	answers := m.answers.All()
-	dup := make([]model.Answer, len(answers))
-	for i, a := range answers {
-		dup[i] = a
-		dup[i].Selected = append([]bool(nil), a.Selected...)
+	p := m.params.Clone()
+	st := &snapshot.ModelState{
+		Answers: make([]snapshot.Answer, len(answers)),
+		Params:  snapshot.Params{PZ: p.PZ, PI: p.PI, PDW: p.PDW, PDT: p.PDT},
 	}
-	return &Checkpoint{Answers: dup, Params: m.params.Clone()}
+	for i, a := range answers {
+		st.Answers[i] = snapshot.Answer{Worker: int(a.Worker), Task: int(a.Task), Selected: append([]bool(nil), a.Selected...)}
+	}
+	return st
 }
 
-// Restore replaces the model's answers and parameters with the
-// checkpoint's. The checkpoint must have been taken from a model with the
-// same tasks, workers and function set; shape mismatches are rejected with
-// the model left unchanged.
-func (m *Model) Restore(c *Checkpoint) error {
-	if c == nil || c.Params == nil {
-		return fmt.Errorf("core: nil checkpoint")
+// RestoreState replaces the model's answers and parameters with a state
+// captured by CheckpointState. The state must have been taken from a model
+// with the same tasks, workers and function set; shape mismatches, parameters
+// that are not probabilities and answers the model could not have accepted
+// are rejected with the model left unchanged. The model takes ownership of
+// the state's slices; do not reuse st after a successful restore.
+func (m *Model) RestoreState(st *snapshot.ModelState) error {
+	if st == nil {
+		return fmt.Errorf("core: nil model state")
 	}
-	if err := m.checkShape(c.Params); err != nil {
+	p := &Params{PZ: st.Params.PZ, PI: st.Params.PI, PDW: st.Params.PDW, PDT: st.Params.PDT}
+	if err := m.checkShape(p); err != nil {
 		return err
 	}
-	if err := c.Params.Validate(); err != nil {
+	if err := p.Validate(); err != nil {
 		return fmt.Errorf("core: restore: %w", err)
 	}
 	answers := model.NewAnswerSet()
-	for _, a := range c.Answers {
+	for _, sa := range st.Answers {
+		a := model.Answer{Worker: model.WorkerID(sa.Worker), Task: model.TaskID(sa.Task), Selected: sa.Selected}
 		if int(a.Task) < 0 || int(a.Task) >= len(m.tasks) {
 			return fmt.Errorf("core: restore: answer references unknown task %d", a.Task)
 		}
@@ -66,7 +61,7 @@ func (m *Model) Restore(c *Checkpoint) error {
 		}
 	}
 	m.answers = answers
-	m.params = c.Params.Clone()
+	m.params = p.Clone()
 	// Rebuild the answer-indexed f-value store for the restored log.
 	m.afv = make([]float64, 0, answers.Len()*m.cfg.FuncSet.Len())
 	for i := 0; i < answers.Len(); i++ {
@@ -104,92 +99,4 @@ func (m *Model) checkShape(p *Params) error {
 		}
 	}
 	return nil
-}
-
-// Encode writes the checkpoint as JSON.
-func (c *Checkpoint) Encode(w io.Writer) error {
-	if err := json.NewEncoder(w).Encode(c); err != nil {
-		return fmt.Errorf("core: encode checkpoint: %w", err)
-	}
-	return nil
-}
-
-// DecodeCheckpoint reads a checkpoint from JSON.
-func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
-	var c Checkpoint
-	if err := json.NewDecoder(r).Decode(&c); err != nil {
-		return nil, fmt.Errorf("core: decode checkpoint: %w", err)
-	}
-	return &c, nil
-}
-
-// SaveCheckpoint writes the model's snapshot to a file.
-func (m *Model) SaveCheckpoint(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("core: save checkpoint: %w", err)
-	}
-	defer f.Close()
-	if err := m.Snapshot().Encode(f); err != nil {
-		return err
-	}
-	return f.Close()
-}
-
-// CheckpointState captures the model's learned state in the durable
-// snapshot wire format: the answer log in submission order and the current
-// parameter estimates. Derived stores (the answer-indexed f-values, the
-// distance cache) are not serialized; RestoreState rebuilds them.
-func (m *Model) CheckpointState() *snapshot.ModelState {
-	c := m.Snapshot()
-	st := &snapshot.ModelState{
-		Answers: make([]snapshot.Answer, len(c.Answers)),
-		Params: snapshot.Params{
-			PZ:  c.Params.PZ,
-			PI:  c.Params.PI,
-			PDW: c.Params.PDW,
-			PDT: c.Params.PDT,
-		},
-	}
-	for i, a := range c.Answers {
-		st.Answers[i] = snapshot.Answer{Worker: int(a.Worker), Task: int(a.Task), Selected: a.Selected}
-	}
-	return st
-}
-
-// RestoreState replaces the model's answers and parameters with a state
-// captured by CheckpointState, with the same shape validation as Restore.
-// The model takes ownership of the state's slices; do not reuse st after a
-// successful restore.
-func (m *Model) RestoreState(st *snapshot.ModelState) error {
-	if st == nil {
-		return fmt.Errorf("core: nil model state")
-	}
-	c := &Checkpoint{
-		Answers: make([]model.Answer, len(st.Answers)),
-		Params: &Params{
-			PZ:  st.Params.PZ,
-			PI:  st.Params.PI,
-			PDW: st.Params.PDW,
-			PDT: st.Params.PDT,
-		},
-	}
-	for i, a := range st.Answers {
-		c.Answers[i] = model.Answer{Worker: model.WorkerID(a.Worker), Task: model.TaskID(a.Task), Selected: a.Selected}
-	}
-	return m.Restore(c)
-}
-
-// LoadCheckpoint restores the model from a checkpoint file.
-func (m *Model) LoadCheckpoint(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return fmt.Errorf("core: load checkpoint: %w", err)
-	}
-	defer f.Close()
-	c, err := DecodeCheckpoint(f)
-	if err != nil {
-		return err
-	}
-	return m.Restore(c)
 }

@@ -3,7 +3,6 @@ package core_test
 import (
 	"bytes"
 	"math/rand"
-	"path/filepath"
 	"testing"
 
 	"poilabel/internal/core"
@@ -30,11 +29,11 @@ func warmModel(t *testing.T, f *fixture, seed int64) *core.Model {
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	f := newFixture(8, 4, 3, 50)
 	m := warmModel(t, f, 51)
-	snap := m.Snapshot()
+	snap := m.CheckpointState()
 
 	// Restore into a fresh model over the same world.
 	m2 := f.model(t, core.DefaultConfig())
-	if err := m2.Restore(snap); err != nil {
+	if err := m2.RestoreState(snap); err != nil {
 		t.Fatal(err)
 	}
 	if m2.Answers().Len() != m.Answers().Len() {
@@ -69,7 +68,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 func TestSnapshotIsDeepCopy(t *testing.T) {
 	f := newFixture(4, 3, 2, 53)
 	m := warmModel(t, f, 54)
-	snap := m.Snapshot()
+	snap := m.CheckpointState()
 	before := snap.Params.PZ[0][0]
 	// Keep fitting the live model; the snapshot must not move.
 	rng := rand.New(rand.NewSource(55))
@@ -90,56 +89,20 @@ func TestSnapshotIsDeepCopy(t *testing.T) {
 	}
 }
 
-func TestCheckpointJSONRoundTrip(t *testing.T) {
-	f := newFixture(6, 3, 3, 56)
-	m := warmModel(t, f, 57)
-	var buf bytes.Buffer
-	if err := m.Snapshot().Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	c, err := core.DecodeCheckpoint(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2 := f.model(t, core.DefaultConfig())
-	if err := m2.Restore(c); err != nil {
-		t.Fatal(err)
-	}
-	if d := m2.Params().MaxDelta(m.Params()); d > 1e-15 {
-		t.Errorf("JSON round trip changed params by %v", d)
-	}
-}
-
-func TestSaveLoadCheckpointFile(t *testing.T) {
-	f := newFixture(6, 3, 3, 58)
-	m := warmModel(t, f, 59)
-	path := filepath.Join(t.TempDir(), "model.ckpt")
-	if err := m.SaveCheckpoint(path); err != nil {
-		t.Fatal(err)
-	}
-	m2 := f.model(t, core.DefaultConfig())
-	if err := m2.LoadCheckpoint(path); err != nil {
-		t.Fatal(err)
-	}
-	if m2.Answers().Len() != m.Answers().Len() {
-		t.Error("file round trip lost answers")
-	}
-}
-
 func TestRestoreRejectsMismatchedShape(t *testing.T) {
 	f := newFixture(6, 3, 3, 60)
 	m := warmModel(t, f, 61)
-	snap := m.Snapshot()
+	snap := m.CheckpointState()
 
 	other := newFixture(7, 3, 3, 62) // different task count
 	m2 := other.model(t, core.DefaultConfig())
-	if err := m2.Restore(snap); err == nil {
+	if err := m2.RestoreState(snap); err == nil {
 		t.Error("restore into mismatched task count accepted")
 	}
 
 	other2 := newFixture(6, 3, 4, 63) // different worker count
 	m3 := other2.model(t, core.DefaultConfig())
-	if err := m3.Restore(snap); err == nil {
+	if err := m3.RestoreState(snap); err == nil {
 		t.Error("restore into mismatched worker count accepted")
 	}
 }
@@ -147,33 +110,25 @@ func TestRestoreRejectsMismatchedShape(t *testing.T) {
 func TestRestoreRejectsCorruptParams(t *testing.T) {
 	f := newFixture(5, 3, 2, 64)
 	m := warmModel(t, f, 65)
-	snap := m.Snapshot()
+	snap := m.CheckpointState()
 	snap.Params.PI[0] = 1.7
 	m2 := f.model(t, core.DefaultConfig())
-	if err := m2.Restore(snap); err == nil {
+	if err := m2.RestoreState(snap); err == nil {
 		t.Error("restore with invalid params accepted")
 	}
-	if err := m2.Restore(nil); err == nil {
-		t.Error("nil checkpoint accepted")
+	if err := m2.RestoreState(nil); err == nil {
+		t.Error("nil state accepted")
 	}
 }
 
 func TestRestoreRejectsBadAnswers(t *testing.T) {
 	f := newFixture(5, 3, 2, 66)
 	m := warmModel(t, f, 67)
-	snap := m.Snapshot()
-	snap.Answers = append(snap.Answers, model.Answer{Worker: 0, Task: 99, Selected: []bool{true, true, true}})
+	snap := m.CheckpointState()
+	snap.Answers = append(snap.Answers, snapshot.Answer{Worker: 0, Task: 99, Selected: []bool{true, true, true}})
 	m2 := f.model(t, core.DefaultConfig())
-	if err := m2.Restore(snap); err == nil {
+	if err := m2.RestoreState(snap); err == nil {
 		t.Error("restore with out-of-range answer accepted")
-	}
-}
-
-func TestLoadCheckpointMissingFile(t *testing.T) {
-	f := newFixture(4, 2, 2, 68)
-	m := f.model(t, core.DefaultConfig())
-	if err := m.LoadCheckpoint(filepath.Join(t.TempDir(), "nope.ckpt")); err == nil {
-		t.Error("loading missing checkpoint succeeded")
 	}
 }
 

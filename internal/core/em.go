@@ -211,23 +211,23 @@ type accumulators struct {
 	logLik  float64
 }
 
-func (m *Model) newAccumulators() *accumulators {
-	nf := m.cfg.FuncSet.Len()
+func (f *Fork) newAccumulators() *accumulators {
+	nf := f.cfg.FuncSet.Len()
 	acc := &accumulators{
-		zSum:    make([][]float64, len(m.tasks)),
-		zCount:  make([][]float64, len(m.tasks)),
-		iSum:    make([]float64, len(m.workers)),
-		iCount:  make([]float64, len(m.workers)),
-		dwSum:   make([][]float64, len(m.workers)),
-		dtSum:   make([][]float64, len(m.tasks)),
-		dtCount: make([]float64, len(m.tasks)),
+		zSum:    make([][]float64, len(f.tasks)),
+		zCount:  make([][]float64, len(f.tasks)),
+		iSum:    make([]float64, len(f.workers)),
+		iCount:  make([]float64, len(f.workers)),
+		dwSum:   make([][]float64, len(f.workers)),
+		dtSum:   make([][]float64, len(f.tasks)),
+		dtCount: make([]float64, len(f.tasks)),
 	}
-	for t := range m.tasks {
-		acc.zSum[t] = make([]float64, len(m.tasks[t].Labels))
-		acc.zCount[t] = make([]float64, len(m.tasks[t].Labels))
+	for t := range f.tasks {
+		acc.zSum[t] = make([]float64, len(f.tasks[t].Labels))
+		acc.zCount[t] = make([]float64, len(f.tasks[t].Labels))
 		acc.dtSum[t] = make([]float64, nf)
 	}
-	for w := range m.workers {
+	for w := range f.workers {
 		acc.dwSum[w] = make([]float64, nf)
 	}
 	return acc
@@ -262,13 +262,13 @@ func zero(xs []float64) {
 // dot products are computed once for the pair, each label costs O(1), and
 // one O(|F|) pass folds the summed affine coefficients into the d_w/d_t
 // sums. It allocates nothing.
-func (m *Model) accumulate(i int, p *Params, acc *accumulators) {
-	w, t := m.answers.Pair(i)
-	votes := m.answers.Votes(i)
-	fv := m.fvalsAt(i)
+func (f *Fork) accumulate(i int, p *Params, acc *accumulators) {
+	w, t := f.answers.Pair(i)
+	votes := f.answers.Votes(i)
+	fv := fvalsAt(f.afv, f.cfg.FuncSet.Len(), i)
 	pdw, pdt := p.PDW[w], p.PDT[t]
 	pi := p.PI[w]
-	alpha := m.cfg.Alpha
+	alpha := f.cfg.Alpha
 	dq, iq := pairDots(pdw, pdt, fv)
 
 	pz := p.PZ[t]
@@ -321,38 +321,38 @@ func (m *Model) accumulate(i int, p *Params, acc *accumulators) {
 // keeping the previous value wherever a parameter received no evidence
 // (unanswered task, inactive worker). It writes into the caller-provided
 // buffer so the M-step allocates nothing; Fit flips between two buffers.
-func (m *Model) estimate(next, prev *Params, acc *accumulators) {
+func (f *Fork) estimate(next, prev *Params, acc *accumulators) {
 	next.CopyFrom(prev)
-	for t := range m.tasks {
+	for t := range f.tasks {
 		for k := range next.PZ[t] {
 			if acc.zCount[t][k] > 0 {
-				next.PZ[t][k] = m.blend(acc.zSum[t][k], acc.zCount[t][k], m.cfg.InitPZ)
+				next.PZ[t][k] = f.cfg.blend(acc.zSum[t][k], acc.zCount[t][k], f.cfg.InitPZ)
 			}
 		}
 		if acc.dtCount[t] > 0 {
-			m.normalizeSmoothed(next.PDT[t], acc.dtSum[t])
+			f.cfg.normalizeSmoothed(next.PDT[t], acc.dtSum[t])
 		}
 	}
-	for w := range m.workers {
+	for w := range f.workers {
 		if acc.iCount[w] > 0 {
-			next.PI[w] = m.blend(acc.iSum[w], acc.iCount[w], m.cfg.InitPI)
-			m.normalizeSmoothed(next.PDW[w], acc.dwSum[w])
+			next.PI[w] = f.cfg.blend(acc.iSum[w], acc.iCount[w], f.cfg.InitPI)
+			f.cfg.normalizeSmoothed(next.PDW[w], acc.dwSum[w])
 		}
 	}
 }
 
 // blend applies the MAP pseudo-count to a Bernoulli estimate: the posterior
 // sum is mixed with Smoothing pseudo-observations at the prior value.
-func (m *Model) blend(sum, count, prior float64) float64 {
-	s := m.cfg.Smoothing
+func (c *Config) blend(sum, count, prior float64) float64 {
+	s := c.Smoothing
 	return (sum + s*prior) / (count + s)
 }
 
 // normalizeSmoothed writes src, plus a symmetric Dirichlet pseudo-count of
 // Smoothing split across the components, normalized to sum 1 into dst.
 // A zero-sum unsmoothed source leaves dst untouched.
-func (m *Model) normalizeSmoothed(dst, src []float64) {
-	s := m.cfg.Smoothing
+func (c *Config) normalizeSmoothed(dst, src []float64) {
+	s := c.Smoothing
 	var sum float64
 	for _, v := range src {
 		sum += v
@@ -380,48 +380,59 @@ func (m *Model) Fit() FitStats {
 // abandoned between iterations. On cancellation the model keeps the
 // parameters of the last completed iteration — a valid (if unconverged)
 // estimate — and the context's error is returned alongside the stats
-// accumulated so far.
+// accumulated so far. The fit runs in place: over the model's own evidence,
+// rewriting the model's own parameters.
 func (m *Model) FitContext(ctx context.Context) (FitStats, error) {
+	f := m.inPlace()
+	stats, err := f.FitContext(ctx)
+	m.params = f.params
+	return stats, err
+}
+
+// FitContext runs the full EM of Section III-C over the answers the fork
+// sees, rewriting the fork's parameters; the model it was taken from is not
+// touched until it adopts them. Cancellation is Model.FitContext's.
+func (f *Fork) FitContext(ctx context.Context) (FitStats, error) {
 	start := time.Now()
 	stats := FitStats{}
 	// f-values are resolved at Observe time into the flat answer-indexed
-	// store, so both E-step paths are read-only over shared model state.
-	parallel := m.cfg.Parallelism > 1 && m.answers.Len() >= 2*m.cfg.Parallelism
+	// store, so both E-step paths are read-only over the shared evidence.
+	parallel := f.cfg.Parallelism > 1 && f.answers.Len() >= 2*f.cfg.Parallelism
 	var serialAcc *accumulators
 	var pool *accPool
 	if parallel {
-		pool = m.newAccPool()
+		pool = f.newAccPool()
 	} else {
-		serialAcc = m.newAccumulators()
+		serialAcc = f.newAccumulators()
 	}
 	// Double-buffered parameters: each M-step writes into the spare buffer
 	// and the two flip, so a fit allocates one extra parameter set total
 	// instead of one per iteration.
-	spare := m.params.Clone()
-	for iter := 0; iter < m.cfg.MaxIter; iter++ {
+	spare := f.params.Clone()
+	for iter := 0; iter < f.cfg.MaxIter; iter++ {
 		if err := ctx.Err(); err != nil {
 			stats.Elapsed = time.Since(start)
 			return stats, err
 		}
 		var acc *accumulators
 		if parallel {
-			acc = m.estepParallel(pool)
+			acc = f.estepParallel(pool)
 		} else {
 			serialAcc.reset()
 			acc = serialAcc
-			for i := 0; i < m.answers.Len(); i++ {
-				m.accumulate(i, m.params, acc)
+			for i := 0; i < f.answers.Len(); i++ {
+				f.accumulate(i, f.params, acc)
 			}
 		}
 		next := spare
-		m.estimate(next, m.params, acc)
-		delta := next.MaxDelta(m.params)
-		spare = m.params
-		m.params = next
+		f.estimate(next, f.params, acc)
+		delta := next.MaxDelta(f.params)
+		spare = f.params
+		f.params = next
 		stats.Iterations++
 		stats.DeltaTrace = append(stats.DeltaTrace, delta)
 		stats.LogLikTrace = append(stats.LogLikTrace, acc.logLik)
-		if delta < m.cfg.Tol {
+		if delta < f.cfg.Tol {
 			stats.Converged = true
 			break
 		}
@@ -437,14 +448,14 @@ type accPool struct {
 	total *accumulators
 }
 
-func (m *Model) newAccPool() *accPool {
-	p := m.cfg.Parallelism
+func (f *Fork) newAccPool() *accPool {
+	p := f.cfg.Parallelism
 	pool := &accPool{
 		accs:  make([]*accumulators, p),
-		total: m.newAccumulators(),
+		total: f.newAccumulators(),
 	}
 	for g := 0; g < p; g++ {
-		pool.accs[g] = m.newAccumulators()
+		pool.accs[g] = f.newAccumulators()
 	}
 	return pool
 }
@@ -452,9 +463,9 @@ func (m *Model) newAccPool() *accPool {
 // estepParallel runs one E-step over all answers using Parallelism
 // goroutines with per-goroutine accumulators, merged in chunk order so the
 // result is deterministic for a fixed Parallelism.
-func (m *Model) estepParallel(pool *accPool) *accumulators {
-	p := m.cfg.Parallelism
-	n := m.answers.Len()
+func (f *Fork) estepParallel(pool *accPool) *accumulators {
+	p := f.cfg.Parallelism
+	n := f.answers.Len()
 	chunk := (n + p - 1) / p
 	var wg sync.WaitGroup
 	used := 0
@@ -473,7 +484,7 @@ func (m *Model) estepParallel(pool *accPool) *accumulators {
 		go func(g, lo, hi int) {
 			defer wg.Done()
 			for i := lo; i < hi; i++ {
-				m.accumulate(i, m.params, pool.accs[g])
+				f.accumulate(i, f.params, pool.accs[g])
 			}
 		}(g, lo, hi)
 	}

@@ -18,13 +18,14 @@ func BenchmarkEStep(b *testing.B) {
 	for _, sc := range scales {
 		b.Run(sc.name, func(b *testing.B) {
 			m := buildRandomModel(b, sc.nTasks, 10, sc.nWorkers, sc.nAnswers, 7)
-			acc := m.newAccumulators()
+			f := m.inPlace()
+			acc := f.newAccumulators()
 			b.ReportMetric(float64(m.answers.Len()), "answers")
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				acc.reset()
 				for j := 0; j < m.answers.Len(); j++ {
-					m.accumulate(j, m.params, acc)
+					f.accumulate(j, m.params, acc)
 				}
 			}
 		})
@@ -38,10 +39,11 @@ func BenchmarkEStepParallel(b *testing.B) {
 		b.Run(map[int]string{1: "p1", 2: "p2", 4: "p4", 8: "p8"}[par], func(b *testing.B) {
 			m := buildRandomModel(b, 2000, 10, 100, 20000, 7)
 			m.cfg.Parallelism = par
-			pool := m.newAccPool()
+			f := m.inPlace()
+			pool := f.newAccPool()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				m.estepParallel(pool)
+				f.estepParallel(pool)
 			}
 		})
 	}

@@ -93,13 +93,14 @@ func TestFlatEStepMatchesReferenceSweep(t *testing.T) {
 	for _, seed := range []int64{3, 17, 92} {
 		m := buildRandomModel(t, 12, 4, 6, 50, seed)
 
-		got := m.newAccumulators()
+		f := m.inPlace()
+		got := f.newAccumulators()
 		got.reset()
 		for i := 0; i < m.answers.Len(); i++ {
-			m.accumulate(i, m.params, got)
+			f.accumulate(i, m.params, got)
 		}
 
-		want := m.newAccumulators()
+		want := f.newAccumulators()
 		want.reset()
 		post := newPosterior(m.cfg.FuncSet.Len())
 		for i := 0; i < m.answers.Len(); i++ {

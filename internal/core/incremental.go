@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sort"
 
 	"poilabel/internal/model"
 )
@@ -21,24 +22,27 @@ func (m *Model) Update(a model.Answer) error {
 	if err := m.Observe(a); err != nil {
 		return err
 	}
-	m.refreshLocal(a.Worker, a.Task)
+	m.refreshLocal(a.Worker, a.Task, m.answers.Len())
 	return nil
 }
 
-// refreshLocal runs the localized E/M sweeps for one (worker, task) pair.
-func (m *Model) refreshLocal(w model.WorkerID, t model.TaskID) {
+// refreshLocal runs the localized E/M sweeps for one (worker, task) pair over
+// the first upto answers of the log — all of it for the answer just observed,
+// a prefix when Adopt re-applies the update of an earlier one.
+func (m *Model) refreshLocal(w model.WorkerID, t model.TaskID, upto int) {
 	for sweep := 0; sweep < m.cfg.IncrementalSweeps; sweep++ {
-		m.refreshWorker(w)
-		m.refreshTask(t)
+		m.refreshWorker(w, upto)
+		m.refreshTask(t, upto)
 	}
 }
 
-// refreshWorker re-estimates P(i_w) and P(d_w) from all of w's answers under
-// the current values of every other parameter. Like the full E-step, it
-// hoists the pair dot products out of the label loop and folds the d_w
-// marginals through the per-answer affine coefficients.
-func (m *Model) refreshWorker(w model.WorkerID) {
+// refreshWorker re-estimates P(i_w) and P(d_w) from w's answers among the
+// first upto under the current values of every other parameter. Like the full
+// E-step, it hoists the pair dot products out of the label loop and folds the
+// d_w marginals through the per-answer affine coefficients.
+func (m *Model) refreshWorker(w model.WorkerID, upto int) {
 	idxs := m.answers.ByWorker(w)
+	idxs = idxs[:sort.SearchInts(idxs, upto)]
 	if len(idxs) == 0 {
 		return
 	}
@@ -66,15 +70,17 @@ func (m *Model) refreshWorker(w model.WorkerID) {
 		}
 	}
 	if n > 0 {
-		m.params.PI[w] = m.blend(iSum, n, m.cfg.InitPI)
-		m.normalizeSmoothed(pdw, dwSum)
+		m.params.PI[w] = m.cfg.blend(iSum, n, m.cfg.InitPI)
+		m.cfg.normalizeSmoothed(pdw, dwSum)
 	}
 }
 
 // refreshTask re-estimates P(z_{t,k}) for every label of t and P(d_t) from
-// all answers on t under the current values of every other parameter.
-func (m *Model) refreshTask(t model.TaskID) {
+// the answers on t among the first upto under the current values of every other
+// parameter.
+func (m *Model) refreshTask(t model.TaskID, upto int) {
 	idxs := m.answers.ByTask(t)
+	idxs = idxs[:sort.SearchInts(idxs, upto)]
 	if len(idxs) == 0 {
 		return
 	}
@@ -105,10 +111,10 @@ func (m *Model) refreshTask(t model.TaskID) {
 	}
 	for k := 0; k < nk; k++ {
 		if zCount[k] > 0 {
-			pz[k] = m.blend(zSum[k], zCount[k], m.cfg.InitPZ)
+			pz[k] = m.cfg.blend(zSum[k], zCount[k], m.cfg.InitPZ)
 		}
 	}
-	m.normalizeSmoothed(pdt, dtSum)
+	m.cfg.normalizeSmoothed(pdt, dtSum)
 }
 
 // UpdatePolicy decides when the framework runs the expensive full EM versus

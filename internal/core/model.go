@@ -151,23 +151,33 @@ func NewModel(tasks []model.Task, workers []model.Worker, norm geo.Normalizer, c
 
 func (m *Model) initialParams() *Params {
 	p := &Params{
-		PZ:  make([][]float64, len(m.tasks)),
-		PI:  make([]float64, len(m.workers)),
-		PDW: make([][]float64, len(m.workers)),
-		PDT: make([][]float64, len(m.tasks)),
+		PZ:  make([][]float64, 0, len(m.tasks)),
+		PI:  make([]float64, 0, len(m.workers)),
+		PDW: make([][]float64, 0, len(m.workers)),
+		PDT: make([][]float64, 0, len(m.tasks)),
 	}
-	for t := range m.tasks {
-		p.PZ[t] = make([]float64, len(m.tasks[t].Labels))
-		for k := range p.PZ[t] {
-			p.PZ[t][k] = m.cfg.InitPZ
-		}
-		p.PDT[t] = m.cfg.FuncSet.Uniform()
-	}
-	for w := range m.workers {
-		p.PI[w] = m.cfg.InitPI
-		p.PDW[w] = m.cfg.FuncSet.Uniform()
-	}
+	m.appendPriors(p)
 	return p
+}
+
+// appendPriors grows p with a row at the configured priors for every task
+// and worker of the model it does not cover yet: InitPZ per label and a
+// uniform POI influence, InitPI and a uniform distance sensitivity. It is how
+// the initial parameters, a late registration and the adoption of a fit that
+// predates one all give a newcomer the same start.
+func (m *Model) appendPriors(p *Params) {
+	for t := len(p.PZ); t < len(m.tasks); t++ {
+		pz := make([]float64, len(m.tasks[t].Labels))
+		for k := range pz {
+			pz[k] = m.cfg.InitPZ
+		}
+		p.PZ = append(p.PZ, pz)
+		p.PDT = append(p.PDT, m.cfg.FuncSet.Uniform())
+	}
+	for w := len(p.PI); w < len(m.workers); w++ {
+		p.PI = append(p.PI, m.cfg.InitPI)
+		p.PDW = append(p.PDW, m.cfg.FuncSet.Uniform())
+	}
 }
 
 // Config returns the model's configuration.
@@ -239,11 +249,12 @@ func (m *Model) Distance(w model.WorkerID, t model.TaskID) float64 {
 }
 
 // fvalsAt returns the f-value vector [f_j(d(w,t))] of the i-th observed
-// answer, a view into the flat answer-indexed store.
-func (m *Model) fvalsAt(i int) []float64 {
-	nf := m.cfg.FuncSet.Len()
-	return m.afv[i*nf : (i+1)*nf : (i+1)*nf]
+// answer, a view into the flat answer-indexed store afv of nf-wide rows.
+func fvalsAt(afv []float64, nf, i int) []float64 {
+	return afv[i*nf : (i+1)*nf : (i+1)*nf]
 }
+
+func (m *Model) fvalsAt(i int) []float64 { return fvalsAt(m.afv, m.cfg.FuncSet.Len(), i) }
 
 // Observe appends an answer to the model's log without updating any
 // parameter estimates, resolving the answer's f-value vector into the flat
@@ -284,27 +295,6 @@ func (m *Model) Reset() {
 	m.params = m.initialParams()
 }
 
-// SetWorkerParams overwrites worker w's estimated parameters: the inherent
-// quality P(i_w = 1) and the distance-sensitivity multinomial over the
-// function set. The geo-sharded fitter uses it to push cross-shard merged
-// estimates of roaming workers back into a shard's model before a refinement
-// fit; the next Fit warm-starts from the injected values.
-func (m *Model) SetWorkerParams(w model.WorkerID, pi float64, pdw []float64) error {
-	if int(w) < 0 || int(w) >= len(m.workers) {
-		return fmt.Errorf("core: unknown worker %d", w)
-	}
-	if pi < 0 || pi > 1 {
-		return fmt.Errorf("core: worker quality %v out of [0,1]", pi)
-	}
-	if len(pdw) != m.cfg.FuncSet.Len() {
-		return fmt.Errorf("core: sensitivity vector has %d components, function set has %d",
-			len(pdw), m.cfg.FuncSet.Len())
-	}
-	m.params.PI[w] = pi
-	copy(m.params.PDW[w], pdw)
-	return nil
-}
-
 // AddTask appends a task to the model after construction. The task's ID must
 // be the next dense index (len(Tasks())); its labels start at the InitPZ
 // prior and its POI influence at the uniform multinomial, exactly as at
@@ -319,12 +309,7 @@ func (m *Model) AddTask(t model.Task) error {
 		return fmt.Errorf("core: new task %d has no labels", t.ID)
 	}
 	m.tasks = append(m.tasks, t)
-	pz := make([]float64, len(t.Labels))
-	for k := range pz {
-		pz[k] = m.cfg.InitPZ
-	}
-	m.params.PZ = append(m.params.PZ, pz)
-	m.params.PDT = append(m.params.PDT, m.cfg.FuncSet.Uniform())
+	m.appendPriors(m.params)
 	// Cached distance rows were sized to the old task count; extend them
 	// with the unset marker so the new column is computed on first query.
 	for w := range m.dist {
@@ -346,8 +331,7 @@ func (m *Model) AddWorker(w model.Worker) error {
 		return fmt.Errorf("core: new worker %d has no locations", w.ID)
 	}
 	m.workers = append(m.workers, w)
-	m.params.PI = append(m.params.PI, m.cfg.InitPI)
-	m.params.PDW = append(m.params.PDW, m.cfg.FuncSet.Uniform())
+	m.appendPriors(m.params)
 	m.dist = append(m.dist, nil)
 	return nil
 }

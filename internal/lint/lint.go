@@ -24,20 +24,11 @@
 //
 // # Suppressing a diagnostic
 //
-// Two directives, both requiring a reason so waivers stay visible in review:
+// One directive, requiring a reason so waivers stay visible in review:
 //
 //	//lint:ignore <analyzer> <reason>
 //
 // on (or immediately above) the offending line suppresses one diagnostic.
-//
-//	//lint:sanctioned lockorder <reason>
-//
-// on a function declaration marks the whole function as a sanctioned
-// blocking critical-section helper: lockorder does not descend into it from
-// callers' critical sections. The inline fit placement (Service
-// fitInlineLocked) carries the one legitimate use — fitting under the write
-// lock is that placement's documented design, not an accident — and nothing
-// on a path a fit pipeline serves reaches it.
 package lint
 
 import (
@@ -103,29 +94,16 @@ func (d Diagnostic) Position(fset *token.FileSet) token.Position {
 	return fset.Position(d.Pos)
 }
 
-// ignoreDirective is one parsed //lint:ignore comment.
-type ignoreDirective struct {
-	file string // file name
-	line int    // the line the directive applies to
-	name string // analyzer name, or "*"
-}
-
 // directiveSet indexes a package's ignore directives by (file, line).
 type directiveSet struct {
-	ignores     map[string]map[int][]string // file -> line -> analyzer names
-	sanctioned  map[string]bool             // "analyzer\x00funcpos" -> true
-	sanctioning map[token.Pos][]string      // func decl pos -> sanctioned analyzers
+	ignores map[string]map[int][]string // file -> line -> analyzer names
 }
 
 // collectDirectives parses every //lint: comment in the package. An ignore
 // directive suppresses diagnostics on its own line and, when it is the whole
-// comment line, on the next line. A sanction directive must precede a
-// function declaration.
+// comment line, on the next line.
 func collectDirectives(pkg *Package) *directiveSet {
-	ds := &directiveSet{
-		ignores:     make(map[string]map[int][]string),
-		sanctioning: make(map[token.Pos][]string),
-	}
+	ds := &directiveSet{ignores: make(map[string]map[int][]string)}
 	for _, f := range pkg.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
@@ -154,24 +132,6 @@ func collectDirectives(pkg *Package) *directiveSet {
 				}
 			}
 		}
-		// Sanction directives attach to the declaration they document.
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Doc == nil {
-				continue
-			}
-			for _, c := range fd.Doc.List {
-				text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-				if !strings.HasPrefix(text, "lint:sanctioned") {
-					continue
-				}
-				fields := strings.Fields(strings.TrimPrefix(text, "lint:sanctioned"))
-				if len(fields) < 1 {
-					continue
-				}
-				ds.sanctioning[fd.Pos()] = append(ds.sanctioning[fd.Pos()], fields[0])
-			}
-		}
 	}
 	return ds
 }
@@ -187,24 +147,13 @@ func (ds *directiveSet) ignored(fset *token.FileSet, analyzer string, pos token.
 	return false
 }
 
-// sanctionedFunc reports whether the function declared at declPos is
-// sanctioned for the given analyzer.
-func (ds *directiveSet) sanctionedFunc(analyzer string, declPos token.Pos) bool {
-	for _, name := range ds.sanctioning[declPos] {
-		if name == analyzer || name == "*" {
-			return true
-		}
-	}
-	return false
-}
-
 // RunAnalyzers applies every analyzer to every package and returns the
 // surviving diagnostics sorted by position. Packages whose directives
 // suppress a diagnostic drop it before it is returned.
 func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var out []Diagnostic
 	for _, pkg := range pkgs {
-		ds := pkg.dirs()
+		ds := collectDirectives(pkg)
 		for _, a := range analyzers {
 			pass := &Pass{
 				Analyzer: a,

@@ -29,17 +29,8 @@ type Package struct {
 	// Info records uses, defs, types, and selections for the files.
 	Info *types.Info
 
-	loader     *Loader
-	directives *directiveSet
-	declIndex  map[types.Object]*ast.FuncDecl
-}
-
-// dirs returns the package's parsed //lint: directives, computing them once.
-func (p *Package) dirs() *directiveSet {
-	if p.directives == nil {
-		p.directives = collectDirectives(p)
-	}
-	return p.directives
+	loader    *Loader
+	declIndex map[types.Object]*ast.FuncDecl
 }
 
 // decls returns the package's function-declaration index, built on first

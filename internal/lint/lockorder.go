@@ -15,9 +15,7 @@ import (
 // declared hierarchy (Service.mu before fitPipeline.mu, Candidates.mu before
 // candRow.mu — never the reverse); and every Lock discharged on every path
 // out of the function. Blocking calls are found by a memoized call-graph
-// walk across the loaded packages; functions carrying a
-// "//lint:sanctioned lockorder" directive (the synchronous fit path) stop
-// the descent.
+// walk across the loaded packages.
 var LockOrderAnalyzer = &Analyzer{
 	Name: "lockorder",
 	Doc: "report blocking operations and lock-order inversions inside mutex " +
@@ -563,10 +561,6 @@ func (lo *lockOrder) checkCallUnderLock(call *ast.CallExpr, st *lockState, h *he
 	if f == nil {
 		return
 	}
-	if fd, pkg := lo.pass.Pkg.loader.FuncDecl(f); fd != nil &&
-		pkg.dirs().sanctionedFunc(lo.pass.Analyzer.Name, fd.Pos()) {
-		return
-	}
 	if desc, bad := blockingCalls[callKey(f)]; bad {
 		lo.pass.Reportf(call.Pos(), "%s while %s is write-locked", desc, h.key)
 		return
@@ -597,8 +591,8 @@ func (lo *lockOrder) checkCallUnderLock(call *ast.CallExpr, st *lockState, h *he
 const maxSummaryDepth = 8
 
 // summarize computes (and memoizes) the transitive blocking operations and
-// lock acquisitions of a function with a known body. Sanctioned functions
-// summarize to empty; unknown bodies return nil.
+// lock acquisitions of a function with a known body; unknown bodies return
+// nil.
 func (lo *lockOrder) summarize(f *types.Func, depth int) *funcSummary {
 	if sum, ok := lo.summaries[f]; ok {
 		return sum
@@ -609,11 +603,6 @@ func (lo *lockOrder) summarize(f *types.Func, depth int) *funcSummary {
 	fd, pkg := lo.pass.Pkg.loader.FuncDecl(f)
 	if fd == nil || fd.Body == nil {
 		return nil
-	}
-	if pkg.dirs().sanctionedFunc(lo.pass.Analyzer.Name, fd.Pos()) {
-		sum := &funcSummary{}
-		lo.summaries[f] = sum
-		return sum
 	}
 	lo.inFlight[f] = true
 	defer delete(lo.inFlight, f)

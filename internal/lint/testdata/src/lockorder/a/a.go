@@ -1,7 +1,6 @@
 // Package a is the lockorder fixture: blocking operations and lock-order
 // inversions inside critical sections, plus the patterns that must stay
-// clean (deferred unlocks, select with default, the declared hierarchy,
-// sanctioned helpers).
+// clean (deferred unlocks, select with default, the declared hierarchy).
 package a
 
 import (
@@ -116,18 +115,4 @@ func (s *Service) okBlockOffLock(ch chan int) {
 	s.n++
 	s.mu.Unlock()
 	<-ch
-}
-
-// fitLocked deliberately fits under the caller's write lock; the sanction
-// stops the call-graph walk exactly like the real fitInlineLocked.
-//
-//lint:sanctioned lockorder fixture: synchronous fit under the write lock by design
-func (s *Service) fitLocked(e *Engine) {
-	e.Fit()
-}
-
-func (s *Service) okSanctioned(e *Engine) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.fitLocked(e)
 }

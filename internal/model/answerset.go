@@ -20,16 +20,29 @@ var ErrDuplicateAnswer = errors.New("model: duplicate answer")
 //
 // Answers are append-only; the framework never retracts a submission.
 //
-// Besides the []Answer log, the set maintains a structure-of-arrays mirror
-// of the hot fields — parallel worker/task ID slices and the flattened vote
-// bits — so the EM E-step can sweep the whole log through contiguous memory
-// instead of chasing one Selected slice pointer per answer.
+// The log itself is the embedded AnswerView — the whole of it, growing; Len,
+// Answer, Pair and Votes are the view's.
 type AnswerSet struct {
-	answers []Answer
-	byTask  map[TaskID][]int   // task -> indexes into answers
-	byWork  map[WorkerID][]int // worker -> indexes into answers
-	done    map[pairKey]bool   // (worker, task) already answered
+	AnswerView
+	byTask map[TaskID][]int   // task -> indexes into answers
+	byWork map[WorkerID][]int // worker -> indexes into answers
+	done   map[pairKey]bool   // (worker, task) already answered
+}
 
+// AnswerView is a read-only run of answers in submission order: an AnswerSet's
+// whole log, or — from Prefix — its first Len answers as the log stood when
+// the view was taken, through the same backing arrays. The set only ever
+// appends, so answers added after a prefix was taken land beyond its bounds
+// and the two can be used from different goroutines: the prefix by a fit, the
+// set by whoever keeps accepting answers. A view carries no indexes — those
+// are maps the set updates in place.
+//
+// Besides the []Answer log it holds a structure-of-arrays mirror of the hot
+// fields — parallel worker/task ID slices and the flattened vote bits — so
+// the EM E-step can sweep the whole log through contiguous memory instead of
+// chasing one Selected slice pointer per answer.
+type AnswerView struct {
+	answers []Answer
 	// SoA mirror: workerIDs[i]/taskIDs[i] are answer i's pair, and
 	// votes[voteOff[i]:voteOff[i+1]] its Selected bits.
 	workerIDs []WorkerID
@@ -46,10 +59,10 @@ type pairKey struct {
 // NewAnswerSet returns an empty answer set.
 func NewAnswerSet() *AnswerSet {
 	return &AnswerSet{
-		byTask:  make(map[TaskID][]int),
-		byWork:  make(map[WorkerID][]int),
-		done:    make(map[pairKey]bool),
-		voteOff: []int32{0},
+		AnswerView: AnswerView{voteOff: []int32{0}},
+		byTask:     make(map[TaskID][]int),
+		byWork:     make(map[WorkerID][]int),
+		done:       make(map[pairKey]bool),
 	}
 }
 
@@ -80,25 +93,36 @@ func (s *AnswerSet) MustAdd(a Answer) {
 	}
 }
 
-// Len returns the number of answers submitted so far. Each answer covers one
-// (worker, task) pair, so Len is also the number of consumed assignments —
-// the paper's budget unit.
-func (s *AnswerSet) Len() int { return len(s.answers) }
+// Prefix returns a view of the first n answers, n at most Len.
+func (s *AnswerSet) Prefix(n int) AnswerView {
+	nv := int(s.voteOff[n])
+	return AnswerView{
+		answers:   s.answers[:n:n],
+		workerIDs: s.workerIDs[:n:n],
+		taskIDs:   s.taskIDs[:n:n],
+		voteOff:   s.voteOff[: n+1 : n+1],
+		votes:     s.votes[:nv:nv],
+	}
+}
 
-// Answer returns the i-th answer in submission order.
-func (s *AnswerSet) Answer(i int) *Answer { return &s.answers[i] }
+// Len returns the number of answers in the view. Each answer covers one
+// (worker, task) pair, so on a set Len is also the number of consumed
+// assignments — the paper's budget unit.
+func (v AnswerView) Len() int { return len(v.answers) }
+
+// Answer returns the i-th answer in submission order. Callers must not
+// mutate it.
+func (v AnswerView) Answer(i int) *Answer { return &v.answers[i] }
 
 // Pair returns the (worker, task) pair of the i-th answer without touching
 // the Answer struct, reading the structure-of-arrays mirror.
-func (s *AnswerSet) Pair(i int) (WorkerID, TaskID) {
-	return s.workerIDs[i], s.taskIDs[i]
-}
+func (v AnswerView) Pair(i int) (WorkerID, TaskID) { return v.workerIDs[i], v.taskIDs[i] }
 
 // Votes returns the i-th answer's Selected bits as a slice into the
 // flattened vote store. Callers must not mutate it.
-func (s *AnswerSet) Votes(i int) []bool {
-	lo, hi := int(s.voteOff[i]), int(s.voteOff[i+1])
-	return s.votes[lo:hi:hi]
+func (v AnswerView) Votes(i int) []bool {
+	lo, hi := int(v.voteOff[i]), int(v.voteOff[i+1])
+	return v.votes[lo:hi:hi]
 }
 
 // All returns the backing answer slice. Callers must not mutate it.

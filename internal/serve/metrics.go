@@ -30,9 +30,10 @@ import (
 //
 // Plus the published generation's and the fit pipeline's families under the
 // poilabel_ prefix: param_staleness_seconds and param_generation gauges
-// (every service publishes generations), and the scheduler's fit_queue_depth
-// gauge and fit_coalesced_total, fits_total counters (zeros where fits run
-// inline), all read from Service.FitStats at scrape time; and
+// (every service publishes generations), and the pipeline's fit_queue_depth
+// gauge and fit_coalesced_total, fits_total counters (every fit cycle counts,
+// whoever triggered it; nothing coalesces without a scheduler), all read from
+// Service.FitStats at scrape time; and
 // the assignment planning path's poilabel_plan_* families (lock_free_total,
 // locked_total, conflicts_total, retries_total, conflict_rate,
 // last_duration_seconds, candidate_{builds,rebuilds,hits}_total), read from
@@ -97,10 +98,9 @@ func NewMetrics(reg *metrics.Registry, svc *poilabel.Service) *Metrics {
 	reg.GaugeFunc("poiserve_budget_remaining", "Assignment budget remaining (-1 = unlimited).",
 		func() float64 { return float64(svc.RemainingBudget()) })
 	// Published generation and fit pipeline (poilabel_ prefix: these describe
-	// the library, not the HTTP layer). All read FitStats at scrape time; the
-	// scheduler's three report zeros on a service whose fits run inline.
+	// the library, not the HTTP layer). All read FitStats at scrape time.
 	reg.GaugeFunc("poilabel_fit_queue_depth",
-		"Background fits in flight plus queued re-fit tokens (0 when idle or synchronous).",
+		"Fit cycles in flight plus queued re-fit tokens (0 when idle).",
 		func() float64 { return float64(svc.FitStats().QueueDepth) })
 	reg.GaugeFunc("poilabel_param_staleness_seconds",
 		"Age of the published parameter generation while answers it does not cover are waiting (0 when current).",
@@ -109,10 +109,10 @@ func NewMetrics(reg *metrics.Registry, svc *poilabel.Service) *Metrics {
 		"Published parameter generation counter.",
 		func() float64 { return float64(svc.FitStats().Generation) })
 	reg.CounterFunc("poilabel_fit_coalesced_total",
-		"Background fit triggers dropped because a re-fit was already queued.",
+		"Scheduler fit triggers dropped because a re-fit was already queued.",
 		func() uint64 { return svc.FitStats().Coalesced })
 	reg.CounterFunc("poilabel_fits_total",
-		"Background fit attempts completed (including abandoned ones).",
+		"Fit attempts completed (including abandoned ones), whoever triggered them.",
 		func() uint64 { return svc.FitStats().Fits })
 	// Assignment planning path (also poilabel_ prefix). Zeros when lock-free
 	// planning is not configured.

@@ -75,7 +75,8 @@ func (c *demoCrowd) answer(ti, k int) error {
 }
 
 // engineShapes and fitPlacements span every service a /results body can come
-// from. The pipeline's cadence is out of reach, so only Fit publishes.
+// from: every shape, with fits triggered by callers ("inline") and by a
+// scheduler ("pipeline") whose cadence is out of reach, so only Fit publishes.
 var (
 	engineShapes = []struct {
 		name string
@@ -128,7 +129,7 @@ func encodeResults(tb testing.TB, svc *poilabel.Service) []byte {
 
 // settledResults returns the current generation and the reference encoding of
 // its results, once no publication slipped between reading the one and the
-// other (an inline read of a dirty service publishes).
+// other (without a scheduler a read of a dirty service fits and publishes).
 func settledResults(tb testing.TB, svc *poilabel.Service) (uint64, []byte) {
 	tb.Helper()
 	for {
@@ -187,8 +188,8 @@ func readSettled(tb testing.TB, svc *poilabel.Service, url string) (gen uint64, 
 }
 
 // TestResultsBodyIsTheEncodersBytes pins that serving a generation's own
-// encoding changed no byte on the wire: on every engine shape and in both fit
-// placements the body is what json.NewEncoder writes for Results() of the
+// encoding changed no byte on the wire: on every engine shape and under both
+// fit triggers the body is what json.NewEncoder writes for Results() of the
 // generation the headers name, first read and later reads alike.
 func TestResultsBodyIsTheEncodersBytes(t *testing.T) {
 	for _, shape := range engineShapes {
@@ -511,7 +512,7 @@ func BenchmarkServeResults(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				// An inline Fit always refits and publishes: a generation
+				// Without a scheduler Fit always refits and publishes: a generation
 				// nobody has read yet, the same labels as the last.
 				if _, err := svc.Fit(context.Background()); err != nil {
 					b.Fatal(err)

@@ -434,8 +434,8 @@ func (h *Handler) postCheckpoint(w http.ResponseWriter, _ *http.Request) {
 // headers all come from the one value that read returns, so a publication
 // mid-request cannot stamp one generation's number on another's body, and an
 // encoder failure is a 500 before the first byte is sent rather than a
-// truncated 200. The headers say which generation this is and how stale, in
-// either fit placement.
+// truncated 200. The headers say which generation this is and how stale,
+// whoever triggers the fits.
 func (h *Handler) getResults(w http.ResponseWriter, r *http.Request) {
 	res, err := h.svc.ResultsJSON(r.Context())
 	if err != nil {
@@ -489,9 +489,9 @@ type healthResponse struct {
 	Answers         int `json:"answers"`
 	Pending         int `json:"pending"`
 	RemainingBudget int `json:"remaining_budget"`
-	// Fit is the background fit pipeline's state, present only when the
-	// service runs with WithBackgroundFit (so synchronous deployments keep
-	// their exact health shape).
+	// Fit is the fit pipeline's state, present only when the service runs
+	// a scheduler (WithBackgroundFit), so deployments without one keep their
+	// exact health shape; its counters cover every cycle, whoever ran it.
 	Fit *healthFit `json:"fit,omitempty"`
 	// Plan is the assignment planning path's state, present only when
 	// lock-free planning is configured (background fitting on the single

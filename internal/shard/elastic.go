@@ -145,32 +145,56 @@ func mergeSorted(a, b []int) []int {
 // bit-identical to a fitter freshly constructed at the same layout and fed
 // the same answer stream — the migration invariant the elastic tests pin.
 //
-// The receiver is read but never mutated, so a serving layer can Rebuild a
-// captured copy off-lock and swap the result in atomically. The rebuilt
+// The receiver is read but never mutated; a serving layer rebuilds a Fork of
+// it instead, with no lock held, and swaps the result in atomically. The rebuilt
 // fitter's estimates start at the priors; run Fit before publishing. Only a
 // fitter over models keeps the arrival log Rebuild replays.
 func (s *Sharded) Rebuild(layout [][]int) (*Sharded, error) {
 	if s.models == nil {
 		return nil, fmt.Errorf("shard: rebuild of a nested fitter")
 	}
-	cfg := s.cfg
+	return rebuild(s.cfg, s.tasks, s.workers, s.norm, layout, s.order, s.logs(), s.parts)
+}
+
+// logs returns every shard's answer log as it stands.
+func (s *Sharded) logs() []model.AnswerView {
+	logs := make([]model.AnswerView, len(s.models))
+	for si, m := range s.models {
+		logs[si] = m.Answers().AnswerView
+	}
+	return logs
+}
+
+// rebuild is Rebuild's body over the stores it reads — a fitter's own, or the
+// views a Fork holds of them.
+func rebuild(cfg Config, tasks []model.Task, workers []model.Worker, norm geo.Normalizer, layout [][]int,
+	order []int32, logs []model.AnswerView, parts [][]int) (*Sharded, error) {
 	cfg.Shards = len(layout)
-	ns, err := NewWithLayout(s.tasks, s.workers, s.norm, cfg, layout)
+	ns, err := NewWithLayout(tasks, workers, norm, cfg, layout)
 	if err != nil {
 		return nil, err
 	}
-	cursor := make([]int, len(s.models))
-	for _, si := range s.order {
-		ans := s.models[si].Answers().Answer(cursor[si])
+	if err := replay(ns, order, logs, parts, make([]int, len(logs))); err != nil {
+		return nil, fmt.Errorf("shard: rebuild replay: %w", err)
+	}
+	return ns, nil
+}
+
+// replay feeds dst the answers order names, in that order: entry si is the
+// next answer of logs[si] not yet read — cursor[si] counts the ones that were
+// — keyed back to its global task through parts[si].
+func replay(dst *Sharded, order []int32, logs []model.AnswerView, parts [][]int, cursor []int) error {
+	for _, si := range order {
+		ans := logs[si].Answer(cursor[si])
 		cursor[si]++
 		global := model.Answer{
 			Worker:   ans.Worker,
-			Task:     model.TaskID(s.parts[si][ans.Task]),
+			Task:     model.TaskID(parts[si][ans.Task]),
 			Selected: ans.Selected,
 		}
-		if err := ns.Observe(global); err != nil {
-			return nil, fmt.Errorf("shard: rebuild replay: %w", err)
+		if err := dst.Observe(global); err != nil {
+			return err
 		}
 	}
-	return ns, nil
+	return nil
 }

@@ -73,16 +73,17 @@ type Config struct {
 // crossing the interface are the child's dense local indices; worker IDs are
 // global, because every child is built over the full worker pool.
 type child interface {
+	fitKid
 	AddTask(model.Task) error
 	AddWorker(model.Worker) error
 	Observe(model.Answer) error
 	TotalAnswers() int
-	// fit runs the child's full fit and summarizes it for the parent.
-	fit(ctx context.Context) (core.FitStats, error)
-	// estimate returns worker w's current quality and sensitivity. The
-	// slice is borrowed: the parent's merge reads it in place.
-	estimate(w model.WorkerID) (float64, []float64)
-	// posterior returns task t's label posteriors, borrowed likewise.
+	// fork captures the child as a fit will see it, and adopt installs what
+	// fitting that capture produced; see Sharded.Fork and Sharded.Adopt.
+	fork() fitKid
+	adopt(fitKid)
+	// posterior returns task t's label posteriors, borrowed: the parent's
+	// gather reads them in place.
 	posterior(t model.TaskID) []float64
 	// plan picks up to h tasks per worker with no budget cap; the parent
 	// balances the round's budget over what its children could use.
@@ -108,6 +109,12 @@ func (l *leaf) estimate(w model.WorkerID) (float64, []float64) {
 }
 
 func (l *leaf) posterior(t model.TaskID) []float64 { return l.Params().PZ[t] }
+
+func (l *leaf) fork() fitKid { return forkLeaf{l.Model.Fork()} }
+
+// adopt leaves the answers the fork did not see logged: a leaf's per-answer
+// update is Observe.
+func (l *leaf) adopt(k fitKid) { l.Model.Adopt(k.(forkLeaf).Fork, false) }
 
 func (l *leaf) plan(workers []model.WorkerID, h int, skip assign.SkipFunc) assign.Assignment {
 	return l.planner.AssignExcluding(l.Model, workers, h, skip)
@@ -138,12 +145,11 @@ type Sharded struct {
 
 	kids   []child
 	models []*core.Model // kids' models when they are leaves, nil otherwise
-	counts [][]int       // counts[s][w]: answers by worker w routed to child s
 
-	// city is this node's index inside an enclosing node (-1 at the top); a
-	// nested fit stamps it on its fit.shard spans so the four shards of a
-	// 2x2 federation are told apart in a trace.
-	city int
+	// nodeFit is the node's fit state — what FitContext reads and rewrites in
+	// place; a Fork carries a copy.
+	nodeFit
+	lastFit FitStats
 
 	// order logs the shard index of every accepted answer in global
 	// submission order. Together with the per-shard append-only answer logs
@@ -152,15 +158,37 @@ type Sharded struct {
 	// answers (float summation order inside each shard is preserved). Kept
 	// only over leaves, where Rebuild can use it.
 	order []int32
+}
 
+// nodeFit is a node fit's working set: the children as a fit sees them, the
+// per-child answer counts the merge weights by, and everything the fit
+// writes.
+type nodeFit struct {
+	sweeps int // Config.RefineSweeps
+	// city is the node's index inside an enclosing node (-1 at the top); a
+	// nested fit stamps it on its fit.shard spans so the four shards of a
+	// 2x2 federation are told apart in a trace.
+	city int
+	fits []fitKid // the kids: live children fitting in place, or their forks
+	// leaves are the kids as refinement writes them — a model, or a model's
+	// fork — nil over nested children.
+	leaves []interface{ Params() *core.Params }
+	counts [][]int // counts[s][w]: answers by worker w routed to child s
 	// lastFitDur[s] is the wall-clock duration of child s's most recent fit
 	// — one of the imbalance signals the drift detector watches.
 	lastFitDur []time.Duration
-	lastFit    FitStats
-
-	// Merged per-worker estimates, refreshed by Fit.
+	// Merged per-worker estimates, refreshed by a fit.
 	pi  []float64
 	pdw [][]float64
+}
+
+// fitKid is what a node's fit needs from each region.
+type fitKid interface {
+	// fit runs the child's full fit and summarizes it for the parent.
+	fit(ctx context.Context) (core.FitStats, error)
+	// estimate returns worker w's current quality and sensitivity. The
+	// slice is borrowed: the parent's merge reads it in place.
+	estimate(w model.WorkerID) (float64, []float64)
 }
 
 // New creates a sharded fitter. Task and worker IDs must be dense indices
@@ -250,16 +278,15 @@ func newNode(tasks []model.Task, workers []model.Worker, norm geo.Normalizer, cf
 	}
 	cfg.Shards = len(layout)
 	s := &Sharded{
-		cfg:        cfg,
-		norm:       norm,
-		tasks:      tasks,
-		workers:    workers,
-		parts:      layout,
-		baseParts:  cloneLayout(layout),
-		shardOf:    make([]int32, len(tasks)),
-		localOf:    make([]int32, len(tasks)),
-		city:       -1,
-		lastFitDur: make([]time.Duration, len(layout)),
+		cfg:       cfg,
+		norm:      norm,
+		tasks:     tasks,
+		workers:   workers,
+		parts:     layout,
+		baseParts: cloneLayout(layout),
+		shardOf:   make([]int32, len(tasks)),
+		localOf:   make([]int32, len(tasks)),
+		nodeFit:   nodeFit{sweeps: cfg.RefineSweeps, city: -1, lastFitDur: make([]time.Duration, len(layout))},
 	}
 	for si, part := range s.parts {
 		local := make([]model.Task, len(part))
@@ -278,6 +305,7 @@ func newNode(tasks []model.Task, workers []model.Worker, norm geo.Normalizer, cf
 			var m *core.Model
 			if m, err = core.NewModel(local, workers, norm, cfg.Model); err == nil {
 				s.models = append(s.models, m)
+				s.leaves = append(s.leaves, m)
 				kid = &leaf{Model: m, planner: assign.NewPlanner()}
 			}
 		}
@@ -285,6 +313,7 @@ func newNode(tasks []model.Task, workers []model.Worker, norm geo.Normalizer, cf
 			return nil, err
 		}
 		s.kids = append(s.kids, kid)
+		s.fits = append(s.fits, kid)
 		s.counts = append(s.counts, make([]int, len(workers)))
 		s.regions = append(s.regions, geo.Bound(locs))
 	}
@@ -416,36 +445,57 @@ func (s *Sharded) Fit() FitStats {
 // iterations inside every shard and between refinement sweeps. On
 // cancellation every shard keeps its last completed iteration's parameters
 // and the merged per-worker estimates are refreshed from them, so the
-// fitter is left in a consistent (if unconverged) state.
+// fitter is left in a consistent (if unconverged) state. The fit runs in
+// place: every child fits its own model and the merge rewrites the node's own
+// estimates.
 func (s *Sharded) FitContext(ctx context.Context) (FitStats, error) {
-	start := time.Now()
-	st := FitStats{Shards: make([]core.FitStats, len(s.kids))}
-	err := s.fitAndRefine(ctx, &st)
-	st.Elapsed = time.Since(start)
+	st, err := s.fitContext(ctx)
 	s.lastFit = st
 	return st, err
 }
 
-// fitAndRefine is FitContext's body; every return leaves the merged
+// LastFit returns the stats of the node's most recent fit — how an enclosing
+// node's caller reads the per-shard detail behind one nested child's summary.
+func (s *Sharded) LastFit() FitStats { return s.lastFit }
+
+// fit is FitContext seen from an enclosing node.
+func (s *Sharded) fit(ctx context.Context) (core.FitStats, error) {
+	st, err := s.FitContext(ctx)
+	return st.summary(), err
+}
+
+func (st FitStats) summary() core.FitStats {
+	return core.FitStats{Iterations: st.Iterations, Converged: st.Converged, Elapsed: st.Elapsed}
+}
+
+func (n *nodeFit) fitContext(ctx context.Context) (FitStats, error) {
+	start := time.Now()
+	st := FitStats{Shards: make([]core.FitStats, len(n.fits))}
+	err := n.fitAndRefine(ctx, &st)
+	st.Elapsed = time.Since(start)
+	return st, err
+}
+
+// fitAndRefine is fitContext's body; every return leaves the merged
 // estimates refreshed from whatever iteration each child reached.
-func (s *Sharded) fitAndRefine(ctx context.Context, st *FitStats) error {
-	err := s.fitAll(ctx, st.Shards, nil)
+func (n *nodeFit) fitAndRefine(ctx context.Context, st *FitStats) error {
+	err := n.fitAll(ctx, st.Shards, nil)
 	for _, fs := range st.Shards {
 		if fs.Iterations > st.Iterations {
 			st.Iterations = fs.Iterations
 		}
 	}
-	s.mergeWorkers()
+	n.mergeWorkers()
 	if err != nil {
 		return err
 	}
 
-	roam := s.roamingWorkers()
+	roam := n.roamingWorkers()
 	st.Roaming = len(roam)
-	for sweep := 0; sweep < s.cfg.RefineSweeps && len(roam) > 0; sweep++ {
-		touched := s.pushMerged(roam)
-		err := s.fitAll(ctx, st.Shards, touched)
-		s.mergeWorkers()
+	for sweep := 0; sweep < n.sweeps && len(roam) > 0; sweep++ {
+		touched := n.pushMerged(roam)
+		err := n.fitAll(ctx, st.Shards, touched)
+		n.mergeWorkers()
 		if err != nil {
 			return err
 		}
@@ -462,25 +512,15 @@ func (s *Sharded) fitAndRefine(ctx context.Context, st *FitStats) error {
 	return nil
 }
 
-// LastFit returns the stats of the node's most recent fit — how an enclosing
-// node's caller reads the per-shard detail behind one nested child's summary.
-func (s *Sharded) LastFit() FitStats { return s.lastFit }
-
-// fit is FitContext seen from an enclosing node.
-func (s *Sharded) fit(ctx context.Context) (core.FitStats, error) {
-	st, err := s.FitContext(ctx)
-	return core.FitStats{Iterations: st.Iterations, Converged: st.Converged, Elapsed: st.Elapsed}, err
-}
-
 // fitAll fits the selected children (all of them when only is nil) in one
 // goroutine each. Children share no mutable state, and each goroutine writes
 // a distinct stats slot, so the fan-out is race-free; the per-child results
 // do not depend on the interleaving. The first context error observed by any
 // child is returned.
-func (s *Sharded) fitAll(ctx context.Context, into []core.FitStats, only []bool) error {
+func (n *nodeFit) fitAll(ctx context.Context, into []core.FitStats, only []bool) error {
 	var wg sync.WaitGroup
-	errs := make([]error, len(s.kids))
-	for i := range s.kids {
+	errs := make([]error, len(n.fits))
+	for i := range n.fits {
 		if only != nil && !only[i] {
 			continue
 		}
@@ -492,20 +532,20 @@ func (s *Sharded) fitAll(ctx context.Context, into []core.FitStats, only []bool)
 			// unless the caller's context carries a fit/migrate trace, and
 			// only over leaves: a nested child's own fan-out mints them.
 			var sp *trace.Span
-			if s.models != nil {
+			if n.leaves != nil {
 				_, sp = trace.Start(ctx, "fit.shard")
-				if s.city >= 0 {
-					sp.AttrInt("city", int64(s.city))
+				if n.city >= 0 {
+					sp.AttrInt("city", int64(n.city))
 				}
 				sp.AttrInt("shard", int64(i))
 			}
-			into[i], errs[i] = s.kids[i].fit(ctx)
+			into[i], errs[i] = n.fits[i].fit(ctx)
 			if errs[i] != nil {
 				sp.Fail(errs[i])
 			}
 			sp.AttrInt("iterations", int64(into[i].Iterations))
 			sp.End()
-			s.lastFitDur[i] = into[i].Elapsed
+			n.lastFitDur[i] = into[i].Elapsed
 		}(i)
 	}
 	wg.Wait()
@@ -521,12 +561,12 @@ func (s *Sharded) fitAll(ctx context.Context, into []core.FitStats, only []bool)
 // quality and sensitivity are the answer-count-weighted average of the
 // estimates from the children holding their answers. Workers with no answers
 // keep their initial values.
-func (s *Sharded) mergeWorkers() {
-	for w := range s.workers {
+func (n *nodeFit) mergeWorkers() {
+	for w := range n.pi {
 		wid := model.WorkerID(w)
 		total, contributors, last := 0, 0, -1
-		for si := range s.kids {
-			if c := s.counts[si][w]; c > 0 {
+		for si := range n.fits {
+			if c := n.counts[si][w]; c > 0 {
 				total += c
 				contributors++
 				last = si
@@ -540,18 +580,18 @@ func (s *Sharded) mergeWorkers() {
 			// estimate, copied verbatim: the weighted-average path's
 			// multiply-then-divide round trip would perturb the last bit.
 			// This is what makes a one-child node bit-identical to its child.
-			pi, pdw := s.kids[last].estimate(wid)
-			s.pi[w] = pi
-			copy(s.pdw[w], pdw)
+			pi, pdw := n.fits[last].estimate(wid)
+			n.pi[w] = pi
+			copy(n.pdw[w], pdw)
 			continue
 		}
 		pi := 0.0
-		pdw := s.pdw[w]
+		pdw := n.pdw[w]
 		for j := range pdw {
 			pdw[j] = 0
 		}
-		for si, k := range s.kids {
-			c := float64(s.counts[si][w])
+		for si, k := range n.fits {
+			c := float64(n.counts[si][w])
 			if c == 0 {
 				continue
 			}
@@ -562,7 +602,7 @@ func (s *Sharded) mergeWorkers() {
 			}
 		}
 		inv := 1 / float64(total)
-		s.pi[w] = pi * inv
+		n.pi[w] = pi * inv
 		for j := range pdw {
 			pdw[j] *= inv
 		}
@@ -570,12 +610,12 @@ func (s *Sharded) mergeWorkers() {
 }
 
 // roamingWorkers returns the workers with answers in more than one child.
-func (s *Sharded) roamingWorkers() []model.WorkerID {
+func (n *nodeFit) roamingWorkers() []model.WorkerID {
 	var out []model.WorkerID
-	for w := range s.workers {
+	for w := range n.pi {
 		shards := 0
-		for si := range s.kids {
-			if s.counts[si][w] > 0 {
+		for si := range n.fits {
+			if n.counts[si][w] > 0 {
 				shards++
 			}
 		}
@@ -589,18 +629,17 @@ func (s *Sharded) roamingWorkers() []model.WorkerID {
 // pushMerged writes the merged estimates of the given roaming workers into
 // every shard holding their answers and reports which shards were touched.
 // Refinement is a leaf-level extra: it writes model parameters directly.
-func (s *Sharded) pushMerged(roam []model.WorkerID) []bool {
-	touched := make([]bool, len(s.models))
+func (n *nodeFit) pushMerged(roam []model.WorkerID) []bool {
+	touched := make([]bool, len(n.leaves))
 	for _, w := range roam {
-		for si, m := range s.models {
-			if s.counts[si][w] == 0 {
+		for si, l := range n.leaves {
+			if n.counts[si][w] == 0 {
 				continue
 			}
-			// Merged values are averages of valid per-shard estimates, so
-			// SetWorkerParams cannot fail here.
-			if err := m.SetWorkerParams(w, s.pi[w], s.pdw[w]); err != nil {
-				panic(fmt.Sprintf("shard: push merged params: %v", err))
-			}
+			// The next fit of the shard warm-starts from the merged values.
+			p := l.Params()
+			p.PI[w] = n.pi[w]
+			copy(p.PDW[w], n.pdw[w])
 			touched[si] = true
 		}
 	}

@@ -32,7 +32,7 @@ type planCounters struct {
 // section. Counters cover the service's lifetime.
 type PlanPipelineStats struct {
 	// Enabled reports whether the lock-free planning path is configured
-	// (a fit pipeline on the single engine with the AccOpt assigner).
+	// (a fit scheduler on the single engine with the AccOpt assigner).
 	// Individual rounds can still fall back to the locked path —
 	// e.g. for workers registered after the last publication.
 	Enabled bool `json:"enabled"`

@@ -93,12 +93,12 @@ type serviceConfig struct {
 	seed           int64
 	model          core.Config
 	observer       Observer      // becomes Service.observer, which SetObserver replaces
-	bgInterval     time.Duration // fit pipeline cadence; 0 = full fits run inline
-	bgMinAnswers   int           // eager pipeline fit threshold
+	bgInterval     time.Duration // the scheduler's fit cadence; 0 = no scheduler, callers trigger fits
+	bgMinAnswers   int           // the scheduler's eager fit threshold
 	elasticOn      bool          // drift-aware elastic re-sharding (WithElasticShards)
 	elastic        ElasticConfig
-	// tracer mints the background pipeline's fit.cycle/migrate.cycle trace
-	// roots; request-path spans attach to the caller's context instead. Nil
+	// tracer mints the fit.cycle/migrate.cycle trace roots of cycles no traced
+	// caller runs; request-path spans attach to the caller's context instead. Nil
 	// disables tracing (every span site is nil-safe). Invariant: the tracer
 	// never acquires Service.mu, and no root span is ended while it is held.
 	tracer *trace.Tracer
@@ -193,13 +193,13 @@ func WithRefineSweeps(n int) ServiceOption {
 	}
 }
 
-// WithFullEMInterval sets how many submitted answers make an inline full fit
-// due (Section III-D; the default is 100, the paper's setting): the
-// submission that completes the interval runs it. Between full fits the
-// single engine applies incremental EM per answer while the batch engines
+// WithFullEMInterval sets how many submitted answers make a full fit due
+// (Section III-D; the default is 100, the paper's setting): the submission
+// that completes the interval runs it and waits for it. Between full fits
+// the single engine applies incremental EM per answer while the batch engines
 // only log. Zero disables automatic fits entirely — call Fit (or Results,
 // which fits when anything arrived since the last fit) explicitly. Unused
-// with WithBackgroundFit, whose cadence decides when a fit is due.
+// with WithBackgroundFit, whose scheduler decides when a fit is due.
 func WithFullEMInterval(n int) ServiceOption {
 	return func(c *serviceConfig) error {
 		if n < 0 {
@@ -254,9 +254,9 @@ func WithObserver(o Observer) ServiceOption {
 
 // WithTracer attaches a tracer. Request-path spans (answer.*, plan.*) attach
 // to whatever trace the caller's context carries — the HTTP gateway mints
-// those roots — while the background pipeline mints its own fit.cycle and
-// migrate.cycle roots on this tracer. A nil tracer (the default) keeps every
-// span site a no-op.
+// those roots — and so does a fit cycle a traced caller runs, while the
+// scheduler's cycles mint their own fit.cycle and migrate.cycle roots on this
+// tracer. A nil tracer (the default) keeps every span site a no-op.
 func WithTracer(tr *trace.Tracer) ServiceOption {
 	return func(c *serviceConfig) error {
 		c.tracer = tr
@@ -271,15 +271,15 @@ func WithTracer(tr *trace.Tracer) ServiceOption {
 // AddWorker work before and after answers start flowing — and interns them
 // to the dense indices the flattened EM hot paths expect.
 //
-// There is one submit path and one read path: every accepted answer is
-// learned by the live engine and counted, every completed full fit publishes
-// an immutable parameter generation, and Results, ResultSet, WorkerInfo,
+// There is one submit path, one read path and one fit: every accepted answer
+// is learned by the live engine and counted; a full fit is EM over a fork of
+// the engine with no lock held, adopted by the live engine and published as
+// an immutable parameter generation; and Results, ResultSet, WorkerInfo,
 // Health and FitStats serve that generation and those counters, never the
-// engine. WithBackgroundFit only decides where a full fit runs: inline on
-// the live engine under the write lock (the default — whoever makes the fit
-// due waits for it, and Results first brings the generation up to date), or
-// on the pipeline's goroutine over a copy, with reads serving the last
-// generation however stale.
+// engine. WithBackgroundFit only decides who triggers a fit: the caller that
+// makes it due (the default — that caller runs it and waits, and Results
+// first brings the generation up to date), or a scheduler goroutine, with
+// reads serving the last generation however stale.
 //
 // All methods are safe for concurrent use; long fits honor their context
 // between EM iterations. Budget and pending semantics are uniform across
@@ -302,9 +302,9 @@ type Service struct {
 	// accepted-answer count — and the only code that changes any of them.
 	led       ledger
 	sinceFull int
-	// dirty reports whether the engine saw new evidence (answers, tasks,
-	// workers) since its last successful full fit; the inline freshness
-	// barrier skips the redundant refit when clean.
+	// sinceFull counts the answers, and dirty reports any evidence (answers,
+	// tasks, workers), the last adopted full fit did not see. Without a
+	// scheduler they make a submission's fit and a barrier's or read's due.
 	dirty bool
 
 	// builtTasks/builtWorkers are the registration counts at the moment the
@@ -316,12 +316,11 @@ type Service struct {
 	builtTasks   int
 	builtWorkers int
 
-	// Generation state. published is the last parameter generation — non-nil
-	// from the moment the engine exists, replaced by every completed full fit
-	// in either placement, and the only thing a read touches. bg is the fit
-	// pipeline, nil when full fits run inline; delta records answers accepted
-	// while a pipeline fit is in flight, for the incremental merge into the
-	// next generation; baseGen seeds the generation counter from a restored
+	// Generation state. published is the last parameter generation — replaced
+	// by every adopted full fit and the only thing a read touches; non-nil
+	// once the engine exists, unless Fit or a read built it and that first
+	// fit is still running. bg runs the fit cycles and, where configured, the
+	// scheduler; baseGen seeds the generation counter from a restored
 	// checkpoint so generations stay monotonic across restarts, and
 	// restoredGen numbers the generation Restore published (0: none) — a
 	// checkpoint taken while it is still current records baseGen again, so
@@ -331,8 +330,6 @@ type Service struct {
 	bg          *fitPipeline
 	published   atomic.Pointer[paramGen]
 	resultsSize atomic.Int64
-	delta       []Answer
-	deltaActive bool
 	baseGen     uint64
 	restoredGen uint64
 
@@ -353,8 +350,8 @@ type Service struct {
 	forceLockedPlan bool
 
 	// Elastic re-sharding state (see elastic.go). The controller is the
-	// drift-detector goroutine; migrations themselves execute on the fit
-	// pipeline so they serialize with its fits.
+	// drift-detector goroutine; migrations themselves execute as cycles of
+	// the fit pipeline so they serialize with its fits.
 	elastic *elasticController
 
 	// observer receives the instrumentation events, nil when nobody listens;
@@ -390,18 +387,17 @@ func NewService(opts ...ServiceOption) (*Service, error) {
 			return nil, fmt.Errorf("poilabel: WithElasticShards requires the sharded engine (got %q)", cfg.engine)
 		}
 		if cfg.bgInterval <= 0 {
-			return nil, fmt.Errorf("poilabel: WithElasticShards requires WithBackgroundFit (migrations run on the fit pipeline)")
+			return nil, fmt.Errorf("poilabel: WithElasticShards requires WithBackgroundFit (migrations are queued on its scheduler)")
 		}
 	}
-	if cfg.bgInterval > 0 {
-		s.bg = newFitPipeline(s, cfg.bgInterval, cfg.bgMinAnswers)
-		if cfg.engine == EngineSingle && cfg.assigner == AssignerAccOpt {
-			s.planEnabled = true
-			s.planPool.New = func() any { return assign.NewPlanner() }
-			s.cands = assign.NewCandidates(assign.DefaultCandidatePrefix)
-		}
-		go s.bg.run()
+	// Without a scheduler the live engine's per-answer updates are newer than
+	// any generation, so plans come from it, under the lock.
+	if cfg.bgInterval > 0 && cfg.engine == EngineSingle && cfg.assigner == AssignerAccOpt {
+		s.planEnabled = true
+		s.planPool.New = func() any { return assign.NewPlanner() }
+		s.cands = assign.NewCandidates(assign.DefaultCandidatePrefix)
 	}
+	s.bg = newFitPipeline(s, cfg.bgInterval, cfg.bgMinAnswers)
 	if cfg.elasticOn {
 		s.elastic = newElasticController(s, cfg.elastic)
 		if cfg.elastic.CheckInterval > 0 {
@@ -412,8 +408,8 @@ func NewService(opts ...ServiceOption) (*Service, error) {
 }
 
 // newBareService returns an empty service holding cfg and nothing that runs
-// or listens: what NewService starts from, and the unshared scratch a snapshot
-// is replayed into (Restore, the pipeline's off-lock rebuild).
+// or listens: what NewService starts from, and the unshared scratch Restore
+// replays a snapshot into.
 func newBareService(cfg serviceConfig) *Service {
 	return &Service{
 		cfg:       cfg,
@@ -578,8 +574,8 @@ func (s *Service) buildEngine(layout [][]int, diam float64) error {
 
 // publishLocked snapshots the engine's read state into a fresh parameter
 // generation and swaps it in for every reader; it is how an engine's first
-// state, a completed full fit in either placement and a restore become
-// visible. seq is the answer sequence the generation covers for scheduling
+// state, an adopted full fit and a restore become visible. seq is the answer
+// sequence the generation covers for scheduling
 // purposes (full fit plus merged delta); fullSeq is the part covered by the
 // underlying full fit. Callers must hold the write lock.
 func (s *Service) publishLocked(seq, fullSeq uint64, converged bool) {
@@ -646,8 +642,8 @@ func (s *Service) lookupTask(id string) (TaskID, error) {
 }
 
 // SubmitAnswer feeds one worker's votes on one task into the engine. It is
-// SubmitAnswerContext without a deadline: the inline full fit the
-// FullEMInterval-th submission makes due runs to completion.
+// SubmitAnswerContext without a deadline: the full fit the FullEMInterval-th
+// submission makes due runs to completion.
 func (s *Service) SubmitAnswer(workerID, taskID string, selected []bool) error {
 	// The context-free compatibility surface: the root context is the entire
 	// point of this wrapper.
@@ -661,16 +657,21 @@ func (s *Service) SubmitAnswer(workerID, taskID string, selected []bool) error {
 // and never touch the budget. Every answer takes the same path — learned by
 // the live engine (incremental EM on the single engine, a log append on the
 // batch engines), counted, and asked whether it makes a full fit due.
-// Without a pipeline the FullEMInterval-th submission runs that fit itself,
-// honoring ctx between EM iterations (a cancelled fit keeps the last
-// published generation and marks the engine dirty); with WithBackgroundFit
-// it only wakes the pipeline and never waits for a fit.
+// Without a scheduler the FullEMInterval-th submission then runs that fit
+// itself, honoring ctx between EM iterations (a cancelled fit returns the
+// context's error: the answer is accepted, the fit still owed); with
+// WithBackgroundFit it only wakes the scheduler and never waits for a fit.
 func (s *Service) SubmitAnswerContext(ctx context.Context, workerID, taskID string, selected []bool) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 	ctx, sub := trace.Start(ctx, "answer.submit")
-	err := s.submitAnswer(ctx, workerID, taskID, selected)
+	fitDue, err := s.submitAnswer(ctx, workerID, taskID, selected)
+	if err == nil && fitDue {
+		// The expensive tail of every FullEMInterval-th submission, run with
+		// the write lock released.
+		err = s.bg.runCycle(ctx, cycle{caller: true, unless: notDue})
+	}
 	if err != nil {
 		sub.Fail(err)
 	}
@@ -678,24 +679,24 @@ func (s *Service) SubmitAnswerContext(ctx context.Context, workerID, taskID stri
 	return err
 }
 
-// submitAnswer is SubmitAnswerContext's body, split out so the wrapper can
-// close the answer.submit span around every return path.
-func (s *Service) submitAnswer(ctx context.Context, workerID, taskID string, selected []bool) error {
+// submitAnswer is SubmitAnswerContext's locked section: it takes the answer
+// in and reports whether the caller now owes the service a full fit.
+func (s *Service) submitAnswer(ctx context.Context, workerID, taskID string, selected []bool) (fitDue bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	w, err := s.lookupWorker(workerID)
 	if err != nil {
-		return err
+		return false, err
 	}
 	t, err := s.lookupTask(taskID)
 	if err != nil {
-		return err
+		return false, err
 	}
 	if got, want := len(selected), len(s.tasks[t].Labels); got != want {
-		return fmt.Errorf("poilabel: answer to task %q has %d votes, task has %d labels", taskID, got, want)
+		return false, fmt.Errorf("poilabel: answer to task %q has %d votes, task has %d labels", taskID, got, want)
 	}
 	if err := s.ensureEngine(); err != nil {
-		return err
+		return false, err
 	}
 	a := Answer{Worker: w, Task: t, Selected: append([]bool(nil), selected...)}
 	// The dedup phase: was this pair handed out by RequestTasks (pending),
@@ -707,20 +708,21 @@ func (s *Service) submitAnswer(ctx context.Context, workerID, taskID string, sel
 		ded.Attr("pending", "true")
 	}
 	ded.End()
-	// Is a full fit due once this answer is in, and who runs it? Inline, this
-	// submission when it completes the FullEMInterval; with a pipeline, the
-	// scheduler, woken at its eager threshold (its tick picks up the rest).
-	var fitInline, wakePipeline bool
-	if s.bg == nil {
-		fitInline = s.cfg.fullEMInterval > 0 && s.sinceFull+1 >= s.cfg.fullEMInterval
+	// Is a full fit due once this answer is in, and who triggers it? The
+	// scheduler, woken at its eager threshold (its tick picks up the rest);
+	// without one, this submission when it completes the FullEMInterval,
+	// unless a cycle in flight will cover the answer when it merges.
+	var wakeScheduler bool
+	if s.bg.scheduled {
+		wakeScheduler = s.bg.backlog()+1 >= uint64(s.cfg.bgMinAnswers)
 	} else {
-		wakePipeline = s.bg.backlog()+1 >= uint64(s.cfg.bgMinAnswers)
+		fitDue = s.cfg.fullEMInterval > 0 && s.sinceFull+1 >= s.cfg.fullEMInterval && len(s.bg.slot) == 0
 	}
 	// The engine's cheap per-answer update keeps the live parameters warm
-	// between full fits; the answer an inline fit follows is only logged,
+	// between full fits; the answer a fit follows at once is only logged,
 	// since the fit recomputes every estimate from the log.
 	_, lrn := trace.Start(ctx, "answer.learn")
-	if fitInline {
+	if fitDue {
 		err = s.eng.Observe(a)
 	} else {
 		err = s.eng.Learn(a)
@@ -728,7 +730,7 @@ func (s *Service) submitAnswer(ctx context.Context, workerID, taskID string, sel
 	if err != nil {
 		lrn.Fail(err)
 		lrn.End()
-		return err
+		return false, err
 	}
 	lrn.End()
 	s.led.answer(w, t)
@@ -739,82 +741,13 @@ func (s *Service) submitAnswer(ctx context.Context, workerID, taskID string, sel
 	}
 	s.sinceFull++
 	s.dirty = true
-	if s.deltaActive {
-		s.delta = append(s.delta, a)
-	}
 	if s.observer != nil {
-		s.observer.AnswerObserved(fitInline)
+		s.observer.AnswerObserved(fitDue)
 	}
-	switch {
-	case fitInline:
-		// The expensive tail of every FullEMInterval-th submission.
-		fctx, fit := trace.Start(ctx, "answer.fit_inline")
-		err := s.fitInlineLocked(fctx)
-		if err != nil {
-			fit.Fail(err)
-		}
-		fit.End()
-		return err
-	case wakePipeline:
+	if wakeScheduler {
 		s.bg.kickNow()
 	}
-	return nil
-}
-
-// fitInlineLocked is the inline placement of a full fit: EM on the live
-// engine under the write lock, which callers must hold, then one
-// publication. A failed (cancelled) fit publishes nothing — the last
-// generation keeps serving — and leaves the engine dirty so the next barrier
-// retries. Fitting under the write lock is this placement's documented
-// contract, so lockorder's blocking-call walk stops here instead of flagging
-// every caller; a service with a pipeline never reaches this function — its
-// fits run in fitPipeline.runCycle, off-lock, and end in the same publish.
-//
-//lint:sanctioned lockorder the inline fit placement fits under the write lock by design
-func (s *Service) fitInlineLocked(ctx context.Context) error {
-	s.sinceFull = 0
-	start := time.Now()
-	converged, err := s.eng.Fit(ctx)
-	if s.observer != nil {
-		s.observer.FitObserved(time.Since(start), converged, err)
-	}
-	if err != nil {
-		s.dirty = true
-		return err
-	}
-	s.dirty = false
-	seq := s.led.answered()
-	s.publishLocked(seq, seq, converged)
-	return nil
-}
-
-// fitInline is the inline placement's freshness barrier, the counterpart of
-// fitPipeline.await: it runs a full fit when one is owed — always with refit,
-// otherwise only when answers or registrations arrived since the last one —
-// and returns with the published generation up to date. With build it first
-// constructs an engine that does not exist yet, so that the fit's publication
-// is the engine's first generation rather than its second.
-func (s *Service) fitInline(ctx context.Context, build, refit bool) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	err := ctx.Err()
-	if err != nil || (s.eng == nil && !build) {
-		return err
-	}
-	if s.eng == nil {
-		if err := s.buildEngine(nil, 0); err != nil {
-			return err
-		}
-	}
-	if refit || s.dirty {
-		err = s.fitInlineLocked(ctx)
-	}
-	if s.published.Load() == nil {
-		// The engine was built above and its fit failed or was not owed: the
-		// prior-only generation stands in, as after ensureEngine.
-		s.publishLocked(0, 0, false)
-	}
-	return err
+	return fitDue, nil
 }
 
 // RequestTasks runs the task assigner for a set of requesting workers and
@@ -825,13 +758,13 @@ func (s *Service) fitInline(ctx context.Context, build, refit bool) error {
 // RequestTasks returns ErrBudgetExhausted; when it runs out mid-round the
 // round is trimmed to the remaining units.
 //
-// With a fit pipeline on the single engine and the AccOpt assigner, planning
+// With a fit scheduler on the single engine and the AccOpt assigner, planning
 // runs off the write lock against the last published parameter generation;
 // only a short optimistic commit takes the write lock, re-checking each pick
 // against the live pending set, answer log, and budget, and replanning
 // conflicted picks. Every other configuration — batch engines, other
 // assigners, workers registered after the last publication, and every service
-// whose fits run inline, where the live engine's per-answer updates are newer
+// without a scheduler, where the live engine's per-answer updates are newer
 // than any generation — plans from the live engine under the write lock. Both
 // paths produce identical assignments on a quiesced service.
 func (s *Service) RequestTasks(ctx context.Context, workerIDs []string) (map[string][]string, error) {
@@ -873,7 +806,7 @@ func (s *Service) capturePlan(workerIDs []string) ([]WorkerID, *planContext, err
 		}
 		ws[i] = w
 	}
-	// Only the single engine with AccOpt behind a fit pipeline publishes a
+	// Only the single engine with AccOpt behind a fit scheduler publishes a
 	// plan view (planEnabled), so a generation that carries one implies it.
 	pub := s.published.Load()
 	if s.forceLockedPlan || pub == nil || pub.plan == nil {
@@ -964,12 +897,12 @@ func handOut(accepted map[WorkerID][]TaskID, workerKey, taskKeys []string) (out 
 
 // Fit brings the published generation up to a full fit over every answer
 // accepted so far and reports whether that fit converged, building the engine
-// first if nothing has yet. Without a pipeline it always refits — inline, on
-// the live engine, honoring ctx between EM iterations; a cancelled fit keeps
-// the last published generation. With WithBackgroundFit it is a barrier, not
-// an unconditional refit: it returns as soon as a generation whose full fit
-// covers every accepted answer is published, asking the pipeline for one only
-// when the current generation falls short.
+// first if nothing has yet. Without a scheduler it always refits — the caller
+// runs the fit and waits for it, ctx honored between EM iterations; a
+// cancelled fit keeps the last published generation. With WithBackgroundFit
+// it is a barrier, not an unconditional refit: it returns as soon as a
+// generation whose full fit covers every accepted answer is published, asking
+// the scheduler for one only when the current generation falls short.
 func (s *Service) Fit(ctx context.Context) (converged bool, err error) {
 	if err := s.fullFitBarrier(ctx, true); err != nil {
 		return false, err
@@ -979,19 +912,23 @@ func (s *Service) Fit(ctx context.Context) (converged bool, err error) {
 
 // WaitFresh blocks until the published generation reflects, through a full
 // EM fit, every answer accepted before the call — the barrier tests and
-// pre-checkpoint hooks use to quiesce the service. With a pipeline it waits
-// on (and requests) pipeline generations; without one it runs the fit inline
-// when anything arrived since the last. It never builds the engine: before
-// anything was inferred there is nothing to wait for.
+// pre-checkpoint hooks use to quiesce the service. With a scheduler it waits
+// on (and requests) the scheduler's generations; without one the caller runs
+// the fit when anything arrived since the last. It never builds the engine:
+// before anything was inferred there is nothing to wait for.
 func (s *Service) WaitFresh(ctx context.Context) error {
 	return s.fullFitBarrier(ctx, false)
 }
 
-// fullFitBarrier is Fit (force) and WaitFresh (not): who runs the full fit
-// the caller waits for is the one thing the fit placement decides here.
+// fullFitBarrier is Fit (force) and WaitFresh (not): who triggers the full
+// fit the caller waits for is the one thing a scheduler decides here.
 func (s *Service) fullFitBarrier(ctx context.Context, force bool) error {
-	if s.bg == nil {
-		return s.fitInline(ctx, force, force)
+	if !s.bg.scheduled {
+		c := cycle{caller: true, build: force, unless: clean}
+		if force {
+			c.unless = nil
+		}
+		return s.bg.runCycle(ctx, c)
 	}
 	if force {
 		if err := s.ensurePublished(); err != nil {
@@ -1013,18 +950,18 @@ func (s *Service) ensurePublished() error {
 }
 
 // servedGen is the one read path: the published generation, building the
-// engine on the very first read. Where full fits run inline a read is fresh
-// by contract, so it first passes the same barrier WaitFresh is (a lock and
-// a flag test on a settled service); with a pipeline it never waits.
+// engine on the very first read. Without a scheduler a read is fresh by
+// contract, so it first passes the barrier WaitFresh is (a read lock and a
+// flag test on a settled service); with one it never waits.
 func (s *Service) servedGen(ctx context.Context) (*paramGen, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	var err error
-	if s.bg == nil {
-		err = s.fitInline(ctx, true, false)
-	} else {
+	if s.bg.scheduled {
 		err = s.ensurePublished()
+	} else {
+		err = s.bg.runCycle(ctx, cycle{caller: true, build: true, unless: clean})
 	}
 	if err != nil {
 		return nil, err
@@ -1033,10 +970,10 @@ func (s *Service) servedGen(ctx context.Context) (*paramGen, error) {
 }
 
 // Results returns the current inference for every registered task, keyed by
-// stable IDs, from the published generation. Without a pipeline it first
-// fits inline if answers or registrations arrived since the last full fit, so
-// the snapshot covers everything accepted before the call; on a settled
-// service that is a pointer load. With WithBackgroundFit it never triggers a
+// stable IDs, from the published generation. Without a scheduler the caller
+// first runs a full fit if answers or registrations arrived since the last
+// one, so the snapshot covers everything accepted before the call; on a
+// settled service that is a flag test. With WithBackgroundFit it never triggers a
 // fit and never waits on one — reads see generation N while N+1 is still
 // fitting, and tasks registered since the last publication appear in the
 // next generation; use WaitFresh first when a fully fitted snapshot matters

@@ -11,7 +11,10 @@ import (
 	"poilabel"
 	"poilabel/internal/core"
 	"poilabel/internal/experiment"
+	"poilabel/internal/federation"
+	"poilabel/internal/geo"
 	"poilabel/internal/model"
+	"poilabel/internal/shard"
 )
 
 // serviceBenchWorld builds a mid-scale synthetic world (2000 tasks, 100
@@ -228,76 +231,127 @@ func BenchmarkServiceRequestTasks(b *testing.B) {
 	}
 }
 
-// BenchmarkFitPlacement prices the one decision WithBackgroundFit makes —
-// where a full fit runs — on the repository benchmark's world sizes: the same
-// forced 30-iteration fit, inline on the live engine under the write lock,
-// and on the pipeline over a copy (capture, scratch rebuild from the
-// snapshot, EM, swap). Every iteration accepts one fresh answer and passes
-// the freshness barrier, which is one fit in either placement. The ratio is
-// why the inline placement exists (PERFORMANCE.md, "Where a fit runs"):
+// BenchmarkFitCycle prices the one fit cycle against the floor it is built on,
+// on the repository benchmark's world sizes: the same forced 30-iteration fit
+// run by a bare engine in place (no Service, no fork — the floor), by a caller
+// (Service.Fit without a scheduler) and by the scheduler (WaitFresh behind
+// WithBackgroundFit). Every iteration accepts one fresh answer and fits once.
+// What a cycle adds to EM is the fork (a parameter copy) and the adoption, so
+// both service rows read within a few percent of the floor (PERFORMANCE.md,
+// "Where a fit runs"):
 //
-//	go test -run '^$' -bench FitPlacement -benchtime 9x .
-func BenchmarkFitPlacement(b *testing.B) {
+//	go test -run '^$' -bench FitCycle -benchtime 9x .
+func BenchmarkFitCycle(b *testing.B) {
 	worlds := []struct{ tasks, answers int }{{2500, 6000}, {5000, 20000}, {8000, 26000}}
+	fixed := core.DefaultConfig()
+	fixed.Tol, fixed.MaxIter = math.SmallestNonzeroFloat64, 30
+	shCfg := shard.Config{Model: fixed}
 	engines := []struct {
 		name string
 		opts []poilabel.ServiceOption
+		// bare builds the engine the service would, and returns how it takes
+		// an answer between fits and how it fits in place.
+		bare func(env *experiment.Env, norm geo.Normalizer) (learn func(model.Answer) error, fit func(), err error)
 	}{
-		{"single", []poilabel.ServiceOption{poilabel.WithEngine(poilabel.EngineSingle)}},
-		{"sharded", []poilabel.ServiceOption{poilabel.WithEngine(poilabel.EngineSharded), poilabel.WithShards(4)}},
-		{"federated", []poilabel.ServiceOption{poilabel.WithEngine(poilabel.EngineFederated), poilabel.WithCities(2), poilabel.WithShards(2)}},
+		{"single", []poilabel.ServiceOption{poilabel.WithEngine(poilabel.EngineSingle)},
+			func(env *experiment.Env, norm geo.Normalizer) (func(model.Answer) error, func(), error) {
+				m, err := core.NewModel(env.Data.Tasks, env.Workers, norm, fixed)
+				if err != nil {
+					return nil, nil, err
+				}
+				return m.Update, func() { m.Fit() }, nil
+			}},
+		{"sharded", []poilabel.ServiceOption{poilabel.WithEngine(poilabel.EngineSharded), poilabel.WithShards(4)},
+			func(env *experiment.Env, norm geo.Normalizer) (func(model.Answer) error, func(), error) {
+				cfg := shCfg
+				cfg.Shards = 4
+				sh, err := shard.New(env.Data.Tasks, env.Workers, norm, cfg)
+				if err != nil {
+					return nil, nil, err
+				}
+				return sh.Observe, func() { sh.Fit() }, nil
+			}},
+		{"federated", []poilabel.ServiceOption{poilabel.WithEngine(poilabel.EngineFederated), poilabel.WithCities(2), poilabel.WithShards(2)},
+			func(env *experiment.Env, norm geo.Normalizer) (func(model.Answer) error, func(), error) {
+				cfg := shCfg
+				cfg.Shards = 2
+				fed, err := federation.New(env.Data.Tasks, env.Workers, norm, federation.Config{Cities: 2, Shard: cfg})
+				if err != nil {
+					return nil, nil, err
+				}
+				return fed.Observe, func() { fed.Fit() }, nil
+			}},
 	}
-	placements := []struct {
-		name string
-		opts []poilabel.ServiceOption
-	}{
-		{"inline", nil},
-		// Never fires on its own: every fit is the barrier's.
-		{"pipeline", []poilabel.ServiceOption{poilabel.WithBackgroundFit(time.Hour, 1<<30)}},
-	}
-	fixed := core.DefaultConfig()
-	fixed.Tol, fixed.MaxIter = math.SmallestNonzeroFloat64, 30
 	ctx := context.Background()
 	for _, w := range worlds {
 		env, err := experiment.SyntheticEnv(w.tasks, 100, benchSeed)
 		if err != nil {
 			b.Fatal(err)
 		}
+		var pts []geo.Point
+		for _, t := range env.Data.Tasks {
+			pts = append(pts, t.Location)
+		}
+		for _, wk := range env.Workers {
+			pts = append(pts, wk.Locations...)
+		}
+		norm := geo.NewNormalizer(geo.Bound(pts).Diameter())
 		// Pair p: every task in turn, a different worker on each lap.
-		submit := func(svc *poilabel.Service, p int) {
+		pair := func(p int) model.Answer {
 			ti, wi := p%w.tasks, (p+13*(p/w.tasks))%len(env.Workers)
-			a := env.Sim.Answer(model.WorkerID(wi), model.TaskID(ti))
-			if err := svc.SubmitAnswer(fmt.Sprintf("w%d", wi), fmt.Sprintf("t%d", ti), a.Selected); err != nil {
+			return env.Sim.Answer(model.WorkerID(wi), model.TaskID(ti))
+		}
+		// run feeds the world's answers through learn, fits once, then times
+		// b.N rounds of one fresh answer and one fit. The fastest round is the
+		// comparable number: on a shared box the mean of nine mostly measures
+		// the neighbours.
+		run := func(b *testing.B, learn func(model.Answer) error, fit func() error) {
+			for p := 0; p < w.answers; p++ {
+				if err := learn(pair(p)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := fit(); err != nil {
 				b.Fatal(err)
 			}
+			fastest := time.Duration(math.MaxInt64)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				start := time.Now()
+				if err := learn(pair(w.answers + i)); err != nil {
+					b.Fatal(err)
+				}
+				if err := fit(); err != nil {
+					b.Fatal(err)
+				}
+				fastest = min(fastest, time.Since(start))
+			}
+			b.ReportMetric(float64(fastest.Microseconds())/1e3, "fastest-ms")
+		}
+		service := func(b *testing.B, opts []poilabel.ServiceOption, fit func(*poilabel.Service) error) {
+			svc := newBenchService(b, env, append([]poilabel.ServiceOption{poilabel.WithModelConfig(fixed)}, opts...)...)
+			defer svc.Close(ctx)
+			run(b, func(a model.Answer) error {
+				return svc.SubmitAnswer(fmt.Sprintf("w%d", a.Worker), fmt.Sprintf("t%d", a.Task), a.Selected)
+			}, func() error { return fit(svc) })
 		}
 		for _, eng := range engines {
-			for _, pl := range placements {
-				b.Run(fmt.Sprintf("tasks=%d/%s/%s", w.tasks, eng.name, pl.name), func(b *testing.B) {
-					opts := append(append([]poilabel.ServiceOption{poilabel.WithModelConfig(fixed)}, eng.opts...), pl.opts...)
-					svc := newBenchService(b, env, opts...)
-					defer svc.Close(ctx)
-					for p := 0; p < w.answers; p++ {
-						submit(svc, p)
-					}
-					if err := svc.WaitFresh(ctx); err != nil {
-						b.Fatal(err)
-					}
-					// The fastest iteration is the comparable number: on a
-					// shared box the mean of nine mostly measures the neighbours.
-					fastest := time.Duration(math.MaxInt64)
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						start := time.Now()
-						submit(svc, w.answers+i)
-						if err := svc.WaitFresh(ctx); err != nil {
-							b.Fatal(err)
-						}
-						fastest = min(fastest, time.Since(start))
-					}
-					b.ReportMetric(float64(fastest.Microseconds())/1e3, "fastest-ms")
-				})
-			}
+			name := fmt.Sprintf("tasks=%d/%s/", w.tasks, eng.name)
+			b.Run(name+"in-place", func(b *testing.B) {
+				learn, fit, err := eng.bare(env, norm)
+				if err != nil {
+					b.Fatal(err)
+				}
+				run(b, learn, func() error { fit(); return nil })
+			})
+			b.Run(name+"caller", func(b *testing.B) {
+				service(b, eng.opts, func(svc *poilabel.Service) error { _, err := svc.Fit(ctx); return err })
+			})
+			b.Run(name+"scheduler", func(b *testing.B) {
+				// Never fires on its own: every fit is the barrier's.
+				service(b, append(eng.opts[:len(eng.opts):len(eng.opts)], poilabel.WithBackgroundFit(time.Hour, 1<<30)),
+					func(svc *poilabel.Service) error { return svc.WaitFresh(ctx) })
+			})
 		}
 	}
 }
