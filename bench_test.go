@@ -180,7 +180,7 @@ func BenchmarkAblationUpdatePolicy(b *testing.B) {
 	}
 }
 
-func BenchmarkAblationGreedyVsExhaustive(b *testing.B) {
+func BenchmarkAblationGreedy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := experiment.RunAblationGreedy(benchSeed); err != nil {
 			b.Fatal(err)

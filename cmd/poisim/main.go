@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	poisim [-dataset Beijing|China] [-seed N] [-budget N] [-assigner accopt|sf|random] [-shards K] [-save FILE]
+//	poisim [-dataset Beijing|China] [-seed N] [-budget N] [-assigner accopt|sf|entropy|random] [-shards K] [-save FILE]
 //
 // With -save the generated dataset is written as JSON for inspection or
 // replay through the library. With -shards K (K > 1) the collected answer
@@ -32,7 +32,7 @@ func main() {
 	datasetName := flag.String("dataset", "Beijing", "dataset: Beijing or China")
 	seed := flag.Int64("seed", 7, "scenario seed")
 	budget := flag.Int("budget", 1000, "assignment budget")
-	assigner := flag.String("assigner", "accopt", "assigner: accopt, marginal, sf, entropy, or random")
+	assigner := flag.String("assigner", "accopt", "assigner: accopt, sf, entropy, or random")
 	shards := flag.Int("shards", 0, "also refit the answer log with K geographic shards and compare")
 	save := flag.String("save", "", "write the generated dataset JSON to this path")
 	flag.Parse()
@@ -61,8 +61,6 @@ func run(datasetName string, seed int64, budget int, assignerName string, shards
 	switch assignerName {
 	case "accopt":
 		asg = assign.AccOpt{}
-	case "marginal":
-		asg = assign.MarginalGreedy{}
 	case "sf":
 		asg = assign.NewSpatialFirst(env.Data.Tasks)
 	case "entropy":
@@ -70,7 +68,7 @@ func run(datasetName string, seed int64, budget int, assignerName string, shards
 	case "random":
 		asg = assign.Random{Rand: newRand(seed + 500)}
 	default:
-		return fmt.Errorf("unknown assigner %q (want accopt, marginal, sf, entropy, or random)", assignerName)
+		return fmt.Errorf("unknown assigner %q (want accopt, sf, entropy, or random)", assignerName)
 	}
 
 	m, err := env.NewModel()

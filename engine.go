@@ -128,8 +128,6 @@ func newAssigner(kind AssignerKind, tasks []Task, seed int64) (assign.ExcludingA
 		return assign.Random{Rand: rand.New(rand.NewSource(seed))}, nil
 	case AssignerEntropy:
 		return assign.EntropyFirst{}, nil
-	case AssignerMarginalGreedy:
-		return assign.NewMarginalPlanner(), nil
 	}
 	return nil, fmt.Errorf("poilabel: unknown assigner kind %d", kind)
 }

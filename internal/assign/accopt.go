@@ -15,11 +15,14 @@ import (
 // of that task for the remaining workers, and stops when every available
 // worker holds h tasks.
 //
-// Following the paper's pseudocode, the improvement matrix stores the total
-// improvement of the bundle Ŵ(t) ∪ {w} rather than the marginal gain of w;
-// diminishing (and eventually negative) per-worker increments are what
-// spreads assignments across tasks. A marginal-gain variant is available as
-// MarginalGreedy for the ablation benchmarks.
+// The improvement matrix stores the marginal gain Δ(Ŵ(t) ∪ {w}) − Δ(Ŵ(t)) of
+// adding w to the workers already picked for t this round: each pick is
+// credited with what it adds to Definition 7's objective, and diminishing
+// increments are what spreads assignments across tasks. Storing the total of
+// the bundle instead — the other way to read Algorithm 1's pseudocode —
+// credits every later pick on a task with its predecessors' improvement as
+// well, piles workers onto the tasks picked first, and loses the paper's
+// AccOpt > SF ordering on the seeded worlds; EXPERIMENTS.md has the numbers.
 //
 // AccOpt is stateless: every call builds fresh scratch state. Loops that
 // assign round after round against the same model should hold a Planner,
@@ -39,24 +42,6 @@ func (AccOpt) AssignExcluding(v View, workers []model.WorkerID, h int, skip Skip
 	return NewPlanner().AssignExcluding(v, workers, h, skip)
 }
 
-// MarginalGreedy is an ablation variant of AccOpt whose improvement matrix
-// stores the marginal gain Δ(Ŵ(t) ∪ {w}) − Δ(Ŵ(t)) of adding w, the
-// textbook greedy for a submodular-style objective.
-type MarginalGreedy struct{}
-
-// Name implements Assigner.
-func (MarginalGreedy) Name() string { return "AccOpt-marginal" }
-
-// Assign implements Assigner.
-func (MarginalGreedy) Assign(v View, workers []model.WorkerID, h int) Assignment {
-	return NewMarginalPlanner().Assign(v, workers, h)
-}
-
-// AssignExcluding implements ExcludingAssigner.
-func (MarginalGreedy) AssignExcluding(v View, workers []model.WorkerID, h int, skip SkipFunc) Assignment {
-	return NewMarginalPlanner().AssignExcluding(v, workers, h, skip)
-}
-
 var unavailable = math.Inf(-1)
 
 // Planner runs the greedy assignment with round-scoped scratch buffers that
@@ -68,8 +53,6 @@ var unavailable = math.Inf(-1)
 // returns, plus its goroutines when the init fans out — and is not safe for
 // concurrent use. It implements Assigner.
 type Planner struct {
-	marginal bool
-
 	matrix []float64 // backing store for the p and delta rows
 	p      [][]float64
 	delta  [][]float64
@@ -93,17 +76,8 @@ type Planner struct {
 // NewPlanner returns a reusable AccOpt planner.
 func NewPlanner() *Planner { return &Planner{} }
 
-// NewMarginalPlanner returns a reusable planner for the marginal-gain
-// ablation variant.
-func NewMarginalPlanner() *Planner { return &Planner{marginal: true} }
-
 // Name implements Assigner.
-func (pl *Planner) Name() string {
-	if pl.marginal {
-		return "AccOpt-marginal"
-	}
-	return "AccOpt"
-}
+func (pl *Planner) Name() string { return "AccOpt" }
 
 // grow resizes the planner's buffers for a round over nW workers and nT
 // tasks, reusing prior capacity where possible, and forgets the previous
@@ -198,10 +172,10 @@ func (pl *Planner) AssignExcluding(v View, workers []model.WorkerID, h int, skip
 	}
 
 	// p[i][t]: agreement probability of workers[i] on task t.
-	// delta[i][t]: matrix entry per Algorithm 1 (bundle total, or marginal
-	// gain in the ablation variant; the two coincide while the bundle is
-	// empty). unavailable marks pairs that cannot be assigned (already
-	// answered, excluded by skip, or assigned this round).
+	// delta[i][t]: matrix entry per Algorithm 1, the marginal gain of adding
+	// workers[i] to the workers picked for t so far this round. unavailable
+	// marks pairs that cannot be assigned (already answered, excluded by
+	// skip, or assigned this round).
 	//
 	// The O(|W|·|T|·L) init dominates a round, is embarrassingly parallel
 	// over workers, and each chunk touches only its own workers' rows, so
@@ -259,10 +233,7 @@ func (pl *Planner) AssignExcluding(v View, workers []model.WorkerID, h int, skip
 		pz := params.PZ[tmax]
 		la := pl.bundle(tmax, pz)
 		la.Extend(pl.p[imax][tmax])
-		var bundleDelta float64
-		if pl.marginal {
-			bundleDelta = la.Delta(pz)
-		}
+		bundleDelta := la.Delta(pz)
 
 		// Refresh the tmax column for every other active worker and fix
 		// their cached best entries. Entries for other tasks are
@@ -273,11 +244,7 @@ func (pl *Planner) AssignExcluding(v View, workers []model.WorkerID, h int, skip
 				continue
 			}
 			if pl.delta[i][tmax] != unavailable {
-				d := la.SingleDelta(pz, pl.p[i][tmax])
-				if pl.marginal {
-					d -= bundleDelta
-				}
-				pl.delta[i][tmax] = d
+				pl.delta[i][tmax] = la.SingleDelta(pz, pl.p[i][tmax]) - bundleDelta
 			}
 			if pl.delta[i][tmax] > pl.bestD[i] {
 				pl.bestD[i] = pl.delta[i][tmax]

@@ -17,7 +17,7 @@ import (
 // linear O(|W|) argmax scan per pick, and fresh scratch per call. The
 // heap-based, parallel-init, kernel-filled Planner must reproduce its output
 // byte for byte — same picks, same order, same per-worker task lists.
-func referenceGreedy(m *core.Model, workers []model.WorkerID, h int, marginal bool, skip SkipFunc) Assignment {
+func referenceGreedy(m *core.Model, workers []model.WorkerID, h int, skip SkipFunc) Assignment {
 	est := NewEstimator(m)
 	tasks := m.Tasks()
 	answers := m.Answers()
@@ -100,11 +100,7 @@ func referenceGreedy(m *core.Model, workers []model.WorkerID, h int, marginal bo
 				continue
 			}
 			if delta[i][tmax] != unavailable {
-				d := taskAcc[tmax].SingleDelta(params.PZ[tmax], p[i][tmax])
-				if marginal {
-					d -= taskDelta[tmax]
-				}
-				delta[i][tmax] = d
+				delta[i][tmax] = taskAcc[tmax].SingleDelta(params.PZ[tmax], p[i][tmax]) - taskDelta[tmax]
 			}
 			if delta[i][tmax] > bestD[i] {
 				bestD[i] = delta[i][tmax]
@@ -139,7 +135,7 @@ func regressionWorld(t *testing.T, nT, nW int, seed int64) *core.Model {
 
 // The Planner (heap pick, parallel init, reused scratch, lazily built bundle
 // state) must be byte-identical to the reference greedy across scales,
-// variants, views, exclusions, and repeated rounds on the same planner while
+// views, exclusions, and repeated rounds on the same planner while
 // the model grows under it.
 func TestPlannerMatchesReferenceGreedy(t *testing.T) {
 	// Force several P so the goroutine-chunked init actually runs even on
@@ -154,56 +150,50 @@ func TestPlannerMatchesReferenceGreedy(t *testing.T) {
 		{600, 24, 2, 7}, // large enough to cross the parallel-init threshold
 	}
 	for _, tc := range cases {
-		for _, marginal := range []bool{false, true} {
-			m := regressionWorld(t, tc.nT, tc.nW, tc.seed)
-			workers := allWorkers(tc.nW)
-
-			pl := NewPlanner()
-			if marginal {
-				pl = NewMarginalPlanner()
+		m := regressionWorld(t, tc.nT, tc.nW, tc.seed)
+		workers := allWorkers(tc.nW)
+		pl := NewPlanner()
+		// Three rounds on the same planner, each against a fresh
+		// reference run: the later ones exercise the buffer-reuse path,
+		// an exclusion set, and a task and a worker the planner's
+		// buffers were not sized for.
+		for round := 0; round < 3; round++ {
+			var skip SkipFunc
+			if round > 0 {
+				skip = func(w model.WorkerID, tid model.TaskID) bool { return (int(w)+int(tid)+round)%7 == 0 }
 			}
-			// Three rounds on the same planner, each against a fresh
-			// reference run: the later ones exercise the buffer-reuse path,
-			// an exclusion set, and a task and a worker the planner's
-			// buffers were not sized for.
-			for round := 0; round < 3; round++ {
-				var skip SkipFunc
-				if round > 0 {
-					skip = func(w model.WorkerID, tid model.TaskID) bool { return (int(w)+int(tid)+round)%7 == 0 }
-				}
-				want := referenceGreedy(m, workers, tc.h, marginal, skip)
-				got := pl.AssignExcluding(m, workers, tc.h, skip)
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("nT=%d nW=%d marginal=%v round %d: planner diverges from reference\n got: %v\nwant: %v",
-						tc.nT, tc.nW, marginal, round, got, want)
-				}
-				// The same round once more, over a snapshot. The run above
-				// extended the bundle state of every task it picked; a
-				// state that outlived its round would be extended twice.
-				if again := pl.AssignExcluding(SnapshotModel(m), workers, tc.h, skip); !reflect.DeepEqual(again, want) {
-					t.Fatalf("nT=%d nW=%d marginal=%v round %d: replanning over a snapshot diverges from reference\n got: %v\nwant: %v",
-						tc.nT, tc.nW, marginal, round, again, want)
-				}
-				// Execute the round so the next one starts from a
-				// different model state.
-				rng := rand.New(rand.NewSource(tc.seed + int64(round)))
-				for _, w := range workers {
-					for _, tid := range got[w] {
-						sel := make([]bool, 3)
-						for k := range sel {
-							sel[k] = rng.Intn(2) == 0
-						}
-						if err := m.Observe(model.Answer{Worker: w, Task: tid, Selected: sel}); err != nil {
-							t.Fatal(err)
-						}
+			want := referenceGreedy(m, workers, tc.h, skip)
+			got := pl.AssignExcluding(m, workers, tc.h, skip)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("nT=%d nW=%d round %d: planner diverges from reference\n got: %v\nwant: %v",
+					tc.nT, tc.nW, round, got, want)
+			}
+			// The same round once more, over a snapshot. The run above
+			// extended the bundle state of every task it picked; a
+			// state that outlived its round would be extended twice.
+			if again := pl.AssignExcluding(SnapshotModel(m), workers, tc.h, skip); !reflect.DeepEqual(again, want) {
+				t.Fatalf("nT=%d nW=%d round %d: replanning over a snapshot diverges from reference\n got: %v\nwant: %v",
+					tc.nT, tc.nW, round, again, want)
+			}
+			// Execute the round so the next one starts from a
+			// different model state.
+			rng := rand.New(rand.NewSource(tc.seed + int64(round)))
+			for _, w := range workers {
+				for _, tid := range got[w] {
+					sel := make([]bool, 3)
+					for k := range sel {
+						sel[k] = rng.Intn(2) == 0
+					}
+					if err := m.Observe(model.Answer{Worker: w, Task: tid, Selected: sel}); err != nil {
+						t.Fatal(err)
 					}
 				}
-				if round == 0 {
-					growWorld(t, m)
-					workers = allWorkers(len(m.Workers()))
-				}
-				m.Fit()
 			}
+			if round == 0 {
+				growWorld(t, m)
+				workers = allWorkers(len(m.Workers()))
+			}
+			m.Fit()
 		}
 	}
 }

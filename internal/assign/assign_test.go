@@ -165,14 +165,22 @@ func TestSpatialFirstMinOverLocations(t *testing.T) {
 }
 
 func TestAccOptInvariants(t *testing.T) {
-	m := smallWorld(t, 12, 5, 11)
-	rng := rand.New(rand.NewSource(12))
-	warm(t, m, [][2]int{{0, 0}, {1, 0}, {2, 3}, {0, 5}}, rng)
-	workers := allWorkers(5)
-	a := AccOpt{}.Assign(m, workers, 2)
-	checkAssignment(t, m, a, workers, 2)
-	if a.TotalTasks() != 10 {
-		t.Errorf("AccOpt assigned %d pairs, want 10", a.TotalTasks())
+	for _, tc := range []struct {
+		nT, nW int
+		seed   int64
+		warm   [][2]int
+	}{
+		{12, 5, 11, [][2]int{{0, 0}, {1, 0}, {2, 3}, {0, 5}}},
+		{8, 3, 30, [][2]int{{0, 1}, {1, 2}}},
+	} {
+		m := smallWorld(t, tc.nT, tc.nW, tc.seed)
+		warm(t, m, tc.warm, rand.New(rand.NewSource(tc.seed+1)))
+		workers := allWorkers(tc.nW)
+		a := AccOpt{}.Assign(m, workers, 2)
+		checkAssignment(t, m, a, workers, 2)
+		if a.TotalTasks() != 2*tc.nW {
+			t.Errorf("AccOpt assigned %d pairs to %d workers, want %d", a.TotalTasks(), tc.nW, 2*tc.nW)
+		}
 	}
 }
 
@@ -196,12 +204,9 @@ func TestAccOptPrefersHighImpactPairs(t *testing.T) {
 }
 
 func TestAccOptMatchesExhaustiveObjective(t *testing.T) {
-	// On small instances both greedies must stay below the exhaustive
-	// optimum of Definition 7 (sanity of Exhaustive) and within a
-	// reasonable fraction of it. The paper's literal Algorithm 1 stores
-	// bundle totals in its improvement matrix, which biases it toward
-	// piling workers onto one task; empirically it reaches ~0.65–0.97 of
-	// the optimum here, while the marginal-gain variant reaches ~0.93+.
+	// On small instances the greedy must stay below the exhaustive optimum
+	// of Definition 7 (sanity of Exhaustive) and within 90% of it (0.93+
+	// measured on these seeds).
 	for seed := int64(20); seed < 26; seed++ {
 		m := smallWorld(t, 5, 2, seed)
 		rng := rand.New(rand.NewSource(seed + 100))
@@ -209,29 +214,13 @@ func TestAccOptMatchesExhaustiveObjective(t *testing.T) {
 		workers := allWorkers(2)
 
 		g := TotalDelta(m, AccOpt{}.Assign(m, workers, 2))
-		mg := TotalDelta(m, MarginalGreedy{}.Assign(m, workers, 2))
 		b := TotalDelta(m, Exhaustive{}.Assign(m, workers, 2))
-		if g > b+1e-9 || mg > b+1e-9 {
-			t.Fatalf("seed %d: a greedy (%v / %v) beat exhaustive (%v): exhaustive is broken", seed, g, mg, b)
+		if g > b+1e-9 {
+			t.Fatalf("seed %d: the greedy (%v) beat exhaustive (%v): exhaustive is broken", seed, g, b)
 		}
-		if g < 0.6*b {
-			t.Errorf("seed %d: bundle greedy objective %v below 60%% of optimum %v", seed, g, b)
+		if g < 0.9*b {
+			t.Errorf("seed %d: greedy objective %v below 90%% of optimum %v", seed, g, b)
 		}
-		if mg < 0.9*b {
-			t.Errorf("seed %d: marginal greedy objective %v below 90%% of optimum %v", seed, mg, b)
-		}
-	}
-}
-
-func TestMarginalGreedyInvariants(t *testing.T) {
-	m := smallWorld(t, 8, 3, 30)
-	rng := rand.New(rand.NewSource(31))
-	warm(t, m, [][2]int{{0, 1}, {1, 2}}, rng)
-	workers := allWorkers(3)
-	a := MarginalGreedy{}.Assign(m, workers, 2)
-	checkAssignment(t, m, a, workers, 2)
-	if a.TotalTasks() != 6 {
-		t.Errorf("MarginalGreedy assigned %d pairs, want 6", a.TotalTasks())
 	}
 }
 
@@ -240,7 +229,7 @@ func TestAssignFewerTasksThanH(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	warm(t, m, [][2]int{{0, 0}}, rng)
 	// Only task 1 remains; h=3 must degrade gracefully.
-	for _, asg := range []Assigner{AccOpt{}, MarginalGreedy{}, NewSpatialFirst(m.Tasks()), Random{Rand: rand.New(rand.NewSource(34))}} {
+	for _, asg := range []Assigner{AccOpt{}, NewSpatialFirst(m.Tasks()), Random{Rand: rand.New(rand.NewSource(34))}} {
 		a := asg.Assign(m, []model.WorkerID{0}, 3)
 		if len(a[0]) != 1 || a[0][0] != 1 {
 			t.Errorf("%s assigned %v, want just task 1", asg.Name(), a[0])
@@ -256,7 +245,7 @@ func TestNonPositiveHAssignsNothing(t *testing.T) {
 	warm(t, m, [][2]int{{0, 0}, {1, 3}}, rng)
 	workers := allWorkers(2)
 	assigners := []Assigner{
-		AccOpt{}, MarginalGreedy{}, NewPlanner(), NewMarginalPlanner(),
+		AccOpt{}, NewPlanner(),
 		Random{Rand: rand.New(rand.NewSource(38))}, NewSpatialFirst(m.Tasks()),
 		EntropyFirst{}, Exhaustive{},
 	}
@@ -303,9 +292,6 @@ func TestTotalDeltaEmptyAssignment(t *testing.T) {
 func TestAssignerNames(t *testing.T) {
 	if (AccOpt{}).Name() != "AccOpt" {
 		t.Error("AccOpt name")
-	}
-	if (MarginalGreedy{}).Name() != "AccOpt-marginal" {
-		t.Error("MarginalGreedy name")
 	}
 	if (Random{}).Name() != "Random" {
 		t.Error("Random name")

@@ -139,3 +139,26 @@ func (la *LabelAcc) SingleDelta(pz []float64, p float64) float64 {
 	}
 	return sum
 }
+
+// TotalDelta scores an arbitrary assignment under the estimator — the
+// objective value of Definition 7. Shared by tests comparing greedy against
+// exhaustive and by the experiment harness's ablation-greedy statistics.
+func TotalDelta(v View, a Assignment) float64 {
+	est := NewEstimator(v)
+	params := v.Params()
+	bundle := make(map[model.TaskID][]float64)
+	for w, ts := range a {
+		for _, t := range ts {
+			bundle[t] = append(bundle[t], est.Agreement(w, t))
+		}
+	}
+	var total float64
+	for t, ps := range bundle {
+		la := est.TaskAcc(t)
+		for _, pv := range ps {
+			la.Extend(pv)
+		}
+		total += la.Delta(params.PZ[t])
+	}
+	return total
+}

@@ -8,8 +8,8 @@ import (
 // every way to give each worker h of their undone tasks and scoring the
 // total expected accuracy improvement of Equation 20. The search space is
 // exponential (the problem is NP-hard, Lemma 3), so Exhaustive is only
-// usable on toy instances; the tests use it to measure how close the greedy
-// gets to the optimum.
+// usable on toy instances; TestAccOptMatchesExhaustiveObjective uses it to
+// measure how close the greedy gets to the optimum.
 type Exhaustive struct{}
 
 // Name implements Assigner.
@@ -128,27 +128,4 @@ func subsets(ts []model.TaskID, h int) [][]model.TaskID {
 			idx[j] = idx[j-1] + 1
 		}
 	}
-}
-
-// TotalDelta scores an arbitrary assignment under the estimator — the
-// objective value of Definition 7. Shared by tests comparing greedy against
-// exhaustive and by the experiment harness's Table II statistics.
-func TotalDelta(v View, a Assignment) float64 {
-	est := NewEstimator(v)
-	params := v.Params()
-	bundle := make(map[model.TaskID][]float64)
-	for w, ts := range a {
-		for _, t := range ts {
-			bundle[t] = append(bundle[t], est.Agreement(w, t))
-		}
-	}
-	var total float64
-	for t, ps := range bundle {
-		la := est.TaskAcc(t)
-		for _, pv := range ps {
-			la.Extend(pv)
-		}
-		total += la.Delta(params.PZ[t])
-	}
-	return total
 }

@@ -52,7 +52,7 @@ func TestSnapshotViewMatchesModel(t *testing.T) {
 
 // TestSnapshotPlanIdentical pins the tentpole's exactness claim: planning
 // against a Snapshot produces byte-identical assignments to planning against
-// the live model, for both greedy variants, with and without exclusions.
+// the live model, with and without exclusions.
 func TestSnapshotPlanIdentical(t *testing.T) {
 	m := smallWorld(t, 20, 5, 31)
 	rng := rand.New(rand.NewSource(32))
@@ -69,7 +69,6 @@ func TestSnapshotPlanIdentical(t *testing.T) {
 	}{
 		{"accopt", func(v View) Assignment { return AccOpt{}.AssignExcluding(v, workers, 3, nil) }},
 		{"accopt-skip", func(v View) Assignment { return AccOpt{}.AssignExcluding(v, workers, 3, skip) }},
-		{"marginal", func(v View) Assignment { return MarginalGreedy{}.AssignExcluding(v, workers, 3, nil) }},
 		{"planner", func(v View) Assignment { return NewPlanner().AssignExcluding(v, workers, 4, skip) }},
 	} {
 		live := tc.plan(m)

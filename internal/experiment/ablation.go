@@ -14,7 +14,7 @@ import (
 
 // The ablations probe the design choices DESIGN.md §4 calls out: the α
 // mixing weight, the size of the distance-function set, the model-update
-// policy, and greedy-versus-marginal assignment.
+// policy, and greedy-versus-random assignment.
 
 // RunAblationAlpha sweeps the inference model's α (the Equation 8 weight of
 // worker distance quality versus POI influence) while the data-generating
@@ -146,9 +146,9 @@ func RunAblationUpdatePolicy(seed int64) (fmt.Stringer, error) {
 	return t, nil
 }
 
-// RunAblationGreedy compares the paper's bundle-total greedy (Algorithm 1)
-// against the marginal-gain variant and random assignment, scoring each by
-// the Definition 7 objective on identical model states.
+// RunAblationGreedy compares the paper's greedy (Algorithm 1) against random
+// assignment, scoring each by the Definition 7 objective on identical model
+// states.
 func RunAblationGreedy(seed int64) (fmt.Stringer, error) {
 	t := stats.NewTable("Ablation: assignment objective value (expected accuracy improvement, Beijing)",
 		"assigner", "total delta", "accuracy after round")
@@ -171,7 +171,6 @@ func RunAblationGreedy(seed int64) (fmt.Stringer, error) {
 
 	assigners := []assign.Assigner{
 		assign.AccOpt{},
-		assign.MarginalGreedy{},
 		newRandomForSeed(seed),
 	}
 	for _, asg := range assigners {
@@ -184,8 +183,10 @@ func RunAblationGreedy(seed int64) (fmt.Stringer, error) {
 		if err != nil {
 			return nil, err
 		}
-		for w, ts := range a {
-			for _, tid := range ts {
+		// In worker order: the simulator draws every answer from one
+		// stream, so the order of the draws is part of the result.
+		for _, w := range workers {
+			for _, tid := range a[w] {
 				if err := m2.Observe(env.Sim.Answer(w, tid)); err != nil {
 					return nil, err
 				}
@@ -255,7 +256,7 @@ func RunAblationShapes(seed int64) (fmt.Stringer, error) {
 
 // RunAblationAssigners extends the paper's Figure 11 comparison with the
 // extra assigners this repository implements: the entropy-based selection
-// of CDAS [16] and the marginal-gain greedy.
+// of CDAS [16].
 func RunAblationAssigners(seed int64) (fmt.Stringer, error) {
 	t := stats.NewTable("Ablation: final accuracy of all assigners (budget 1000)",
 		"assigner", "Beijing", "China")
@@ -263,7 +264,6 @@ func RunAblationAssigners(seed int64) (fmt.Stringer, error) {
 		func() assign.Assigner { return assign.Random{Rand: newRand(seed + 300)} },
 		func() assign.Assigner { return assign.EntropyFirst{} },
 		func() assign.Assigner { return assign.NewPlanner() },
-		func() assign.Assigner { return assign.NewMarginalPlanner() },
 	}
 	cols := make(map[string][]float64)
 	names := make([]string, 0, len(assigners))

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"poilabel/internal/stats"
 )
 
 // quickScenario shrinks the default scenario so the experiment tests stay
@@ -317,20 +319,53 @@ func TestRunMultiSeed(t *testing.T) {
 	if len(r.MV) != 2 || len(r.AccOpt) != 2 {
 		t.Fatalf("missing per-seed series: %+v", r)
 	}
-	ime, emv, acs, sfr := r.OrderingCounts()
-	for _, c := range []int{ime, emv, acs, sfr} {
-		if c < 0 || c > 2 {
-			t.Errorf("ordering count %d out of range", c)
-		}
-	}
 	out := r.String()
 	if !strings.Contains(out, "orderings held") || !strings.Contains(out, "Multi-seed") {
 		t.Errorf("rendering incomplete:\n%s", out)
 	}
 }
 
+// TestPaperOrderings holds the reproduction to the orderings the paper
+// prints (Fig. 9: IM > EM > MV; Fig. 11 / Table II: AccOpt > SF > Random) over
+// 20 seeded worlds per dataset, each with the margin it was measured to have.
+// Fifteen of twenty is a one-sided sign test at p < 0.05. IM > EM holds in the
+// mean but on about 13 seeds of 20, so its count is logged, not asserted
+// (EXPERIMENTS.md).
+func TestPaperOrderings(t *testing.T) {
+	seeds := make([]int64, 20)
+	for i := range seeds {
+		seeds[i] = 101 + 7*int64(i)
+	}
+	const significant = 15
+	for _, world := range []string{"Beijing", "China"} {
+		t.Run(world, func(t *testing.T) {
+			t.Parallel()
+			r, err := RunMultiSeed(world, seeds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			imBeatsEM, _, accBeatsSF, sfBeatsRandom := r.OrderingCounts()
+			if accBeatsSF < significant {
+				t.Errorf("AccOpt > SF on %d/%d seeds, want at least %d", accBeatsSF, len(seeds), significant)
+			}
+			if sfBeatsRandom < significant {
+				t.Errorf("SF > Random on %d/%d seeds, want at least %d", sfBeatsRandom, len(seeds), significant)
+			}
+			mv, em, im := stats.Mean(r.MV), stats.Mean(r.EM), stats.Mean(r.IM)
+			if im <= em {
+				t.Errorf("mean IM accuracy %.4f does not exceed mean EM %.4f", im, em)
+			}
+			if im <= mv {
+				t.Errorf("mean IM accuracy %.4f does not exceed mean MV %.4f", im, mv)
+			}
+			t.Logf("IM > EM on %d/%d seeds (mean IM - EM %+.1f pt)\n%s", imBeatsEM, len(seeds), 100*(im-em), r)
+		})
+	}
+}
+
 func TestAblationRunners(t *testing.T) {
-	// Every ablation runner must produce non-empty printable output.
+	// Every ablation runner must produce non-empty printable output, and the
+	// same output when run again at the same seed.
 	runners := map[string]Runner{
 		"alpha":     RunAblationAlpha,
 		"funcset":   RunAblationFuncSet,
@@ -346,6 +381,13 @@ func TestAblationRunners(t *testing.T) {
 			}
 			if len(out.String()) < 50 {
 				t.Errorf("suspiciously short output:\n%s", out)
+			}
+			again, err := run(7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if again.String() != out.String() {
+				t.Errorf("two runs at seed 7 differ:\n%s\nvs\n%s", out, again)
 			}
 		})
 	}

@@ -116,7 +116,8 @@ type AssignerKind int
 // Available assignment strategies.
 const (
 	// AssignerAccOpt is the paper's accuracy-optimal greedy assigner
-	// (Algorithm 1) — the default.
+	// (Algorithm 1, each pick credited with its marginal gain on the
+	// Definition 7 objective; EXPERIMENTS.md records why) — the default.
 	AssignerAccOpt AssignerKind = iota
 	// AssignerSpatialFirst assigns each worker their closest undone tasks.
 	AssignerSpatialFirst
@@ -126,10 +127,6 @@ const (
 	// uncertainty (the entropy-based selection of CDAS, discussed as
 	// related work in the paper's Section VI).
 	AssignerEntropy
-	// AssignerMarginalGreedy is the marginal-gain variant of the paper's
-	// Algorithm 1; it tracks the Definition 7 objective more closely than
-	// the literal pseudocode (see EXPERIMENTS.md).
-	AssignerMarginalGreedy
 )
 
 // ErrBudgetExhausted is returned by RequestTasks when the assignment budget

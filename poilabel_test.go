@@ -370,7 +370,7 @@ func TestFrameworkCheckpointRoundTrip(t *testing.T) {
 }
 
 func TestFrameworkExtraAssignerKinds(t *testing.T) {
-	for _, kind := range []AssignerKind{AssignerEntropy, AssignerMarginalGreedy} {
+	for _, kind := range []AssignerKind{AssignerEntropy, AssignerAccOpt} {
 		svc, _ := tinyService(t, WithAssigner(kind), WithBudget(4))
 		assigned, err := svc.RequestTasks(context.Background(), []string{wid(0), wid(1)})
 		if err != nil {

@@ -149,7 +149,7 @@ func WithTasksPerRequest(h int) ServiceOption {
 func WithAssigner(kind AssignerKind) ServiceOption {
 	return func(c *serviceConfig) error {
 		switch kind {
-		case AssignerAccOpt, AssignerSpatialFirst, AssignerRandom, AssignerEntropy, AssignerMarginalGreedy:
+		case AssignerAccOpt, AssignerSpatialFirst, AssignerRandom, AssignerEntropy:
 			c.assigner = kind
 			return nil
 		}
