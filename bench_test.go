@@ -278,15 +278,16 @@ func BenchmarkIncrementalUpdate(b *testing.B) {
 // row kernel mostly takes its cold-task branch there. Round10 and Single are
 // the shapes the service plans: a 10-worker round over 5 000 tasks and one
 // worker's row over 2 000 (a shard's share), both on a fitted log of four
-// answers per task, where every pair pays both mixtures. Rounds run on a
-// reused Planner, the steady state of an assignment loop; ns/pair is the
-// round's time over |W|·|T|.
+// answers per task, where every pair pays both mixtures. Round10Excluding is
+// Round10 with four excluded tasks per worker, the pending pairs a service
+// round passes its planner. Rounds run on a reused Planner, the steady state
+// of an assignment loop; ns/pair is the round's time over |W|·|T|.
 func BenchmarkAccOptAssign(b *testing.B) {
-	run := func(b *testing.B, m *core.Model, workers []model.WorkerID) {
+	run := func(b *testing.B, m *core.Model, workers []model.WorkerID, ex assign.Exclusions) {
 		pl := assign.NewPlanner()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			pl.Assign(m, workers, 2)
+			pl.AssignExcluding(m, workers, 2, ex)
 		}
 		pairs := b.N * len(workers) * len(m.Tasks())
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(pairs), "ns/pair")
@@ -301,7 +302,7 @@ func BenchmarkAccOptAssign(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		run(b, m, env.Sim.SampleAvailable(5))
+		run(b, m, env.Sim.SampleAvailable(5), nil)
 	})
 	for _, sc := range []struct {
 		name             string
@@ -328,15 +329,17 @@ func BenchmarkAccOptAssign(b *testing.B) {
 				}
 			}
 			m.Fit()
-			run(b, m, env.Sim.SampleAvailable(sc.nWorkers))
+			run(b, m, env.Sim.SampleAvailable(sc.nWorkers), nil)
 		})
 	}
 	for _, sc := range []struct {
 		name           string
 		nTasks, nRound int
+		excluded       int // per worker
 	}{
-		{"Round10", 5000, 10},
-		{"Single", 2000, 1},
+		{"Round10", 5000, 10, 0},
+		{"Round10Excluding", 5000, 10, 4},
+		{"Single", 2000, 1, 0},
 	} {
 		b.Run(sc.name, func(b *testing.B) {
 			env, err := experiment.SyntheticEnv(sc.nTasks, 100, benchSeed)
@@ -351,7 +354,18 @@ func BenchmarkAccOptAssign(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			run(b, m, env.Sim.SampleAvailable(sc.nRound))
+			workers := env.Sim.SampleAvailable(sc.nRound)
+			var ex assign.Exclusions
+			if sc.excluded > 0 {
+				lists := make(assign.TaskLists, len(workers))
+				for _, w := range workers {
+					for k := 0; k < sc.excluded; k++ {
+						lists[w] = append(lists[w], model.TaskID((int(w)*7+k*1009)%sc.nTasks))
+					}
+				}
+				ex = lists
+			}
+			run(b, m, workers, ex)
 		})
 	}
 }

@@ -68,9 +68,9 @@ type Engine interface {
 	// never fits an engine in place, it fits a fork with no lock held.
 	fork() engineFork
 	// Assign plans up to h tasks per requesting worker, spending at most
-	// budget pairs (negative budget means unlimited). Pairs for which skip
-	// returns true are excluded during planning; skip may be nil.
-	Assign(workers []WorkerID, h, budget int, skip func(WorkerID, TaskID) bool) map[WorkerID][]TaskID
+	// budget pairs (negative budget means unlimited). The tasks ex lists for
+	// a worker are excluded during planning; ex may be nil.
+	Assign(workers []WorkerID, h, budget int, ex assign.Exclusions) map[WorkerID][]TaskID
 	// AddTask registers a task with the next dense index.
 	AddTask(t Task) error
 	// AddWorker registers a worker with the next dense index.
@@ -169,11 +169,11 @@ func (f singleFork) Fit(ctx context.Context) (bool, error) {
 
 func (f singleFork) adopt() { f.m.Adopt(f.f, true) }
 
-func (e *singleEngine) Assign(workers []WorkerID, h, budget int, skip func(WorkerID, TaskID) bool) map[WorkerID][]TaskID {
+func (e *singleEngine) Assign(workers []WorkerID, h, budget int, ex assign.Exclusions) map[WorkerID][]TaskID {
 	if h <= 0 || budget == 0 {
 		return map[WorkerID][]TaskID{}
 	}
-	return assign.Trim(e.asg.AssignExcluding(e.m, workers, h, skip), budget)
+	return assign.Trim(e.asg.AssignExcluding(e.m, workers, h, ex), budget)
 }
 
 func (e *singleEngine) AddTask(t Task) error {
@@ -250,8 +250,8 @@ func (f partitionFork) Fit(ctx context.Context) (bool, error) {
 
 func (f partitionFork) adopt() { f.sh.Adopt(f.f) }
 
-func (e *partitionEngine) Assign(workers []WorkerID, h, budget int, skip func(WorkerID, TaskID) bool) map[WorkerID][]TaskID {
-	return e.co.AssignExcluding(workers, h, budget, skip)
+func (e *partitionEngine) Assign(workers []WorkerID, h, budget int, ex assign.Exclusions) map[WorkerID][]TaskID {
+	return e.co.AssignExcluding(workers, h, budget, ex)
 }
 
 func (e *partitionEngine) AddTask(t Task) error     { return e.sh.AddTask(t) }

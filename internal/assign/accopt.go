@@ -38,15 +38,15 @@ func (AccOpt) Assign(v View, workers []model.WorkerID, h int) Assignment {
 }
 
 // AssignExcluding implements ExcludingAssigner.
-func (AccOpt) AssignExcluding(v View, workers []model.WorkerID, h int, skip SkipFunc) Assignment {
-	return NewPlanner().AssignExcluding(v, workers, h, skip)
+func (AccOpt) AssignExcluding(v View, workers []model.WorkerID, h int, ex Exclusions) Assignment {
+	return NewPlanner().AssignExcluding(v, workers, h, ex)
 }
 
 var unavailable = math.Inf(-1)
 
 // Planner runs the greedy assignment with round-scoped scratch buffers that
 // persist across calls: the O(|W|·|T|) probability and improvement
-// matrices, the per-task answer counts, the accuracy states of the tasks a
+// matrices, the per-task answer counts and label spreads, the bundles a
 // round picks, the per-worker cached bests, and the pick heap. A Planner
 // amortizes those allocations across the many assignment rounds of an
 // experiment sweep — a steady-state round allocates only the Assignment it
@@ -56,15 +56,14 @@ type Planner struct {
 	matrix []float64 // backing store for the p and delta rows
 	p      [][]float64
 	delta  [][]float64
-	taskN  []int // |W(t)| per task, read from the view once per round
-	// bundles holds the accuracy state of every task picked so far this
-	// round, in first-pick order; a task that nobody picks never gets one,
-	// its improvement entries come straight from PZ and taskN (rowKernel).
-	// slot[t]-1 indexes bundles, 0 meaning task t has no state yet. Both are
-	// reset at the top of every round.
-	bundles  []LabelAcc
-	slot     []int32
-	answered [][]model.TaskID // per-row scratch of rowKernel.fill
+	// taskN and taskU are |W(t)| and U_t per task, read from the view once
+	// per round (taskState).
+	taskN []int
+	taskU []float64
+	// picked[t] is what this round has added to task t so far — the Lemma 2
+	// state lemma2Delta needs — reset at the top of every round.
+	picked   []bundle
+	scratch  [][]model.TaskID // per-row list scratch of rowKernel.fill
 	bestT    []int
 	bestD    []float64
 	active   []bool
@@ -81,7 +80,7 @@ func (pl *Planner) Name() string { return "AccOpt" }
 
 // grow resizes the planner's buffers for a round over nW workers and nT
 // tasks, reusing prior capacity where possible, and forgets the previous
-// round's bundle states.
+// round's picks.
 func (pl *Planner) grow(nW, nT int) {
 	if need := 2 * nW * nT; cap(pl.matrix) < need {
 		pl.matrix = make([]float64, need)
@@ -95,14 +94,15 @@ func (pl *Planner) grow(nW, nT int) {
 	}
 	if cap(pl.taskN) < nT {
 		pl.taskN = make([]int, nT)
-		pl.slot = make([]int32, nT)
+		pl.taskU = make([]float64, nT)
+		pl.picked = make([]bundle, nT)
 	}
 	pl.taskN = pl.taskN[:nT]
-	pl.slot = pl.slot[:nT]
-	clear(pl.slot)
-	pl.bundles = pl.bundles[:0]
-	for len(pl.answered) < nW {
-		pl.answered = append(pl.answered, nil)
+	pl.taskU = pl.taskU[:nT]
+	pl.picked = pl.picked[:nT]
+	clear(pl.picked)
+	for len(pl.scratch) < nW {
+		pl.scratch = append(pl.scratch, nil)
 	}
 	if cap(pl.bestT) < nW {
 		pl.bestT = make([]int, nW)
@@ -120,27 +120,12 @@ func (pl *Planner) grow(nW, nT int) {
 	pl.heap = pl.heap[:0]
 }
 
-// bundle returns task t's accuracy state for this round, materialising the
-// pre-assignment state (acc1 = P(z=1), acc0 = P(z=0) per label, n = |W(t)|)
-// at the task's first pick. The pointer is valid until the next call.
-func (pl *Planner) bundle(t int, pz []float64) *LabelAcc {
-	if s := pl.slot[t]; s > 0 {
-		return &pl.bundles[s-1]
-	}
-	if n := len(pl.bundles); n < cap(pl.bundles) {
-		pl.bundles = pl.bundles[:n+1] // reuse an earlier round's label buffers
-	} else {
-		pl.bundles = append(pl.bundles, LabelAcc{})
-	}
-	pl.slot[t] = int32(len(pl.bundles))
-	la := &pl.bundles[len(pl.bundles)-1]
-	la.Acc1 = append(la.Acc1[:0], pz...)
-	la.Acc0 = la.Acc0[:0]
-	for _, p := range pz {
-		la.Acc0 = append(la.Acc0, 1-p)
-	}
-	la.N = pl.taskN[t]
-	return la
+// bundle is the workers a round has picked for one task, as Lemma 2 in
+// closed form sees them: how many (m) and r = Σ p(1 − p) over their
+// agreement probabilities.
+type bundle struct {
+	m int
+	r float64
 }
 
 // Assign implements Assigner. Duplicate workers in the list are dropped
@@ -152,11 +137,11 @@ func (pl *Planner) Assign(v View, workers []model.WorkerID, h int) Assignment {
 	return pl.AssignExcluding(v, workers, h, nil)
 }
 
-// AssignExcluding implements ExcludingAssigner: pairs for which skip returns
-// true are marked unavailable in the improvement matrix, exactly like
+// AssignExcluding implements ExcludingAssigner: the tasks ex lists for a
+// worker are marked unavailable in the improvement matrix, exactly like
 // already-answered pairs, so the greedy spends each worker's h picks on
 // assignable pairs only.
-func (pl *Planner) AssignExcluding(v View, workers []model.WorkerID, h int, skip SkipFunc) Assignment {
+func (pl *Planner) AssignExcluding(v View, workers []model.WorkerID, h int, ex Exclusions) Assignment {
 	if h <= 0 {
 		return Assignment{}
 	}
@@ -167,21 +152,19 @@ func (pl *Planner) AssignExcluding(v View, workers []model.WorkerID, h int, skip
 
 	out := make(Assignment, nW)
 	pl.grow(nW, nT)
-	for t := range pl.taskN {
-		pl.taskN[t] = v.TaskAnswerCount(model.TaskID(t))
-	}
+	taskState(v, pl.taskN, pl.taskU)
 
 	// p[i][t]: agreement probability of workers[i] on task t.
 	// delta[i][t]: matrix entry per Algorithm 1, the marginal gain of adding
 	// workers[i] to the workers picked for t so far this round. unavailable
 	// marks pairs that cannot be assigned (already answered, excluded by
-	// skip, or assigned this round).
+	// ex, or assigned this round).
 	//
-	// The O(|W|·|T|·L) init dominates a round, is embarrassingly parallel
+	// The O(|W|·|T|·|F|) init dominates a round, is embarrassingly parallel
 	// over workers, and each chunk touches only its own workers' rows, so
 	// it fans out over the CPUs. Row contents do not depend on the chunk
 	// split; the result is deterministic.
-	kern := newRowKernel(v, pl.taskN)
+	kern := newRowKernel(v, pl.taskN, pl.taskU)
 	if procs := runtime.GOMAXPROCS(0); procs > 1 && nW > 1 && nW*nT >= 4096 {
 		chunk := (nW + procs - 1) / procs
 		var wg sync.WaitGroup
@@ -189,12 +172,12 @@ func (pl *Planner) AssignExcluding(v View, workers []model.WorkerID, h int, skip
 			wg.Add(1)
 			go func(lo int, chunk []model.WorkerID) {
 				defer wg.Done()
-				pl.initRows(kern, chunk, skip, lo)
+				pl.initRows(kern, chunk, ex, lo)
 			}(lo, workers[lo:min(lo+chunk, nW)])
 		}
 		wg.Wait()
 	} else {
-		pl.initRows(kern, workers, skip, 0)
+		pl.initRows(kern, workers, ex, 0)
 	}
 
 	// Max-heap over the workers' cached best entries, replacing the O(|W|)
@@ -229,11 +212,14 @@ func (pl *Planner) AssignExcluding(v View, workers []model.WorkerID, h int, skip
 		pl.assigned[imax]++
 		pl.delta[imax][tmax] = unavailable
 
-		// Extend the chosen task's bundle with the chosen worker.
-		pz := params.PZ[tmax]
-		la := pl.bundle(tmax, pz)
-		la.Extend(pl.p[imax][tmax])
-		bundleDelta := la.Delta(pz)
+		// Add the chosen worker to the task's bundle. With the bundle at
+		// (m, r), another worker i adds Δ(m+1, r + p_i(1−p_i)) − Δ(m, r).
+		b := &pl.picked[tmax]
+		pt := pl.p[imax][tmax]
+		b.m++
+		b.r += pt * (1 - pt)
+		u, l, n := pl.taskU[tmax], float64(len(params.PZ[tmax])), pl.taskN[tmax]
+		base := lemma2Delta(u, l, n, b.m, b.r)
 
 		// Refresh the tmax column for every other active worker and fix
 		// their cached best entries. Entries for other tasks are
@@ -244,7 +230,8 @@ func (pl *Planner) AssignExcluding(v View, workers []model.WorkerID, h int, skip
 				continue
 			}
 			if pl.delta[i][tmax] != unavailable {
-				pl.delta[i][tmax] = la.SingleDelta(pz, pl.p[i][tmax]) - bundleDelta
+				pw := pl.p[i][tmax]
+				pl.delta[i][tmax] = lemma2Delta(u, l, n, b.m+1, b.r+pw*(1-pw)) - base
 			}
 			if pl.delta[i][tmax] > pl.bestD[i] {
 				pl.bestD[i] = pl.delta[i][tmax]
@@ -272,10 +259,10 @@ func (pl *Planner) AssignExcluding(v View, workers []model.WorkerID, h int, skip
 
 // initRows fills the matrix rows lo, lo+1, … for workers, and their cached
 // bests.
-func (pl *Planner) initRows(kern rowKernel, workers []model.WorkerID, skip SkipFunc, lo int) {
+func (pl *Planner) initRows(kern rowKernel, workers []model.WorkerID, ex Exclusions, lo int) {
 	for k, w := range workers {
 		i := lo + k
-		pl.answered[i] = kern.fill(w, skip, pl.p[i], pl.delta[i], pl.answered[i])
+		pl.scratch[i] = kern.fill(w, ex, pl.p[i], pl.delta[i], pl.scratch[i])
 		pl.rescan(i)
 	}
 }

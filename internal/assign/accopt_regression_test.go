@@ -17,7 +17,7 @@ import (
 // linear O(|W|) argmax scan per pick, and fresh scratch per call. The
 // heap-based, parallel-init, kernel-filled Planner must reproduce its output
 // byte for byte — same picks, same order, same per-worker task lists.
-func referenceGreedy(m *core.Model, workers []model.WorkerID, h int, skip SkipFunc) Assignment {
+func referenceGreedy(m *core.Model, workers []model.WorkerID, h int, ex Exclusions) Assignment {
 	est := NewEstimator(m)
 	tasks := m.Tasks()
 	answers := m.Answers()
@@ -38,9 +38,10 @@ func referenceGreedy(m *core.Model, workers []model.WorkerID, h int, skip SkipFu
 	for i, w := range workers {
 		p[i] = make([]float64, nT)
 		delta[i] = make([]float64, nT)
+		excluded := excludedSet(ex, w)
 		for t := 0; t < nT; t++ {
 			tid := model.TaskID(t)
-			if answers.Has(w, tid) || (skip != nil && skip(w, tid)) {
+			if answers.Has(w, tid) || excluded[tid] {
 				delta[i][t] = unavailable
 				continue
 			}
@@ -158,12 +159,12 @@ func TestPlannerMatchesReferenceGreedy(t *testing.T) {
 		// an exclusion set, and a task and a worker the planner's
 		// buffers were not sized for.
 		for round := 0; round < 3; round++ {
-			var skip SkipFunc
+			var ex Exclusions
 			if round > 0 {
-				skip = func(w model.WorkerID, tid model.TaskID) bool { return (int(w)+int(tid)+round)%7 == 0 }
+				ex = listsWhere(workers, len(m.Tasks()), func(w model.WorkerID, tid model.TaskID) bool { return (int(w)+int(tid)+round)%7 == 0 })
 			}
-			want := referenceGreedy(m, workers, tc.h, skip)
-			got := pl.AssignExcluding(m, workers, tc.h, skip)
+			want := referenceGreedy(m, workers, tc.h, ex)
+			got := pl.AssignExcluding(m, workers, tc.h, ex)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("nT=%d nW=%d round %d: planner diverges from reference\n got: %v\nwant: %v",
 					tc.nT, tc.nW, round, got, want)
@@ -171,7 +172,7 @@ func TestPlannerMatchesReferenceGreedy(t *testing.T) {
 			// The same round once more, over a snapshot. The run above
 			// extended the bundle state of every task it picked; a
 			// state that outlived its round would be extended twice.
-			if again := pl.AssignExcluding(SnapshotModel(m), workers, tc.h, skip); !reflect.DeepEqual(again, want) {
+			if again := pl.AssignExcluding(SnapshotModel(m), workers, tc.h, ex); !reflect.DeepEqual(again, want) {
 				t.Fatalf("nT=%d nW=%d round %d: replanning over a snapshot diverges from reference\n got: %v\nwant: %v",
 					tc.nT, tc.nW, round, again, want)
 			}

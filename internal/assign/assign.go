@@ -9,21 +9,22 @@
 //
 // # The row kernel
 //
-// AccOpt's cost is the O(|W|·|T|·L) init of its improvement matrix. That
+// AccOpt's cost is the O(|W|·|T|) init of its improvement matrix. That
 // loop exists once, in rowKernel.fill: a worker's agreement row and initial
 // improvement row over every task, with whatever a round does not change
 // read once — configuration and parameters per round, the task answer
-// counts per round into a dense slice, π_w, P(d_w) and the worker's cold
-// flag per row — the function set evaluated once per pair for both mixtures,
-// answered pairs marked from the worker's own answer list
-// (View.AnsweredTasks) instead of one set probe per task, and the
-// improvement computed straight from P(z) and the answer count. Planner
-// (every round, hence every shard's leaf planner) and Candidates (every list
-// build) call it; a task's LabelAcc is built only when the greedy first
-// picks it. Estimator.Agreement and LabelAcc.SingleDelta stay as the
-// readable reference: the kernel keeps their floating-point operation order
-// and is held to them bit for bit by TestRowKernelMatchesEstimator, so plans
-// do not change.
+// counts and U_t = Σ_k z_k(1 − z_k) per round into dense slices, π_w, P(d_w)
+// and the worker's cold flag per row — the function set evaluated once per
+// pair for both mixtures, answered and excluded pairs marked from the
+// worker's own lists (View.AnsweredTasks, Exclusions) instead of one probe
+// per task, and the improvement in O(1) by Lemma 2 in closed form
+// (lemma2Delta). Planner (every round, hence every shard's leaf planner) and
+// Candidates (every list build) call it; a task's bundle state is two
+// numbers, its size and Σ p(1 − p). Estimator.Agreement stays the reference
+// for the agreement, which the kernel reproduces bit for bit; the Lemma 2
+// recursion as the paper writes it lives in the tests, and
+// TestRowKernelMatchesEstimator holds the closed form to it within the
+// tests' one tolerance, deltaTol.
 //
 // # Snapshot planning
 //
@@ -39,10 +40,10 @@
 // state has since answered or handed out. ExcludingAssigner is the
 // contract that makes optimistic commits work: the committer passes the
 // pairs it must avoid (its own exclusion set plus pairs that conflicted in
-// earlier attempts) as a SkipFunc, and the assigner spends each worker's h
-// picks only on pairs that pass the filter. Because exclusions are monotone
-// — an answered or pending pair never becomes assignable again within a
-// round — retrying a conflicted pick with a grown skip set terminates.
+// earlier attempts) as per-worker Exclusions lists, and the assigner spends
+// each worker's h picks only on pairs outside them. Because exclusions are
+// monotone — an answered or pending pair never becomes assignable again
+// within a round — retrying a conflicted pick with grown lists terminates.
 //
 // # Candidate lists
 //
@@ -93,26 +94,53 @@ type Assigner interface {
 	Assign(v View, workers []model.WorkerID, h int) Assignment
 }
 
-// SkipFunc reports whether a (worker, task) pair must be excluded from an
-// assignment round on top of the already-answered pairs — typically because
-// the pair was handed out earlier and is still pending an answer. Planning
-// may fan out over goroutines, so a SkipFunc must be safe for concurrent
-// calls; a map that is read-only for the duration of the round is fine.
-type SkipFunc func(model.WorkerID, model.TaskID) bool
+// Exclusions lists, per worker, the tasks an assignment round must leave out
+// on top of the pairs the worker has answered — typically pairs handed out
+// earlier and still pending an answer. It is shaped like View.AnsweredTasks:
+// an assigner reads each requesting worker's list once per round, never one
+// pair at a time. Planning may fan out over goroutines, so ExcludedTasks
+// must be safe for concurrent calls.
+type Exclusions interface {
+	// ExcludedTasks appends the tasks worker w must not be assigned to buf,
+	// in no particular order, and returns the extended slice. Tasks outside
+	// the view's task set are ignored.
+	ExcludedTasks(w model.WorkerID, buf []model.TaskID) []model.TaskID
+}
+
+// TaskLists is the plain Exclusions: each worker's excluded tasks. A worker
+// without an entry excludes nothing.
+type TaskLists map[model.WorkerID][]model.TaskID
+
+// ExcludedTasks implements Exclusions.
+func (l TaskLists) ExcludedTasks(w model.WorkerID, buf []model.TaskID) []model.TaskID {
+	return append(buf, l[w]...)
+}
+
+// excludedSet returns worker w's exclusions as a set, built once per worker
+// for the baseline assigners' per-task checks.
+func excludedSet(ex Exclusions, w model.WorkerID) map[model.TaskID]bool {
+	set := make(map[model.TaskID]bool)
+	if ex != nil {
+		for _, t := range ex.ExcludedTasks(w, nil) {
+			set[t] = true
+		}
+	}
+	return set
+}
 
 // ExcludingAssigner is implemented by assigners that can exclude arbitrary
 // pairs during planning, so excluded pairs never crowd out a worker's h
 // picks. All assigners in this package implement it; the serving layer uses
 // it for pending-pair dedup, and the optimistic-commit path additionally
 // relies on it to retry conflicted picks: each retry re-plans with the
-// conflicted pairs folded into skip, so the worker's h picks land on pairs
-// that were still free at the last look.
+// conflicted pairs added to the exclusion lists, so the worker's h picks
+// land on pairs that were still free at the last look.
 type ExcludingAssigner interface {
 	Assigner
-	// AssignExcluding is Assign with pairs for which skip returns true
-	// treated exactly like already-answered pairs. A nil skip excludes
+	// AssignExcluding is Assign with the tasks ex lists for each worker
+	// treated exactly like already-answered pairs. A nil ex excludes
 	// nothing.
-	AssignExcluding(v View, workers []model.WorkerID, h int, skip SkipFunc) Assignment
+	AssignExcluding(v View, workers []model.WorkerID, h int, ex Exclusions) Assignment
 }
 
 // Random assigns h undone tasks uniformly at random to each worker — the
@@ -130,17 +158,18 @@ func (r Random) Assign(v View, workers []model.WorkerID, h int) Assignment {
 }
 
 // AssignExcluding implements ExcludingAssigner.
-func (r Random) AssignExcluding(v View, workers []model.WorkerID, h int, skip SkipFunc) Assignment {
+func (r Random) AssignExcluding(v View, workers []model.WorkerID, h int, ex Exclusions) Assignment {
 	if h <= 0 {
 		return Assignment{}
 	}
 	out := make(Assignment, len(workers))
 	tasks := v.Tasks()
 	for _, w := range workers {
+		excluded := excludedSet(ex, w)
 		var avail []model.TaskID
 		for t := range tasks {
 			tid := model.TaskID(t)
-			if !v.HasAnswer(w, tid) && (skip == nil || !skip(w, tid)) {
+			if !v.HasAnswer(w, tid) && !excluded[tid] {
 				avail = append(avail, tid)
 			}
 		}
@@ -179,7 +208,7 @@ func (s *SpatialFirst) Assign(v View, workers []model.WorkerID, h int) Assignmen
 }
 
 // AssignExcluding implements ExcludingAssigner.
-func (s *SpatialFirst) AssignExcluding(v View, workers []model.WorkerID, h int, skip SkipFunc) Assignment {
+func (s *SpatialFirst) AssignExcluding(v View, workers []model.WorkerID, h int, ex Exclusions) Assignment {
 	if h <= 0 {
 		return Assignment{}
 	}
@@ -187,9 +216,10 @@ func (s *SpatialFirst) AssignExcluding(v View, workers []model.WorkerID, h int, 
 	allWorkers := v.Workers()
 	tasks := v.Tasks()
 	for _, w := range workers {
+		excluded := excludedSet(ex, w)
 		accept := func(i int) bool {
 			tid := model.TaskID(i)
-			return !v.HasAnswer(w, tid) && (skip == nil || !skip(w, tid))
+			return !v.HasAnswer(w, tid) && !excluded[tid]
 		}
 		// Query the nearest candidates from each of the worker's
 		// locations, then merge by true (minimum-over-locations) distance.

@@ -1,6 +1,7 @@
 package assign
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -257,7 +258,7 @@ func TestNonPositiveHAssignsNothing(t *testing.T) {
 				}
 			}
 			if ex, ok := asg.(ExcludingAssigner); ok {
-				if a := ex.AssignExcluding(m, workers, h, func(model.WorkerID, model.TaskID) bool { return false }); len(a) != 0 {
+				if a := ex.AssignExcluding(m, workers, h, TaskLists{}); len(a) != 0 {
 					t.Errorf("%s.AssignExcluding(h=%d) = %v, want an empty assignment", asg.Name(), h, a)
 				}
 			}
@@ -301,5 +302,19 @@ func TestAssignerNames(t *testing.T) {
 	}
 	if (Exhaustive{}).Name() != "Exhaustive" {
 		t.Error("Exhaustive name")
+	}
+}
+
+// TotalDelta takes workers and sums tasks in ascending order, so its last
+// bits do not depend on map iteration order: repeated calls on one
+// assignment agree bit for bit.
+func TestTotalDeltaDeterministic(t *testing.T) {
+	m := regressionWorld(t, 200, 8, 61)
+	a := AccOpt{}.Assign(m, allWorkers(8), 6)
+	want := TotalDelta(m, a)
+	for i := 0; i < 20; i++ {
+		if got := TotalDelta(m, a); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("call %d: TotalDelta = %v (%#x), first call %v (%#x)", i, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
 	}
 }

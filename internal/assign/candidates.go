@@ -1,6 +1,7 @@
 package assign
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -155,18 +156,23 @@ func (c *Candidates) Warm(snap *Snapshot, gen uint64) {
 }
 
 // PlanWorker returns the top-h assignable tasks for worker w against snap —
-// byte-identical to Planner.AssignExcluding(snap, []WorkerID{w}, h, skip)[w]
+// byte-identical to Planner.AssignExcluding(snap, []WorkerID{w}, h, ex)[w]
 // — consulting (and lazily building) the worker's candidate list for
-// generation gen. skip carries the caller's live exclusions (pending pairs,
-// answers since capture, conflicted picks); pairs answered in the snapshot
-// are excluded structurally at build. built reports whether this call paid
-// for a row build rather than scanning an existing list.
+// generation gen. ex carries the caller's live exclusions (pending pairs,
+// answers since capture, conflicted picks), read once per call; pairs
+// answered in the snapshot are excluded structurally at build. built reports
+// whether this call paid for a row build rather than scanning an existing
+// list.
 //
 // The worker index must be within snap's worker set; gen must identify snap
 // one-to-one (the serving layer uses the published generation counter).
-func (c *Candidates) PlanWorker(snap *Snapshot, gen uint64, w model.WorkerID, h int, skip SkipFunc) (picks []model.TaskID, built bool) {
+func (c *Candidates) PlanWorker(snap *Snapshot, gen uint64, w model.WorkerID, h int, ex Exclusions) (picks []model.TaskID, built bool) {
 	if h <= 0 {
 		return nil, false
+	}
+	var excluded []model.TaskID
+	if ex != nil {
+		excluded = ex.ExcludedTasks(w, nil)
 	}
 	r := c.row(gen, w)
 	r.mu.Lock()
@@ -176,14 +182,14 @@ func (c *Candidates) PlanWorker(snap *Snapshot, gen uint64, w model.WorkerID, h 
 		c.builds.Add(1)
 		built = true
 	}
-	picks = scanRow(r.entries, h, w, skip)
+	picks = scanRow(r.entries, h, excluded)
 	if len(picks) < h && !r.full {
 		// The truncated prefix ran dry before h valid entries; only the
 		// full row can prove whether more assignable tasks exist.
 		c.build(r, snap, w, -1)
 		c.rebuilds.Add(1)
 		built = true
-		picks = scanRow(r.entries, h, w, skip)
+		picks = scanRow(r.entries, h, excluded)
 	}
 	if !built {
 		c.hits.Add(1)
@@ -191,12 +197,12 @@ func (c *Candidates) PlanWorker(snap *Snapshot, gen uint64, w model.WorkerID, h 
 	return picks, built
 }
 
-// scanRow collects the first h entries passing skip, in stored order.
-func scanRow(entries []candEntry, h int, w model.WorkerID, skip SkipFunc) []model.TaskID {
+// scanRow collects the first h entries not in excluded, in stored order.
+func scanRow(entries []candEntry, h int, excluded []model.TaskID) []model.TaskID {
 	picks := make([]model.TaskID, 0, h)
 	for i := range entries {
 		t := entries[i].t
-		if skip != nil && skip(w, t) {
+		if slices.Contains(excluded, t) {
 			continue
 		}
 		picks = append(picks, t)
@@ -215,7 +221,7 @@ func (c *Candidates) build(r *candRow, snap *Snapshot, w model.WorkerID, k int) 
 	nT := len(snap.tasks)
 	rows := make([]float64, 2*nT)
 	delta := rows[nT:]
-	newRowKernel(snap, snap.taskN).fill(w, nil, rows[:nT], delta, nil)
+	newRowKernel(snap, snap.taskN, snap.taskU).fill(w, nil, rows[:nT], delta, nil)
 	entries := r.entries[:0]
 	for t, d := range delta {
 		if d != unavailable {

@@ -26,7 +26,7 @@ func (e EntropyFirst) Assign(v View, workers []model.WorkerID, h int) Assignment
 }
 
 // AssignExcluding implements ExcludingAssigner.
-func (EntropyFirst) AssignExcluding(v View, workers []model.WorkerID, h int, skip SkipFunc) Assignment {
+func (EntropyFirst) AssignExcluding(v View, workers []model.WorkerID, h int, ex Exclusions) Assignment {
 	tasks := v.Tasks()
 	params := v.Params()
 
@@ -53,11 +53,12 @@ func (EntropyFirst) AssignExcluding(v View, workers []model.WorkerID, h int, ski
 
 	out := make(Assignment, len(workers))
 	for _, w := range workers {
+		excluded := excludedSet(ex, w)
 		for _, s := range ranked {
 			if len(out[w]) >= h {
 				break
 			}
-			if !v.HasAnswer(w, s.t) && (skip == nil || !skip(w, s.t)) {
+			if !v.HasAnswer(w, s.t) && !excluded[s.t] {
 				out[w] = append(out[w], s.t)
 			}
 		}

@@ -10,14 +10,13 @@ import (
 	"poilabel/internal/model"
 )
 
-// The row kernel must reproduce the reference pair Estimator.Agreement +
-// TaskAcc().SingleDelta bit for bit — not to a tolerance: the greedy's argmax
-// and the candidate lists' sort order break ties on the last bit — on cold
-// and warm workers and tasks, on answered and skipped pairs, against both
-// View implementations, and on function sets that fit the kernel's stack
-// buffer and one that does not. It must also consult skip for exactly the
-// pairs the view has not answered, once each: the serving layer counts the
-// calls that return true.
+// The row kernel must reproduce the reference — Estimator.Agreement for the
+// agreement, bit for bit, and the Lemma 2 recursion (TaskAcc().SingleDelta)
+// for the improvement, within deltaTol — on cold and warm workers and tasks,
+// on answered and excluded pairs, against both View implementations, and on
+// function sets that fit the kernel's stack buffer and one that does not. It
+// must also read the exclusions exactly once per row: they arrive as the
+// worker's list, never as a question about each pair.
 func TestRowKernelMatchesEstimator(t *testing.T) {
 	sets := map[string]*distfunc.Set{
 		"F1":  distfunc.MustSet(10),
@@ -51,67 +50,101 @@ func TestRowKernelMatchesEstimator(t *testing.T) {
 			warm(t, m, pairs, rng)
 
 			for _, v := range []View{m, SnapshotModel(m)} {
-				for _, skipping := range []bool{false, true} {
-					checkKernelRows(t, name, v, skipping)
+				for _, excluding := range []bool{false, true} {
+					checkKernelRows(t, name, v, excluding)
 				}
 			}
 		}
 	}
 }
 
+// countedExclusions is an Exclusions that counts its reads.
+type countedExclusions struct {
+	TaskLists
+	reads map[model.WorkerID]int
+}
+
+func (c countedExclusions) ExcludedTasks(w model.WorkerID, buf []model.TaskID) []model.TaskID {
+	c.reads[w]++
+	return c.TaskLists.ExcludedTasks(w, buf)
+}
+
 // checkKernelRows compares every worker's kernel rows over v with the
 // Estimator reference.
-func checkKernelRows(t *testing.T, name string, v View, skipping bool) {
+func checkKernelRows(t *testing.T, name string, v View, excluding bool) {
 	t.Helper()
 	est := NewEstimator(v)
 	nT := len(v.Tasks())
-	taskN := make([]int, nT)
-	for task := range taskN {
-		taskN[task] = v.TaskAnswerCount(model.TaskID(task))
-	}
-	kern := newRowKernel(v, taskN)
+	taskN, taskU := make([]int, nT), make([]float64, nT)
+	taskState(v, taskN, taskU)
+	kern := newRowKernel(v, taskN, taskU)
 	p, delta := make([]float64, nT), make([]float64, nT)
-	var answered []model.TaskID
+	// Every fourth pair is excluded — answered ones too, which must stay
+	// simply answered — plus a task beyond the view, which must be ignored.
+	excluded := func(w model.WorkerID, task model.TaskID) bool { return (int(w)+int(task))%4 == 0 }
+	var ex Exclusions
+	counted := countedExclusions{TaskLists: TaskLists{}, reads: map[model.WorkerID]int{}}
+	if excluding {
+		for w := range v.Workers() {
+			wid := model.WorkerID(w)
+			counted.TaskLists[wid] = append(listWhere(nT, func(task model.TaskID) bool { return excluded(wid, task) }), model.TaskID(nT+w))
+		}
+		ex = counted
+	}
+	wantReads := 0
+	if excluding {
+		wantReads = 1
+	}
+	var scratch []model.TaskID
 	for w := range v.Workers() {
 		wid := model.WorkerID(w)
-		skipped := func(w model.WorkerID, task model.TaskID) bool { return (int(w)+int(task))%4 == 0 }
-		asked := make(map[model.TaskID]int)
-		var skip SkipFunc
-		if skipping {
-			skip = func(w model.WorkerID, task model.TaskID) bool {
-				asked[task]++
-				return skipped(w, task)
-			}
-		}
 		// Whatever an earlier round left in the buffers must not show.
 		for task := range p {
 			p[task], delta[task] = math.NaN(), unavailable
 		}
-		answered = kern.fill(wid, skip, p, delta, answered)
+		scratch = kern.fill(wid, ex, p, delta, scratch)
+		if counted.reads[wid] != wantReads {
+			t.Fatalf("%s %T worker %d: exclusions read %d times in one row, want %d", name, v, w, counted.reads[wid], wantReads)
+		}
 
 		for task := 0; task < nT; task++ {
 			tid := model.TaskID(task)
-			wantP, wantD := 0.0, unavailable
-			wantAsked := 0
-			if !v.HasAnswer(wid, tid) {
-				if skipping {
-					wantAsked = 1
+			if v.HasAnswer(wid, tid) || (excluding && excluded(wid, tid)) {
+				if p[task] != 0 || delta[task] != unavailable {
+					t.Fatalf("%s %T excluding=%v pair (%d,%d): kernel p=%v delta=%v, want 0 and unavailable",
+						name, v, excluding, w, task, p[task], delta[task])
 				}
-				if !skipping || !skipped(wid, tid) {
-					wantP = est.Agreement(wid, tid)
-					wantD = est.TaskAcc(tid).SingleDelta(v.Params().PZ[task], wantP)
-				}
+				continue
 			}
-			if math.Float64bits(p[task]) != math.Float64bits(wantP) || math.Float64bits(delta[task]) != math.Float64bits(wantD) {
-				t.Fatalf("%s %T skip=%v pair (%d,%d): kernel p=%v delta=%v, reference p=%v delta=%v",
-					name, v, skipping, w, task, p[task], delta[task], wantP, wantD)
-			}
-			if asked[tid] != wantAsked {
-				t.Fatalf("%s %T pair (%d,%d): skip consulted %d times, want %d (answered: %v)",
-					name, v, w, task, asked[tid], wantAsked, v.HasAnswer(wid, tid))
+			wantP := est.Agreement(wid, tid)
+			wantD := est.TaskAcc(tid).SingleDelta(v.Params().PZ[task], wantP)
+			if math.Float64bits(p[task]) != math.Float64bits(wantP) || !deltaClose(delta[task], wantD) {
+				t.Fatalf("%s %T excluding=%v pair (%d,%d): kernel p=%v delta=%v, reference p=%v delta=%v",
+					name, v, excluding, w, task, p[task], delta[task], wantP, wantD)
 			}
 		}
 	}
+}
+
+// listsWhere returns, for each of workers, the tasks below nT for which in
+// holds.
+func listsWhere(workers []model.WorkerID, nT int, in func(model.WorkerID, model.TaskID) bool) TaskLists {
+	out := make(TaskLists, len(workers))
+	for _, w := range workers {
+		out[w] = listWhere(nT, func(t model.TaskID) bool { return in(w, t) })
+	}
+	return out
+}
+
+// listWhere returns the tasks below nT for which in holds, in order.
+func listWhere(nT int, in func(model.TaskID) bool) []model.TaskID {
+	var out []model.TaskID
+	for task := 0; task < nT; task++ {
+		if in(model.TaskID(task)) {
+			out = append(out, model.TaskID(task))
+		}
+	}
+	return out
 }
 
 // A round on a reused Planner allocates the Assignment it returns and

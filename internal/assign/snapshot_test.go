@@ -59,17 +59,17 @@ func TestSnapshotPlanIdentical(t *testing.T) {
 	warm(t, m, [][2]int{{0, 0}, {0, 1}, {1, 3}, {2, 9}, {4, 14}, {4, 15}, {3, 8}}, rng)
 	snap := SnapshotModel(m)
 	workers := allWorkers(5)
-	skip := func(w model.WorkerID, tk model.TaskID) bool {
+	ex := listsWhere(workers, 20, func(w model.WorkerID, tk model.TaskID) bool {
 		return (int(w)+int(tk))%5 == 0
-	}
+	})
 
 	for _, tc := range []struct {
 		name string
 		plan func(v View) Assignment
 	}{
 		{"accopt", func(v View) Assignment { return AccOpt{}.AssignExcluding(v, workers, 3, nil) }},
-		{"accopt-skip", func(v View) Assignment { return AccOpt{}.AssignExcluding(v, workers, 3, skip) }},
-		{"planner", func(v View) Assignment { return NewPlanner().AssignExcluding(v, workers, 4, skip) }},
+		{"accopt-excluding", func(v View) Assignment { return AccOpt{}.AssignExcluding(v, workers, 3, ex) }},
+		{"planner", func(v View) Assignment { return NewPlanner().AssignExcluding(v, workers, 4, ex) }},
 	} {
 		live := tc.plan(m)
 		snapped := tc.plan(snap)
@@ -95,12 +95,10 @@ func TestCandidatesMatchPlanner(t *testing.T) {
 		for _, h := range []int{1, 2, 5, 40} {
 			for w := 0; w < 3; w++ {
 				wid := model.WorkerID(w)
-				// A skewed skip set exercises prefix shortfalls at small K.
-				skip := func(sw model.WorkerID, st model.TaskID) bool {
-					return int(st)%3 == w
-				}
-				want := pl.AssignExcluding(snap, []model.WorkerID{wid}, h, skip)[wid]
-				got, _ := c.PlanWorker(snap, 1, wid, h, skip)
+				// A skewed exclusion list exercises prefix shortfalls at small K.
+				ex := TaskLists{wid: listWhere(30, func(st model.TaskID) bool { return int(st)%3 == w })}
+				want := pl.AssignExcluding(snap, []model.WorkerID{wid}, h, ex)[wid]
+				got, _ := c.PlanWorker(snap, 1, wid, h, ex)
 				if len(want) == 0 {
 					if len(got) != 0 {
 						t.Fatalf("k=%d h=%d w=%d: got %v, want empty", k, h, w, got)

@@ -53,8 +53,8 @@ type View interface {
 
 // Snapshot is an immutable, self-contained copy of the planning-relevant
 // model state: cloned parameters, the task/worker slices as of capture, the
-// answered-pair set, every worker's answered-task list, and dense per-task
-// answer counts. It
+// answered-pair set, every worker's answered-task list, and the dense
+// per-task numbers the row kernel reads (answer counts and U_t). It
 // implements View; distances are recomputed on the fly through the captured
 // normalizer (the same geo.Normalizer.MinDistance the live model caches), so
 // a Snapshot's numbers are bit-identical to the model it was taken from.
@@ -71,7 +71,10 @@ type Snapshot struct {
 	params  *core.Params
 	norm    geo.Normalizer
 	pairs   map[uint64]struct{}
-	taskN   []int
+	// taskN and taskU are what taskState would write, computed once at
+	// capture for every Candidates.build against the snapshot.
+	taskN []int
+	taskU []float64
 	// answered[workerOff[w]:workerOff[w+1]] is T(w), the tasks worker w has
 	// answered.
 	answered  []model.TaskID
@@ -102,6 +105,7 @@ func SnapshotModel(m *core.Model) *Snapshot {
 		norm:      m.Normalizer(),
 		pairs:     make(map[uint64]struct{}, ans.Len()),
 		taskN:     make([]int, len(tasks)),
+		taskU:     make([]float64, len(tasks)),
 		answered:  make([]model.TaskID, 0, ans.Len()),
 		workerOff: make([]int, len(workers)+1),
 	}
@@ -112,6 +116,9 @@ func SnapshotModel(m *core.Model) *Snapshot {
 			s.pairs[pairBits(model.WorkerID(w), t)] = struct{}{}
 			s.taskN[t]++
 		}
+	}
+	for t := range s.taskU {
+		s.taskU[t] = spread(s.params.PZ[t])
 	}
 	return s
 }

@@ -113,11 +113,11 @@ func (f *Federation) FitContext(ctx context.Context) (FitStats, error) {
 // worker is planned inside their home city; a worker whose whole home city
 // has no assignable tasks left is routed to the next-nearest cities instead
 // of walking away empty. The budget is balanced across cities proportionally
-// to realizable demand. Pairs for which skip returns true are excluded
-// during planning; a nil skip excludes nothing. Returned task IDs are
+// to realizable demand. The tasks ex lists for a worker are excluded during
+// planning; a nil ex excludes nothing. Returned task IDs are
 // federation-global.
-func (f *Federation) Assign(workers []model.WorkerID, h, budget int, skip assign.SkipFunc) assign.Assignment {
-	return f.co.AssignExcluding(workers, h, budget, skip)
+func (f *Federation) Assign(workers []model.WorkerID, h, budget int, ex assign.Exclusions) assign.Assignment {
+	return f.co.AssignExcluding(workers, h, budget, ex)
 }
 
 // NumCities returns the number of city partitions in use.

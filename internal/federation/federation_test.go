@@ -6,6 +6,7 @@ import (
 	"math"
 	"testing"
 
+	"poilabel/internal/assign"
 	"poilabel/internal/federation"
 	"poilabel/internal/geo"
 	"poilabel/internal/model"
@@ -179,19 +180,19 @@ func TestFederationAssignBudgetAndSkip(t *testing.T) {
 		t.Fatalf("budgeted assignment used %d of 5", n)
 	}
 
-	// Skipped pairs are excluded during planning, not after: with every
+	// Excluded pairs are left out during planning, not after: with every
 	// unlimited pick excluded, fresh pairs still fill the budget.
 	picked := make(map[[2]int]bool)
+	excluded := make(assign.TaskLists)
 	for w, ts := range a {
 		for _, tid := range ts {
 			picked[[2]int{int(w), int(tid)}] = true
 		}
+		excluded[w] = ts
 	}
-	c := fed.Assign(all, 2, 5, func(w model.WorkerID, tid model.TaskID) bool {
-		return picked[[2]int{int(w), int(tid)}]
-	})
+	c := fed.Assign(all, 2, 5, excluded)
 	if n := c.TotalTasks(); n != 5 {
-		t.Fatalf("budgeted skip assignment used %d of 5", n)
+		t.Fatalf("budgeted excluding assignment used %d of 5", n)
 	}
 	for w, ts := range c {
 		for _, tid := range ts {
@@ -328,7 +329,7 @@ func TestFederationCrossCityFallback(t *testing.T) {
 		}
 	}
 
-	// The same dryness induced through the exclusion predicate (pending
+	// The same dryness induced through the exclusion lists (pending
 	// pairs) must fall back too, and the exclusion must hold in the
 	// fallback city as well.
 	fed2, err := federation.New(tasks, workers, norm, federation.Config{Cities: 2, Shard: shard.Config{Shards: 2}})
@@ -337,13 +338,15 @@ func TestFederationCrossCityFallback(t *testing.T) {
 	}
 	home2 := fed2.HomeCity(w)
 	pending := make(map[model.TaskID]bool)
+	excluded, everything := assign.TaskLists{}, assign.TaskLists{}
 	for ti := range tasks {
 		if fed2.TaskCity(model.TaskID(ti)) == home2 {
 			pending[model.TaskID(ti)] = true
+			excluded[w] = append(excluded[w], model.TaskID(ti))
 		}
+		everything[w] = append(everything[w], model.TaskID(ti))
 	}
-	skip := func(_ model.WorkerID, task model.TaskID) bool { return pending[task] }
-	out2 := fed2.Assign([]model.WorkerID{w}, 2, -1, skip)
+	out2 := fed2.Assign([]model.WorkerID{w}, 2, -1, excluded)
 	if len(out2[w]) == 0 {
 		t.Fatal("pending-exhausted home city and no fallback")
 	}
@@ -358,8 +361,7 @@ func TestFederationCrossCityFallback(t *testing.T) {
 
 	// A fully dry federation (every city excluded) still returns an empty
 	// round rather than looping or inventing pairs.
-	all := func(model.WorkerID, model.TaskID) bool { return true }
-	if out3 := fed2.Assign([]model.WorkerID{w}, 2, -1, all); len(out3[w]) != 0 {
+	if out3 := fed2.Assign([]model.WorkerID{w}, 2, -1, everything); len(out3[w]) != 0 {
 		t.Fatalf("fully excluded federation still handed out %d tasks", len(out3[w]))
 	}
 }

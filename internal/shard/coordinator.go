@@ -74,18 +74,18 @@ func (c *Coordinator) Assign(workers []model.WorkerID, h, budget int) assign.Ass
 	return c.AssignExcluding(workers, h, budget, nil)
 }
 
-// AssignExcluding is Assign with an extra exclusion predicate: pairs for
-// which skip returns true (task IDs are global) are dropped from the
-// per-shard plans before the budget is balanced, so excluded pairs — e.g.
-// assignments already pending an answer — consume no budget and the shares
-// reflect only realizable demand. A nil skip excludes nothing.
-func (c *Coordinator) AssignExcluding(workers []model.WorkerID, h, budget int, skip func(model.WorkerID, model.TaskID) bool) assign.Assignment {
-	return c.s.assign(workers, h, budget, skip)
+// AssignExcluding is Assign with per-worker exclusion lists: the tasks ex
+// lists for a worker (global task IDs) are left out of the per-shard plans
+// before the budget is balanced, so excluded pairs — e.g. assignments
+// already pending an answer — consume no budget and the shares reflect only
+// realizable demand. A nil ex excludes nothing.
+func (c *Coordinator) AssignExcluding(workers []model.WorkerID, h, budget int, ex assign.Exclusions) assign.Assignment {
+	return c.s.assign(workers, h, budget, ex)
 }
 
 // assign is one round at this node: home child, concurrent uncapped plans,
 // next-nearest fallback for dry workers, then the budget balance.
-func (s *Sharded) assign(workers []model.WorkerID, h, budget int, skip assign.SkipFunc) assign.Assignment {
+func (s *Sharded) assign(workers []model.WorkerID, h, budget int, ex assign.Exclusions) assign.Assignment {
 	out := make(assign.Assignment)
 	if h <= 0 || len(workers) == 0 || budget == 0 {
 		return out
@@ -110,7 +110,7 @@ func (s *Sharded) assign(workers []model.WorkerID, h, budget int, skip assign.Sk
 		wg.Add(1)
 		go func(si int) {
 			defer wg.Done()
-			local[si] = s.kids[si].plan(byShard[si], h, s.localSkip(si, skip))
+			local[si] = s.kids[si].plan(byShard[si], h, s.localExclusions(si, byShard[si], ex))
 		}(si)
 	}
 	wg.Wait()
@@ -136,7 +136,8 @@ func (s *Sharded) assign(workers []model.WorkerID, h, budget int, skip assign.Sk
 				if alt == si {
 					continue
 				}
-				plan := s.kids[alt].plan([]model.WorkerID{w}, h, s.localSkip(alt, skip))
+				single := []model.WorkerID{w}
+				plan := s.kids[alt].plan(single, h, s.localExclusions(alt, single, ex))
 				if len(plan[w]) == 0 {
 					continue
 				}
@@ -167,20 +168,28 @@ func (s *Sharded) assign(workers []model.WorkerID, h, budget int, skip assign.Sk
 }
 
 // plan is an uncapped round seen from an enclosing node.
-func (s *Sharded) plan(workers []model.WorkerID, h int, skip assign.SkipFunc) assign.Assignment {
-	return s.assign(workers, h, -1, skip)
+func (s *Sharded) plan(workers []model.WorkerID, h int, ex assign.Exclusions) assign.Assignment {
+	return s.assign(workers, h, -1, ex)
 }
 
-// localSkip remaps a global-task-ID exclusion predicate into child si's
-// local index space; a nil skip stays nil.
-func (s *Sharded) localSkip(si int, skip assign.SkipFunc) assign.SkipFunc {
-	if skip == nil {
+// localExclusions remaps workers' exclusion lists (global task IDs) into
+// child si's local index space through shardOf/localOf, keeping only the
+// child's own tasks; a nil ex stays nil.
+func (s *Sharded) localExclusions(si int, workers []model.WorkerID, ex assign.Exclusions) assign.Exclusions {
+	if ex == nil {
 		return nil
 	}
-	part := s.parts[si]
-	return func(w model.WorkerID, lt model.TaskID) bool {
-		return skip(w, model.TaskID(part[lt]))
+	local := make(assign.TaskLists, len(workers))
+	var global []model.TaskID
+	for _, w := range workers {
+		global = ex.ExcludedTasks(w, global[:0])
+		for _, t := range global {
+			if int(t) < len(s.shardOf) && int(s.shardOf[t]) == si {
+				local[w] = append(local[w], model.TaskID(s.localOf[t]))
+			}
+		}
 	}
+	return local
 }
 
 // shardsByDistance returns every shard index ordered by the minimum

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"poilabel/internal/assign"
 	"poilabel/internal/model"
 )
 
@@ -131,8 +132,8 @@ func TestCoordinatorHomeShardFallback(t *testing.T) {
 		}
 	}
 
-	// The same dryness induced through the exclusion predicate (pending
-	// pairs) must fall back too, and the skip must hold in the fallback
+	// The same dryness induced through the exclusion lists (pending
+	// pairs) must fall back too, and the exclusion must hold in the fallback
 	// shard as well.
 	sh2, err := New(tasks, workers, norm, Config{Shards: 4, Model: testConfig()})
 	if err != nil {
@@ -141,11 +142,12 @@ func TestCoordinatorHomeShardFallback(t *testing.T) {
 	c2 := NewCoordinator(sh2)
 	home2 := c2.HomeShard(w)
 	pending := make(map[model.TaskID]bool)
+	excluded := assign.TaskLists{}
 	for _, g := range sh2.Partition()[home2] {
 		pending[model.TaskID(g)] = true
+		excluded[w] = append(excluded[w], model.TaskID(g))
 	}
-	skip := func(_ model.WorkerID, task model.TaskID) bool { return pending[task] }
-	out2 := c2.AssignExcluding([]model.WorkerID{w}, 2, -1, skip)
+	out2 := c2.AssignExcluding([]model.WorkerID{w}, 2, -1, excluded)
 	if len(out2[w]) == 0 {
 		t.Fatal("pending-exhausted home shard and no fallback")
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"poilabel/internal/assign"
 	"poilabel/internal/geo"
 	"poilabel/internal/model"
 )
@@ -147,14 +148,14 @@ func TestCoordinatorAssignExcluding(t *testing.T) {
 
 	// Excluding everything the baseline picked must produce a disjoint set.
 	picked := make(map[[2]int]bool)
+	excluded := make(assign.TaskLists)
 	for w, ts := range base {
 		for _, tid := range ts {
 			picked[[2]int{int(w), int(tid)}] = true
 		}
+		excluded[w] = ts
 	}
-	next := co.AssignExcluding(all, 2, -1, func(w model.WorkerID, tid model.TaskID) bool {
-		return picked[[2]int{int(w), int(tid)}]
-	})
+	next := co.AssignExcluding(all, 2, -1, excluded)
 	for w, ts := range next {
 		for _, tid := range ts {
 			if picked[[2]int{int(w), int(tid)}] {
@@ -165,9 +166,7 @@ func TestCoordinatorAssignExcluding(t *testing.T) {
 
 	// Excluded pairs consume no budget: a budget of 3 still yields 3 fresh
 	// pairs even when the baseline's picks are all excluded.
-	got := co.AssignExcluding(all, 2, 3, func(w model.WorkerID, tid model.TaskID) bool {
-		return picked[[2]int{int(w), int(tid)}]
-	})
+	got := co.AssignExcluding(all, 2, 3, excluded)
 	if n := got.TotalTasks(); n != 3 {
 		t.Fatalf("budgeted excluding assignment used %d of 3", n)
 	}

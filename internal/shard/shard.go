@@ -87,7 +87,7 @@ type child interface {
 	posterior(t model.TaskID) []float64
 	// plan picks up to h tasks per worker with no budget cap; the parent
 	// balances the round's budget over what its children could use.
-	plan(workers []model.WorkerID, h int, skip assign.SkipFunc) assign.Assignment
+	plan(workers []model.WorkerID, h int, ex assign.Exclusions) assign.Assignment
 	// workerAnswers counts worker w's answers anywhere beneath the child.
 	workerAnswers(w model.WorkerID) int
 }
@@ -116,8 +116,8 @@ func (l *leaf) fork() fitKid { return forkLeaf{l.Model.Fork()} }
 // update is Observe.
 func (l *leaf) adopt(k fitKid) { l.Model.Adopt(k.(forkLeaf).Fork, false) }
 
-func (l *leaf) plan(workers []model.WorkerID, h int, skip assign.SkipFunc) assign.Assignment {
-	return l.planner.AssignExcluding(l.Model, workers, h, skip)
+func (l *leaf) plan(workers []model.WorkerID, h int, ex assign.Exclusions) assign.Assignment {
+	return l.planner.AssignExcluding(l.Model, workers, h, ex)
 }
 
 func (l *leaf) workerAnswers(w model.WorkerID) int { return l.WorkerAnswerCount(w) }

@@ -15,11 +15,31 @@ import (
 )
 
 func newTestLedger(budget int, pending ...pairKey) *ledger {
-	l := &ledger{pending: make(map[pairKey]bool), budget: budget}
+	l := &ledger{pending: make(map[WorkerID][]TaskID), budget: budget}
 	for _, pk := range pending {
-		l.pending[pk] = true
+		l.pending[pk.w] = append(l.pending[pk.w], pk.t)
+		l.npending++
 	}
 	return l
+}
+
+// pendingSet flattens the ledger's per-worker pending lists into a set,
+// failing if a pair is listed twice or the count disagrees.
+func pendingSet(t *testing.T, l *ledger) map[pairKey]bool {
+	t.Helper()
+	set := make(map[pairKey]bool)
+	for w, ts := range l.pending {
+		for _, task := range ts {
+			if set[pairKey{w, task}] {
+				t.Fatalf("pair (%d, %d) pending twice", w, task)
+			}
+			set[pairKey{w, task}] = true
+		}
+	}
+	if len(set) != l.npending {
+		t.Fatalf("%d pairs pending, the count says %d", len(set), l.npending)
+	}
+	return set
 }
 
 // TestLedgerCommit is the commit both planning paths end in, case by case:
@@ -122,8 +142,8 @@ func TestLedgerCommit(t *testing.T) {
 					want[pairKey{w, task}] = true
 				}
 			}
-			if !reflect.DeepEqual(l.pending, want) {
-				t.Fatalf("pending %v, want %v", l.pending, want)
+			if got := pendingSet(t, l); !reflect.DeepEqual(got, want) {
+				t.Fatalf("pending %v, want %v", got, want)
 			}
 			if len(c.conflicts) == 0 {
 				// Without conflicts the commit is assign.Trim, which is what lets
@@ -139,6 +159,26 @@ func TestLedgerCommit(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestLedgerExclusions: a round's exclusions are the requesting workers'
+// pending lists, each worker once, as copies the caller may grow while the
+// ledger moves on; the pending count is the round's dedup hits.
+func TestLedgerExclusions(t *testing.T) {
+	l := newTestLedger(-1, pairKey{0, 3}, pairKey{0, 5}, pairKey{1, 2}, pairKey{2, 7})
+	ex, pending := l.exclusions([]WorkerID{0, 1, 0, 4})
+	want := assign.TaskLists{0: {3, 5}, 1: {2}, 4: nil}
+	if !reflect.DeepEqual(ex, want) || pending != 3 {
+		t.Fatalf("exclusions %v (%d pending), want %v (3 pending)", ex, pending, want)
+	}
+	ex[0] = append(ex[0], 9)
+	l.answer(0, 3)
+	if got := pendingSet(t, l); !reflect.DeepEqual(got, map[pairKey]bool{{0, 5}: true, {1, 2}: true, {2, 7}: true}) {
+		t.Fatalf("growing the copy or answering changed the ledger wrongly: pending %v", got)
+	}
+	if !reflect.DeepEqual(ex[0], []TaskID{3, 5, 9}) {
+		t.Fatalf("answering changed the round's copy: %v", ex[0])
 	}
 }
 
@@ -232,8 +272,8 @@ func TestLedgerAgainstModel(t *testing.T) {
 			if budget < 0 && l.budget != -1 {
 				t.Fatalf("budget %d step %d: unlimited budget became %d", budget, step, l.budget)
 			}
-			if !reflect.DeepEqual(l.pending, m.out) {
-				t.Fatalf("budget %d step %d: pending %v, model has %v out", budget, step, l.pending, m.out)
+			if got := pendingSet(t, l); !reflect.DeepEqual(got, m.out) {
+				t.Fatalf("budget %d step %d: pending %v, model has %v out", budget, step, got, m.out)
 			}
 			if got := int(l.answered()); got != m.answers {
 				t.Fatalf("budget %d step %d: %d answers counted, %d accepted", budget, step, got, m.answers)

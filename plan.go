@@ -99,14 +99,16 @@ func (s *Service) warmPlanCandidates() {
 }
 
 // planContext carries the state the lock-free path captures under the read
-// lock: the generation to plan against, the live exclusions at capture time,
-// and the ID tables for translating the result. A pair in skipSet is left out
-// of the plan; its value says why — true for a pending pair, the only kind
-// DedupHitsObserved counts, false for one answered since the generation's
-// snapshot or found in conflict at a commit.
+// lock: the generation to plan against, the requesting workers' live
+// exclusions at capture time, and the ID tables for translating the result.
+// exclude lists each requesting worker's pending tasks and those answered
+// since the generation's snapshot, and grows by the pairs a commit found in
+// conflict or took; pending is how many of the captured ones were pending —
+// the round's dedup hits, the only pairs DedupHitsObserved counts.
 type planContext struct {
 	pub       *paramGen
-	skipSet   map[pairKey]bool
+	exclude   assign.TaskLists
+	pending   int
 	taskKeys  []string
 	workerKey []string
 	observer  Observer
@@ -116,9 +118,9 @@ type planContext struct {
 // no service lock held. Single-worker rounds go through the candidate index
 // (the serving hot path: HTTP /assignments requests carry one worker);
 // everything else runs a pooled planner over the snapshot.
-func (s *Service) planWorkers(snap *assign.Snapshot, gen uint64, ws []WorkerID, h int, skip assign.SkipFunc) map[WorkerID][]TaskID {
+func (s *Service) planWorkers(snap *assign.Snapshot, gen uint64, ws []WorkerID, h int, ex assign.Exclusions) map[WorkerID][]TaskID {
 	if len(ws) == 1 {
-		picks, _ := s.cands.PlanWorker(snap, gen, ws[0], h, skip)
+		picks, _ := s.cands.PlanWorker(snap, gen, ws[0], h, ex)
 		if len(picks) == 0 {
 			return map[WorkerID][]TaskID{}
 		}
@@ -126,7 +128,7 @@ func (s *Service) planWorkers(snap *assign.Snapshot, gen uint64, ws []WorkerID, 
 	}
 	pl := s.planPool.Get().(*assign.Planner)
 	defer s.planPool.Put(pl)
-	return pl.AssignExcluding(snap, ws, h, skip)
+	return pl.AssignExcluding(snap, ws, h, ex)
 }
 
 // requestTasksLockFree is RequestTasks' snapshot-planning path: plan against
@@ -137,20 +139,12 @@ func (s *Service) planWorkers(snap *assign.Snapshot, gen uint64, ws []WorkerID, 
 func (s *Service) requestTasksLockFree(ctx context.Context, ws []WorkerID, pc *planContext) (map[string][]string, error) {
 	start := time.Now()
 	snap := pc.pub.plan
-	var dedupHits atomic.Int64
-	skip := func(w WorkerID, t TaskID) bool {
-		pending, excluded := pc.skipSet[pairKey{w, t}]
-		if pending {
-			dedupHits.Add(1)
-		}
-		return excluded
-	}
 
 	accepted := make(map[WorkerID][]TaskID, len(ws))
 	// The candidate-scan phase: plan every requested worker against the
 	// immutable snapshot, no lock held.
 	_, planSp := trace.Start(ctx, "plan.plan")
-	plans := s.planWorkers(snap, pc.pub.gen, ws, s.cfg.h, skip)
+	plans := s.planWorkers(snap, pc.pub.gen, ws, s.cfg.h, pc.exclude)
 	planSp.End()
 	var totalConflicts, retries int64
 	var exhausted bool
@@ -180,22 +174,20 @@ func (s *Service) requestTasksLockFree(ctx context.Context, ws []WorkerID, pc *p
 		// A conflicted pair is answered or pending on the live state; it can
 		// never become assignable again, so excluding it permanently keeps
 		// the retry loop shrinking. Pairs we committed ourselves entered the
-		// live pending set after our skip capture — exclude them explicitly
-		// too so replans cannot propose them twice.
+		// live pending set after our capture — exclude them explicitly too so
+		// replans cannot propose them twice.
 		_, replanSp := trace.Start(ctx, "plan.replan")
 		need := make(map[WorkerID]int, len(conflicts))
 		for _, pk := range conflicts {
-			pc.skipSet[pk] = false
+			pc.exclude[pk.w] = append(pc.exclude[pk.w], pk.t)
 			need[pk.w]++
 		}
-		for w, ts := range accepted {
-			for _, t := range ts {
-				pc.skipSet[pairKey{w, t}] = true
-			}
+		for w, ts := range took {
+			pc.exclude[w] = append(pc.exclude[w], ts...)
 		}
 		plans = make(map[WorkerID][]TaskID, len(need))
 		for w, n := range need {
-			repl := s.planWorkers(snap, pc.pub.gen, []WorkerID{w}, n, skip)
+			repl := s.planWorkers(snap, pc.pub.gen, []WorkerID{w}, n, pc.exclude)
 			if ts := repl[w]; len(ts) > 0 {
 				plans[w] = ts
 			}
@@ -205,8 +197,8 @@ func (s *Service) requestTasksLockFree(ctx context.Context, ws []WorkerID, pc *p
 
 	s.planStats.lockFree.Add(1)
 	s.planStats.lastNanos.Store(time.Since(start).Nanoseconds())
-	if n := dedupHits.Load(); n > 0 && pc.observer != nil {
-		pc.observer.DedupHitsObserved(int(n))
+	if pc.pending > 0 && pc.observer != nil {
+		pc.observer.DedupHitsObserved(pc.pending)
 	}
 	out, committed := handOut(accepted, pc.workerKey, pc.taskKeys)
 	sp := trace.FromContext(ctx) // the caller's span, nil-safe

@@ -199,7 +199,11 @@ func TestLockFreeDedupHitsCountPendingOnly(t *testing.T) {
 	// never fits on its own, so they stay in sincePlan.
 	log := feedPairs(t, free, truth, 5, 0, 2, 0, 3)
 	replayAnswers(t, locked, log)
-	if n := len(free.sincePlan); n != len(log) || free.PendingCount() != 0 {
+	since := 0
+	for _, ts := range free.sincePlan {
+		since += len(ts)
+	}
+	if n := since; n != len(log) || free.PendingCount() != 0 {
 		t.Fatalf("setup: %d pairs answered since the snapshot (want %d), %d pending (want 0)", n, len(log), free.PendingCount())
 	}
 
@@ -232,27 +236,75 @@ func TestLockFreeCommitReportsExhaustedBudget(t *testing.T) {
 	}
 
 	// What RequestTasks captures under the read lock, while 2 units remain.
-	svc.mu.RLock()
-	pc := &planContext{
-		pub:       svc.published.Load(),
-		skipSet:   map[pairKey]bool{},
-		taskKeys:  svc.taskKeys,
-		workerKey: svc.workerKey,
+	ws, pc, err := svc.capturePlan([]string{wid(0)})
+	if err != nil {
+		t.Fatal(err)
 	}
-	svc.mu.RUnlock()
-	if pc.pub == nil || pc.pub.plan == nil {
+	if pc == nil {
 		t.Fatal("no plan view published; the lock-free path is not configured")
 	}
 
 	if got, err := svc.RequestTasks(ctx, []string{wid(1)}); err != nil || len(got[wid(1)]) != 2 {
 		t.Fatalf("the competing round got %v, %v; want the last 2 units", got, err)
 	}
-	got, err := svc.requestTasksLockFree(ctx, []WorkerID{0}, pc)
+	got, err := svc.requestTasksLockFree(ctx, ws, pc)
 	if !errors.Is(err, ErrBudgetExhausted) {
 		t.Fatalf("commit after the budget was spent returned %v, %v; want ErrBudgetExhausted", got, err)
 	}
 	if svc.PendingCount() != 2 || svc.RemainingBudget() != 0 {
 		t.Fatalf("exhausted commit changed the ledger: %d pending, budget %d", svc.PendingCount(), svc.RemainingBudget())
+	}
+}
+
+// TestLockFreeReplanDedupHits replays a forced conflict deterministically: a
+// round captures its plan context while worker 0 has nothing pending, the
+// first of the two picks its plan makes is handed out before the round
+// commits, so the commit takes the second and replans the first. The replan
+// must leave the round's own just-committed pick out without counting it: a
+// dedup hit is a pending pair the round's workers had at capture, and here
+// there was none.
+func TestLockFreeReplanDedupHits(t *testing.T) {
+	ctx := context.Background()
+	svc, err := NewService(append(bgOpts(), WithTasksPerRequest(2))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close(ctx)
+	registerGridWorld(t, svc, 12, 3)
+	if _, err := svc.Results(ctx); err != nil { // builds the engine, publishes the plan view
+		t.Fatal(err)
+	}
+	counter := new(dedupCounter)
+	svc.SetObserver(counter)
+
+	ws, pc, err := svc.capturePlan([]string{wid(0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pc == nil {
+		t.Fatal("no plan view published; the lock-free path is not configured")
+	}
+	planned, _ := svc.cands.PlanWorker(pc.pub.plan, pc.pub.gen, 0, 2, nil)
+	if len(planned) != 2 {
+		t.Fatalf("worker 0's plan is %v, want two picks", planned)
+	}
+	svc.mu.Lock()
+	svc.led.commit(map[WorkerID][]TaskID{0: {planned[0]}}, nil)
+	svc.mu.Unlock()
+
+	got, err := svc.requestTasksLockFree(ctx, ws, pc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := got[wid(0)]
+	if len(ts) != 2 || ts[0] != tid(int(planned[1])) || ts[1] == tid(int(planned[0])) || ts[1] == ts[0] {
+		t.Fatalf("round handed out %v; want %s, then a replanned pick other than %s", ts, tid(int(planned[1])), tid(int(planned[0])))
+	}
+	if st := svc.PlanStats(); st.Conflicts != 1 || st.Retries != 1 {
+		t.Fatalf("plan stats %+v, want one conflict and one retry", st)
+	}
+	if n := counter.hits.Load(); n != 0 {
+		t.Fatalf("the round counted %d dedup hits, want 0: nothing was pending at capture", n)
 	}
 }
 

@@ -238,8 +238,9 @@ type Observer interface {
 	// AnswerObserved reports one accepted answer; full is true when the
 	// submission triggered an automatic full fit.
 	AnswerObserved(full bool)
-	// DedupHitsObserved reports how many candidate (worker, task) pairs one
-	// assignment round skipped because they were still pending an answer.
+	// DedupHitsObserved reports how many (worker, task) pairs one assignment
+	// round left out because they were still pending an answer: the pending
+	// pairs of the requesting workers, counted once per round.
 	DedupHitsObserved(n int)
 }
 
@@ -333,16 +334,16 @@ type Service struct {
 	baseGen     uint64
 	restoredGen uint64
 
-	// Lock-free planning state (see plan.go). sincePlan records pairs
-	// answered since the published plan snapshot was captured — together
-	// with pending it forms the exclusion set a snapshot plan starts from;
-	// it is reset at every capture and is nil unless planEnabled. cands is
+	// Lock-free planning state (see plan.go). sincePlan records, per worker,
+	// the tasks answered since the published plan snapshot was captured —
+	// together with the pending lists it forms the exclusions a snapshot plan
+	// starts from; it is reset at every capture and is nil unless planEnabled. cands is
 	// the per-worker candidate index, planPool recycles planner scratch
 	// across off-lock plans (both nil unless planEnabled), planStats counts
 	// commit outcomes, and planEnabled reports the path is configured.
 	// forceLockedPlan routes every round through the locked planner; the
 	// equivalence tests use it to diff the two paths.
-	sincePlan       map[pairKey]bool
+	sincePlan       map[WorkerID][]TaskID
 	cands           *assign.Candidates
 	planPool        sync.Pool
 	planStats       planCounters
@@ -415,7 +416,7 @@ func newBareService(cfg serviceConfig) *Service {
 		cfg:       cfg,
 		taskIdx:   make(map[string]TaskID),
 		workerIdx: make(map[string]WorkerID),
-		led:       ledger{pending: make(map[pairKey]bool), budget: cfg.initialBudget},
+		led:       ledger{pending: make(map[WorkerID][]TaskID), budget: cfg.initialBudget},
 		dirty:     true,
 	}
 }
@@ -603,7 +604,7 @@ func (s *Service) publishLocked(seq, fullSeq uint64, converged bool) {
 	if s.planEnabled {
 		plan = s.eng.PlanSnapshot()
 		if plan != nil {
-			s.sincePlan = make(map[pairKey]bool)
+			s.sincePlan = make(map[WorkerID][]TaskID)
 		}
 	}
 	s.published.Store(&paramGen{
@@ -737,7 +738,7 @@ func (s *Service) submitAnswer(ctx context.Context, workerID, taskID string, sel
 	if s.sincePlan != nil {
 		// The published plan snapshot predates this answer; record the
 		// pair so off-lock plans exclude it without re-reading the engine.
-		s.sincePlan[pairKey{w, t}] = true
+		s.sincePlan[w] = append(s.sincePlan[w], t)
 	}
 	s.sinceFull++
 	s.dirty = true
@@ -784,7 +785,7 @@ func (s *Service) RequestTasks(ctx context.Context, workerIDs []string) (map[str
 		return s.requestTasksLocked(ctx, ws)
 	}
 	snapSp.AttrInt("gen", int64(pc.pub.gen))
-	snapSp.AttrInt("skip_set", int64(len(pc.skipSet)))
+	snapSp.AttrInt("pending", int64(pc.pending))
 	snapSp.End()
 	return s.requestTasksLockFree(ctx, ws, pc)
 }
@@ -819,25 +820,23 @@ func (s *Service) capturePlan(workerIDs []string) ([]WorkerID, *planContext, err
 			return ws, nil, nil
 		}
 	}
-	// Copy the live exclusions: pending pairs (true) plus answers accepted
-	// since the snapshot (false). The copy may go stale the moment the lock
-	// drops — the optimistic commit re-validates every pick — but starting
-	// close to live keeps conflicts rare. The ID tables are append-only, so
-	// the captured slice headers stay valid off-lock.
-	pc := &planContext{
+	// Copy the requesting workers' live exclusions: their pending pairs plus
+	// their answers accepted since the snapshot. The copy may go stale the
+	// moment the lock drops — the optimistic commit re-validates every pick —
+	// but starting close to live keeps conflicts rare. The ID tables are
+	// append-only, so the captured slice headers stay valid off-lock.
+	ex, pending := s.led.exclusions(ws)
+	for w := range ex {
+		ex[w] = append(ex[w], s.sincePlan[w]...)
+	}
+	return ws, &planContext{
 		pub:       pub,
-		skipSet:   make(map[pairKey]bool, len(s.led.pending)+len(s.sincePlan)),
+		exclude:   ex,
+		pending:   pending,
 		taskKeys:  s.taskKeys,
 		workerKey: s.workerKey,
 		observer:  s.observer,
-	}
-	for pk := range s.sincePlan {
-		pc.skipSet[pk] = false
-	}
-	for pk := range s.led.pending {
-		pc.skipSet[pk] = true
-	}
-	return ws, pc, nil
+	}, nil
 }
 
 // requestTasksLocked is the write-locked assignment path: plan from the live
@@ -858,21 +857,12 @@ func (s *Service) requestTasksLocked(ctx context.Context, ws []WorkerID) (map[st
 		return nil, err
 	}
 	s.planStats.locked.Add(1)
-	// The engines' planners may probe the exclusion predicate from several
-	// goroutines (the sharded fan-out), so the dedup-hit tally is atomic.
-	var dedupHits atomic.Int64
-	skip := func(w WorkerID, t TaskID) bool {
-		if s.led.isPending(w, t) {
-			dedupHits.Add(1)
-			return true
-		}
-		return false
-	}
-	// The live planner left out every answered and every pending pair and the
-	// engine trimmed the round to the budget, so the commit takes it whole.
-	accepted, _, _ := s.led.commit(s.eng.Assign(ws, s.cfg.h, s.led.budget, skip), nil)
-	if n := dedupHits.Load(); n > 0 && s.observer != nil {
-		s.observer.DedupHitsObserved(int(n))
+	// The live planner leaves out every answered and every pending pair and the
+	// engine trims the round to the budget, so the commit takes it whole.
+	ex, pending := s.led.exclusions(ws)
+	accepted, _, _ := s.led.commit(s.eng.Assign(ws, s.cfg.h, s.led.budget, ex), nil)
+	if pending > 0 && s.observer != nil {
+		s.observer.DedupHitsObserved(pending)
 	}
 	out, committed := handOut(accepted, s.workerKey, s.taskKeys)
 	sp.AttrInt("workers", int64(len(ws)))
@@ -1085,7 +1075,7 @@ func (s *Service) RemainingBudget() int {
 func (s *Service) PendingCount() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.led.pending)
+	return s.led.npending
 }
 
 // AnswerCount returns the number of answers accepted so far.
@@ -1114,7 +1104,7 @@ func (s *Service) Health() HealthStats {
 		Tasks:           len(s.tasks),
 		Workers:         len(s.workers),
 		Answers:         int(s.led.answered()),
-		Pending:         len(s.led.pending),
+		Pending:         s.led.npending,
 		RemainingBudget: s.led.budget,
 	}
 }

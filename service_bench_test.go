@@ -205,7 +205,8 @@ func BenchmarkRequestTasksParallel(b *testing.B) {
 // BenchmarkServiceRequestTasks measures one Service assignment round (10
 // requesting workers, h = 2) on a warm model, including pending bookkeeping
 // and string mapping. Each round requests a different worker cohort so the
-// pending set keeps growing as it would in production.
+// pending set keeps growing as it would in production. ns/pair is the round's
+// time over |W|·|T|, comparable with BenchmarkAccOptAssign's.
 func BenchmarkServiceRequestTasks(b *testing.B) {
 	env, answers := serviceBenchWorld(b)
 	svc := newBenchService(b, env)
@@ -229,6 +230,8 @@ func BenchmarkServiceRequestTasks(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	pairs := b.N * len(cohort) * len(env.Data.Tasks)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(pairs), "ns/pair")
 }
 
 // BenchmarkFitCycle prices the one fit cycle against the floor it is built on,
