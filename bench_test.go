@@ -1,8 +1,9 @@
 // Benchmarks: one per table and figure of the paper's evaluation section,
-// plus the DESIGN.md §4 ablations. Each benchmark executes the same code
-// path as the corresponding `poibench <id>` command (which prints the full
-// row/series output) and reports headline metrics via b.ReportMetric so a
-// single `go test -bench=. -benchmem` run records both cost and quality.
+// plus the ablations EXPERIMENTS.md lists under "Beyond the paper". Each
+// benchmark executes the same code path as the corresponding `poibench <id>`
+// command (which prints the full row/series output) and reports headline
+// metrics via b.ReportMetric so a single `go test -bench=. -benchmem` run
+// records both cost and quality.
 //
 // Figure/table mapping:
 //
@@ -154,7 +155,7 @@ func BenchmarkFig14AssignmentScalability(b *testing.B) {
 	b.ReportMetric(r.WorkerMs[0], "assignMs@10k/40w")
 }
 
-// --- Ablation benches (DESIGN.md §4) ---
+// --- Ablation benches (EXPERIMENTS.md, "Beyond the paper") ---
 
 func BenchmarkAblationAlpha(b *testing.B) {
 	for i := 0; i < b.N; i++ {
@@ -198,9 +199,8 @@ func BenchmarkEMIteration(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := env.Scenario.ModelConfig
-	cfg.MaxIter = 1
-	m, err := core.NewModel(env.Data.Tasks, env.Workers, env.Data.Normalizer(), cfg)
+	env.Scenario.ModelConfig.MaxIter = 1
+	m, err := env.NewModel()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -473,10 +473,9 @@ func BenchmarkParallelEM(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			cfg := env.Scenario.ModelConfig
-			cfg.MaxIter = 10
-			cfg.Parallelism = par
-			m, err := core.NewModel(env.Data.Tasks, env.Workers, env.Data.Normalizer(), cfg)
+			env.Scenario.ModelConfig.MaxIter = 10
+			env.Scenario.ModelConfig.Parallelism = par
+			m, err := env.NewModel()
 			if err != nil {
 				b.Fatal(err)
 			}

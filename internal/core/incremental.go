@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sort"
 
 	"poilabel/internal/model"
@@ -115,49 +114,4 @@ func (m *Model) refreshTask(t model.TaskID, upto int) {
 		}
 	}
 	m.cfg.normalizeSmoothed(pdt, dtSum)
-}
-
-// UpdatePolicy decides when the framework runs the expensive full EM versus
-// the cheap incremental update (Section III-D: "run the complete EM
-// algorithm only if there are 100 submissions" with incremental EM in
-// between).
-type UpdatePolicy struct {
-	// FullEMInterval is the number of submissions between full EM runs.
-	// A value of 1 runs full EM on every submission; 0 disables full EM
-	// entirely (incremental only).
-	FullEMInterval int
-	// Incremental enables the incremental update between full runs.
-	Incremental bool
-
-	sinceFull int
-}
-
-// DefaultUpdatePolicy matches the paper: full EM every 100 submissions,
-// incremental EM in between.
-func DefaultUpdatePolicy() *UpdatePolicy {
-	return &UpdatePolicy{FullEMInterval: 100, Incremental: true}
-}
-
-// String implements fmt.Stringer.
-func (p *UpdatePolicy) String() string {
-	return fmt.Sprintf("UpdatePolicy{full every %d, incremental %v}", p.FullEMInterval, p.Incremental)
-}
-
-// Apply routes one submitted answer into the model according to the policy.
-// It returns true when a full EM run was triggered.
-func (p *UpdatePolicy) Apply(m *Model, a model.Answer) (fullEM bool, err error) {
-	p.sinceFull++
-	runFull := p.FullEMInterval > 0 && p.sinceFull >= p.FullEMInterval
-	if runFull {
-		if err := m.Observe(a); err != nil {
-			return false, err
-		}
-		m.Fit()
-		p.sinceFull = 0
-		return true, nil
-	}
-	if p.Incremental {
-		return false, m.Update(a)
-	}
-	return false, m.Observe(a)
 }

@@ -125,55 +125,3 @@ func TestUpdateRejectsInvalidAnswer(t *testing.T) {
 		t.Error("failed Update still recorded the answer")
 	}
 }
-
-func TestUpdatePolicyFullEMInterval(t *testing.T) {
-	f := newFixture(30, 3, 3, 37)
-	rng := rand.New(rand.NewSource(38))
-	m := f.model(t, core.DefaultConfig())
-	policy := &core.UpdatePolicy{FullEMInterval: 10, Incremental: true}
-
-	fullRuns := 0
-	for i := 0; i < 30; i++ {
-		w := model.WorkerID(i % 3)
-		task := model.TaskID(i)
-		full, err := policy.Apply(m, f.answerAs(w, task, 0.8, rng))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if full {
-			fullRuns++
-			if (i+1)%10 != 0 {
-				t.Errorf("full EM triggered at submission %d, want multiples of 10", i+1)
-			}
-		}
-	}
-	if fullRuns != 3 {
-		t.Errorf("full EM ran %d times over 30 submissions at interval 10, want 3", fullRuns)
-	}
-}
-
-func TestUpdatePolicyObserveOnly(t *testing.T) {
-	f := newFixture(5, 3, 2, 39)
-	rng := rand.New(rand.NewSource(40))
-	m := f.model(t, core.DefaultConfig())
-	policy := &core.UpdatePolicy{FullEMInterval: 0, Incremental: false}
-	before := m.Params().Clone()
-	for i := 0; i < 5; i++ {
-		if _, err := policy.Apply(m, f.answerAs(0, model.TaskID(i), 0.8, rng)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if m.Params().MaxDelta(before) != 0 {
-		t.Error("observe-only policy changed parameters")
-	}
-	if m.Answers().Len() != 5 {
-		t.Errorf("observe-only policy recorded %d answers, want 5", m.Answers().Len())
-	}
-}
-
-func TestDefaultUpdatePolicy(t *testing.T) {
-	p := core.DefaultUpdatePolicy()
-	if p.FullEMInterval != 100 || !p.Incremental {
-		t.Errorf("DefaultUpdatePolicy = %+v, want interval 100 with incremental", p)
-	}
-}

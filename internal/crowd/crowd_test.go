@@ -284,11 +284,22 @@ func TestSampleAvailableDistinct(t *testing.T) {
 	}
 }
 
+// zipfActivity is a heavy-tailed activity profile, weight(rank) ∝
+// 1/(rank+1)^exponent over a random worker ordering: a few workers do most
+// HITs while the tail appears rarely, as in the paper's Figure 7.
+func zipfActivity(n int, exponent float64, rng *rand.Rand) []float64 {
+	weights := make([]float64, n)
+	for rank, wi := range rng.Perm(n) {
+		weights[wi] = 1 / math.Pow(float64(rank+1), exponent)
+	}
+	return weights
+}
+
 func TestZipfActivitySkewsArrivals(t *testing.T) {
 	d := testData()
 	workers, profiles := testPopulation(t, d, 40)
 	sim, _ := NewSimulator(d, workers, profiles, 41)
-	sim.ZipfActivity(1.5)
+	sim.Activity = zipfActivity(len(workers), 1.5, rand.New(rand.NewSource(40)))
 	if len(sim.Activity) != len(workers) {
 		t.Fatalf("activity has %d weights for %d workers", len(sim.Activity), len(workers))
 	}
@@ -318,7 +329,7 @@ func TestSampleAvailableSkewedStillDistinct(t *testing.T) {
 	d := testData()
 	workers, profiles := testPopulation(t, d, 42)
 	sim, _ := NewSimulator(d, workers, profiles, 43)
-	sim.ZipfActivity(2)
+	sim.Activity = zipfActivity(len(workers), 2, rand.New(rand.NewSource(42)))
 	got := sim.SampleAvailable(10)
 	seen := map[model.WorkerID]bool{}
 	for _, w := range got {

@@ -27,8 +27,7 @@ type Simulator struct {
 	// mismatch. Zero reproduces the paper's model exactly.
 	Noise float64
 	// Activity, when it has one weight per worker, skews SampleAvailable
-	// toward high-weight workers. Use ZipfActivity for the heavy-tailed
-	// profile real crowds show. Empty means uniform arrivals.
+	// toward high-weight workers. Empty means uniform arrivals.
 	Activity []float64
 
 	rng *rand.Rand
@@ -240,19 +239,4 @@ func (s *Simulator) SampleAvailable(n int) []model.WorkerID {
 		out[i] = model.WorkerID(perm[i])
 	}
 	return out
-}
-
-// ZipfActivity assigns the workers a heavy-tailed activity profile:
-// weight(rank) ∝ 1/(rank+1)^exponent over a random worker ordering. Real
-// crowds are strongly skewed — the paper's Figure 7 top-5 workers answered
-// a disproportionate share of tasks — and a skewed arrival process
-// reproduces that: a few workers do most HITs while the tail appears
-// rarely.
-func (s *Simulator) ZipfActivity(exponent float64) {
-	weights := make([]float64, len(s.Workers))
-	perm := s.rng.Perm(len(s.Workers))
-	for rank, wi := range perm {
-		weights[wi] = 1 / math.Pow(float64(rank+1), exponent)
-	}
-	s.Activity = weights
 }

@@ -14,7 +14,7 @@
 // the paper's tiers (>2500, >1000, >500, <500) are populated.
 //
 // All generation is deterministic given a seed, and datasets round-trip
-// through JSON for persistence.
+// through JSON (Encode/Decode).
 package dataset
 
 import (

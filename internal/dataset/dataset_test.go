@@ -2,12 +2,9 @@ package dataset
 
 import (
 	"bytes"
-	"math"
-	"path/filepath"
 	"testing"
 
 	"poilabel/internal/geo"
-	"poilabel/internal/model"
 )
 
 func TestBeijingMatchesPaperStatistics(t *testing.T) {
@@ -184,27 +181,6 @@ func TestJSONRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSaveLoad(t *testing.T) {
-	d := Generate(Config{Name: "file", NumTasks: 8}, 8)
-	path := filepath.Join(t.TempDir(), "ds.json")
-	if err := d.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Stats() != d.Stats() {
-		t.Errorf("loaded stats %v != saved %v", got.Stats(), d.Stats())
-	}
-}
-
-func TestLoadMissingFile(t *testing.T) {
-	if _, err := Load(filepath.Join(t.TempDir(), "absent.json")); err == nil {
-		t.Error("loading a missing file succeeded")
-	}
-}
-
 func TestDecodeRejectsCorrupt(t *testing.T) {
 	if _, err := Decode(bytes.NewBufferString("{not json")); err == nil {
 		t.Error("corrupt JSON accepted")
@@ -234,85 +210,5 @@ func TestValidateChecks(t *testing.T) {
 	d.Truth = nil
 	if err := d.Validate(); err == nil {
 		t.Error("nil truth accepted")
-	}
-}
-
-func TestFromLandmarks(t *testing.T) {
-	d, err := FromLandmarks("bj", BeijingLandmarks())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Validate(); err != nil {
-		t.Fatalf("landmark dataset invalid: %v", err)
-	}
-	if len(d.Tasks) != len(BeijingLandmarks()) {
-		t.Errorf("got %d tasks", len(d.Tasks))
-	}
-	// Sanity: Tiananmen and the Forbidden City are ~1.2 km apart; the
-	// projected plane must agree with the haversine distance within a few
-	// percent.
-	var tam, fc model.TaskID = -1, -1
-	for i := range d.Tasks {
-		switch d.Tasks[i].Name {
-		case "Tiananmen Square":
-			tam = model.TaskID(i)
-		case "Forbidden City":
-			fc = model.TaskID(i)
-		}
-	}
-	if tam < 0 || fc < 0 {
-		t.Fatal("landmarks missing")
-	}
-	planar := d.Tasks[tam].Location.Dist(d.Tasks[fc].Location)
-	sphere := geo.HaversineKm(
-		geo.LatLon{Lat: 39.9055, Lon: 116.3976},
-		geo.LatLon{Lat: 39.9163, Lon: 116.3972},
-	)
-	if math.Abs(planar-sphere)/sphere > 0.03 {
-		t.Errorf("projected distance %v km vs haversine %v km", planar, sphere)
-	}
-	// Review tiers must span several classes for the influence machinery.
-	tiers := map[int]bool{}
-	for i := range d.Tasks {
-		tiers[ReviewTier(d.Tasks[i].Reviews)] = true
-	}
-	if len(tiers) < 3 {
-		t.Errorf("landmark reviews span only %d tiers", len(tiers))
-	}
-}
-
-func TestFromLandmarksValidation(t *testing.T) {
-	if _, err := FromLandmarks("x", nil); err == nil {
-		t.Error("empty landmark set accepted")
-	}
-	bad := []Landmark{{Name: "a", Coord: geo.LatLon{Lat: 0, Lon: 0}, Labels: []string{"l"}, Truth: []bool{true, false}}}
-	if _, err := FromLandmarks("x", bad); err == nil {
-		t.Error("mismatched truth mask accepted")
-	}
-	bad = []Landmark{{Name: "a", Coord: geo.LatLon{Lat: 99, Lon: 0}, Labels: []string{"l"}, Truth: []bool{true}}}
-	if _, err := FromLandmarks("x", bad); err == nil {
-		t.Error("invalid coordinate accepted")
-	}
-	bad = []Landmark{{Name: "a", Coord: geo.LatLon{Lat: 0, Lon: 0}}}
-	if _, err := FromLandmarks("x", bad); err == nil {
-		t.Error("landmark without labels accepted")
-	}
-}
-
-func TestLandmarkDatasetRoundTrips(t *testing.T) {
-	d, err := FromLandmarks("bj", BeijingLandmarks())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := d.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Decode(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Tasks[0].Name != d.Tasks[0].Name {
-		t.Error("landmark round trip lost names")
 	}
 }

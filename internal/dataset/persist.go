@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 )
 
 // Encode writes the dataset as indented JSON.
@@ -27,29 +26,6 @@ func Decode(r io.Reader) (*Dataset, error) {
 		return nil, err
 	}
 	return &d, nil
-}
-
-// Save writes the dataset to a file.
-func (d *Dataset) Save(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("dataset: save %s: %w", d.Name, err)
-	}
-	defer f.Close()
-	if err := d.Encode(f); err != nil {
-		return err
-	}
-	return f.Close()
-}
-
-// Load reads a dataset from a file.
-func Load(path string) (*Dataset, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("dataset: load: %w", err)
-	}
-	defer f.Close()
-	return Decode(f)
 }
 
 // Validate checks internal consistency: truth shaped like the tasks, dense

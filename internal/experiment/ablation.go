@@ -2,31 +2,34 @@ package experiment
 
 import (
 	"fmt"
+	"sync/atomic"
 	"time"
 
+	"poilabel"
 	"poilabel/internal/assign"
 	"poilabel/internal/core"
-	"poilabel/internal/crowd"
 	"poilabel/internal/distfunc"
 	"poilabel/internal/model"
 	"poilabel/internal/stats"
 )
 
-// The ablations probe the design choices DESIGN.md §4 calls out: the α
-// mixing weight, the size of the distance-function set, the model-update
-// policy, and greedy-versus-random assignment.
+// The ablations probe the design choices EXPERIMENTS.md ("Beyond the
+// paper") records: the α mixing weight, the distance-function set and its
+// shape family, the model-update policy, and greedy-versus-random assignment.
 
-// RunAblationAlpha sweeps the inference model's α (the Equation 8 weight of
-// worker distance quality versus POI influence) while the data-generating
-// process is held fixed.
-func RunAblationAlpha(seed int64) (fmt.Stringer, error) {
-	t := stats.NewTable("Ablation: inference accuracy vs alpha (Beijing & China)",
-		"alpha", "Beijing", "China")
-	alphas := []float64{0, 0.25, 0.5, 0.75, 1}
+// configEdit is one arm of a model-configuration sweep: a row name and the
+// change it makes to the scenario's inference-model configuration.
+type configEdit struct {
+	name string
+	edit func(*core.Config)
+}
+
+// configSweep collects the Deployment 1 log once per world, refits it under
+// each arm's configuration, and tabulates the accuracy per world.
+func configSweep(seed int64, title, column string, arms []configEdit) (fmt.Stringer, error) {
 	cols := make(map[string][]float64)
 	for _, name := range []string{"Beijing", "China"} {
-		s := DefaultScenario(name, seed)
-		env, err := s.Build()
+		env, err := DefaultScenario(name, seed).Build()
 		if err != nil {
 			return nil, err
 		}
@@ -34,114 +37,99 @@ func RunAblationAlpha(seed int64) (fmt.Stringer, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, a := range alphas {
-			s2 := s
-			s2.ModelConfig.Alpha = a
-			env2 := &Env{Scenario: s2, Data: env.Data, Workers: env.Workers, Profiles: env.Profiles, Sim: env.Sim}
-			m, _, err := env2.FitModel(answers)
+		for _, arm := range arms {
+			armEnv := *env
+			arm.edit(&armEnv.Scenario.ModelConfig)
+			m, _, err := armEnv.FitModel(answers)
 			if err != nil {
 				return nil, err
 			}
 			cols[name] = append(cols[name], model.Accuracy(m.Result(), env.Data.Truth))
 		}
 	}
-	for i, a := range alphas {
-		t.AddRowf(fmt.Sprintf("%.2f", a),
+	t := stats.NewTable(title, column, "Beijing", "China")
+	for i, arm := range arms {
+		t.AddRowf(arm.name,
 			fmt.Sprintf("%.1f%%", 100*cols["Beijing"][i]),
 			fmt.Sprintf("%.1f%%", 100*cols["China"][i]))
 	}
 	return t, nil
+}
+
+// funcSetArm is the sweep arm that swaps in a distance-function set.
+func funcSetArm(name string, set *distfunc.Set) configEdit {
+	return configEdit{name, func(c *core.Config) { c.FuncSet = set }}
+}
+
+// RunAblationAlpha sweeps the inference model's α (the Equation 8 weight of
+// worker distance quality versus POI influence) while the data-generating
+// process is held fixed.
+func RunAblationAlpha(seed int64) (fmt.Stringer, error) {
+	var arms []configEdit
+	for _, a := range []float64{0, 0.25, 0.5, 0.75, 1} {
+		arms = append(arms, configEdit{fmt.Sprintf("%.2f", a), func(c *core.Config) { c.Alpha = a }})
+	}
+	return configSweep(seed, "Ablation: inference accuracy vs alpha (Beijing & China)", "alpha", arms)
 }
 
 // RunAblationFuncSet sweeps the size of the distance-function set F,
 // testing the paper's claim that a single bell function is less expressive
 // than a set (Section III-B).
 func RunAblationFuncSet(seed int64) (fmt.Stringer, error) {
-	sets := []struct {
-		name string
-		set  *distfunc.Set
-	}{
-		{"{f10}", distfunc.MustSet(10)},
-		{"{f100,f0.1}", distfunc.MustSet(100, 0.1)},
-		{"{f100,f10,f0.1}", distfunc.PaperSet()},
-		{"{f200,f50,f10,f1,f0.1}", distfunc.MustSet(200, 50, 10, 1, 0.1)},
-	}
-	t := stats.NewTable("Ablation: inference accuracy vs distance-function set",
-		"function set", "Beijing", "China")
-	cols := make(map[string][]float64)
-	for _, name := range []string{"Beijing", "China"} {
-		s := DefaultScenario(name, seed)
-		env, err := s.Build()
-		if err != nil {
-			return nil, err
-		}
-		answers, err := env.Collect()
-		if err != nil {
-			return nil, err
-		}
-		for _, fs := range sets {
-			s2 := s
-			s2.ModelConfig.FuncSet = fs.set
-			env2 := &Env{Scenario: s2, Data: env.Data, Workers: env.Workers, Profiles: env.Profiles, Sim: env.Sim}
-			m, _, err := env2.FitModel(answers)
-			if err != nil {
-				return nil, err
-			}
-			cols[name] = append(cols[name], model.Accuracy(m.Result(), env.Data.Truth))
-		}
-	}
-	for i, fs := range sets {
-		t.AddRowf(fs.name,
-			fmt.Sprintf("%.1f%%", 100*cols["Beijing"][i]),
-			fmt.Sprintf("%.1f%%", 100*cols["China"][i]))
-	}
-	return t, nil
+	return configSweep(seed, "Ablation: inference accuracy vs distance-function set", "function set",
+		[]configEdit{
+			funcSetArm("{f10}", distfunc.MustSet(10)),
+			funcSetArm("{f100,f0.1}", distfunc.MustSet(100, 0.1)),
+			funcSetArm("{f100,f10,f0.1}", distfunc.PaperSet()),
+			funcSetArm("{f200,f50,f10,f1,f0.1}", distfunc.MustSet(200, 50, 10, 1, 0.1)),
+		})
 }
 
-// RunAblationUpdatePolicy compares the model-update policies of Section
-// III-D on the dynamic platform: full EM on every submission, the paper's
-// delayed full EM + incremental EM, and incremental-only.
-func RunAblationUpdatePolicy(seed int64) (fmt.Stringer, error) {
-	policies := []struct {
-		name   string
-		policy func() *core.UpdatePolicy
-	}{
-		{"full EM every answer", func() *core.UpdatePolicy {
-			return &core.UpdatePolicy{FullEMInterval: 1}
-		}},
-		{"delayed(100) + incremental", core.DefaultUpdatePolicy},
-		{"incremental only", func() *core.UpdatePolicy {
-			return &core.UpdatePolicy{FullEMInterval: 0, Incremental: true}
-		}},
-		{"no updates until end", func() *core.UpdatePolicy {
-			return &core.UpdatePolicy{FullEMInterval: 0, Incremental: false}
-		}},
+// fitCounter is an Observer that counts completed full fits.
+type fitCounter struct{ fits atomic.Int64 }
+
+func (c *fitCounter) FitObserved(_ time.Duration, _ bool, err error) {
+	if err == nil {
+		c.fits.Add(1)
 	}
-	t := stats.NewTable("Ablation: update policy on the dynamic platform (AccOpt, budget 1000, Beijing)",
-		"policy", "accuracy", "platform time")
+}
+func (c *fitCounter) AnswerObserved(bool)   {}
+func (c *fitCounter) DedupHitsObserved(int) {}
+
+// RunAblationUpdatePolicy compares the model-update policies of Section
+// III-D in Deployment 2: full EM on every submission, the paper's delayed
+// full EM + incremental EM, incremental-only, and no learning at all until
+// the final fit (a partition engine only logs answers between fits). Each
+// is a service configuration; the table counts the full fits each ran.
+func RunAblationUpdatePolicy(seed int64) (fmt.Stringer, error) {
+	arms := []struct {
+		name string
+		opts []poilabel.ServiceOption
+	}{
+		{"full EM every answer", []poilabel.ServiceOption{poilabel.WithFullEMInterval(1)}},
+		{"delayed(100) + incremental", nil},
+		{"incremental only", []poilabel.ServiceOption{poilabel.WithFullEMInterval(0)}},
+		{"no per-answer learning (sharded, K = 1)", []poilabel.ServiceOption{
+			poilabel.WithEngine(poilabel.EngineSharded), poilabel.WithShards(1), poilabel.WithFullEMInterval(0)}},
+	}
+	t := stats.NewTable("Ablation: update policy in Deployment 2 (AccOpt, budget 1000, Beijing)",
+		"policy", "accuracy", "full fits")
 	s := DefaultScenario("Beijing", seed)
-	for _, p := range policies {
+	for _, arm := range arms {
 		env, err := s.Build()
 		if err != nil {
 			return nil, err
 		}
-		m, err := env.NewModel()
+		var fits fitCounter
+		camp, err := env.RunCampaign(Campaign{
+			Assigner: poilabel.AssignerAccOpt,
+			Options:  append(arm.opts, poilabel.WithObserver(&fits)),
+		})
 		if err != nil {
 			return nil, err
 		}
-		plat, err := crowd.NewPlatform(env.Sim, m, p.policy(), s.Budget)
-		if err != nil {
-			return nil, err
-		}
-		start := time.Now()
-		if _, err := plat.Run(assign.NewPlanner(), crowd.RunConfig{
-			WorkersPerRound: 5, TasksPerWorker: s.H, FinalFullEM: true,
-		}); err != nil {
-			return nil, err
-		}
-		elapsed := time.Since(start)
-		acc := model.Accuracy(m.Result(), env.Data.Truth)
-		t.AddRowf(p.name, fmt.Sprintf("%.1f%%", 100*acc), elapsed.Round(time.Millisecond).String())
+		acc := model.Accuracy(camp.Final, env.Data.Truth)
+		t.AddRowf(arm.name, fmt.Sprintf("%.1f%%", 100*acc), fits.fits.Load())
 	}
 	return t, nil
 }
@@ -208,92 +196,51 @@ func newRandomForSeed(seed int64) assign.Assigner {
 // while the data-generating process stays bell-based, testing the paper's
 // claim that "any function satisfying this property can be used".
 func RunAblationShapes(seed int64) (fmt.Stringer, error) {
-	sets := []struct {
-		name string
-		set  *distfunc.Set
-	}{
-		{"bell {f100,f10,f0.1} (paper)", distfunc.PaperSet()},
-		{"linear {2, 0.7, 0.1}", distfunc.MustCustomSet(
-			distfunc.Linear{Rate: 2}, distfunc.Linear{Rate: 0.7}, distfunc.Linear{Rate: 0.1})},
-		{"step {r=0.1, 0.3, 0.8}", distfunc.MustCustomSet(
-			distfunc.Step{Radius: 0.1}, distfunc.Step{Radius: 0.3}, distfunc.Step{Radius: 0.8})},
-		{"exp {0.05, 0.2, 1.5}", distfunc.MustCustomSet(
-			distfunc.Exponential{Scale: 0.05}, distfunc.Exponential{Scale: 0.2}, distfunc.Exponential{Scale: 1.5})},
-		{"mixed {step0.15, linear0.8, exp1.5}", distfunc.MustCustomSet(
-			distfunc.Step{Radius: 0.15}, distfunc.Linear{Rate: 0.8}, distfunc.Exponential{Scale: 1.5})},
-	}
-	t := stats.NewTable("Ablation: inference accuracy vs distance-function family",
-		"family", "Beijing", "China")
-	cols := make(map[string][]float64)
-	for _, name := range []string{"Beijing", "China"} {
-		s := DefaultScenario(name, seed)
-		env, err := s.Build()
-		if err != nil {
-			return nil, err
-		}
-		answers, err := env.Collect()
-		if err != nil {
-			return nil, err
-		}
-		for _, fs := range sets {
-			s2 := s
-			s2.ModelConfig.FuncSet = fs.set
-			env2 := &Env{Scenario: s2, Data: env.Data, Workers: env.Workers, Profiles: env.Profiles, Sim: env.Sim}
-			m, _, err := env2.FitModel(answers)
-			if err != nil {
-				return nil, err
-			}
-			cols[name] = append(cols[name], model.Accuracy(m.Result(), env.Data.Truth))
-		}
-	}
-	for i, fs := range sets {
-		t.AddRowf(fs.name,
-			fmt.Sprintf("%.1f%%", 100*cols["Beijing"][i]),
-			fmt.Sprintf("%.1f%%", 100*cols["China"][i]))
-	}
-	return t, nil
+	return configSweep(seed, "Ablation: inference accuracy vs distance-function family", "family",
+		[]configEdit{
+			funcSetArm("bell {f100,f10,f0.1} (paper)", distfunc.PaperSet()),
+			funcSetArm("linear {2, 0.7, 0.1}", distfunc.MustCustomSet(
+				distfunc.Linear{Rate: 2}, distfunc.Linear{Rate: 0.7}, distfunc.Linear{Rate: 0.1})),
+			funcSetArm("step {r=0.1, 0.3, 0.8}", distfunc.MustCustomSet(
+				distfunc.Step{Radius: 0.1}, distfunc.Step{Radius: 0.3}, distfunc.Step{Radius: 0.8})),
+			funcSetArm("exp {0.05, 0.2, 1.5}", distfunc.MustCustomSet(
+				distfunc.Exponential{Scale: 0.05}, distfunc.Exponential{Scale: 0.2}, distfunc.Exponential{Scale: 1.5})),
+			funcSetArm("mixed {step0.15, linear0.8, exp1.5}", distfunc.MustCustomSet(
+				distfunc.Step{Radius: 0.15}, distfunc.Linear{Rate: 0.8}, distfunc.Exponential{Scale: 1.5})),
+		})
 }
 
 // RunAblationAssigners extends the paper's Figure 11 comparison with the
-// extra assigners this repository implements: the entropy-based selection
+// extra assigner this repository implements: the entropy-based selection
 // of CDAS [16].
 func RunAblationAssigners(seed int64) (fmt.Stringer, error) {
 	t := stats.NewTable("Ablation: final accuracy of all assigners (budget 1000)",
 		"assigner", "Beijing", "China")
-	assigners := []func() assign.Assigner{
-		func() assign.Assigner { return assign.Random{Rand: newRand(seed + 300)} },
-		func() assign.Assigner { return assign.EntropyFirst{} },
-		func() assign.Assigner { return assign.NewPlanner() },
+	assigners := []struct {
+		name string
+		kind poilabel.AssignerKind
+	}{
+		{"Random", poilabel.AssignerRandom},
+		{"Entropy", poilabel.AssignerEntropy},
+		{"AccOpt", poilabel.AssignerAccOpt},
 	}
 	cols := make(map[string][]float64)
-	names := make([]string, 0, len(assigners))
 	for _, dsName := range []string{"Beijing", "China"} {
 		s := DefaultScenario(dsName, seed)
-		names = names[:0]
-		for _, mk := range assigners {
+		for _, a := range assigners {
 			env, err := s.Build()
 			if err != nil {
 				return nil, err
 			}
-			asg := mk()
-			// SF needs the task index; construct per dataset.
-			names = append(names, asg.Name())
-			m, err := env.NewModel()
+			camp, err := env.RunCampaign(Campaign{Assigner: a.kind, Seed: seed + 300})
 			if err != nil {
 				return nil, err
 			}
-			plat, err := crowd.NewPlatform(env.Sim, m, core.DefaultUpdatePolicy(), s.Budget)
-			if err != nil {
-				return nil, err
-			}
-			if _, err := plat.Run(asg, crowd.RunConfig{WorkersPerRound: 5, TasksPerWorker: s.H, FinalFullEM: true}); err != nil {
-				return nil, err
-			}
-			cols[dsName] = append(cols[dsName], model.Accuracy(m.Result(), env.Data.Truth))
+			cols[dsName] = append(cols[dsName], model.Accuracy(camp.Final, env.Data.Truth))
 		}
 	}
-	for i, name := range names {
-		t.AddRowf(name,
+	for i, a := range assigners {
+		t.AddRowf(a.name,
 			fmt.Sprintf("%.1f%%", 100*cols["Beijing"][i]),
 			fmt.Sprintf("%.1f%%", 100*cols["China"][i]))
 	}

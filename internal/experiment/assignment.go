@@ -2,11 +2,8 @@ package experiment
 
 import (
 	"fmt"
-	"math/rand"
 
-	"poilabel/internal/assign"
-	"poilabel/internal/core"
-	"poilabel/internal/crowd"
+	"poilabel"
 	"poilabel/internal/model"
 	"poilabel/internal/stats"
 )
@@ -24,20 +21,11 @@ const (
 // DefaultAssigners is the paper's comparison set.
 var DefaultAssigners = []AssignerName{AssignRandom, AssignSF, AssignAccOpt}
 
-// newAssigner instantiates an assigner by name. The random assigner derives
-// its stream from the scenario seed so runs stay reproducible.
-func newAssigner(name AssignerName, env *Env) (assign.Assigner, error) {
-	switch name {
-	case AssignRandom:
-		return assign.Random{Rand: rand.New(rand.NewSource(env.Scenario.Seed + 100))}, nil
-	case AssignSF:
-		return assign.NewSpatialFirst(env.Data.Tasks), nil
-	case AssignAccOpt:
-		// A Planner reuses its O(|W|·|T|) scratch across the run's rounds.
-		return assign.NewPlanner(), nil
-	default:
-		return nil, fmt.Errorf("experiment: unknown assigner %q", name)
-	}
+// assignerKinds maps the paper's names to the service's strategies.
+var assignerKinds = map[AssignerName]poilabel.AssignerKind{
+	AssignRandom: poilabel.AssignerRandom,
+	AssignSF:     poilabel.AssignerSpatialFirst,
+	AssignAccOpt: poilabel.AssignerAccOpt,
 }
 
 // AssignmentRun is one assigner's trajectory through the budget sweep plus
@@ -82,67 +70,47 @@ func RunFig11(s Scenario) (*Fig11Result, error) {
 }
 
 func runAssignment(s Scenario, name AssignerName) (*AssignmentRun, error) {
+	kind, ok := assignerKinds[name]
+	if !ok {
+		return nil, fmt.Errorf("experiment: unknown assigner %q", name)
+	}
 	env, err := s.Build()
 	if err != nil {
 		return nil, err
 	}
-	asg, err := newAssigner(name, env)
-	if err != nil {
-		return nil, err
-	}
-	m, err := env.NewModel()
-	if err != nil {
-		return nil, err
-	}
-	plat, err := crowd.NewPlatform(env.Sim, m, core.DefaultUpdatePolicy(), s.Budget)
-	if err != nil {
-		return nil, err
-	}
-
 	run := &AssignmentRun{Assigner: name, Budgets: Budgets}
-	next := 0 // index of next checkpoint
-	emptyRounds := 0
-	for plat.Remaining() > 0 && next < len(Budgets) {
-		workers := env.Sim.SampleAvailable(5)
-		n, err := plat.Round(asg, workers, s.H)
-		if err != nil {
-			return nil, err
-		}
-		if n == 0 {
-			emptyRounds++
-			if emptyRounds > 3*len(env.Workers) {
-				break
-			}
-			continue
-		}
-		emptyRounds = 0
-		for next < len(Budgets) && plat.Used() >= Budgets[next] {
-			m.Fit()
-			run.Accuracy = append(run.Accuracy, model.Accuracy(m.Result(), env.Data.Truth))
-			next++
-		}
+	camp, err := env.RunCampaign(Campaign{
+		Assigner:    kind,
+		Seed:        s.Seed + 100,
+		Checkpoints: Budgets,
+		Check: func(_ int, res *model.Result) bool {
+			run.Accuracy = append(run.Accuracy, model.Accuracy(res, env.Data.Truth))
+			return false
+		},
+	})
+	if err != nil {
+		return nil, err
 	}
-	for next < len(Budgets) {
+	for len(run.Accuracy) < len(Budgets) {
 		// Budget exhausted early (task pool too small): repeat the final
 		// accuracy so every run has a full series.
-		m.Fit()
-		run.Accuracy = append(run.Accuracy, model.Accuracy(m.Result(), env.Data.Truth))
-		next++
+		run.Accuracy = append(run.Accuracy, model.Accuracy(camp.Final, env.Data.Truth))
 	}
 
-	answers := m.Answers()
 	// Table II column 1: average real accuracy of submitted answers.
 	var qsum float64
-	for i := 0; i < answers.Len(); i++ {
-		qsum += model.AnswerAccuracy(answers.Answer(i), env.Data.Truth)
+	perTask := make([]int, len(env.Data.Tasks))
+	for i := range camp.Answers {
+		qsum += model.AnswerAccuracy(&camp.Answers[i], env.Data.Truth)
+		perTask[camp.Answers[i].Task]++
 	}
-	if answers.Len() > 0 {
-		run.WorkerQuality = qsum / float64(answers.Len())
+	if len(camp.Answers) > 0 {
+		run.WorkerQuality = qsum / float64(len(camp.Answers))
 	}
 	// Table II column 2: distribution of answers per task.
 	var lo, mid, hi int
-	for t := range env.Data.Tasks {
-		switch n := answers.TaskAnswerCount(model.TaskID(t)); {
+	for _, n := range perTask {
+		switch {
 		case n < 3:
 			lo++
 		case n <= 7:
@@ -156,10 +124,8 @@ func runAssignment(s Scenario, name AssignerName) (*AssignmentRun, error) {
 	// Table II column 3: average Acc_{t,k} against ground truth.
 	var asum float64
 	var n int
-	params := m.Params()
-	for t := range env.Data.Tasks {
-		for k := range env.Data.Tasks[t].Labels {
-			p := params.PZ[t][k]
+	for t, probs := range camp.Final.Prob {
+		for k, p := range probs {
 			if !env.Data.Truth.Label(model.TaskID(t), k) {
 				p = 1 - p
 			}

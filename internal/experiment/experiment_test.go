@@ -372,6 +372,7 @@ func TestAblationRunners(t *testing.T) {
 		"greedy":    RunAblationGreedy,
 		"shapes":    RunAblationShapes,
 		"assigners": RunAblationAssigners,
+		"update":    RunAblationUpdatePolicy,
 	}
 	for name, run := range runners {
 		t.Run(name, func(t *testing.T) {
@@ -399,7 +400,8 @@ func TestAblationUpdatePolicyRunner(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := out.String()
-	for _, want := range []string{"full EM every answer", "incremental only", "delayed(100)"} {
+	for _, want := range []string{"full EM every answer", "delayed(100) + incremental",
+		"incremental only", "no per-answer learning (sharded, K = 1)"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("missing policy row %q", want)
 		}

@@ -2,10 +2,12 @@
 // evaluation (Section V). Each runner returns a structured result and can
 // render the same rows/series the paper reports as an aligned text table.
 //
-// The experiments run against the simulated crowd of internal/crowd (see
-// DESIGN.md §1 for the substitution argument). A Scenario freezes every
-// knob — dataset seed, worker population, collection process, model
-// configuration — so results are deterministic and comparable across runs.
+// The experiments run against the simulated crowd of internal/crowd
+// (EXPERIMENTS.md states why it stands in for the paper's answer logs). A
+// Scenario freezes every knob — dataset seed, worker population, collection
+// process, model configuration — so results are deterministic and comparable
+// across runs. Deployment 2 campaigns run through poilabel.Service
+// (RunCampaign).
 package experiment
 
 import (
@@ -154,15 +156,26 @@ func (e *Env) Collect() (*model.AnswerSet, error) {
 	return e.Sim.CollectBiased(e.Scenario.PerTask, e.Scenario.BiasScale, e.Scenario.BiasFloor)
 }
 
-// NewModel builds an inference model over the scenario's tasks and workers.
+// NewModel builds an inference model over the scenario's tasks and workers,
+// at the distance scale a poilabel.Service over the same registrations uses
+// (model.SpanNormalizer). The dataset's own normalizer is the simulator's: it
+// describes how the world generates answers, not what inference may know.
 func (e *Env) NewModel() (*core.Model, error) {
-	return core.NewModel(e.Data.Tasks, e.Workers, e.Data.Normalizer(), e.Scenario.ModelConfig)
+	norm, err := model.SpanNormalizer(e.Data.Tasks, e.Workers)
+	if err != nil {
+		return nil, err
+	}
+	return core.NewModel(e.Data.Tasks, e.Workers, norm, e.Scenario.ModelConfig)
 }
 
 // NewSharded builds a k-shard fitter over the scenario's tasks and workers,
-// under the same model configuration and distance normalizer as NewModel.
+// under the same model configuration and distance scale as NewModel.
 func (e *Env) NewSharded(k int) (*shard.Sharded, error) {
-	return shard.New(e.Data.Tasks, e.Workers, e.Data.Normalizer(), shard.Config{
+	norm, err := model.SpanNormalizer(e.Data.Tasks, e.Workers)
+	if err != nil {
+		return nil, err
+	}
+	return shard.New(e.Data.Tasks, e.Workers, norm, shard.Config{
 		Shards: k,
 		Model:  e.Scenario.ModelConfig,
 	})

@@ -3,9 +3,7 @@ package experiment
 import (
 	"fmt"
 
-	"poilabel/internal/assign"
-	"poilabel/internal/core"
-	"poilabel/internal/crowd"
+	"poilabel"
 	"poilabel/internal/model"
 	"poilabel/internal/stats"
 )
@@ -28,7 +26,7 @@ type StoppingResult struct {
 	TrueAcc []float64
 }
 
-// RunStopping executes the AccOpt platform with early-stopping thresholds.
+// RunStopping runs the AccOpt campaign once per early-stopping threshold.
 func RunStopping(s Scenario, thresholds []float64) (*StoppingResult, error) {
 	if len(thresholds) == 0 {
 		// The mean-of-posteriors aggregation (Eq. 14) keeps P(z) soft, so
@@ -52,12 +50,11 @@ func RunStopping(s Scenario, thresholds []float64) (*StoppingResult, error) {
 
 // estimatedAccuracy is the early-stopping signal: mean over labels of
 // max(P(z), 1-P(z)).
-func estimatedAccuracy(m *core.Model) float64 {
-	params := m.Params()
+func estimatedAccuracy(res *model.Result) float64 {
 	var sum float64
 	var n int
-	for t := range params.PZ {
-		for _, p := range params.PZ[t] {
+	for _, probs := range res.Prob {
+		for _, p := range probs {
 			if p < 0.5 {
 				p = 1 - p
 			}
@@ -71,48 +68,29 @@ func estimatedAccuracy(m *core.Model) float64 {
 	return sum / float64(n)
 }
 
+// runUntil runs the AccOpt campaign, checking the stopping signal at every
+// 50-assignment boundary: frequent enough to save budget, cheap enough not
+// to dominate run time.
 func runUntil(s Scenario, tau float64) (consumed int, est, acc float64, err error) {
 	env, err := s.Build()
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	m, err := env.NewModel()
+	var checks []int
+	for b := 50; b <= s.Budget; b += 50 {
+		checks = append(checks, b)
+	}
+	camp, err := env.RunCampaign(Campaign{
+		Assigner:    poilabel.AssignerAccOpt,
+		Checkpoints: checks,
+		Check: func(_ int, res *model.Result) bool {
+			return estimatedAccuracy(res) >= tau
+		},
+	})
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	plat, err := crowd.NewPlatform(env.Sim, m, core.DefaultUpdatePolicy(), s.Budget)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	asg := assign.NewPlanner() // scratch reused across the run's rounds
-	emptyRounds := 0
-	// Check the stopping signal at every 50-assignment boundary: frequent
-	// enough to save budget, cheap enough not to dominate run time.
-	nextCheck := 50
-	for plat.Remaining() > 0 {
-		workers := env.Sim.SampleAvailable(5)
-		n, err := plat.Round(asg, workers, s.H)
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		if n == 0 {
-			emptyRounds++
-			if emptyRounds > 3*len(env.Workers) {
-				break
-			}
-			continue
-		}
-		emptyRounds = 0
-		if plat.Used() >= nextCheck {
-			m.Fit()
-			if estimatedAccuracy(m) >= tau {
-				break
-			}
-			nextCheck += 50
-		}
-	}
-	m.Fit()
-	return plat.Used(), estimatedAccuracy(m), model.Accuracy(m.Result(), env.Data.Truth), nil
+	return len(camp.Answers), estimatedAccuracy(camp.Final), model.Accuracy(camp.Final, env.Data.Truth), nil
 }
 
 // Table renders the threshold sweep.

@@ -54,6 +54,28 @@ func (w *Worker) Distance(t *Task) float64 {
 	return geo.MinDist(w.Locations, t.Location)
 }
 
+// SpanNormalizer is the distance scale inference runs at: distances are
+// divided by the diameter of the bounding box of every task and worker
+// location. It fails when there is no location or they all coincide, since
+// the model's distance signal needs spatial extent.
+func SpanNormalizer(tasks []Task, workers []Worker) (geo.Normalizer, error) {
+	pts := make([]geo.Point, 0, len(tasks)+len(workers))
+	for i := range tasks {
+		pts = append(pts, tasks[i].Location)
+	}
+	for i := range workers {
+		pts = append(pts, workers[i].Locations...)
+	}
+	if len(pts) == 0 {
+		return geo.Normalizer{}, fmt.Errorf("model: no task or worker locations to scale distances by")
+	}
+	diam := geo.Bound(pts).Diameter()
+	if diam <= 0 {
+		return geo.Normalizer{}, fmt.Errorf("model: all task and worker locations coincide at %v; distances need spatial extent", pts[0])
+	}
+	return geo.NewNormalizer(diam), nil
+}
+
 // Answer is one worker's response to one task: a yes/no vote per candidate
 // label, i.e. R(w, t) = {r_{w,t,k}}.
 type Answer struct {

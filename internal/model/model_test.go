@@ -23,6 +23,26 @@ func TestWorkerDistanceUsesMinLocation(t *testing.T) {
 	}
 }
 
+func TestSpanNormalizerCoversTasksAndWorkers(t *testing.T) {
+	// Tasks span (0,0)-(3,4); a worker at (6,8) widens the box to a
+	// diameter of 10.
+	workers := []Worker{{ID: 0, Locations: []geo.Point{geo.Pt(1, 1), geo.Pt(6, 8)}}}
+	n, err := SpanNormalizer(twoTasks(), workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n.Max() != 10 {
+		t.Errorf("diameter = %v, want 10", n.Max())
+	}
+	same := []Task{{Location: geo.Pt(2, 2)}}
+	if _, err := SpanNormalizer(same, []Worker{{Locations: []geo.Point{geo.Pt(2, 2)}}}); err == nil {
+		t.Error("coincident locations accepted")
+	}
+	if _, err := SpanNormalizer(nil, nil); err == nil {
+		t.Error("empty world accepted")
+	}
+}
+
 func TestAnswerValidate(t *testing.T) {
 	tasks := twoTasks()
 	good := Answer{Worker: 0, Task: 0, Selected: []bool{true, false, true}}

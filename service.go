@@ -512,7 +512,8 @@ func (s *Service) ensureEngine() error {
 
 // buildEngine constructs the configured engine over everything registered so
 // far; the distance normalizer spans every location registered at build time
-// (later registrations use the same scale, clamped to [0, 1]). The elastic
+// (model.SpanNormalizer; later registrations use the same scale, clamped to
+// [0, 1]). The elastic
 // restore path pins two degrees of freedom from the snapshot instead of
 // recomputing them: an explicit shard layout (sharded engine only; nil means
 // the kd default) and the normalizer diameter (zero means derive it from the
@@ -526,23 +527,15 @@ func (s *Service) buildEngine(layout [][]int, diam float64) error {
 	if len(s.workers) == 0 {
 		return ErrNoWorkers
 	}
-	if diam <= 0 {
-		var pts []Point
-		for i := range s.tasks {
-			pts = append(pts, s.tasks[i].Location)
-		}
-		for i := range s.workers {
-			pts = append(pts, s.workers[i].Locations...)
-		}
-		// A zero bounding-box diameter (every location coincides) would panic
-		// inside the normalizer; surface it as an error instead — the model's
-		// distance signal needs spatial extent.
-		diam = geo.Bound(pts).Diameter()
-		if diam <= 0 {
-			return fmt.Errorf("poilabel: all registered locations coincide at %v; distances need spatial extent", pts[0])
+	var norm geo.Normalizer
+	if diam > 0 {
+		norm = geo.NewNormalizer(diam)
+	} else {
+		var err error
+		if norm, err = model.SpanNormalizer(s.tasks, s.workers); err != nil {
+			return err
 		}
 	}
-	norm := geo.NewNormalizer(diam)
 	shCfg := shard.Config{Shards: s.cfg.shards, RefineSweeps: s.cfg.refineSweeps, Model: s.cfg.model}
 	var (
 		eng Engine
