@@ -1,24 +1,26 @@
-// Command poibench regenerates the paper's tables and figures.
+// Command poibench regenerates the paper's label-accuracy tables and figures.
 //
 // Usage:
 //
-//	poibench [-seed N] [-shards K] [-list] [-out dir] <experiment-id>... | all
+//	poibench [-seed N] [-list] [-out dir] <experiment-id>... | all
 //
-// Each experiment id corresponds to one table or figure of the paper's
-// evaluation section (fig6..fig14, table1, table2), an ablation study
-// (ablation-alpha, ablation-funcset, ablation-update, ablation-greedy, ...),
-// or an extension scenario such as sharded (single model vs K geographic
-// shards on the Fig13 workload; -shards sets K). Output is the same
-// rows/series the paper reports, as aligned text tables.
+// Each experiment id is one table or figure of the paper's evaluation
+// section (fig6..fig11, table1; fig11 also prints Table II), an ablation
+// EXPERIMENTS.md states a claim for (ablation-greedy, ablation-update,
+// ablation-stopping, ablation-calibration, ablation-adversary), or multiseed,
+// the 20-seed ordering counts over seeds N, N+7, …, N+133 (-seed 101 prints
+// what TestPaperOrderings asserts). Output is the same rows/series the paper
+// reports, as aligned text tables. The wall-clock figures (12–14) are
+// benchmarks: go test -bench and go run ./benchmark (EXPERIMENTS.md).
 //
 // With -out dir each experiment's output is also written to dir/<id>.txt,
-// without the timed header stdout carries, so the files are diffable. The
-// ids whose output holds no wall-clock column are pinned as goldens:
+// without the timed header stdout carries, so the files are diffable. Every
+// id but multiseed is pinned as a golden at seed 7:
 //
-//	poibench -out internal/experiment/testdata/paper fig6 fig7 fig8 table1 fig9 fig10 fig11
+//	poibench -out internal/experiment/testdata/paper fig6 fig7 fig8 table1 fig9 fig10 fig11 \
+//		ablation-greedy ablation-update ablation-stopping ablation-calibration ablation-adversary
 //
-// regenerates them (TestPaperOutputsGolden compares byte for byte). Wall-clock
-// numbers come from the repository benchmark, not from here: go run ./benchmark.
+// regenerates them (TestPaperOutputsGolden compares byte for byte).
 package main
 
 import (
@@ -35,13 +37,8 @@ func main() {
 	seed := flag.Int64("seed", 7, "scenario seed (population and answers)")
 	list := flag.Bool("list", false, "list available experiment ids and exit")
 	outDir := flag.String("out", "", "also write each experiment's output to <dir>/<id>.txt")
-	shards := flag.Int("shards", 0, "shard count for the 'sharded' experiment (0 = default)")
 	flag.Usage = usage
 	flag.Parse()
-
-	if *shards > 0 {
-		experiment.ShardCount = *shards
-	}
 
 	reg := experiment.Registry()
 	if *list {
@@ -58,8 +55,6 @@ func main() {
 	}
 	if len(args) == 1 && args[0] == "all" {
 		args = experiment.IDs()
-		// table2 output is included in fig11; skip the duplicate.
-		args = remove(args, "table2")
 	}
 
 	failed := false
@@ -93,7 +88,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintf(os.Stderr, `usage: poibench [-seed N] [-shards K] [-list] [-out dir] <experiment-id>... | all
+	fmt.Fprintf(os.Stderr, `usage: poibench [-seed N] [-list] [-out dir] <experiment-id>... | all
 
 Regenerates the evaluation tables and figures of "Crowdsourced POI
 Labelling: Location-Aware Result Inference and Task Assignment" (ICDE'16).
@@ -116,14 +111,4 @@ func writeOutput(dir, id, out string) error {
 		return fmt.Errorf("write %s: %w", path, err)
 	}
 	return nil
-}
-
-func remove(xs []string, x string) []string {
-	out := xs[:0]
-	for _, v := range xs {
-		if v != x {
-			out = append(out, v)
-		}
-	}
-	return out
 }

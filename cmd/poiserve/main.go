@@ -5,7 +5,7 @@
 //
 //	poiserve [-addr :8080] [-engine single|sharded|federated]
 //	         [-shards K] [-cities N] [-budget N] [-h N]
-//	         [-assigner accopt|sf|entropy|random]
+//	         [-assigner accopt|sf|random]
 //	         [-fullem N] [-bg-fit D [-bg-min-answers N]]
 //	         [-elastic [-elastic-check D] [-elastic-split R] [-elastic-merge R]
 //	          [-elastic-max K] [-elastic-min-answers N]]
@@ -112,7 +112,7 @@ func main() {
 	cities := flag.Int("cities", 0, "city partitions (federated engine; 0 = default)")
 	budget := flag.Int("budget", -1, "total assignment budget (-1 = unlimited)")
 	h := flag.Int("h", 2, "tasks handed to each requesting worker")
-	assigner := flag.String("assigner", "accopt", "single-engine assigner: accopt, sf, entropy, or random")
+	assigner := flag.String("assigner", "accopt", "single-engine assigner: accopt, sf, or random")
 	fullEM := flag.Int("fullem", 100, "answers between full fits, run by the request that completes the interval (0 = only when /results needs one; unused with -bg-fit)")
 	bgFit := flag.Duration("bg-fit", 0, "trigger full fits from a scheduler goroutine, at most this often (0 = the request that makes a fit due runs it and waits)")
 	bgMin := flag.Int("bg-min-answers", 256, "answers that trigger an eager scheduler fit before the cadence tick (needs -bg-fit)")
@@ -200,12 +200,10 @@ func run(addr, engine string, shards, cities, budget, h int, assigner string, fu
 		opts = append(opts, poilabel.WithAssigner(poilabel.AssignerAccOpt))
 	case "sf":
 		opts = append(opts, poilabel.WithAssigner(poilabel.AssignerSpatialFirst))
-	case "entropy":
-		opts = append(opts, poilabel.WithAssigner(poilabel.AssignerEntropy))
 	case "random":
 		opts = append(opts, poilabel.WithAssigner(poilabel.AssignerRandom))
 	default:
-		return fmt.Errorf("unknown assigner %q (want accopt, sf, entropy, or random)", assigner)
+		return fmt.Errorf("unknown assigner %q (want accopt, sf, or random)", assigner)
 	}
 
 	if ckptEvery > 0 && ckptPath == "" {

@@ -126,8 +126,6 @@ func newAssigner(kind AssignerKind, tasks []Task, seed int64) (assign.ExcludingA
 		return assign.NewSpatialFirst(tasks), nil
 	case AssignerRandom:
 		return assign.Random{Rand: rand.New(rand.NewSource(seed))}, nil
-	case AssignerEntropy:
-		return assign.EntropyFirst{}, nil
 	}
 	return nil, fmt.Errorf("poilabel: unknown assigner kind %d", kind)
 }

@@ -248,7 +248,7 @@ func TestNonPositiveHAssignsNothing(t *testing.T) {
 	assigners := []Assigner{
 		AccOpt{}, NewPlanner(),
 		Random{Rand: rand.New(rand.NewSource(38))}, NewSpatialFirst(m.Tasks()),
-		EntropyFirst{}, Exhaustive{},
+		Exhaustive{},
 	}
 	for _, h := range []int{0, -1} {
 		for _, asg := range assigners {

@@ -396,40 +396,6 @@ func TestLogLikelihoodFinite(t *testing.T) {
 	}
 }
 
-// The inference model must work unchanged with a custom (non-bell)
-// distance-function set: the E-step only consumes evaluated shape values.
-func TestFitWithCustomShapeSet(t *testing.T) {
-	f := newFixture(12, 5, 4, 70)
-	cfg := core.DefaultConfig()
-	cfg.FuncSet = distfunc.MustCustomSet(
-		distfunc.Step{Radius: 0.15},
-		distfunc.Linear{Rate: 0.8},
-		distfunc.Exponential{Scale: 1.5},
-	)
-	rng := rand.New(rand.NewSource(71))
-	m := f.model(t, cfg)
-	for ti := range f.tasks {
-		for wi := range f.workers {
-			if err := m.Observe(f.answerAs(model.WorkerID(wi), model.TaskID(ti), 0.9, rng)); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	stats := m.Fit()
-	if err := m.Params().Validate(); err != nil {
-		t.Fatalf("custom-set fit produced invalid params: %v", err)
-	}
-	for i := 1; i < len(stats.LogLikTrace); i++ {
-		if stats.LogLikTrace[i] < stats.LogLikTrace[i-1]-1e-7 {
-			t.Fatalf("custom-set EM decreased log-likelihood at %d", i)
-		}
-	}
-	truth := &model.GroundTruth{Truth: f.truth}
-	if acc := model.Accuracy(m.Result(), truth); acc < 0.9 {
-		t.Errorf("custom-set accuracy = %v, want >= 0.9", acc)
-	}
-}
-
 // Tasks with different numbers of candidate labels must flow through the
 // whole pipeline (the paper: "our method can support the case that
 // different tasks have different number of labels").

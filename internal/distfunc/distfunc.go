@@ -51,10 +51,8 @@ func (f Func) Eval(d float64) float64 {
 func (f Func) String() string { return fmt.Sprintf("f(λ=%g)", f.Lambda) }
 
 // Set is the distance-function set F of Definition 4: a fixed family of
-// distance-quality functions over which worker sensitivity (d_w) and POI
-// influence (d_t) are multinomial distributions. The paper's sets are
-// bell-shaped (NewSet); arbitrary families satisfying the Shape contract
-// are supported through NewCustomSet.
+// bell-shaped functions over which worker sensitivity (d_w) and POI
+// influence (d_t) are multinomial distributions.
 //
 // The set is sorted from most to least distance-sensitive, so index 0 is
 // the steepest function and index len-1 the widest-reaching one. That
@@ -62,7 +60,7 @@ func (f Func) String() string { return fmt.Sprintf("f(λ=%g)", f.Lambda) }
 // relies on when it grants unseen workers and tasks the most optimistic
 // prior (P(d = f_minλ) = 1, paper Section IV-B footnote 3).
 type Set struct {
-	shapes []Shape
+	funcs []Func
 }
 
 // NewSet builds a bell-shaped Set from the given λ values, sorted by
@@ -75,7 +73,7 @@ func NewSet(lambdas ...float64) (*Set, error) {
 	}
 	sorted := append([]float64(nil), lambdas...)
 	sort.Sort(sort.Reverse(sort.Float64Slice(sorted)))
-	shapes := make([]Shape, len(sorted))
+	funcs := make([]Func, len(sorted))
 	for i, l := range sorted {
 		if l < 0 {
 			return nil, fmt.Errorf("distfunc: negative lambda %v", l)
@@ -83,9 +81,9 @@ func NewSet(lambdas ...float64) (*Set, error) {
 		if i > 0 && sorted[i-1] == l {
 			return nil, fmt.Errorf("distfunc: duplicate lambda %v", l)
 		}
-		shapes[i] = New(l)
+		funcs[i] = New(l)
 	}
-	return &Set{shapes: shapes}, nil
+	return &Set{funcs: funcs}, nil
 }
 
 // MustSet is NewSet but panics on error, for use with constant λ lists.
@@ -102,38 +100,33 @@ func MustSet(lambdas ...float64) *Set {
 func PaperSet() *Set { return MustSet(100, 10, 0.1) }
 
 // Len returns |F|.
-func (s *Set) Len() int { return len(s.shapes) }
+func (s *Set) Len() int { return len(s.funcs) }
 
 // Func returns the i-th function (ordered from steepest to widest).
-func (s *Set) Func(i int) Shape { return s.shapes[i] }
+func (s *Set) Func(i int) Func { return s.funcs[i] }
 
-// Lambdas returns the λ values by decreasing magnitude for bell-shaped
-// sets. For custom sets it returns nil: arbitrary shapes have no λ.
+// Lambdas returns the λ values by decreasing magnitude.
 func (s *Set) Lambdas() []float64 {
-	out := make([]float64, 0, len(s.shapes))
-	for _, f := range s.shapes {
-		bell, ok := f.(Func)
-		if !ok {
-			return nil
-		}
-		out = append(out, bell.Lambda)
+	out := make([]float64, len(s.funcs))
+	for i, f := range s.funcs {
+		out[i] = f.Lambda
 	}
 	return out
 }
 
 // WidestIndex returns the index of the function least sensitive to
-// distance (smallest λ for bell sets). It is the optimistic prior used for
-// unseen workers and high-influence POIs.
-func (s *Set) WidestIndex() int { return len(s.shapes) - 1 }
+// distance (the smallest λ). It is the optimistic prior used for unseen
+// workers and high-influence POIs.
+func (s *Set) WidestIndex() int { return len(s.funcs) - 1 }
 
 // Eval returns the vector [f_1(d), ..., f_|F|(d)], reusing dst when it has
 // sufficient capacity.
 func (s *Set) Eval(d float64, dst []float64) []float64 {
-	if cap(dst) < len(s.shapes) {
-		dst = make([]float64, len(s.shapes))
+	if cap(dst) < len(s.funcs) {
+		dst = make([]float64, len(s.funcs))
 	}
-	dst = dst[:len(s.shapes)]
-	for i, f := range s.shapes {
+	dst = dst[:len(s.funcs)]
+	for i, f := range s.funcs {
 		dst[i] = f.Eval(d)
 	}
 	return dst
@@ -144,11 +137,11 @@ func (s *Set) Eval(d float64, dst []float64) []float64 {
 // not required to be normalized here, but every caller in this repository
 // passes a probability vector.
 func (s *Set) Mixture(weights []float64, d float64) float64 {
-	if len(weights) != len(s.shapes) {
-		panic(fmt.Sprintf("distfunc: weight vector length %d != |F| %d", len(weights), len(s.shapes)))
+	if len(weights) != len(s.funcs) {
+		panic(fmt.Sprintf("distfunc: weight vector length %d != |F| %d", len(weights), len(s.funcs)))
 	}
 	var q float64
-	for i, f := range s.shapes {
+	for i, f := range s.funcs {
 		q += weights[i] * f.Eval(d)
 	}
 	return q
@@ -156,27 +149,27 @@ func (s *Set) Mixture(weights []float64, d float64) float64 {
 
 // Uniform returns the uniform distribution over F, the EM starting point.
 func (s *Set) Uniform() []float64 {
-	w := make([]float64, len(s.shapes))
+	w := make([]float64, len(s.funcs))
 	for i := range w {
-		w[i] = 1 / float64(len(s.shapes))
+		w[i] = 1 / float64(len(s.funcs))
 	}
 	return w
 }
 
 // Delta returns the distribution placing all mass on function index i.
 func (s *Set) Delta(i int) []float64 {
-	if i < 0 || i >= len(s.shapes) {
-		panic(fmt.Sprintf("distfunc: delta index %d out of range [0,%d)", i, len(s.shapes)))
+	if i < 0 || i >= len(s.funcs) {
+		panic(fmt.Sprintf("distfunc: delta index %d out of range [0,%d)", i, len(s.funcs)))
 	}
-	w := make([]float64, len(s.shapes))
+	w := make([]float64, len(s.funcs))
 	w[i] = 1
 	return w
 }
 
 // Names returns the display names of the set's functions in order.
 func (s *Set) Names() []string {
-	out := make([]string, len(s.shapes))
-	for i, f := range s.shapes {
+	out := make([]string, len(s.funcs))
+	for i, f := range s.funcs {
 		out[i] = f.String()
 	}
 	return out

@@ -103,8 +103,7 @@ func TestNewSetOrdering(t *testing.T) {
 	if s.WidestIndex() != 2 {
 		t.Errorf("WidestIndex = %d, want 2", s.WidestIndex())
 	}
-	widest, ok := s.Func(s.WidestIndex()).(Func)
-	if !ok || widest.Lambda != 0.1 {
+	if widest := s.Func(s.WidestIndex()); widest.Lambda != 0.1 {
 		t.Errorf("widest function = %v, want bell with lambda 0.1", s.Func(s.WidestIndex()))
 	}
 }

@@ -40,7 +40,7 @@ func smallEnv(t *testing.T, seed int64, budget, h int) *Env {
 func TestCampaignInvariantsFuzz(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	kinds := []poilabel.AssignerKind{poilabel.AssignerAccOpt, poilabel.AssignerSpatialFirst,
-		poilabel.AssignerRandom, poilabel.AssignerEntropy}
+		poilabel.AssignerRandom}
 	for trial := 0; trial < 12; trial++ {
 		budget := 10 + rng.Intn(300)
 		h := 1 + rng.Intn(4)

@@ -200,22 +200,6 @@ func TestRunFig11Shape(t *testing.T) {
 	}
 }
 
-func TestRunFig12(t *testing.T) {
-	r, err := RunFig12(quickScenario("Beijing"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range Budgets {
-		if r.MVms[i] < 0 || r.EMms[i] <= 0 || r.IMms[i] <= 0 {
-			t.Errorf("non-positive timings at budget %d", Budgets[i])
-		}
-		// MV must be the cheapest method, as in the paper.
-		if r.MVms[i] > r.IMms[i] {
-			t.Errorf("MV (%vms) slower than IM (%vms)", r.MVms[i], r.IMms[i])
-		}
-	}
-}
-
 func TestRunTable1(t *testing.T) {
 	r, err := RunTable1(quickScenario("Beijing"))
 	if err != nil {
@@ -238,39 +222,37 @@ func TestRunTable1(t *testing.T) {
 	}
 }
 
-func TestRunFig13Small(t *testing.T) {
-	r, err := RunFig13(3, []int{2000, 4000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Seconds) != 2 || len(r.Iterations) != 2 {
-		t.Fatal("missing sweep points")
-	}
-	if r.Seconds[0] <= 0 || r.Iterations[0] <= 0 {
-		t.Error("non-positive measurements")
-	}
-}
+// goldenIDs are the registry ids pinned byte for byte by a file under
+// testdata/paper. Regenerate the files with:
+//
+//	go run ./cmd/poibench -out internal/experiment/testdata/paper fig6 fig7 fig8 table1 fig9 fig10 fig11 \
+//		ablation-greedy ablation-update ablation-stopping ablation-calibration ablation-adversary
+var goldenIDs = []string{"fig6", "fig7", "fig8", "table1", "fig9", "fig10", "fig11",
+	"ablation-greedy", "ablation-update", "ablation-stopping", "ablation-calibration", "ablation-adversary"}
 
-func TestRunFig14Small(t *testing.T) {
-	r, err := RunFig14(3, []int{300}, []int{10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.TaskMs) != 1 || len(r.WorkerMs) != 1 {
-		t.Fatal("missing sweep points")
-	}
-	if r.TaskMs[0] < 0 || r.WorkerMs[0] < 0 {
-		t.Error("negative timings")
-	}
-}
-
+// Every registered id is pinned — by a golden, or, for multiseed, by
+// TestPaperOrderings — and every golden file belongs to a registered id.
 func TestRegistryComplete(t *testing.T) {
 	reg := Registry()
-	for _, id := range []string{"fig6", "fig7", "fig8", "fig9", "fig10", "fig11",
-		"fig12", "fig13", "fig14", "table1", "table2",
-		"ablation-alpha", "ablation-funcset", "ablation-update", "ablation-greedy"} {
+	golden := map[string]bool{}
+	for _, id := range goldenIDs {
+		golden[id] = true
 		if _, ok := reg[id]; !ok {
-			t.Errorf("registry missing %s", id)
+			t.Errorf("golden id %s is not registered", id)
+		}
+	}
+	for id := range reg {
+		if !golden[id] && id != "multiseed" {
+			t.Errorf("registry id %s has no golden in testdata/paper and no claims test", id)
+		}
+	}
+	files, err := filepath.Glob(filepath.Join("testdata", "paper", "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		if !golden[strings.TrimSuffix(filepath.Base(f), ".txt")] {
+			t.Errorf("golden file %s belongs to no golden id", f)
 		}
 	}
 	ids := IDs()
@@ -284,16 +266,12 @@ func TestRegistryComplete(t *testing.T) {
 	}
 }
 
-// TestPaperOutputsGolden pins the paper's label-accuracy tables: each file
-// under testdata/paper is exactly what the registry runner prints at seed 7.
-// table2 is fig11's runner and needs no file; fig12-fig14 print wall-clock
-// columns and cannot be pinned (their Test*Small tests cover the shape).
-// Regenerate with:
-//
-//	go run ./cmd/poibench -out internal/experiment/testdata/paper fig6 fig7 fig8 table1 fig9 fig10 fig11
+// TestPaperOutputsGolden pins the paper's label-accuracy tables and the
+// ablations EXPERIMENTS.md states a claim for: each goldenIDs file under
+// testdata/paper is exactly what the registry runner prints at seed 7.
 func TestPaperOutputsGolden(t *testing.T) {
 	reg := Registry()
-	for _, id := range []string{"fig6", "fig7", "fig8", "table1", "fig9", "fig10", "fig11"} {
+	for _, id := range goldenIDs {
 		t.Run(id, func(t *testing.T) {
 			t.Parallel()
 			want, err := os.ReadFile(filepath.Join("testdata", "paper", id+".txt"))
@@ -332,10 +310,7 @@ func TestRunMultiSeed(t *testing.T) {
 // mean but on about 13 seeds of 20, so its count is logged, not asserted
 // (EXPERIMENTS.md).
 func TestPaperOrderings(t *testing.T) {
-	seeds := make([]int64, 20)
-	for i := range seeds {
-		seeds[i] = 101 + 7*int64(i)
-	}
+	seeds := ClaimsSeeds(101)
 	const significant = 15
 	for _, world := range []string{"Beijing", "China"} {
 		t.Run(world, func(t *testing.T) {
@@ -360,51 +335,6 @@ func TestPaperOrderings(t *testing.T) {
 			}
 			t.Logf("IM > EM on %d/%d seeds (mean IM - EM %+.1f pt)\n%s", imBeatsEM, len(seeds), 100*(im-em), r)
 		})
-	}
-}
-
-func TestAblationRunners(t *testing.T) {
-	// Every ablation runner must produce non-empty printable output, and the
-	// same output when run again at the same seed.
-	runners := map[string]Runner{
-		"alpha":     RunAblationAlpha,
-		"funcset":   RunAblationFuncSet,
-		"greedy":    RunAblationGreedy,
-		"shapes":    RunAblationShapes,
-		"assigners": RunAblationAssigners,
-		"update":    RunAblationUpdatePolicy,
-	}
-	for name, run := range runners {
-		t.Run(name, func(t *testing.T) {
-			out, err := run(7)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(out.String()) < 50 {
-				t.Errorf("suspiciously short output:\n%s", out)
-			}
-			again, err := run(7)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if again.String() != out.String() {
-				t.Errorf("two runs at seed 7 differ:\n%s\nvs\n%s", out, again)
-			}
-		})
-	}
-}
-
-func TestAblationUpdatePolicyRunner(t *testing.T) {
-	out, err := RunAblationUpdatePolicy(7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := out.String()
-	for _, want := range []string{"full EM every answer", "delayed(100) + incremental",
-		"incremental only", "no per-answer learning (sharded, K = 1)"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("missing policy row %q", want)
-		}
 	}
 }
 
@@ -456,40 +386,46 @@ func TestRunCalibration(t *testing.T) {
 	}
 }
 
-func TestRobustnessRunners(t *testing.T) {
-	for name, run := range map[string]Runner{
-		"noise":     RunAblationNoise,
-		"adversary": RunAblationAdversary,
-	} {
-		t.Run(name, func(t *testing.T) {
-			out, err := run(7)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !strings.Contains(out.String(), "Robustness") {
-				t.Errorf("missing title:\n%s", out)
-			}
-		})
-	}
-}
-
-func TestRunShardedSmall(t *testing.T) {
-	r, err := RunSharded(7, []int{2000, 4000}, 2)
+// A K = 2 geographic sharding of the synthetic workload labels as the single
+// model does: at 2 000 and 4 000 answers the two fits agree on at least 90 %
+// of the labels.
+func TestShardedFitAgreesWithSingle(t *testing.T) {
+	env, err := SyntheticEnv(800, 100, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Shards != 2 || len(r.Assignments) != 2 {
-		t.Fatalf("unexpected shape: %+v", r)
+	full, err := env.Sim.CollectBiased(5, 0.10, 0.45)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range r.Assignments {
-		if r.SingleSec[i] <= 0 || r.ShardedSec[i] <= 0 {
-			t.Errorf("non-positive timing at %d", r.Assignments[i])
+	for _, n := range []int{2000, 4000} {
+		answers := full.Truncate(n)
+		m, _, err := env.FitModel(answers)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if r.Agree[i] < 0.9 {
-			t.Errorf("sharded labels agree on only %.1f%% at %d", 100*r.Agree[i], r.Assignments[i])
+		sh, err := env.NewSharded(2)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if !strings.Contains(r.String(), "Geo-sharded") {
-		t.Error("rendering missing title")
+		for _, a := range answers.All() {
+			if err := sh.Observe(a); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sh.Fit()
+		single, sharded := m.Result(), sh.Result()
+		match, total := 0, 0
+		for ti := range single.Inferred {
+			for k := range single.Inferred[ti] {
+				total++
+				if single.Inferred[ti][k] == sharded.Inferred[ti][k] {
+					match++
+				}
+			}
+		}
+		if agree := float64(match) / float64(total); agree < 0.9 {
+			t.Errorf("K = 2 labels agree with the single model on %.1f%% at %d answers, want >= 90%%", 100*agree, n)
+		}
 	}
 }

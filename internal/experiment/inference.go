@@ -2,14 +2,13 @@ package experiment
 
 import (
 	"fmt"
-	"time"
 
 	"poilabel/internal/baseline"
 	"poilabel/internal/model"
 	"poilabel/internal/stats"
 )
 
-// Budgets is the paper's budget sweep for Figures 9, 11 and 12.
+// Budgets is the paper's budget sweep for Figures 9 and 11.
 var Budgets = []int{600, 700, 800, 900, 1000}
 
 // Fig9Result is the paper's Figure 9: inference accuracy of MV, EM
@@ -119,64 +118,3 @@ func (r *Fig10Result) Table() *stats.Table {
 }
 
 func (r *Fig10Result) String() string { return r.Table().String() }
-
-// Fig12Result is the paper's Figure 12: average elapsed time of one
-// inference pass for each method at each budget.
-type Fig12Result struct {
-	Dataset string
-	Budgets []int
-	// Times in milliseconds per method per budget.
-	MVms, EMms, IMms []float64
-}
-
-// RunFig12 measures wall-clock inference time per method over answer-log
-// prefixes.
-func RunFig12(s Scenario) (*Fig12Result, error) {
-	env, err := s.Build()
-	if err != nil {
-		return nil, err
-	}
-	full, err := env.Collect()
-	if err != nil {
-		return nil, err
-	}
-
-	res := &Fig12Result{Dataset: s.DatasetName, Budgets: Budgets}
-	for _, b := range Budgets {
-		answers := full.Truncate(b)
-
-		start := time.Now()
-		baseline.MajorityVote{}.Infer(env.Data.Tasks, answers)
-		res.MVms = append(res.MVms, msSince(start))
-
-		start = time.Now()
-		baseline.DawidSkene{}.Infer(env.Data.Tasks, answers)
-		res.EMms = append(res.EMms, msSince(start))
-
-		start = time.Now()
-		if _, _, err := env.FitModel(answers); err != nil {
-			return nil, err
-		}
-		res.IMms = append(res.IMms, msSince(start))
-	}
-	return res, nil
-}
-
-func msSince(start time.Time) float64 {
-	return float64(time.Since(start).Microseconds()) / 1000
-}
-
-// Table renders the figure's series.
-func (r *Fig12Result) Table() *stats.Table {
-	t := stats.NewTable(fmt.Sprintf("Figure 12 (%s): elapsed time of inference (ms)", r.Dataset),
-		"#assignments", "MV", "EM", "IM")
-	for i, b := range r.Budgets {
-		t.AddRowf(b,
-			fmt.Sprintf("%.2f", r.MVms[i]),
-			fmt.Sprintf("%.2f", r.EMms[i]),
-			fmt.Sprintf("%.2f", r.IMms[i]))
-	}
-	return t
-}
-
-func (r *Fig12Result) String() string { return r.Table().String() }

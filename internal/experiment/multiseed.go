@@ -20,11 +20,20 @@ type MultiSeedResult struct {
 	Random, SF, AccOpt []float64
 }
 
+// ClaimsSeeds returns the 20 scenario seeds the ordering claims are
+// counted over: first, first+7, …, first+133. TestPaperOrderings uses
+// ClaimsSeeds(101), so `poibench -seed 101 multiseed` prints what it
+// asserts.
+func ClaimsSeeds(first int64) []int64 {
+	seeds := make([]int64, 20)
+	for i := range seeds {
+		seeds[i] = first + 7*int64(i)
+	}
+	return seeds
+}
+
 // RunMultiSeed executes fig9 and fig11 at each seed for one dataset.
 func RunMultiSeed(datasetName string, seeds []int64) (*MultiSeedResult, error) {
-	if len(seeds) == 0 {
-		seeds = []int64{7, 21, 33}
-	}
 	res := &MultiSeedResult{Dataset: datasetName, Seeds: seeds}
 	for _, seed := range seeds {
 		s := DefaultScenario(datasetName, seed)

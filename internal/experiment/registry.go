@@ -37,44 +37,29 @@ func bothDatasets[T fmt.Stringer](run func(Scenario) (T, error)) Runner {
 	}
 }
 
-// Registry maps experiment IDs (as used by cmd/poibench) to runners.
+// Registry maps experiment IDs (as used by cmd/poibench) to runners. Every
+// id is pinned: multiseed by TestPaperOrderings, the rest by a golden file
+// under testdata/paper (TestRegistryComplete enforces both).
 func Registry() map[string]Runner {
 	return map[string]Runner{
-		"fig6":   bothDatasets(RunFig6),
-		"fig7":   bothDatasets(RunFig7),
-		"fig8":   bothDatasets(RunFig8),
-		"table1": bothDatasets(RunTable1),
-		"fig9":   bothDatasets(RunFig9),
-		"fig10":  bothDatasets(RunFig10),
-		"fig11":  bothDatasets(RunFig11),
-		"table2": bothDatasets(RunFig11), // Table II is emitted with Fig 11
-		"fig12":  bothDatasets(RunFig12),
-		"fig13": func(seed int64) (fmt.Stringer, error) {
-			return RunFig13(seed, nil)
-		},
-		"fig14": func(seed int64) (fmt.Stringer, error) {
-			return RunFig14(seed, nil, nil)
-		},
-		"sharded": func(seed int64) (fmt.Stringer, error) {
-			return RunSharded(seed, nil, ShardCount)
-		},
-		"ablation-alpha":   RunAblationAlpha,
-		"ablation-funcset": RunAblationFuncSet,
-		"ablation-update":  RunAblationUpdatePolicy,
-		"ablation-greedy":  RunAblationGreedy,
-		"ablation-shapes":  RunAblationShapes,
+		"fig6":            bothDatasets(RunFig6),
+		"fig7":            bothDatasets(RunFig7),
+		"fig8":            bothDatasets(RunFig8),
+		"table1":          bothDatasets(RunTable1),
+		"fig9":            bothDatasets(RunFig9),
+		"fig10":           bothDatasets(RunFig10),
+		"fig11":           bothDatasets(RunFig11), // with Table II
+		"ablation-update": RunAblationUpdatePolicy,
+		"ablation-greedy": RunAblationGreedy,
 		"ablation-stopping": bothDatasets(func(s Scenario) (*StoppingResult, error) {
 			return RunStopping(s, nil)
 		}),
 		"ablation-calibration": bothDatasets(RunCalibration),
-		"ablation-noise":       RunAblationNoise,
 		"ablation-adversary":   RunAblationAdversary,
-		"ablation-assigners":   RunAblationAssigners,
 		"multiseed": func(seed int64) (fmt.Stringer, error) {
-			seeds := []int64{seed, seed + 14, seed + 26}
 			var out multi
 			for _, name := range []string{"Beijing", "China"} {
-				r, err := RunMultiSeed(name, seeds)
+				r, err := RunMultiSeed(name, ClaimsSeeds(seed))
 				if err != nil {
 					return nil, err
 				}

@@ -9,44 +9,11 @@ import (
 	"poilabel/internal/stats"
 )
 
-// The robustness experiments stress assumptions the paper's evaluation
-// never tests: how the three inference methods degrade under growing model
-// mismatch (uniform answer noise) and under systematically *biased* lazy
-// workers (all-yes / all-no), whose behaviour the paper's symmetric
+// The robustness experiment stresses an assumption the paper's evaluation
+// never tests: how the three inference methods degrade under systematically
+// *biased* lazy workers (all-yes), whose behaviour the paper's symmetric
 // agreement probability cannot express but Dawid–Skene's confusion matrix
 // can.
-
-// RunAblationNoise sweeps the simulator's uniform flip noise and reports
-// final-budget inference accuracy for MV, EM and IM.
-func RunAblationNoise(seed int64) (fmt.Stringer, error) {
-	noises := []float64{0, 0.05, 0.10, 0.20, 0.30}
-	t := stats.NewTable("Robustness: inference accuracy vs answer noise (Beijing, budget 1000)",
-		"noise", "MV", "EM", "IM")
-	for _, noise := range noises {
-		s := DefaultScenario("Beijing", seed)
-		s.Noise = noise
-		env, err := s.Build()
-		if err != nil {
-			return nil, err
-		}
-		answers, err := env.Collect()
-		if err != nil {
-			return nil, err
-		}
-		mv := model.Accuracy(baseline.MajorityVote{}.Infer(env.Data.Tasks, answers), env.Data.Truth)
-		em := model.Accuracy(baseline.DawidSkene{}.Infer(env.Data.Tasks, answers), env.Data.Truth)
-		m, _, err := env.FitModel(answers)
-		if err != nil {
-			return nil, err
-		}
-		im := model.Accuracy(m.Result(), env.Data.Truth)
-		t.AddRowf(fmt.Sprintf("%.2f", noise),
-			fmt.Sprintf("%.1f%%", 100*mv),
-			fmt.Sprintf("%.1f%%", 100*em),
-			fmt.Sprintf("%.1f%%", 100*im))
-	}
-	return t, nil
-}
 
 // RunAblationAdversary replaces a growing fraction of the worker pool with
 // lazy all-yes workers and reports how each method degrades. Biased workers

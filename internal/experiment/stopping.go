@@ -29,10 +29,14 @@ type StoppingResult struct {
 // RunStopping runs the AccOpt campaign once per early-stopping threshold.
 func RunStopping(s Scenario, thresholds []float64) (*StoppingResult, error) {
 	if len(thresholds) == 0 {
-		// The mean-of-posteriors aggregation (Eq. 14) keeps P(z) soft, so
-		// the estimated accuracy runs ~8 points below the true accuracy;
-		// the operative threshold range is therefore lower than the true
-		// accuracies one would guess.
+		// Until every task has an answer the signal counts covered tasks,
+		// not correct labels: an unanswered task's labels sit at the prior
+		// and score ≈ 0.5. At seed 7 it reads 58.3 / 66.5 / 74.6 / 82.8 %
+		// after 50 / 100 / 150 / 200 answers in both worlds alike, above
+		// the true accuracy (67.9 % at 150, Beijing), so 0.68 and 0.72
+		// both stop at 150. Only with every task answered does the soft
+		// Eq. 14 aggregation put it below the truth (77.1 against 86.2 %
+		// at the full budget).
 		thresholds = []float64{0.68, 0.72, 0.75, 1.01}
 	}
 	res := &StoppingResult{Dataset: s.DatasetName, Thresholds: thresholds}

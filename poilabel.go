@@ -123,10 +123,6 @@ const (
 	AssignerSpatialFirst
 	// AssignerRandom assigns undone tasks uniformly at random.
 	AssignerRandom
-	// AssignerEntropy assigns the undone tasks with the highest label
-	// uncertainty (the entropy-based selection of CDAS, discussed as
-	// related work in the paper's Section VI).
-	AssignerEntropy
 )
 
 // ErrBudgetExhausted is returned by RequestTasks when the assignment budget
