@@ -338,6 +338,63 @@ func TestPaperOrderings(t *testing.T) {
 	}
 }
 
+func TestAblationRunners(t *testing.T) {
+	// Every ablation runner must produce non-empty printable output, and the
+	// same output when run again at the same seed.
+	runners := map[string]Runner{
+		"greedy": RunAblationGreedy,
+		"update": RunAblationUpdatePolicy,
+	}
+	for name, run := range runners {
+		t.Run(name, func(t *testing.T) {
+			out, err := run(7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(out.String()) < 50 {
+				t.Errorf("suspiciously short output:\n%s", out)
+			}
+			again, err := run(7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if again.String() != out.String() {
+				t.Errorf("two runs at seed 7 differ:\n%s\nvs\n%s", out, again)
+			}
+		})
+	}
+}
+
+func TestAblationUpdatePolicyRunner(t *testing.T) {
+	out, err := RunAblationUpdatePolicy(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := out.String()
+	for _, want := range []string{"full EM every answer", "delayed(100) + incremental",
+		"incremental only", "no per-answer learning (sharded, K = 1)"} {
+		if !strings.Contains(s, want) {
+			t.Errorf("missing policy row %q", want)
+		}
+	}
+}
+
+func TestRobustnessRunners(t *testing.T) {
+	for name, run := range map[string]Runner{
+		"adversary": RunAblationAdversary,
+	} {
+		t.Run(name, func(t *testing.T) {
+			out, err := run(7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(out.String(), "Robustness") {
+				t.Errorf("missing title:\n%s", out)
+			}
+		})
+	}
+}
+
 func TestRunStopping(t *testing.T) {
 	s := quickScenario("Beijing")
 	r, err := RunStopping(s, []float64{0.65, 1.01})
