@@ -229,7 +229,7 @@ func bareFit(t *testing.T, svc *Service, log []recordedAnswer) *PublishedParams 
 		pts = append(pts, w.Locations...)
 	}
 	norm := geo.NewNormalizer(geo.Bound(pts).Diameter())
-	shCfg := shard.Config{Shards: svc.cfg.shards, RefineSweeps: svc.cfg.refineSweeps, Model: svc.cfg.model}
+	shCfg := shard.Config{Shards: svc.cfg.shards, Model: svc.cfg.model}
 	var (
 		learn   func(Answer) error
 		fit     func()

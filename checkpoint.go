@@ -60,7 +60,7 @@ func (s *Service) Restore(r io.Reader) error {
 	if err := s.led.apply(&snap.Service, fresh.logged()); err != nil {
 		return err
 	}
-	s.eng = fresh.eng
+	s.eng, s.asg = fresh.eng, fresh.asg
 	s.taskIdx, s.taskKeys, s.tasks = fresh.taskIdx, fresh.taskKeys, fresh.tasks
 	s.workerIdx, s.workerKey, s.workers = fresh.workerIdx, fresh.workerKey, fresh.workers
 	s.sinceFull, s.dirty = fresh.sinceFull, fresh.dirty

@@ -42,7 +42,11 @@
 // answers it does not cover have been waiting. A body that cannot be encoded
 // is a 500, never a truncated 200.
 //
-// With -bg-fit on the single engine and the accopt assigner, assignment
+// -assigner picks the assignment strategy on every engine: one round of it
+// over every registered task, the sharded and federated engines reading each
+// task's state from the shard that owns it.
+//
+// With -bg-fit and the accopt assigner, on every engine, assignment
 // planning also leaves the write lock: /assignments plans against the last
 // published snapshot (per-worker candidate lists) and only takes the lock
 // for a short optimistic commit. /healthz grows a "plan" section with
@@ -112,7 +116,7 @@ func main() {
 	cities := flag.Int("cities", 0, "city partitions (federated engine; 0 = default)")
 	budget := flag.Int("budget", -1, "total assignment budget (-1 = unlimited)")
 	h := flag.Int("h", 2, "tasks handed to each requesting worker")
-	assigner := flag.String("assigner", "accopt", "single-engine assigner: accopt, sf, or random")
+	assigner := flag.String("assigner", "accopt", "assigner on every engine: accopt, sf, or random")
 	fullEM := flag.Int("fullem", 100, "answers between full fits, run by the request that completes the interval (0 = only when /results needs one; unused with -bg-fit)")
 	bgFit := flag.Duration("bg-fit", 0, "trigger full fits from a scheduler goroutine, at most this often (0 = the request that makes a fit due runs it and waits)")
 	bgMin := flag.Int("bg-min-answers", 256, "answers that trigger an eager scheduler fit before the cadence tick (needs -bg-fit)")

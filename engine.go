@@ -46,11 +46,12 @@ func (k EngineKind) String() string {
 	return fmt.Sprintf("EngineKind(%d)", int(k))
 }
 
-// Engine is the backend behind a Service: an inference model plus a task
-// assigner over dense task/worker indices. The Service owns ID interning,
-// budget accounting, pending-pair dedup, and locking; engines only infer
-// and plan. WithEngine selects one of two implementations: a single model,
-// or a partition node in the sharded or the federated shape.
+// Engine is the backend behind a Service: an inference model over dense
+// task/worker indices, and the assign.View a round plans over. The Service
+// owns ID interning, the assigner, budget accounting, pending-pair dedup, and
+// locking; engines only infer. WithEngine selects one of two
+// implementations: a single model, or a partition node in the sharded or the
+// federated shape.
 //
 // An engine has no read methods: what a fit inferred leaves it only through
 // Publish, as the generation every Service read serves. Engines are not safe
@@ -67,10 +68,10 @@ type Engine interface {
 	// fork captures the engine as one full fit will see it: the Service
 	// never fits an engine in place, it fits a fork with no lock held.
 	fork() engineFork
-	// Assign plans up to h tasks per requesting worker, spending at most
-	// budget pairs (negative budget means unlimited). The tasks ex lists for
-	// a worker are excluded during planning; ex may be nil.
-	Assign(workers []WorkerID, h, budget int, ex assign.Exclusions) map[WorkerID][]TaskID
+	// view is the live engine as every assigner reads it, over dense global
+	// indices: the model itself, or the partition node's view of its
+	// children. It is valid under the Service's lock only.
+	view() assign.View
 	// AddTask registers a task with the next dense index.
 	AddTask(t Task) error
 	// AddWorker registers a worker with the next dense index.
@@ -82,11 +83,10 @@ type Engine interface {
 	// Nothing in it aliases the engine, so the Service can hand it to
 	// lock-free readers while the engine keeps mutating.
 	Publish() *PublishedParams
-	// PlanSnapshot returns an immutable planning view of the engine's
-	// current state (parameters, coverage, distances), or nil when the
-	// engine does not support snapshot planning. A non-nil snapshot lets
-	// the Service run assignment planning off the write lock and validate
-	// picks in a short optimistic commit; see assign.SnapshotModel.
+	// PlanSnapshot returns an immutable capture of view (parameters,
+	// coverage, distances), which lets the Service run assignment planning
+	// off the write lock and validate picks in a short optimistic commit;
+	// see assign.SnapshotModel.
 	PlanSnapshot() *assign.Snapshot
 }
 
@@ -115,9 +115,9 @@ type PublishedParams struct {
 	PDW [][]float64
 }
 
-// newAssigner builds the configured assignment strategy. Every assigner in
-// the assign package supports planner-level pair exclusion, which the
-// pending-dedup contract relies on.
+// newAssigner builds the configured assignment strategy, the same on every
+// engine shape. Every assigner in the assign package supports planner-level
+// pair exclusion, which the pending-dedup contract relies on.
 func newAssigner(kind AssignerKind, tasks []Task, seed int64) (assign.ExcludingAssigner, error) {
 	switch kind {
 	case AssignerAccOpt:
@@ -132,21 +132,14 @@ func newAssigner(kind AssignerKind, tasks []Task, seed int64) (assign.ExcludingA
 
 // singleEngine backs a Service with one core.Model — the paper's framework
 // path: incremental EM per answer, full EM on demand.
-type singleEngine struct {
-	m   *core.Model
-	asg assign.ExcludingAssigner
-}
+type singleEngine struct{ m *core.Model }
 
-func newSingleEngine(tasks []Task, workers []Worker, norm geo.Normalizer, cfg core.Config, asgKind AssignerKind, seed int64) (*singleEngine, error) {
+func newSingleEngine(tasks []Task, workers []Worker, norm geo.Normalizer, cfg core.Config) (*singleEngine, error) {
 	m, err := core.NewModel(tasks, workers, norm, cfg)
 	if err != nil {
 		return nil, err
 	}
-	asg, err := newAssigner(asgKind, tasks, seed)
-	if err != nil {
-		return nil, err
-	}
-	return &singleEngine{m: m, asg: asg}, nil
+	return &singleEngine{m: m}, nil
 }
 
 func (e *singleEngine) Name() string           { return "single" }
@@ -167,25 +160,8 @@ func (f singleFork) Fit(ctx context.Context) (bool, error) {
 
 func (f singleFork) adopt() { f.m.Adopt(f.f, true) }
 
-func (e *singleEngine) Assign(workers []WorkerID, h, budget int, ex assign.Exclusions) map[WorkerID][]TaskID {
-	if h <= 0 || budget == 0 {
-		return map[WorkerID][]TaskID{}
-	}
-	return assign.Trim(e.asg.AssignExcluding(e.m, workers, h, ex), budget)
-}
-
-func (e *singleEngine) AddTask(t Task) error {
-	if err := e.m.AddTask(t); err != nil {
-		return err
-	}
-	// SpatialFirst holds a grid index over task locations frozen at
-	// construction; rebuild it so the new task is discoverable. The other
-	// assigners read m.Tasks() directly and need nothing.
-	if _, ok := e.asg.(*assign.SpatialFirst); ok {
-		e.asg = assign.NewSpatialFirst(e.m.Tasks())
-	}
-	return nil
-}
+func (e *singleEngine) view() assign.View        { return e.m }
+func (e *singleEngine) AddTask(t Task) error     { return e.m.AddTask(t) }
 func (e *singleEngine) AddWorker(w Worker) error { return e.m.AddWorker(w) }
 func (e *singleEngine) TotalAnswers() int        { return e.m.Answers().Len() }
 
@@ -196,10 +172,6 @@ func (e *singleEngine) Publish() *PublishedParams {
 
 func (e *singleEngine) PlanSnapshot() *assign.Snapshot { return assign.SnapshotModel(e.m) }
 
-// HasAnswer is the O(1) answered-pair probe the optimistic commit of a
-// lock-free plan re-checks its picks with.
-func (e *singleEngine) HasAnswer(w WorkerID, t TaskID) bool { return e.m.HasAnswer(w, t) }
-
 // partitionEngine backs a Service with a partition node (internal/shard):
 // one city's K shards for EngineSharded, or C cities of K shards each for
 // EngineFederated. Both are the same shard.Sharded mechanism — only the
@@ -207,7 +179,6 @@ func (e *singleEngine) HasAnswer(w WorkerID, t TaskID) bool { return e.m.HasAnsw
 // both.
 type partitionEngine struct {
 	sh *shard.Sharded
-	co *shard.Coordinator
 	// fed is the federation whose root sh is, nil for the sharded engine; it
 	// owns the federated checkpoint wire type.
 	fed *federation.Federation
@@ -217,11 +188,11 @@ type partitionEngine struct {
 // shard.New / NewWithLayout; the migration swap path passes the fitter
 // shard.Rebuild produced off-lock.
 func newShardedEngine(sh *shard.Sharded) *partitionEngine {
-	return &partitionEngine{sh: sh, co: shard.NewCoordinator(sh)}
+	return &partitionEngine{sh: sh}
 }
 
 func newFederatedEngine(fed *federation.Federation) *partitionEngine {
-	return &partitionEngine{sh: fed.Sharded, co: shard.NewCoordinator(fed.Sharded), fed: fed}
+	return &partitionEngine{sh: fed.Sharded, fed: fed}
 }
 
 func (e *partitionEngine) Name() string {
@@ -248,9 +219,7 @@ func (f partitionFork) Fit(ctx context.Context) (bool, error) {
 
 func (f partitionFork) adopt() { f.sh.Adopt(f.f) }
 
-func (e *partitionEngine) Assign(workers []WorkerID, h, budget int, ex assign.Exclusions) map[WorkerID][]TaskID {
-	return e.co.AssignExcluding(workers, h, budget, ex)
-}
+func (e *partitionEngine) view() assign.View { return e.sh }
 
 func (e *partitionEngine) AddTask(t Task) error     { return e.sh.AddTask(t) }
 func (e *partitionEngine) AddWorker(w Worker) error { return e.sh.AddWorker(w) }
@@ -261,7 +230,4 @@ func (e *partitionEngine) Publish() *PublishedParams {
 	return &PublishedParams{Result: res, PI: pi, PDW: pdw}
 }
 
-// PlanSnapshot returns nil: partitioned planning spans per-shard models
-// behind the coordinator's budget balancing, which has no immutable-view
-// capture yet; RequestTasks keeps the locked path.
-func (e *partitionEngine) PlanSnapshot() *assign.Snapshot { return nil }
+func (e *partitionEngine) PlanSnapshot() *assign.Snapshot { return assign.SnapshotModel(e.sh) }

@@ -19,11 +19,10 @@ import (
 )
 
 func main() {
-	// One service federated over two cities, three shards each, with a
-	// paid-assignment budget.
-	// Workers are planned inside their home shard (6 tasks each here), so
-	// 8 workers can absorb at most 48 paid pairs — budget the deployment
-	// to exactly that supply.
+	// One service federated over two cities, two shards each, with a
+	// paid-assignment budget: three rounds of 8 workers × 2 tasks. Every
+	// round plans over all 24 tasks of both cities, so the budget, not the
+	// task supply, ends the paid phase.
 	svc, err := poilabel.NewService(
 		poilabel.WithEngine(poilabel.EngineFederated),
 		poilabel.WithCities(2),

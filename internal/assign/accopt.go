@@ -152,7 +152,7 @@ func (pl *Planner) AssignExcluding(v View, workers []model.WorkerID, h int, ex E
 
 	out := make(Assignment, nW)
 	pl.grow(nW, nT)
-	taskState(v, pl.taskN, pl.taskU)
+	taskState(v, params, pl.taskN, pl.taskU)
 
 	// p[i][t]: agreement probability of workers[i] on task t.
 	// delta[i][t]: matrix entry per Algorithm 1, the marginal gain of adding
@@ -164,7 +164,7 @@ func (pl *Planner) AssignExcluding(v View, workers []model.WorkerID, h int, ex E
 	// over workers, and each chunk touches only its own workers' rows, so
 	// it fans out over the CPUs. Row contents do not depend on the chunk
 	// split; the result is deterministic.
-	kern := newRowKernel(v, pl.taskN, pl.taskU)
+	kern := newRowKernel(v, params, pl.taskN, pl.taskU)
 	if procs := runtime.GOMAXPROCS(0); procs > 1 && nW > 1 && nW*nT >= 4096 {
 		chunk := (nW + procs - 1) / procs
 		var wg sync.WaitGroup

@@ -18,20 +18,20 @@
 // pair for both mixtures, answered and excluded pairs marked from the
 // worker's own lists (View.AnsweredTasks, Exclusions) instead of one probe
 // per task, and the improvement in O(1) by Lemma 2 in closed form
-// (lemma2Delta). Planner (every round, hence every shard's leaf planner) and
-// Candidates (every list build) call it; a task's bundle state is two
-// numbers, its size and Σ p(1 − p). Estimator.Agreement stays the reference
-// for the agreement, which the kernel reproduces bit for bit; the Lemma 2
-// recursion as the paper writes it lives in the tests, and
+// (lemma2Delta). Planner (every round, over a model, a partition node's view
+// or a snapshot) and Candidates (every list build) call it; a task's bundle
+// state is two numbers, its size and Σ p(1 − p). Estimator.Agreement stays
+// the reference for the agreement, which the kernel reproduces bit for bit;
+// the Lemma 2 recursion as the paper writes it lives in the tests, and
 // TestRowKernelMatchesEstimator holds the closed form to it within the
 // tests' one tolerance, deltaTol.
 //
 // # Snapshot planning
 //
-// Every assigner reads model state through the View interface, which has two
-// implementations: the live *core.Model (caller must hold its lock for the
-// whole round) and the immutable *Snapshot captured by SnapshotModel (no
-// locking, safe for concurrent planners). Snapshot numbers are bit-identical
+// Every assigner reads model state through the View interface: the live
+// *core.Model or partition node (caller must hold its lock for the whole
+// round), or the immutable *Snapshot captured by SnapshotModel (no locking,
+// safe for concurrent planners). Snapshot numbers are bit-identical
 // to the model they were captured from — same cloned parameters, same
 // normalizer arithmetic, same coverage — so a plan computed against a
 // quiesced snapshot equals the plan the live model would produce.
@@ -53,8 +53,9 @@
 // is stamped with the snapshot generation it was built from and dropped
 // wholesale when a new generation publishes (parameters changed, so every
 // delta is stale); within a generation, exclusions only shrink the valid
-// prefix, and a list is rebuilt from the full row the moment it cannot
-// prove it still covers the worker's true top h (see PlanWorker).
+// prefix, and a list is rebuilt longer — long enough that the exclusions
+// cannot hide the true top h — the moment it cannot prove it still covers
+// the worker's true top h (see PlanWorker).
 package assign
 
 import (

@@ -6,65 +6,6 @@ import (
 	"poilabel/internal/model"
 )
 
-// Shares splits a round budget across per-shard demands proportionally,
-// using largest-remainder rounding (remainder ties go to the lowest index).
-// Every share is capped at its demand, and because rounding happens on the
-// unsaturated demands only, no budget is stranded on a shard that cannot use
-// it. A negative budget means unlimited: every demand is granted in full.
-// Non-positive demands receive zero. The shard coordinator uses it to
-// balance one round's budget across the per-shard AccOpt planners.
-func Shares(budget int, want []int) []int {
-	out := make([]int, len(want))
-	grantAll := func() []int {
-		for i, v := range want {
-			if v > 0 {
-				out[i] = v
-			}
-		}
-		return out
-	}
-	if budget < 0 {
-		return grantAll()
-	}
-	total := 0
-	for _, v := range want {
-		if v > 0 {
-			total += v
-		}
-	}
-	if budget >= total {
-		return grantAll()
-	}
-	// budget < total: floor of the proportional share, then hand the
-	// remaining units to the largest fractional remainders. Each floor is
-	// strictly below its demand, so the +1 bump never exceeds the cap.
-	type rem struct {
-		num int // remainder numerator of budget·want[i] / total
-		i   int
-	}
-	var rems []rem
-	assigned := 0
-	for i, v := range want {
-		if v <= 0 {
-			continue
-		}
-		out[i] = budget * v / total
-		assigned += out[i]
-		rems = append(rems, rem{num: budget * v % total, i: i})
-	}
-	sort.Slice(rems, func(a, b int) bool {
-		if rems[a].num != rems[b].num {
-			return rems[a].num > rems[b].num
-		}
-		return rems[a].i < rems[b].i
-	})
-	for j := 0; assigned < budget; j++ {
-		out[rems[j].i]++
-		assigned++
-	}
-	return out
-}
-
 // Trim returns an assignment holding at most budget (worker, task) pairs
 // from a. Cuts are taken round-robin across workers in ascending worker-ID
 // order, keeping each worker's earliest picks — for a greedy assigner those

@@ -7,40 +7,6 @@ import (
 	"poilabel/internal/model"
 )
 
-func TestShares(t *testing.T) {
-	cases := []struct {
-		budget int
-		want   []int
-		out    []int
-	}{
-		{budget: -1, want: []int{3, 5, 0}, out: []int{3, 5, 0}},
-		{budget: 100, want: []int{3, 5, 2}, out: []int{3, 5, 2}},
-		{budget: 10, want: []int{10, 10}, out: []int{5, 5}},
-		{budget: 5, want: []int{10, 10}, out: []int{3, 2}},      // remainder tie → lowest index
-		{budget: 7, want: []int{2, 20, 2}, out: []int{1, 6, 0}}, // largest remainders: 20, then 14@i=0
-		{budget: 0, want: []int{4, 4}, out: []int{0, 0}},
-		{budget: 3, want: []int{0, -2, 9}, out: []int{0, 0, 3}},
-	}
-	for _, c := range cases {
-		got := Shares(c.budget, c.want)
-		if !reflect.DeepEqual(got, c.out) {
-			t.Errorf("Shares(%d, %v) = %v, want %v", c.budget, c.want, got, c.out)
-		}
-		if c.budget >= 0 {
-			sum := 0
-			for i, v := range got {
-				sum += v
-				if c.want[i] > 0 && v > c.want[i] {
-					t.Errorf("Shares(%d, %v): share %d exceeds demand", c.budget, c.want, i)
-				}
-			}
-			if sum > c.budget {
-				t.Errorf("Shares(%d, %v) oversubscribes: %d", c.budget, c.want, sum)
-			}
-		}
-	}
-}
-
 func TestTrim(t *testing.T) {
 	a := Assignment{
 		0: {model.TaskID(10), model.TaskID(11), model.TaskID(12)},

@@ -2,7 +2,6 @@ package assign
 
 import (
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -26,8 +25,8 @@ const DefaultCandidatePrefix = 64
 // the generation. So the worker's true top h under any exclusion set is
 // always a sub-sequence of the sorted full row, and a stored K-prefix
 // answers the query exactly whenever h valid entries survive in it.
-// PlanWorker falls back to building the full sorted row the moment the
-// prefix cannot prove completeness.
+// PlanWorker rebuilds a longer prefix — h plus the exclusion count, at least
+// double the last — the moment the prefix cannot prove completeness.
 //
 // Invalidation is wholesale by generation: lists carry the generation they
 // were built from and are dropped when a different generation is queried
@@ -39,6 +38,9 @@ const DefaultCandidatePrefix = 64
 // parallel, queries for one worker serialize on that worker's list.
 type Candidates struct {
 	k int
+	// scratch recycles the 2·|T| agreement and improvement rows a build
+	// fills, so builds under publication churn do not allocate them.
+	scratch sync.Pool
 
 	mu   sync.Mutex
 	gen  uint64
@@ -48,7 +50,7 @@ type Candidates struct {
 	last []model.WorkerID
 
 	builds   atomic.Uint64 // full-row builds (first touch per worker per generation)
-	rebuilds atomic.Uint64 // prefix shortfalls that forced an untruncated rebuild
+	rebuilds atomic.Uint64 // prefix shortfalls that forced a longer rebuild
 	hits     atomic.Uint64 // queries answered from an already-built list
 }
 
@@ -184,9 +186,12 @@ func (c *Candidates) PlanWorker(snap *Snapshot, gen uint64, w model.WorkerID, h 
 	}
 	picks = scanRow(r.entries, h, excluded)
 	if len(picks) < h && !r.full {
-		// The truncated prefix ran dry before h valid entries; only the
-		// full row can prove whether more assignable tasks exist.
-		c.build(r, snap, w, -1)
+		// The truncated prefix ran dry before h valid entries. The
+		// exclusions can hide at most len(excluded) entries of any prefix,
+		// so one of h + len(excluded) entries holds the true top h, or is
+		// the whole row and proves there are fewer. Doubling at least keeps
+		// a worker's rebuilds within a generation logarithmic.
+		c.build(r, snap, w, max(h+len(excluded), 2*len(r.entries)))
 		c.rebuilds.Add(1)
 		built = true
 		picks = scanRow(r.entries, h, excluded)
@@ -216,30 +221,77 @@ func scanRow(entries []candEntry, h int, excluded []model.TaskID) []model.TaskID
 // build fills r with worker w's assignable row against snap, sorted by
 // (improvement desc, task asc), truncated to k entries (k < 0 keeps the
 // whole row). The improvement values come from the same row kernel as the
-// Planner's matrix init, so the sorted order ties out exactly.
+// Planner's matrix init, so the sorted order ties out exactly. A truncated
+// prefix is selected through a bounded heap whose root is the entry that
+// sorts last, O(|T| log k) instead of sorting the whole row.
 func (c *Candidates) build(r *candRow, snap *Snapshot, w model.WorkerID, k int) {
 	nT := len(snap.tasks)
-	rows := make([]float64, 2*nT)
+	buf, _ := c.scratch.Get().(*[]float64)
+	if buf == nil || cap(*buf) < 2*nT {
+		buf = new([]float64)
+		*buf = make([]float64, 2*nT)
+	}
+	rows := (*buf)[:2*nT]
 	delta := rows[nT:]
-	newRowKernel(snap, snap.taskN, snap.taskU).fill(w, nil, rows[:nT], delta, nil)
-	entries := r.entries[:0]
+	newRowKernel(snap, snap.params, snap.taskN, snap.taskU).fill(w, nil, rows[:nT], delta, nil)
+	entries, assignable := r.entries[:0], 0
 	for t, d := range delta {
-		if d != unavailable {
-			entries = append(entries, candEntry{t: model.TaskID(t), d: d})
+		if d == unavailable {
+			continue
+		}
+		assignable++
+		e := candEntry{t: model.TaskID(t), d: d}
+		switch {
+		case k < 0 || len(entries) < k:
+			entries = append(entries, e)
+			if len(entries) == k {
+				for i := k/2 - 1; i >= 0; i-- {
+					siftLast(entries, i)
+				}
+			}
+		case e.before(entries[0]):
+			entries[0] = e
+			siftLast(entries, 0)
 		}
 	}
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].d != entries[j].d {
-			return entries[i].d > entries[j].d
+	c.scratch.Put(buf)
+	slices.SortFunc(entries, func(a, b candEntry) int {
+		switch {
+		case a.before(b):
+			return -1
+		case b.before(a):
+			return 1
 		}
-		return entries[i].t < entries[j].t
+		return 0
 	})
-	r.full = k < 0 || len(entries) <= k
-	if !r.full {
-		entries = entries[:k]
-	}
+	r.full = k < 0 || assignable <= k
 	r.entries = entries
 	r.built = true
+}
+
+// before reports whether e sorts ahead of o in a row: larger improvement
+// first, ties to the lower task index.
+func (e candEntry) before(o candEntry) bool {
+	return e.d > o.d || (e.d == o.d && e.t < o.t)
+}
+
+// siftLast restores, below index i, the heap order that keeps the entry
+// sorting last at the root of h.
+func siftLast(h []candEntry, i int) {
+	for {
+		last, l, r := i, 2*i+1, 2*i+2
+		if l < len(h) && h[last].before(h[l]) {
+			last = l
+		}
+		if r < len(h) && h[last].before(h[r]) {
+			last = r
+		}
+		if last == i {
+			return
+		}
+		h[i], h[last] = h[last], h[i]
+		i = last
+	}
 }
 
 // CandidateStats is a point-in-time view of the index's counters.
@@ -247,7 +299,7 @@ type CandidateStats struct {
 	// Builds counts full-row builds: the first query per (worker,
 	// generation) pays one.
 	Builds uint64 `json:"builds"`
-	// Rebuilds counts prefix shortfalls that forced an untruncated rebuild.
+	// Rebuilds counts prefix shortfalls that forced a longer rebuild.
 	Rebuilds uint64 `json:"rebuilds"`
 	// Hits counts queries served entirely from an existing list.
 	Hits uint64 `json:"hits"`

@@ -31,13 +31,14 @@ type rowKernel struct {
 	taskU  []float64 // U_t = Σ_k z_k(1 − z_k) per task
 }
 
-// newRowKernel hoists a round's invariants out of v. taskN and taskU must
-// hold what taskState writes for v.
-func newRowKernel(v View, taskN []int, taskU []float64) rowKernel {
+// newRowKernel hoists a round's invariants out of v. params is v.Params(),
+// read once per round by the caller (a partition node's view builds it per
+// call); taskN and taskU must hold what taskState writes for them.
+func newRowKernel(v View, params *core.Params, taskN []int, taskU []float64) rowKernel {
 	cfg := v.Config()
 	return rowKernel{
 		v:      v,
-		params: v.Params(),
+		params: params,
 		set:    cfg.FuncSet,
 		alpha:  cfg.Alpha,
 		rest:   1 - cfg.Alpha,
@@ -48,10 +49,11 @@ func newRowKernel(v View, taskN []int, taskU []float64) rowKernel {
 }
 
 // taskState writes, for every task of v, its answer count |W(t)| into taskN
-// and U_t into taskU — the per-task numbers lemma2Delta reads, computed once
-// per round (Planner) or once per snapshot (Snapshot).
-func taskState(v View, taskN []int, taskU []float64) {
-	pz := v.Params().PZ
+// and U_t into taskU under v's parameters params — the per-task numbers
+// lemma2Delta reads, computed once per round (Planner) or once per snapshot
+// (Snapshot).
+func taskState(v View, params *core.Params, taskN []int, taskU []float64) {
+	pz := params.PZ
 	for t := range taskN {
 		taskN[t] = v.TaskAnswerCount(model.TaskID(t))
 		taskU[t] = spread(pz[t])

@@ -76,8 +76,9 @@ func checkKernelRows(t *testing.T, name string, v View, excluding bool) {
 	est := NewEstimator(v)
 	nT := len(v.Tasks())
 	taskN, taskU := make([]int, nT), make([]float64, nT)
-	taskState(v, taskN, taskU)
-	kern := newRowKernel(v, taskN, taskU)
+	params := v.Params()
+	taskState(v, params, taskN, taskU)
+	kern := newRowKernel(v, params, taskN, taskU)
 	p, delta := make([]float64, nT), make([]float64, nT)
 	// Every fourth pair is excluded — answered ones too, which must stay
 	// simply answered — plus a task beyond the view, which must be ignored.

@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"testing"
 
+	"poilabel/internal/core"
+	"poilabel/internal/geo"
 	"poilabel/internal/model"
 )
 
@@ -82,7 +84,7 @@ func TestSnapshotPlanIdentical(t *testing.T) {
 // TestCandidatesMatchPlanner pins the candidate index's exactness: for any
 // prefix length, exclusion set, and h, PlanWorker must return exactly what a
 // full single-worker planner run would, because a truncated prefix that runs
-// dry forces an untruncated rebuild.
+// dry forces a rebuild long enough to hold the true top h.
 func TestCandidatesMatchPlanner(t *testing.T) {
 	m := smallWorld(t, 30, 3, 41)
 	rng := rand.New(rand.NewSource(42))
@@ -150,5 +152,56 @@ func TestCandidatesGenerationInvalidation(t *testing.T) {
 	st := c.Stats()
 	if st.Builds < 2 || st.Hits < 1 {
 		t.Fatalf("stats = %+v, want >=2 builds and >=1 hit", st)
+	}
+}
+
+// TestCandidatePrefixIsSortedRowPrefix holds builds to the planner on a row
+// full of exact ties (every location carries three tasks): the full row is
+// the single-worker greedy's pick order, ties to the lower task, and the
+// bounded-heap selection keeps its first k entries whatever k cuts through a
+// tie.
+func TestCandidatePrefixIsSortedRowPrefix(t *testing.T) {
+	var tasks []model.Task
+	var pts []geo.Point
+	for i := 0; i < 45; i++ {
+		loc := geo.Pt(float64(i/3), float64((i/3)%4))
+		tasks = append(tasks, model.Task{ID: model.TaskID(i), Location: loc, Labels: make([]string, 3)})
+		pts = append(pts, loc)
+	}
+	workers := []model.Worker{{ID: 0, Locations: []geo.Point{geo.Pt(6.5, 1)}}}
+	pts = append(pts, workers[0].Locations...)
+	m, err := core.NewModel(tasks, workers, geo.NormalizerFor(pts), core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := SnapshotModel(m)
+	c := NewCandidates(0)
+	var full candRow
+	c.build(&full, snap, 0, -1)
+	if !full.full || len(full.entries) != len(tasks) {
+		t.Fatalf("untruncated build kept %d of %d tasks (full %v)", len(full.entries), len(tasks), full.full)
+	}
+	greedy := NewPlanner().Assign(snap, []model.WorkerID{0}, len(tasks))[0]
+	for i, e := range full.entries {
+		if e.t != greedy[i] {
+			t.Fatalf("row position %d holds task %d, the greedy picks %d", i, e.t, greedy[i])
+		}
+	}
+	ties := 0
+	for i := 1; i < len(full.entries); i++ {
+		if full.entries[i].d == full.entries[i-1].d {
+			ties++
+		}
+	}
+	if ties == 0 {
+		t.Fatal("test setup: the row has no ties")
+	}
+	for _, k := range []int{1, 2, 3, 4, 5, 7, 16, 44, 45, 64} {
+		var r candRow
+		c.build(&r, snap, 0, k)
+		want := full.entries[:min(k, len(full.entries))]
+		if !reflect.DeepEqual(r.entries, want) || r.full != (k >= len(tasks)) {
+			t.Fatalf("k=%d: prefix %v (full %v), want %v", k, r.entries, r.full, want)
+		}
 	}
 }

@@ -1,6 +1,8 @@
 package assign
 
 import (
+	"slices"
+
 	"poilabel/internal/core"
 	"poilabel/internal/geo"
 	"poilabel/internal/model"
@@ -8,11 +10,15 @@ import (
 
 // View is the read-only slice of model state an assigner needs: the task and
 // worker sets, the current parameter estimates, worker–task distances, and
-// the answered-pair coverage. Two implementations exist:
+// the answered-pair coverage. Three implementations exist:
 //
 //   - *core.Model — the live model. Planning against it requires the caller
 //     to hold whatever lock protects the model, and its lazy distance cache
 //     allows at most one goroutine per worker row.
+//   - *shard.Sharded — a live partition node over its global task indices:
+//     task rows, distances and coverage read from the child owning each
+//     task, worker rows from the node's merged estimates. The same locking
+//     obligation as the model's, which its children are.
 //   - *Snapshot — an immutable copy captured by SnapshotModel. Planning
 //     against a Snapshot needs no lock at all and is safe from any number of
 //     goroutines; the serving layer uses it to run AccOpt off the write lock
@@ -20,8 +26,8 @@ import (
 //
 // An assigner must treat a View as frozen for the duration of a round: every
 // method returns the same value no matter how often or from which goroutine
-// it is called (for *core.Model this is the caller's locking obligation, for
-// *Snapshot it is structural).
+// it is called (for the live views this is the caller's locking obligation,
+// for *Snapshot it is structural).
 type View interface {
 	// Config returns the model configuration (function set, alpha, labels).
 	Config() core.Config
@@ -52,8 +58,8 @@ type View interface {
 }
 
 // Snapshot is an immutable, self-contained copy of the planning-relevant
-// model state: cloned parameters, the task/worker slices as of capture, the
-// answered-pair set, every worker's answered-task list, and the dense
+// model state: cloned parameters, the task/worker slices as of capture,
+// every worker's answered-task list, and the dense
 // per-task numbers the row kernel reads (answer counts and U_t). It
 // implements View; distances are recomputed on the fly through the captured
 // normalizer (the same geo.Normalizer.MinDistance the live model caches), so
@@ -70,7 +76,6 @@ type Snapshot struct {
 	workers []model.Worker
 	params  *core.Params
 	norm    geo.Normalizer
-	pairs   map[uint64]struct{}
 	// taskN and taskU are what taskState would write, computed once at
 	// capture for every Candidates.build against the snapshot.
 	taskN []int
@@ -81,39 +86,40 @@ type Snapshot struct {
 	workerOff []int
 }
 
-// pairBits packs a (worker, task) pair into one map key.
-func pairBits(w model.WorkerID, t model.TaskID) uint64 {
-	return uint64(uint32(w))<<32 | uint64(uint32(t))
-}
-
-// SnapshotModel captures an immutable planning view of m. The caller must
-// hold the lock protecting m for the duration of the call (capture reads the
-// live answer log); afterwards the Snapshot is independent of m. Capture is
-// O(|T| + |W| + |R|) time and memory: parameters are deep-copied, the
-// append-only task/worker slices are captured by length-bounded reference,
-// and the answer log is walked once, worker by worker, into a pair set, one
-// flat array of per-worker answered-task lists, and dense per-task counts.
-func SnapshotModel(m *core.Model) *Snapshot {
+// SnapshotModel captures an immutable planning view of m, a live view — a
+// *core.Model or a partition node — whose distances are m.Normalizer()'s.
+// The caller must hold the lock protecting m for the duration of the call
+// (capture reads the live answer log); afterwards the Snapshot is independent
+// of m. Capture is O(|T| + |W| + |R|) time and memory: parameters are
+// deep-copied, the append-only task/worker slices are captured by
+// length-bounded reference, and the answer log is walked once, worker by
+// worker, into one flat array of per-worker answered-task lists and dense
+// per-task counts.
+func SnapshotModel(m interface {
+	View
+	Normalizer() geo.Normalizer
+}) *Snapshot {
 	tasks := m.Tasks()
 	workers := m.Workers()
-	ans := m.Answers()
+	answers := 0
+	for w := range workers {
+		answers += m.WorkerAnswerCount(model.WorkerID(w))
+	}
 	s := &Snapshot{
 		cfg:       m.Config(),
 		tasks:     tasks[:len(tasks):len(tasks)],
 		workers:   workers[:len(workers):len(workers)],
 		params:    m.Params().Clone(),
 		norm:      m.Normalizer(),
-		pairs:     make(map[uint64]struct{}, ans.Len()),
 		taskN:     make([]int, len(tasks)),
 		taskU:     make([]float64, len(tasks)),
-		answered:  make([]model.TaskID, 0, ans.Len()),
+		answered:  make([]model.TaskID, 0, answers),
 		workerOff: make([]int, len(workers)+1),
 	}
 	for w := range workers {
 		s.answered = m.AnsweredTasks(model.WorkerID(w), s.answered)
 		s.workerOff[w+1] = len(s.answered)
 		for _, t := range s.answered[s.workerOff[w]:] {
-			s.pairs[pairBits(model.WorkerID(w), t)] = struct{}{}
 			s.taskN[t]++
 		}
 	}
@@ -142,10 +148,10 @@ func (s *Snapshot) Distance(w model.WorkerID, t model.TaskID) float64 {
 	return s.norm.MinDistance(s.workers[w].Locations, s.tasks[t].Location)
 }
 
-// HasAnswer implements View against the coverage as of capture.
+// HasAnswer implements View against the coverage as of capture, scanning
+// T(w): AccOpt reads the answered lists whole, so no pair set is kept.
 func (s *Snapshot) HasAnswer(w model.WorkerID, t model.TaskID) bool {
-	_, ok := s.pairs[pairBits(w, t)]
-	return ok
+	return slices.Contains(s.answered[s.workerOff[w]:s.workerOff[w+1]], t)
 }
 
 // AnsweredTasks implements View against the coverage as of capture.
@@ -162,4 +168,4 @@ func (s *Snapshot) WorkerAnswerCount(w model.WorkerID) int {
 func (s *Snapshot) TaskAnswerCount(t model.TaskID) int { return s.taskN[t] }
 
 // NumAnswers returns the number of answered pairs captured in the snapshot.
-func (s *Snapshot) NumAnswers() int { return len(s.pairs) }
+func (s *Snapshot) NumAnswers() int { return len(s.answered) }

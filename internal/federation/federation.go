@@ -1,19 +1,19 @@
 // Package federation runs the POI-labelling framework over several cities at
 // once: the task universe is carved into geographic cities, each city is
 // fitted by its own geo-sharded fitter, and one federation object routes
-// answers and assignment requests to the right city and merges what crosses
-// city lines.
+// answers to the right city, merges what crosses city lines, and plans
+// assignments over every city at once.
 //
 // It is internal/shard's partition node one level up, literally: New calls
 // shard.NewNested, which builds a shard.Sharded whose children are per-city
 // shard.Sharded instead of models. Routing, the count-weighted worker merge
 // (a single-city worker's estimate copied verbatim, so a federation of one
 // city is bit-identical to that city's sharded fit), the result gather and
-// the home-city → concurrent plan → dry fallback → Shares/Trim budget
-// balance are that package's one implementation running at both levels. What
-// lives here is the vocabulary — cities instead of shards — and the adapters
-// for the two types whose shape differs one level up: FitStats and the
-// snapshot.FederationState wire format.
+// the node view an assignment round plans over are that package's one
+// implementation running at both levels. What lives here is the vocabulary —
+// cities instead of shards — and the adapters for the two types whose shape
+// differs one level up: FitStats and the snapshot.FederationState wire
+// format.
 package federation
 
 import (
@@ -47,8 +47,8 @@ type Config struct {
 // DistanceSensitivity, Tasks, Workers and TotalAnswers; its shards are the
 // cities.
 //
-// Federation is not safe for concurrent use by multiple goroutines; Fit and
-// Assign fan out over the cities internally.
+// Federation is not safe for concurrent use by multiple goroutines; Fit fans
+// out over the cities internally.
 type Federation struct {
 	*shard.Sharded
 	co *shard.Coordinator
@@ -109,13 +109,11 @@ func (f *Federation) FitContext(ctx context.Context) (FitStats, error) {
 }
 
 // Assign chooses up to h tasks per requesting worker, spending at most budget
-// (worker, task) pairs in total (negative budget means unlimited). Each
-// worker is planned inside their home city; a worker whose whole home city
-// has no assignable tasks left is routed to the next-nearest cities instead
-// of walking away empty. The budget is balanced across cities proportionally
-// to realizable demand. The tasks ex lists for a worker are excluded during
-// planning; a nil ex excludes nothing. Returned task IDs are
-// federation-global.
+// (worker, task) pairs in total (negative budget means unlimited): one AccOpt
+// round over every task of every city, through the federation's node view
+// (shard.Coordinator), trimmed to the budget. The tasks ex lists for a worker
+// are excluded during planning; a nil ex excludes nothing. Returned task IDs
+// are federation-global.
 func (f *Federation) Assign(workers []model.WorkerID, h, budget int, ex assign.Exclusions) assign.Assignment {
 	return f.co.AssignExcluding(workers, h, budget, ex)
 }
@@ -125,9 +123,6 @@ func (f *Federation) NumCities() int { return f.NumShards() }
 
 // TaskCity returns the city owning task t.
 func (f *Federation) TaskCity(t model.TaskID) int { return f.TaskShard(t) }
-
-// HomeCity returns the city worker w's assignment requests are routed to.
-func (f *Federation) HomeCity(w model.WorkerID) int { return f.co.HomeShard(w) }
 
 // City exposes city ci's sharded fitter for inspection; mutating it bypasses
 // the federation's routing and merge bookkeeping.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 
 	"poilabel/internal/assign"
@@ -92,14 +93,6 @@ func TestFederationRoutingAndRoaming(t *testing.T) {
 			t.Fatalf("task %d left its cluster's city", ti)
 		}
 	}
-	// Workers are routed home by geography.
-	if fed.HomeCity(0) != fed.TaskCity(0) {
-		t.Fatal("city-0 worker routed away from home")
-	}
-	if fed.HomeCity(3) != fed.TaskCity(8) {
-		t.Fatal("city-1 worker routed away from home")
-	}
-
 	// Worker 0 roams: answers in both cities.
 	for _, a := range cityAnswers(tasks, workers, 8, 3) {
 		if err := fed.Observe(a); err != nil {
@@ -124,8 +117,8 @@ func TestFederationRoutingAndRoaming(t *testing.T) {
 	c0, c1 := fed.TaskCity(0), fed.TaskCity(8)
 	q0 := fed.City(c0).WorkerQuality(0)
 	q1 := fed.City(c1).WorkerQuality(0)
-	// Worker 0 answered i in 1..7 with (0+i)%3 != 0 → 5 answers at home,
-	// plus 4 in the other city.
+	// Worker 0 answered i in 1..7 with (0+i)%3 != 0 → 5 answers in their own
+	// city, plus 4 in the other.
 	want := (5*q0 + 4*q1) / 9
 	if got := fed.WorkerQuality(0); math.Abs(got-want) > 1e-12 {
 		t.Errorf("merged roamer quality = %v, want %v", got, want)
@@ -160,21 +153,26 @@ func TestFederationAssignBudgetAndSkip(t *testing.T) {
 		all[i] = model.WorkerID(i)
 	}
 	a := fed.Assign(all, 2, -1, nil)
-	if a.TotalTasks() == 0 {
-		t.Fatal("unlimited assignment empty")
+	if a.TotalTasks() != 2*len(workers) {
+		t.Fatalf("unlimited round handed out %d pairs, want %d", a.TotalTasks(), 2*len(workers))
 	}
-	// Workers are planned in their home city only.
+	// One round over both cities: h distinct tasks each, none answered.
 	for w, ts := range a {
-		home := fed.HomeCity(w)
+		if len(ts) != 2 || ts[0] == ts[1] {
+			t.Fatalf("worker %d got %v, want two distinct tasks", w, ts)
+		}
 		for _, tid := range ts {
-			if fed.TaskCity(tid) != home {
-				t.Fatalf("worker %d (home %d) was assigned task %d of city %d",
-					w, home, tid, fed.TaskCity(tid))
+			if fed.HasAnswer(w, tid) {
+				t.Fatalf("worker %d was assigned answered task %d", w, tid)
 			}
 		}
 	}
+	// Plans are deterministic.
+	if again := fed.Assign(all, 2, -1, nil); !reflect.DeepEqual(again, a) {
+		t.Fatalf("a second round over the same state differs:\n%v\nvs\n%v", again, a)
+	}
 
-	// A budget is spent exactly, split across cities.
+	// A budget is spent exactly.
 	b := fed.Assign(all, 2, 5, nil)
 	if n := b.TotalTasks(); n != 5 {
 		t.Fatalf("budgeted assignment used %d of 5", n)
@@ -295,22 +293,20 @@ func TestFederationValidation(t *testing.T) {
 	}
 }
 
-// TestFederationCrossCityFallback is the regression test for the
-// dried-up-city bug: a worker whose whole home city has no assignable tasks
-// — every pair answered or pending across all of its shards — used to walk
-// away with an empty round even when the neighboring city had plenty. They
-// must now be routed to the next-nearest city.
+// TestFederationCrossCityFallback: a worker whose own city has no assignable
+// task left — every pair answered or pending across all of its shards — still
+// gets a full round from the other city, and the exclusions hold there.
 func TestFederationCrossCityFallback(t *testing.T) {
 	tasks, workers, norm := twoCityWorld(3, 1)
 	fed, err := federation.New(tasks, workers, norm, federation.Config{Cities: 2, Shard: shard.Config{Shards: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := model.WorkerID(0)
-	home := fed.HomeCity(w)
-	// Dry up the home city: the worker answers every task it owns.
+	w := model.WorkerID(0) // sits in the city of tasks 0..2
+	own := fed.TaskCity(0)
+	// Dry up the worker's own city: they answer every task it owns.
 	for ti := range tasks {
-		if fed.TaskCity(model.TaskID(ti)) != home {
+		if fed.TaskCity(model.TaskID(ti)) != own {
 			continue
 		}
 		if err := fed.Observe(answer(tasks, w, model.TaskID(ti))); err != nil {
@@ -320,42 +316,36 @@ func TestFederationCrossCityFallback(t *testing.T) {
 	fed.Fit()
 
 	out := fed.Assign([]model.WorkerID{w}, 2, -1, nil)
-	if len(out[w]) == 0 {
-		t.Fatal("home city dry and no fallback: worker got an empty round")
+	if len(out[w]) != 2 {
+		t.Fatalf("own city answered: worker got %v, want two tasks of the other city", out[w])
 	}
 	for _, task := range out[w] {
-		if got := fed.TaskCity(task); got == home {
-			t.Fatalf("task %d is from the exhausted home city %d", task, got)
+		if got := fed.TaskCity(task); got == own {
+			t.Fatalf("task %d is from the answered city %d", task, got)
 		}
 	}
 
-	// The same dryness induced through the exclusion lists (pending
-	// pairs) must fall back too, and the exclusion must hold in the
-	// fallback city as well.
+	// The same dryness induced through the exclusion lists (pending pairs).
 	fed2, err := federation.New(tasks, workers, norm, federation.Config{Cities: 2, Shard: shard.Config{Shards: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	home2 := fed2.HomeCity(w)
 	pending := make(map[model.TaskID]bool)
 	excluded, everything := assign.TaskLists{}, assign.TaskLists{}
 	for ti := range tasks {
-		if fed2.TaskCity(model.TaskID(ti)) == home2 {
+		if fed2.TaskCity(model.TaskID(ti)) == own {
 			pending[model.TaskID(ti)] = true
 			excluded[w] = append(excluded[w], model.TaskID(ti))
 		}
 		everything[w] = append(everything[w], model.TaskID(ti))
 	}
 	out2 := fed2.Assign([]model.WorkerID{w}, 2, -1, excluded)
-	if len(out2[w]) == 0 {
-		t.Fatal("pending-exhausted home city and no fallback")
+	if len(out2[w]) != 2 {
+		t.Fatalf("own city pending: worker got %v, want two tasks of the other city", out2[w])
 	}
 	for _, task := range out2[w] {
 		if pending[task] {
-			t.Fatalf("fallback handed out excluded task %d", task)
-		}
-		if got := fed2.TaskCity(task); got == home2 {
-			t.Fatalf("task %d is from the excluded home city %d", task, got)
+			t.Fatalf("excluded task %d handed out", task)
 		}
 	}
 

@@ -83,7 +83,7 @@ func (s *Sharded) RestoreMerged(pi []float64, pdw [][]float64) error {
 	}
 	for si, k := range s.kids {
 		for w := range s.counts[si] {
-			s.counts[si][w] = k.workerAnswers(model.WorkerID(w))
+			s.counts[si][w] = k.WorkerAnswerCount(model.WorkerID(w))
 		}
 	}
 	for w := range s.pi {

@@ -94,7 +94,7 @@ func TestShardedAddWorker(t *testing.T) {
 
 func TestShardedFitContextCancellation(t *testing.T) {
 	tasks, workers, norm := quadWorld(4, 2)
-	s, err := New(tasks, workers, norm, Config{Shards: 4, RefineSweeps: 1})
+	s, err := New(tasks, workers, norm, Config{Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestCoordinatorAssignExcluding(t *testing.T) {
 	for i := range workers {
 		all[i] = model.WorkerID(i)
 	}
-	base := co.Assign(all, 2, -1)
+	base := co.AssignExcluding(all, 2, -1, nil)
 	if base.TotalTasks() == 0 {
 		t.Fatal("baseline assignment empty")
 	}

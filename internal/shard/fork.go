@@ -59,7 +59,7 @@ func (s *Sharded) Fork() *Fork {
 		parts:   make([][]int, len(s.parts)),
 		order:   s.order[:no:no],
 	}
-	f.fits, f.leaves = make([]fitKid, len(s.kids)), nil
+	f.fits = make([]fitKid, len(s.kids))
 	f.counts = cloneLayout(s.counts)
 	f.lastFitDur = slices.Clone(s.lastFitDur)
 	f.pi, f.pdw = slices.Clone(s.pi), make([][]float64, len(s.pdw))
@@ -70,7 +70,6 @@ func (s *Sharded) Fork() *Fork {
 		f.fits[si] = k.fork()
 		f.parts[si] = s.parts[si][:len(s.parts[si]):len(s.parts[si])]
 		if l, ok := f.fits[si].(forkLeaf); ok {
-			f.leaves = append(f.leaves, l)
 			f.logs = append(f.logs, l.Answers())
 		}
 	}

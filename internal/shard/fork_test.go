@@ -13,14 +13,13 @@ import (
 )
 
 // forkShapes are the two kinds of node a fork is taken of: one over leaves
-// (with refinement sweeps, so the fit also writes merged estimates back into
-// the leaves' forks) and a 2x2 nested one.
+// and a 2x2 nested one.
 var forkShapes = []struct {
 	name  string
 	build func(tasks []model.Task, workers []model.Worker, norm geo.Normalizer, cfg core.Config) (*Sharded, error)
 }{
 	{"leaves", func(tasks []model.Task, workers []model.Worker, norm geo.Normalizer, cfg core.Config) (*Sharded, error) {
-		return New(tasks, workers, norm, Config{Shards: 4, RefineSweeps: 2, Model: cfg})
+		return New(tasks, workers, norm, Config{Shards: 4, Model: cfg})
 	}},
 	{"nested-2x2", func(tasks []model.Task, workers []model.Worker, norm geo.Normalizer, cfg core.Config) (*Sharded, error) {
 		return NewNested(tasks, workers, norm, 2, Config{Shards: 2, Model: cfg})
@@ -157,7 +156,7 @@ func TestForkAdoptMatchesReplay(t *testing.T) {
 					t.Fatalf("%s: the fork sees %d answers of shard %d, was taken at %d", shape.name, log.Len(), si, n)
 				}
 			}
-			if got.Iterations != want.Iterations || got.Converged != want.Converged || got.Roaming != want.Roaming || got.RefineSweeps != want.RefineSweeps {
+			if got.Iterations != want.Iterations || got.Converged != want.Converged || got.Roaming != want.Roaming {
 				t.Fatalf("%s: fork fit %+v, in-place fit %+v", shape.name, got, want)
 			}
 			for w := range inPlace.pi {

@@ -12,28 +12,26 @@
 // worker — one with answers in more than one shard — gets independent
 // estimates from each shard, merged by answer-count-weighted averaging, the
 // same per-partition pooling classic Dawid–Skene-style EM uses to combine
-// worker confusion estimates. An optional refinement sweep pushes the merged
-// estimates of roaming workers back into their shards and refits, letting
-// evidence flow across the partition boundary.
+// worker confusion estimates.
 //
-// Task assignment over a sharded world is handled by Coordinator: the
-// paper's AccOpt greedy plans within each shard and a thin coordinator
-// routes workers to their home shard and balances the round's budget across
-// shards.
+// Shards are for fitting, not for planning. A node is an assign.View over its
+// global task indices — task rows, distances and coverage from the child
+// owning each task, worker rows from the merged estimates — so an assignment
+// round over a sharded world is the single engine's: one AccOpt round over
+// every task (Coordinator, or any assigner the caller holds).
 //
 // # One partition node
 //
 // Every partition decision — nearest-region task routing, answer routing with
 // the local-ID remap and per-child answer counts, the concurrent child fits,
-// the count-weighted worker merge, the result gather, and the home-child →
-// concurrent plan → dry fallback → budget balance of an assignment round —
-// is written once, on Sharded, over the small child interface below. A
-// child is either a leaf (one core.Model with its AccOpt planner) or another
+// the count-weighted worker merge, the result gather, and the node view an
+// assignment round reads — is written once, on Sharded, over the small child
+// interface below. A child is either a leaf (one core.Model) or another
 // *Sharded, so the same node one level up is a federation: NewNested builds
 // a node whose children are per-city nodes, and internal/federation is only
 // the adapter that names its parts "cities". The extras that need the answer
-// logs themselves — the arrival order, Rebuild, refinement sweeps, the
-// ShardedState checkpoint — belong to a node over leaves.
+// logs themselves — the arrival order, Rebuild, the ShardedState checkpoint —
+// belong to a node over leaves.
 package shard
 
 import (
@@ -57,23 +55,19 @@ type Config struct {
 	// Shards is K, the number of geographic partitions. Zero means
 	// DefaultShards; values above the task count are clamped to it.
 	Shards int
-	// RefineSweeps is the number of cross-shard refinement sweeps run after
-	// the initial concurrent fit: each sweep writes the merged parameters of
-	// every roaming worker back into the shards holding their answers and
-	// refits those shards (warm-started). Sweeps are skipped entirely when
-	// no worker roams, so on block-diagonal data any RefineSweeps value
-	// reproduces the independent per-shard fits exactly. Zero means none.
-	RefineSweeps int
 	// Model configures every per-shard inference model. A zero FuncSet
 	// means core.DefaultConfig().
 	Model core.Config
 }
 
-// child is what a partition node needs from each of its regions. Task IDs
+// child is what a partition node needs from each of its regions: the fit
+// side, the registration and answer routing, and an assign.View the node's
+// own view reads task rows, distances and coverage through. Task IDs
 // crossing the interface are the child's dense local indices; worker IDs are
 // global, because every child is built over the full worker pool.
 type child interface {
 	fitKid
+	assign.View
 	AddTask(model.Task) error
 	AddWorker(model.Worker) error
 	Observe(model.Answer) error
@@ -85,19 +79,10 @@ type child interface {
 	// posterior returns task t's label posteriors, borrowed: the parent's
 	// gather reads them in place.
 	posterior(t model.TaskID) []float64
-	// plan picks up to h tasks per worker with no budget cap; the parent
-	// balances the round's budget over what its children could use.
-	plan(workers []model.WorkerID, h int, ex assign.Exclusions) assign.Assignment
-	// workerAnswers counts worker w's answers anywhere beneath the child.
-	workerAnswers(w model.WorkerID) int
 }
 
-// leaf is the bottom of the tree: one inference model and the reusable
-// AccOpt planner whose O(|W|·|T|) scratch persists across rounds.
-type leaf struct {
-	*core.Model
-	planner *assign.Planner
-}
+// leaf is the bottom of the tree: one inference model.
+type leaf struct{ *core.Model }
 
 func (l *leaf) TotalAnswers() int { return l.Answers().Len() }
 
@@ -116,18 +101,13 @@ func (l *leaf) fork() fitKid { return forkLeaf{l.Model.Fork()} }
 // update is Observe.
 func (l *leaf) adopt(k fitKid) { l.Model.Adopt(k.(forkLeaf).Fork, false) }
 
-func (l *leaf) plan(workers []model.WorkerID, h int, ex assign.Exclusions) assign.Assignment {
-	return l.planner.AssignExcluding(l.Model, workers, h, ex)
-}
-
-func (l *leaf) workerAnswers(w model.WorkerID) int { return l.WorkerAnswerCount(w) }
-
 // Sharded is a partition node: a fixed set of tasks carved into K geographic
 // regions, each owned by one child. Built by New its children are inference
 // models (the K shards of one city); built by NewNested they are themselves
 // Sharded (the cities of a federation). Answers are routed to the child
 // owning their task; Fit runs all children concurrently and merges the
-// per-worker estimates.
+// per-worker estimates. The node is also an assign.View over its global task
+// indices (coordinator.go), which is how every assigner plans over it.
 //
 // Sharded is not safe for concurrent use by multiple goroutines; Fit itself
 // fans out over the children internally.
@@ -151,6 +131,9 @@ type Sharded struct {
 	nodeFit
 	lastFit FitStats
 
+	// view is the scratch Params rebuilds: the node's assign.View rows.
+	view core.Params
+
 	// order logs the shard index of every accepted answer in global
 	// submission order. Together with the per-shard append-only answer logs
 	// it reconstructs the exact global arrival stream, which Rebuild replays
@@ -164,16 +147,15 @@ type Sharded struct {
 // per-child answer counts the merge weights by, and everything the fit
 // writes.
 type nodeFit struct {
-	sweeps int // Config.RefineSweeps
 	// city is the node's index inside an enclosing node (-1 at the top); a
 	// nested fit stamps it on its fit.shard spans so the four shards of a
 	// 2x2 federation are told apart in a trace.
 	city int
 	fits []fitKid // the kids: live children fitting in place, or their forks
-	// leaves are the kids as refinement writes them — a model, or a model's
-	// fork — nil over nested children.
-	leaves []interface{ Params() *core.Params }
-	counts [][]int // counts[s][w]: answers by worker w routed to child s
+	// overLeaves reports the kids are models (or models' forks), whose fits
+	// the node traces as fit.shard spans; nested kids trace their own.
+	overLeaves bool
+	counts     [][]int // counts[s][w]: answers by worker w routed to child s
 	// lastFitDur[s] is the wall-clock duration of child s's most recent fit
 	// — one of the imbalance signals the drift detector watches.
 	lastFitDur []time.Duration
@@ -257,9 +239,6 @@ func newNode(tasks []model.Task, workers []model.Worker, norm geo.Normalizer, cf
 	if cfg.Shards > len(tasks) {
 		cfg.Shards = len(tasks)
 	}
-	if cfg.RefineSweeps < 0 {
-		return nil, fmt.Errorf("shard: negative RefineSweeps %d", cfg.RefineSweeps)
-	}
 	if cfg.Model.FuncSet == nil {
 		cfg.Model = core.DefaultConfig()
 	}
@@ -286,7 +265,7 @@ func newNode(tasks []model.Task, workers []model.Worker, norm geo.Normalizer, cf
 		baseParts: cloneLayout(layout),
 		shardOf:   make([]int32, len(tasks)),
 		localOf:   make([]int32, len(tasks)),
-		nodeFit:   nodeFit{sweeps: cfg.RefineSweeps, city: -1, lastFitDur: make([]time.Duration, len(layout))},
+		nodeFit:   nodeFit{overLeaves: nested == nil, city: -1, lastFitDur: make([]time.Duration, len(layout))},
 	}
 	for si, part := range s.parts {
 		local := make([]model.Task, len(part))
@@ -305,8 +284,7 @@ func newNode(tasks []model.Task, workers []model.Worker, norm geo.Normalizer, cf
 			var m *core.Model
 			if m, err = core.NewModel(local, workers, norm, cfg.Model); err == nil {
 				s.models = append(s.models, m)
-				s.leaves = append(s.leaves, m)
-				kid = &leaf{Model: m, planner: assign.NewPlanner()}
+				kid = &leaf{m}
 			}
 		}
 		if err != nil {
@@ -411,30 +389,24 @@ func (s *Sharded) Observe(a model.Answer) error {
 
 // FitStats reports the outcome of a sharded fit.
 type FitStats struct {
-	// Shards holds every shard's final full-EM stats. After refinement
-	// sweeps, a refitted shard's entry is from its last (warm-started) fit.
-	// Over nested children each entry summarizes one child's whole fit
+	// Shards holds every shard's full-EM stats. Over nested children each entry summarizes one child's whole fit
 	// (Iterations, Converged, Elapsed); the child's LastFit has the detail.
 	Shards []core.FitStats
-	// Converged reports whether every shard's last fit converged.
+	// Converged reports whether every shard's fit converged.
 	Converged bool
-	// Iterations is the maximum iteration count over the initial per-shard
-	// fits — the depth of the critical path, comparable to a single model's
+	// Iterations is the maximum iteration count over the per-shard fits —
+	// the depth of the critical path, comparable to a single model's
 	// iteration count on the same answers.
 	Iterations int
 	// Roaming is the number of workers with answers in more than one shard.
 	Roaming int
-	// RefineSweeps is the number of cross-shard refinement sweeps actually
-	// run (zero when configured off or when no worker roams).
-	RefineSweeps int
 	// Elapsed is the wall-clock duration of the whole sharded fit,
-	// including merging and refinement.
+	// including the merge.
 	Elapsed time.Duration
 }
 
-// Fit runs full EM on every shard concurrently, merges the per-worker
-// estimates (answer-count-weighted for roaming workers), and runs the
-// configured cross-shard refinement sweeps.
+// Fit runs full EM on every shard concurrently and merges the per-worker
+// estimates (answer-count-weighted for roaming workers).
 func (s *Sharded) Fit() FitStats {
 	//lint:ignore ctxflow context-free compat API; callers with deadlines use FitContext
 	st, _ := s.FitContext(context.Background())
@@ -442,7 +414,7 @@ func (s *Sharded) Fit() FitStats {
 }
 
 // FitContext is Fit with cooperative cancellation, checked between EM
-// iterations inside every shard and between refinement sweeps. On
+// iterations inside every shard. On
 // cancellation every shard keeps its last completed iteration's parameters
 // and the merged per-worker estimates are refreshed from them, so the
 // fitter is left in a consistent (if unconverged) state. The fit runs in
@@ -471,59 +443,30 @@ func (st FitStats) summary() core.FitStats {
 func (n *nodeFit) fitContext(ctx context.Context) (FitStats, error) {
 	start := time.Now()
 	st := FitStats{Shards: make([]core.FitStats, len(n.fits))}
-	err := n.fitAndRefine(ctx, &st)
+	// Even a cancelled fit leaves the merged estimates refreshed from
+	// whatever iteration each child reached.
+	err := n.fitAll(ctx, st.Shards)
+	n.mergeWorkers()
+	st.Converged = err == nil
+	for _, fs := range st.Shards {
+		st.Iterations = max(st.Iterations, fs.Iterations)
+		st.Converged = st.Converged && fs.Converged
+	}
+	if err == nil {
+		st.Roaming = n.roaming()
+	}
 	st.Elapsed = time.Since(start)
 	return st, err
 }
 
-// fitAndRefine is fitContext's body; every return leaves the merged
-// estimates refreshed from whatever iteration each child reached.
-func (n *nodeFit) fitAndRefine(ctx context.Context, st *FitStats) error {
-	err := n.fitAll(ctx, st.Shards, nil)
-	for _, fs := range st.Shards {
-		if fs.Iterations > st.Iterations {
-			st.Iterations = fs.Iterations
-		}
-	}
-	n.mergeWorkers()
-	if err != nil {
-		return err
-	}
-
-	roam := n.roamingWorkers()
-	st.Roaming = len(roam)
-	for sweep := 0; sweep < n.sweeps && len(roam) > 0; sweep++ {
-		touched := n.pushMerged(roam)
-		err := n.fitAll(ctx, st.Shards, touched)
-		n.mergeWorkers()
-		if err != nil {
-			return err
-		}
-		st.RefineSweeps++
-	}
-
-	st.Converged = true
-	for _, fs := range st.Shards {
-		if !fs.Converged {
-			st.Converged = false
-			break
-		}
-	}
-	return nil
-}
-
-// fitAll fits the selected children (all of them when only is nil) in one
-// goroutine each. Children share no mutable state, and each goroutine writes
-// a distinct stats slot, so the fan-out is race-free; the per-child results
-// do not depend on the interleaving. The first context error observed by any
-// child is returned.
-func (n *nodeFit) fitAll(ctx context.Context, into []core.FitStats, only []bool) error {
+// fitAll fits every child in one goroutine each. Children share no mutable
+// state, and each goroutine writes a distinct stats slot, so the fan-out is
+// race-free; the per-child results do not depend on the interleaving. The
+// first context error observed by any child is returned.
+func (n *nodeFit) fitAll(ctx context.Context, into []core.FitStats) error {
 	var wg sync.WaitGroup
 	errs := make([]error, len(n.fits))
 	for i := range n.fits {
-		if only != nil && !only[i] {
-			continue
-		}
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
@@ -532,7 +475,7 @@ func (n *nodeFit) fitAll(ctx context.Context, into []core.FitStats, only []bool)
 			// unless the caller's context carries a fit/migrate trace, and
 			// only over leaves: a nested child's own fan-out mints them.
 			var sp *trace.Span
-			if n.leaves != nil {
+			if n.overLeaves {
 				_, sp = trace.Start(ctx, "fit.shard")
 				if n.city >= 0 {
 					sp.AttrInt("city", int64(n.city))
@@ -609,9 +552,9 @@ func (n *nodeFit) mergeWorkers() {
 	}
 }
 
-// roamingWorkers returns the workers with answers in more than one child.
-func (n *nodeFit) roamingWorkers() []model.WorkerID {
-	var out []model.WorkerID
+// roaming counts the workers with answers in more than one child.
+func (n *nodeFit) roaming() int {
+	count := 0
 	for w := range n.pi {
 		shards := 0
 		for si := range n.fits {
@@ -620,47 +563,19 @@ func (n *nodeFit) roamingWorkers() []model.WorkerID {
 			}
 		}
 		if shards > 1 {
-			out = append(out, model.WorkerID(w))
+			count++
 		}
 	}
-	return out
+	return count
 }
 
-// pushMerged writes the merged estimates of the given roaming workers into
-// every shard holding their answers and reports which shards were touched.
-// Refinement is a leaf-level extra: it writes model parameters directly.
-func (n *nodeFit) pushMerged(roam []model.WorkerID) []bool {
-	touched := make([]bool, len(n.leaves))
-	for _, w := range roam {
-		for si, l := range n.leaves {
-			if n.counts[si][w] == 0 {
-				continue
-			}
-			// The next fit of the shard warm-starts from the merged values.
-			p := l.Params()
-			p.PI[w] = n.pi[w]
-			copy(p.PDW[w], n.pdw[w])
-			touched[si] = true
-		}
-	}
-	return touched
-}
-
-// estimate, posterior and workerAnswers are the node seen from an enclosing
-// node: its merged worker estimates, and its children's per-task quantities
-// and answer counts one remap further down.
+// estimate and posterior are the node seen from an enclosing node: its merged
+// worker estimates, and its children's label posteriors one remap further
+// down.
 func (s *Sharded) estimate(w model.WorkerID) (float64, []float64) { return s.pi[w], s.pdw[w] }
 
 func (s *Sharded) posterior(t model.TaskID) []float64 {
 	return s.kids[s.shardOf[t]].posterior(model.TaskID(s.localOf[t]))
-}
-
-func (s *Sharded) workerAnswers(w model.WorkerID) int {
-	n := 0
-	for si := range s.counts {
-		n += s.counts[si][w]
-	}
-	return n
 }
 
 // Result materializes the node-wide inference: every task's label

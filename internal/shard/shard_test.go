@@ -84,9 +84,7 @@ func TestBlockDiagonalMatchesPerBlockFits(t *testing.T) {
 	tasks, workers, norm := quadWorld(nPerQuad, wPerQuad)
 	answers := blockAnswers(tasks, workers, nPerQuad, wPerQuad)
 
-	// RefineSweeps is deliberately non-zero: with no roaming worker the
-	// sweeps must be skipped and the fit must stay exactly block-local.
-	sh, err := New(tasks, workers, norm, Config{Shards: 4, RefineSweeps: 3, Model: testConfig()})
+	sh, err := New(tasks, workers, norm, Config{Shards: 4, Model: testConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,9 +96,6 @@ func TestBlockDiagonalMatchesPerBlockFits(t *testing.T) {
 	st := sh.Fit()
 	if st.Roaming != 0 {
 		t.Fatalf("block-diagonal data reported %d roaming workers", st.Roaming)
-	}
-	if st.RefineSweeps != 0 {
-		t.Fatalf("refine sweeps ran without roaming workers: %d", st.RefineSweeps)
 	}
 
 	for si, part := range sh.Partition() {
@@ -174,17 +169,17 @@ func TestRoamingWorkerMergedByAnswerCount(t *testing.T) {
 		t.Fatalf("Roaming = %d, want 1", st.Roaming)
 	}
 
-	home, away := sh.TaskShard(0), sh.TaskShard(model.TaskID(nPerQuad))
-	if home == away {
+	own, away := sh.TaskShard(0), sh.TaskShard(model.TaskID(nPerQuad))
+	if own == away {
 		t.Fatalf("test setup: quadrants 0 and 1 landed in the same shard")
 	}
-	cHome, cAway := sh.counts[home][roamer], sh.counts[away][roamer]
-	if cHome == 0 || cAway == 0 {
-		t.Fatalf("roamer counts: home %d, away %d", cHome, cAway)
+	cOwn, cAway := sh.counts[own][roamer], sh.counts[away][roamer]
+	if cOwn == 0 || cAway == 0 {
+		t.Fatalf("roamer counts: own quadrant %d, away %d", cOwn, cAway)
 	}
-	pHome := sh.models[home].Params().PI[roamer]
+	pOwn := sh.models[own].Params().PI[roamer]
 	pAway := sh.models[away].Params().PI[roamer]
-	want := (float64(cHome)*pHome + float64(cAway)*pAway) / float64(cHome+cAway)
+	want := (float64(cOwn)*pOwn + float64(cAway)*pAway) / float64(cOwn+cAway)
 	if got := sh.WorkerQuality(roamer); got != want {
 		t.Fatalf("merged quality %v, want weighted average %v", got, want)
 	}
@@ -196,37 +191,6 @@ func TestRoamingWorkerMergedByAnswerCount(t *testing.T) {
 	}
 	if sum < 0.999999 || sum > 1.000001 {
 		t.Fatalf("merged sensitivity sums to %v", sum)
-	}
-}
-
-func TestRefineSweepsRunWithRoaming(t *testing.T) {
-	const nPerQuad, wPerQuad = 8, 2
-	tasks, workers, norm := quadWorld(nPerQuad, wPerQuad)
-	answers := blockAnswers(tasks, workers, nPerQuad, wPerQuad)
-	for i := 0; i < 4; i++ {
-		answers = append(answers, answer(tasks, 0, model.TaskID(nPerQuad+i)))
-	}
-
-	sh, err := New(tasks, workers, norm, Config{Shards: 4, RefineSweeps: 2, Model: testConfig()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, a := range answers {
-		if err := sh.Observe(a); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := sh.Fit()
-	if st.RefineSweeps != 2 {
-		t.Fatalf("RefineSweeps = %d, want 2", st.RefineSweeps)
-	}
-	for si, m := range sh.Models() {
-		if err := m.Params().Validate(); err != nil {
-			t.Fatalf("shard %d params invalid after refinement: %v", si, err)
-		}
-	}
-	if q := sh.WorkerQuality(0); q < 0 || q > 1 {
-		t.Fatalf("merged quality out of range: %v", q)
 	}
 }
 
@@ -255,9 +219,6 @@ func TestObserveAndConfigErrors(t *testing.T) {
 	}
 	if _, err := New(tasks, workers, norm, Config{Shards: -1}); err == nil {
 		t.Error("negative shard count accepted")
-	}
-	if _, err := New(tasks, workers, norm, Config{RefineSweeps: -1}); err == nil {
-		t.Error("negative refine sweeps accepted")
 	}
 	// More shards than tasks clamps rather than failing.
 	sh2, err := New(tasks, workers, norm, Config{Shards: 100, Model: testConfig()})

@@ -32,7 +32,7 @@ type planCounters struct {
 // section. Counters cover the service's lifetime.
 type PlanPipelineStats struct {
 	// Enabled reports whether the lock-free planning path is configured
-	// (a fit scheduler on the single engine with the AccOpt assigner).
+	// (a fit scheduler with the AccOpt assigner, on any engine shape).
 	// Individual rounds can still fall back to the locked path —
 	// e.g. for workers registered after the last publication.
 	Enabled bool `json:"enabled"`
@@ -40,7 +40,8 @@ type PlanPipelineStats struct {
 	// snapshot, off the write lock.
 	LockFreePlans uint64 `json:"lock_free_plans"`
 	// LockedPlans counts assignment rounds planned under the write lock
-	// (the only mode for batch engines and non-planner assigners).
+	// (the only mode for non-planner assigners and services without a fit
+	// scheduler).
 	LockedPlans uint64 `json:"locked_plans"`
 	// CommittedPicks counts (worker, task) pairs accepted at commit.
 	CommittedPicks uint64 `json:"committed_picks"`
@@ -150,13 +151,12 @@ func (s *Service) requestTasksLockFree(ctx context.Context, ws []WorkerID, pc *p
 	var exhausted bool
 	for attempt := 0; len(plans) > 0; attempt++ {
 		// The optimistic commit: every pick re-checked against the live
-		// ledger and the live answer log (this path's engine is the single
-		// one, the only engine that publishes a plan view).
+		// ledger and the live answer log.
 		_, commitSp := trace.Start(ctx, "plan.commit")
 		var took map[WorkerID][]TaskID
 		var conflicts []pairKey
 		s.mu.Lock()
-		took, conflicts, exhausted = s.led.commit(plans, s.eng.(*singleEngine).HasAnswer)
+		took, conflicts, exhausted = s.led.commit(plans, s.eng.view().HasAnswer)
 		s.mu.Unlock()
 		commitSp.AttrInt("conflicts", int64(len(conflicts)))
 		commitSp.End()

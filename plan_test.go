@@ -86,9 +86,21 @@ func requestBoth(t *testing.T, free, locked *Service, workers []string) map[stri
 // path hands out byte-identical assignments to the old write-locked planner
 // — through single-worker (candidate list) rounds, multi-worker (pooled
 // planner) rounds, pending-pair dedup, and fresh generations after more
-// answers.
+// answers — on every engine shape of TestShapeIdentity's table: a partition
+// node's snapshot is a capture of its view.
 func TestLockFreePlanQuiescedEquivalence(t *testing.T) {
-	free, locked, truth := planPair(t, 24, 6, WithTasksPerRequest(3))
+	shapes := map[string][]ServiceOption{
+		"single":        nil,
+		"sharded":       {WithEngine(EngineSharded), WithShards(4)},
+		"federated-2x2": {WithEngine(EngineFederated), WithCities(2), WithShards(2)},
+	}
+	for name, shape := range shapes {
+		t.Run(name, func(t *testing.T) { lockFreeQuiescedEquivalence(t, shape) })
+	}
+}
+
+func lockFreeQuiescedEquivalence(t *testing.T, shape []ServiceOption) {
+	free, locked, truth := planPair(t, 24, 6, append(shape, WithTasksPerRequest(3))...)
 	defer free.Close(context.Background())
 	defer locked.Close(context.Background())
 	ctx := context.Background()

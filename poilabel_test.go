@@ -255,7 +255,7 @@ func TestFrameworkIntrospection(t *testing.T) {
 func TestShardedModelEndToEnd(t *testing.T) {
 	ctx := context.Background()
 	svc, truth := tinyService(t,
-		WithEngine(EngineSharded), WithShards(4), WithRefineSweeps(1), WithFullEMInterval(0))
+		WithEngine(EngineSharded), WithShards(4), WithFullEMInterval(0))
 	rng := rand.New(rand.NewSource(5))
 
 	// Batch-collect answers: every worker answers every task, worker 3 is a

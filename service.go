@@ -88,7 +88,6 @@ type serviceConfig struct {
 	assigner       AssignerKind
 	shards         int
 	cities         int
-	refineSweeps   int
 	fullEMInterval int
 	seed           int64
 	model          core.Config
@@ -143,9 +142,10 @@ func WithTasksPerRequest(h int) ServiceOption {
 	}
 }
 
-// WithAssigner selects the assignment strategy of the single engine. The
-// sharded and federated engines always plan with AccOpt inside each shard.
-// The default is AssignerAccOpt.
+// WithAssigner selects the assignment strategy. It means the same on every
+// engine shape: one round of the assigner over every registered task, the
+// sharded and federated engines reading task state from the shard that owns
+// it. The default is AssignerAccOpt.
 func WithAssigner(kind AssignerKind) ServiceOption {
 	return func(c *serviceConfig) error {
 		switch kind {
@@ -177,18 +177,6 @@ func WithCities(n int) ServiceOption {
 			return fmt.Errorf("poilabel: negative city count %d", n)
 		}
 		c.cities = n
-		return nil
-	}
-}
-
-// WithRefineSweeps sets the number of cross-shard refinement sweeps per fit
-// for the sharded and federated engines. The default is none.
-func WithRefineSweeps(n int) ServiceOption {
-	return func(c *serviceConfig) error {
-		if n < 0 {
-			return fmt.Errorf("poilabel: negative RefineSweeps %d", n)
-		}
-		c.refineSweeps = n
 		return nil
 	}
 }
@@ -291,6 +279,10 @@ type Service struct {
 	mu  sync.RWMutex
 	cfg serviceConfig
 	eng Engine
+	// asg is the configured assigner (WithAssigner), built with the engine
+	// and planning over its view whatever the shape; an elastic migration
+	// swaps the engine and keeps it.
+	asg assign.ExcludingAssigner
 
 	taskIdx   map[string]TaskID
 	taskKeys  []string // dense index -> stable ID
@@ -393,7 +385,7 @@ func NewService(opts ...ServiceOption) (*Service, error) {
 	}
 	// Without a scheduler the live engine's per-answer updates are newer than
 	// any generation, so plans come from it, under the lock.
-	if cfg.bgInterval > 0 && cfg.engine == EngineSingle && cfg.assigner == AssignerAccOpt {
+	if cfg.bgInterval > 0 && cfg.assigner == AssignerAccOpt {
 		s.planEnabled = true
 		s.planPool.New = func() any { return assign.NewPlanner() }
 		s.cands = assign.NewCandidates(assign.DefaultCandidatePrefix)
@@ -456,6 +448,12 @@ func (s *Service) addTaskLocked(id string, spec TaskSpec) error {
 	s.taskIdx[id] = t.ID
 	s.taskKeys = append(s.taskKeys, id)
 	s.tasks = append(s.tasks, t)
+	// SpatialFirst holds a grid index over task locations frozen at
+	// construction; rebuild it so the new task is discoverable. The other
+	// assigners read the view's tasks directly and need nothing.
+	if _, ok := s.asg.(*assign.SpatialFirst); ok {
+		s.asg = assign.NewSpatialFirst(s.tasks)
+	}
 	s.dirty = true
 	return nil
 }
@@ -536,14 +534,14 @@ func (s *Service) buildEngine(layout [][]int, diam float64) error {
 			return err
 		}
 	}
-	shCfg := shard.Config{Shards: s.cfg.shards, RefineSweeps: s.cfg.refineSweeps, Model: s.cfg.model}
+	shCfg := shard.Config{Shards: s.cfg.shards, Model: s.cfg.model}
 	var (
 		eng Engine
 		err error
 	)
 	switch s.cfg.engine {
 	case EngineSingle:
-		eng, err = newSingleEngine(s.tasks, s.workers, norm, s.cfg.model, s.cfg.assigner, s.cfg.seed)
+		eng, err = newSingleEngine(s.tasks, s.workers, norm, s.cfg.model)
 	case EngineSharded:
 		var sh *shard.Sharded
 		if sh, err = shard.NewWithLayout(s.tasks, s.workers, norm, shCfg, layout); err == nil {
@@ -558,6 +556,9 @@ func (s *Service) buildEngine(layout [][]int, diam float64) error {
 		err = fmt.Errorf("poilabel: unknown engine kind %d", int(s.cfg.engine))
 	}
 	if err != nil {
+		return err
+	}
+	if s.asg, err = newAssigner(s.cfg.assigner, s.tasks, s.cfg.seed); err != nil {
 		return err
 	}
 	s.eng = eng
@@ -596,9 +597,7 @@ func (s *Service) publishLocked(seq, fullSeq uint64, converged bool) {
 	var plan *assign.Snapshot
 	if s.planEnabled {
 		plan = s.eng.PlanSnapshot()
-		if plan != nil {
-			s.sincePlan = make(map[WorkerID][]TaskID)
-		}
+		s.sincePlan = make(map[WorkerID][]TaskID)
 	}
 	s.published.Store(&paramGen{
 		gen:        gen,
@@ -752,15 +751,15 @@ func (s *Service) submitAnswer(ctx context.Context, workerID, taskID string, sel
 // RequestTasks returns ErrBudgetExhausted; when it runs out mid-round the
 // round is trimmed to the remaining units.
 //
-// With a fit scheduler on the single engine and the AccOpt assigner, planning
-// runs off the write lock against the last published parameter generation;
-// only a short optimistic commit takes the write lock, re-checking each pick
-// against the live pending set, answer log, and budget, and replanning
-// conflicted picks. Every other configuration — batch engines, other
-// assigners, workers registered after the last publication, and every service
-// without a scheduler, where the live engine's per-answer updates are newer
-// than any generation — plans from the live engine under the write lock. Both
-// paths produce identical assignments on a quiesced service.
+// With a fit scheduler and the AccOpt assigner, on every engine shape,
+// planning runs off the write lock against the last published parameter
+// generation; only a short optimistic commit takes the write lock, re-checking
+// each pick against the live pending set, answer log, and budget, and
+// replanning conflicted picks. Every other configuration — other assigners,
+// workers registered after the last publication, and every service without a
+// scheduler, where the live engine is newer than any generation — plans from
+// the live engine under the write lock. Both paths produce identical
+// assignments on a quiesced service.
 func (s *Service) RequestTasks(ctx context.Context, workerIDs []string) (map[string][]string, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -800,8 +799,8 @@ func (s *Service) capturePlan(workerIDs []string) ([]WorkerID, *planContext, err
 		}
 		ws[i] = w
 	}
-	// Only the single engine with AccOpt behind a fit scheduler publishes a
-	// plan view (planEnabled), so a generation that carries one implies it.
+	// Only AccOpt behind a fit scheduler publishes a plan view (planEnabled),
+	// so a generation that carries one implies it.
 	pub := s.published.Load()
 	if s.forceLockedPlan || pub == nil || pub.plan == nil {
 		return ws, nil, nil
@@ -833,9 +832,9 @@ func (s *Service) capturePlan(workerIDs []string) ([]WorkerID, *planContext, err
 }
 
 // requestTasksLocked is the write-locked assignment path: plan from the live
-// engine and commit in one critical section. It serves the batch engines,
-// non-planner assigners, the window before the first publication, and workers
-// newer than the published snapshot.
+// engine and commit in one critical section. It serves the non-planner
+// assigners, services without a fit scheduler, the window before the first
+// publication, and workers newer than the published snapshot.
 func (s *Service) requestTasksLocked(ctx context.Context, ws []WorkerID) (map[string][]string, error) {
 	_, sp := trace.Start(ctx, "plan.locked")
 	defer sp.End()
@@ -850,10 +849,12 @@ func (s *Service) requestTasksLocked(ctx context.Context, ws []WorkerID) (map[st
 		return nil, err
 	}
 	s.planStats.locked.Add(1)
-	// The live planner leaves out every answered and every pending pair and the
-	// engine trims the round to the budget, so the commit takes it whole.
+	// The live planner leaves out every answered and every pending pair and
+	// the round is trimmed to the budget, so the commit takes it whole. The
+	// budget is not spent (re-checked above), and h is positive.
 	ex, pending := s.led.exclusions(ws)
-	accepted, _, _ := s.led.commit(s.eng.Assign(ws, s.cfg.h, s.led.budget, ex), nil)
+	plan := assign.Trim(s.asg.AssignExcluding(s.eng.view(), ws, s.cfg.h, ex), s.led.budget)
+	accepted, _, _ := s.led.commit(plan, nil)
 	if pending > 0 && s.observer != nil {
 		s.observer.DedupHitsObserved(pending)
 	}

@@ -91,10 +91,9 @@ func TestServiceEndToEndAllEngines(t *testing.T) {
 					break
 				}
 			}
-			// The assigner plans inside each worker's home shard/city; top
-			// up the log with unsolicited answers for the remaining pairs —
-			// they must be learned from all the same (and, on the federated
-			// engine, exercise the cross-city roaming merge).
+			// Top up the log with unsolicited answers for the pairs the
+			// rounds left — they must be learned from all the same (and, on
+			// the federated engine, exercise the cross-city roaming merge).
 			for wi := 0; wi < 4; wi++ {
 				for ti := 0; ti < 8; ti++ {
 					if answered[[2]int{wi, ti}] {
@@ -546,7 +545,6 @@ func TestServiceOptionValidation(t *testing.T) {
 		{"h", WithTasksPerRequest(0)},
 		{"shards", WithShards(-1)},
 		{"cities", WithCities(-2)},
-		{"refine", WithRefineSweeps(-1)},
 		{"fullem", WithFullEMInterval(-1)},
 	}
 	for _, tc := range bad {

@@ -3,6 +3,9 @@ package poilabel
 import (
 	"context"
 	"math/rand"
+	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"poilabel/internal/core"
@@ -21,6 +24,9 @@ type fitted struct {
 	result      func() *Result
 	quality     func(WorkerID) float64
 	sensitivity func(WorkerID) []float64
+	// plan hands out one assignment round to the workers, nil where the
+	// shape does not serve assignments.
+	plan func(ws []WorkerID) map[string][]string
 }
 
 func fittedNode(sh *shard.Sharded) fitted {
@@ -55,6 +61,17 @@ func fittedService(t *testing.T, svc *Service) fitted {
 		},
 		quality:     func(w WorkerID) float64 { return info(w).Quality },
 		sensitivity: func(w WorkerID) []float64 { return info(w).DistanceSensitivity },
+		plan: func(ws []WorkerID) map[string][]string {
+			ids := make([]string, len(ws))
+			for i, w := range ws {
+				ids[i] = wid(int(w))
+			}
+			round, err := svc.RequestTasks(context.Background(), ids)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return round
+		},
 	}
 }
 
@@ -63,7 +80,12 @@ func fittedService(t *testing.T, svc *Service) fitted {
 // its child at every level — label posteriors, decisions, every worker's
 // merged quality and sensitivity, and the EM iteration count where the shape
 // reports one. The contributors == 1 branch of the worker merge and the
-// per-child arrival order are what make it hold.
+// per-child arrival order are what make it hold. Where both sides are
+// services they also hand out the same assignment rounds, byte for byte,
+// round after answered round: a partition node plans the single engine's
+// AccOpt round over its view. The single engine learns per answer between
+// fits and a partition node does not, so the rows against it fit after every
+// answer (WithFullEMInterval(1)), the one interval at which neither learns.
 func TestShapeIdentity(t *testing.T) {
 	// The grid world of registerGridWorld in dense form, with every worker
 	// answering tasks in all four kd cells so the K=4 rows merge roamers.
@@ -94,7 +116,7 @@ func TestShapeIdentity(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.Parallelism = 1
 	service := func(opts ...ServiceOption) fitted {
-		svc, err := NewService(append(opts, WithShards(3), WithFullEMInterval(0))...)
+		svc, err := NewService(append([]ServiceOption{WithShards(3), WithFullEMInterval(0)}, opts...)...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,7 +150,7 @@ func TestShapeIdentity(t *testing.T) {
 		{"one-city-is-the-sharded-fitter",
 			func() (fitted, error) {
 				fed, err := federation.New(tasks, workers, norm, federation.Config{
-					Cities: 1, Shard: shard.Config{Shards: 4, RefineSweeps: 1}})
+					Cities: 1, Shard: shard.Config{Shards: 4}})
 				if err != nil {
 					return fitted{}, err
 				}
@@ -137,12 +159,22 @@ func TestShapeIdentity(t *testing.T) {
 				return f, nil
 			},
 			func() (fitted, error) {
-				sh, err := shard.New(tasks, workers, norm, shard.Config{Shards: 4, RefineSweeps: 1})
+				sh, err := shard.New(tasks, workers, norm, shard.Config{Shards: 4})
 				if err != nil {
 					return fitted{}, err
 				}
 				return fittedNode(sh), nil
 			}},
+		{"service-one-shard-is-the-single-engine",
+			func() (fitted, error) {
+				return service(WithEngine(EngineSharded), WithShards(1), WithFullEMInterval(1)), nil
+			},
+			func() (fitted, error) { return service(WithFullEMInterval(1)), nil }},
+		{"service-one-city-of-one-shard-is-the-single-engine",
+			func() (fitted, error) {
+				return service(WithEngine(EngineFederated), WithCities(1), WithShards(1), WithFullEMInterval(1)), nil
+			},
+			func() (fitted, error) { return service(WithFullEMInterval(1)), nil }},
 		{"service-one-city-is-the-sharded-engine",
 			func() (fitted, error) { return service(WithEngine(EngineFederated), WithCities(1)), nil },
 			func() (fitted, error) { return service(WithEngine(EngineSharded)), nil }},
@@ -194,6 +226,117 @@ func TestShapeIdentity(t *testing.T) {
 						t.Fatalf("worker %d sensitivity[%d]: %v vs %v", wi, j, gs[j], ws[j])
 					}
 				}
+			}
+			if got.plan == nil || want.plan == nil {
+				return
+			}
+			// Several multi-worker rounds, every handed-out pair answered on
+			// both sides before the next round.
+			everyone := make([]WorkerID, nWorkers)
+			for wi := range everyone {
+				everyone[wi] = WorkerID(wi)
+			}
+			for round := 0; round < 4; round++ {
+				gp, wp := got.plan(everyone), want.plan(everyone)
+				if len(wp) == 0 {
+					t.Fatalf("round %d handed out nothing", round)
+				}
+				if !reflect.DeepEqual(gp, wp) {
+					t.Fatalf("round %d: %v, want %v", round, gp, wp)
+				}
+				for wi := range everyone {
+					for _, key := range wp[wid(wi)] {
+						ti, err := strconv.Atoi(strings.TrimPrefix(key, "task-"))
+						if err != nil {
+							t.Fatal(err)
+						}
+						a := answer(WorkerID(wi), TaskID(ti), truth, 0.85, rng)
+						if err := got.observe(a); err != nil {
+							t.Fatal(err)
+						}
+						if err := want.observe(a); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				got.fit()
+				want.fit()
+			}
+		})
+	}
+}
+
+// TestAssignerMeansTheSameOnEveryShape: WithAssigner is one strategy on every
+// engine shape. SpatialFirst and Random read only coverage, distances and
+// the seed, so a sharded K=4 and a federated 2x2 service hand out the single
+// service's rounds, round after answered round — and so does an elastic
+// sharded service across a live split, whose engine swap keeps the
+// service's assigner, Random's position in its stream included.
+func TestAssignerMeansTheSameOnEveryShape(t *testing.T) {
+	const nTasks, nWorkers = 48, 8
+	ctx := context.Background()
+	for name, kind := range map[string]AssignerKind{"spatial-first": AssignerSpatialFirst, "random": AssignerRandom} {
+		t.Run(name, func(t *testing.T) {
+			shapes := [][]ServiceOption{
+				nil,
+				{WithEngine(EngineSharded), WithShards(4)},
+				{WithEngine(EngineFederated), WithCities(2), WithShards(2)},
+				elasticOpts(4),
+			}
+			svcs := make([]*Service, len(shapes))
+			var truth *GroundTruth
+			for i, shape := range shapes {
+				svc, err := NewService(append([]ServiceOption{WithAssigner(kind), WithSeed(9)}, shape...)...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { svc.Close(ctx) })
+				truth = registerGridWorld(t, svc, nTasks, nWorkers)
+				svcs[i] = svc
+			}
+			elastic := svcs[len(svcs)-1]
+			ids := make([]string, nWorkers)
+			for wi := range ids {
+				ids[wi] = wid(wi)
+			}
+			rng := rand.New(rand.NewSource(21))
+			for round := 0; round < 6; round++ {
+				if round == 3 {
+					quiesce(t, elastic)
+					if err := elastic.forceSplit(ctx, 0); err != nil {
+						t.Fatal(err)
+					}
+				}
+				want, err := svcs[0].RequestTasks(ctx, ids)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, svc := range svcs[1:] {
+					got, err := svc.RequestTasks(ctx, ids)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("round %d, shape %d: %v, single %v", round, i+1, got, want)
+					}
+				}
+				for wi := range ids {
+					for _, key := range want[wid(wi)] {
+						ti, err := strconv.Atoi(strings.TrimPrefix(key, "task-"))
+						if err != nil {
+							t.Fatal(err)
+						}
+						a := answer(WorkerID(wi), TaskID(ti), truth, 0.85, rng)
+						for _, svc := range svcs {
+							if err := svc.SubmitAnswer(wid(wi), key, a.Selected); err != nil {
+								t.Fatal(err)
+							}
+						}
+					}
+				}
+			}
+			if got := elastic.ElasticStats().Shards; got != 5 {
+				t.Fatalf("elastic service has %d shards after the split, want 5", got)
 			}
 		})
 	}
